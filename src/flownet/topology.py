@@ -4,10 +4,12 @@ Networks have a unique origin (no incoming links), a unique destination
 (no outgoing links), and every node can reach the destination.  Parallel
 links are allowed and always kept as distinct link ids.
 
-Min-cut capacity is computed by two independent routes: exhaustive cut
-enumeration (exact, small graphs) and augmenting-path max-flow (any size).
-Both are arithmetic-agnostic, so they run exactly on ``fractions.Fraction``
-capacities as well as on floats.
+Min-cut capacity comes from one augmenting-path max-flow run: the minimum
+cuts are exactly the origin sides closed in its residual network (Picard &
+Queyranne 1980), and the lexicographically smallest of them is read off
+that network directly, at any size.  Exhaustive cut enumeration is kept as
+an exact reference for small graphs.  Both are arithmetic-agnostic, so they
+run exactly on ``fractions.Fraction`` capacities as well as on floats.
 """
 
 from __future__ import annotations
@@ -269,39 +271,73 @@ def _check_capacities(topo: NetworkTopology, capacities):
             raise TopologyError(f"capacity of link {lid} must be finite and positive")
 
 
-def min_cut_capacity(topo: NetworkTopology, capacities, limit: int = DEFAULT_ENUMERATION_LIMIT):
-    """Minimum cut capacity and one minimizing cut.
+def min_cut_capacity(topo: NetworkTopology, capacities):
+    """Minimum cut capacity and one minimizing cut, for a graph of any size.
 
-    For graphs within the enumeration limit every cut is inspected and the
-    minimizer with lexicographically smallest origin side is returned, and
-    the value is cross-checked against max-flow; beyond the limit the value
-    comes from max-flow with the residual-reachable witness cut.
+    Ties are broken lexicographically: among all minimizing cuts, the one
+    whose sorted origin side is the smallest tuple is returned (``(0, 1, 2)``
+    precedes ``(0, 2)``), the first minimizer in the cut enumeration order.
+    On float capacities, cuts whose sums tie only up to rounding follow the
+    rounding of the flow rather than that of the cut sums.
+
+    The minimizing origin sides are exactly the node sets that contain the
+    origin, avoid the destination and are closed under reachability in the
+    final max-flow residual network.  The smallest such set is built greedily
+    over node indices: node ``x`` joins when the residual closure of the
+    chosen nodes, ``x`` and the origin avoids the destination, and the scan
+    stops once the chosen set is itself closed.  A closure that reaches a
+    node passed over earlier contains that node's closure, which reached the
+    destination, so the chosen set never needs a passed-over node.  That is
+    one max-flow run plus O(n (n + m)) work.
+
+    The returned capacity is the cut's summed link capacity (ascending link
+    id).  It is certified by duality: it must agree with the max-flow value,
+    since a feasible flow and a cut of equal value are both optimal, and a
+    disagreement raises ``TopologyError``.
     """
     _require_valid(topo)
     _check_capacities(topo, capacities)
-    flow_value, reachable = _max_flow(topo, capacities)
-    if topo.num_nodes <= limit:
-        best = None
-        best_val = None
-        for cut in enumerate_od_cuts(topo, limit):
-            val = sum(capacities[lid] for lid in sorted(cut.cut_links))
-            if best_val is None or val < best_val:
-                best, best_val = cut, val
-        if not _agrees(best_val, flow_value):
-            raise AssertionError(
-                f"min-cut enumeration ({best_val}) disagrees with max-flow ({flow_value})"
-            )
-        return best_val, best
-    side = frozenset(reachable)
+    flow_value, residual, backflow = _max_flow(topo, capacities)
+    succ = {v: [] for v in range(topo.num_nodes)}
+    for l in topo.links:
+        if residual[l.id] > 0:
+            succ[l.tail].append(l.head)
+        if backflow[l.id] > 0:
+            succ[l.head].append(l.tail)
+    origin, dest = topo.origin, topo.destination
+    chosen = set()
+    for x in range(topo.num_nodes):
+        closure = _closure(succ, chosen | {x, origin})
+        if dest in closure:
+            continue
+        chosen.add(x)
+        if closure == chosen:
+            break
+    side = frozenset(chosen)
     cut_links = frozenset(l.id for l in topo.links if l.tail in side and l.head not in side)
-    return flow_value, Cut(side, cut_links)
+    value = sum(capacities[lid] for lid in sorted(cut_links))
+    if not _agrees(value, flow_value):
+        raise TopologyError(f"min-cut capacity ({value}) disagrees with max-flow ({flow_value})")
+    return value, Cut(side, cut_links)
+
+
+def _closure(succ, nodes):
+    """All nodes reachable from ``nodes`` along the successor lists ``succ``."""
+    seen = set(nodes)
+    stack = list(nodes)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def max_flow_value(topo: NetworkTopology, capacities):
     """Maximum feasible origin-to-destination flow (Edmonds-Karp)."""
     _require_valid(topo)
     _check_capacities(topo, capacities)
-    value, _ = _max_flow(topo, capacities)
+    value, _, _ = _max_flow(topo, capacities)
     return value
 
 
@@ -315,8 +351,9 @@ def _max_flow(topo: NetworkTopology, capacities):
     """BFS augmenting paths on the multigraph's residual network.
 
     Works with any ordered numeric type (float, Fraction, int).  Returns
-    the flow value and the set of nodes reachable from the origin in the
-    final residual network (the canonical minimal source-side cut).
+    the flow value and the final residual state: per link id, the forward
+    slack (capacity minus flow) and the backflow (the flow itself, which may
+    be pushed back).
     """
     source, sink = topo.origin, topo.destination
     first = topo.link_ids[0]
@@ -348,7 +385,7 @@ def _max_flow(topo: NetworkTopology, capacities):
     while True:
         parent = bfs()
         if sink not in parent:
-            return total, set(parent)
+            return total, residual, backflow
         # walk back from the sink collecting the path and its bottleneck
         path = []
         v = sink

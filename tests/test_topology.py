@@ -15,9 +15,10 @@ from flownet import (
     topological_order,
     validate_topology,
 )
+from flownet import cli, topology
 from flownet.topology import canonical_relabel
 
-from conftest import random_dag
+from conftest import DATA, random_dag
 
 
 def brute_force_min_cut(topo, caps):
@@ -31,6 +32,22 @@ def brute_force_min_cut(topo, caps):
             val = sum(caps[l.id] for l in topo.links if l.tail in side and l.head not in side)
             best = val if best is None or val < best else best
     return best
+
+
+def enumerated_lex_min_cut(topo, caps):
+    """Reference tie rule: first strict minimum over the lexicographic cut list."""
+    best = best_val = None
+    for cut in enumerate_od_cuts(topo):
+        val = sum(caps[lid] for lid in sorted(cut.cut_links))
+        if best_val is None or val < best_val:
+            best, best_val = cut, val
+    return best_val, best
+
+
+def shuffled_labels(topo, rng):
+    """The same graph with its nodes renumbered at random (the origin need not be 0)."""
+    perm = [int(v) for v in rng.permutation(topo.num_nodes)]
+    return NetworkTopology(topo.num_nodes, [(l.id, perm[l.tail], perm[l.head]) for l in topo.links])
 
 
 class TestValidation:
@@ -201,6 +218,72 @@ class TestMinCutMaxFlow:
         covered = {l.id for l in topo.links
                    if l.tail in cut.origin_side and l.head not in cut.origin_side}
         assert cut.cut_links == frozenset(covered)
+
+    @pytest.mark.parametrize("kind", ["integer", "fraction"])
+    def test_matches_enumerated_lexicographic_minimizer(self, kind):
+        # small-integer capacities force many tied minimum cuts
+        rng = np.random.default_rng(31 if kind == "integer" else 37)
+        for _ in range(60):
+            topo = random_dag(rng, max_nodes=9)
+            if rng.random() < 0.5:
+                topo = shuffled_labels(topo, rng)
+            if kind == "integer":
+                caps = {l.id: float(rng.integers(1, 4)) for l in topo.links}
+            else:
+                caps = {l.id: Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+                        for l in topo.links}
+            value, cut = min_cut_capacity(topo, caps)
+            ref_value, ref_cut = enumerated_lex_min_cut(topo, caps)
+            assert value == ref_value and type(value) is type(ref_value)
+            assert cut == ref_cut
+
+    def test_lexicographic_not_inclusion_minimal(self):
+        # {0, 2} and {0, 1, 2} both cut capacity 2; (0, 1, 2) precedes (0, 2)
+        topo = NetworkTopology(4, [(0, 0, 1), (1, 1, 3), (2, 0, 2), (3, 2, 3)])
+        caps = {0: 1.0, 1: 1.0, 2: 10.0, 3: 1.0}
+        value, cut = min_cut_capacity(topo, caps)
+        assert value == 2.0
+        assert cut.origin_side == frozenset({0, 1, 2})
+        assert cut.cut_links == frozenset({1, 3})
+
+    def test_lexicographic_rule_beyond_enumeration_limit(self):
+        # the 4-node tie case feeding a 22-node chain of capacity-2 links:
+        # {0, 2} and every {0, 1, ..., k} with k >= 2 cut capacity 2, and the
+        # shortest of the prefixes, (0, 1, 2), is the lexicographic minimum
+        links = [(0, 0, 1), (1, 1, 3), (2, 0, 2), (3, 2, 3)]
+        links += [(v + 1, v, v + 1) for v in range(3, 24)]
+        topo = NetworkTopology(25, links)
+        caps = {lid: 2.0 for lid in topo.link_ids}
+        caps.update({0: 1.0, 1: 1.0, 2: 10.0, 3: 1.0})
+        value, cut = min_cut_capacity(topo, caps)
+        assert value == 2.0
+        assert cut.origin_side == frozenset({0, 1, 2})
+
+    def test_twenty_nodes_never_enumerates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_od_cuts called")
+
+        monkeypatch.setattr(topology, "enumerate_od_cuts", refuse)
+        topo = NetworkTopology(20, [(v, v, v + 1) for v in range(19)] + [(19, 0, 10)])
+        caps = {lid: 1.0 for lid in topo.link_ids}
+        value, cut = min_cut_capacity(topo, caps)
+        assert value == 1.0
+        assert cut.origin_side == frozenset(range(11))
+
+    def test_disagreement_with_max_flow_is_topology_error(self, monkeypatch, capsys):
+        real = topology._max_flow
+
+        def inconsistent(topo, capacities):
+            value, residual, backflow = real(topo, capacities)
+            return value + 1.0, residual, backflow
+
+        monkeypatch.setattr(topology, "_max_flow", inconsistent)
+        topo = NetworkTopology(3, [(0, 0, 1), (1, 1, 2)])
+        with pytest.raises(TopologyError, match="disagrees with max-flow"):
+            min_cut_capacity(topo, {0: 2.0, 1: 1.0})
+        assert cli.main(["mincut", str(DATA / "diamond5.json")]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: min-cut capacity") and "Traceback" not in err
 
 
 class TestSerialization:
