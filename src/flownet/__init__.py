@@ -50,6 +50,7 @@ from .dynamics import (
     network_limit_flow,
     rhs,
     simulate,
+    simulate_ensemble,
     simulate_local,
 )
 from .resilience import (

@@ -213,7 +213,6 @@ def cmd_resilience(args) -> int:
     report = estimate_weak_resilience(
         scenario.network, scenario.policy, scenario.inflow,
         config=config, alphas=alphas, n_samples=args.samples, seed=seed,
-        jobs=args.jobs,
     )
     doc = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name}
     doc.update(report.to_dict())
@@ -307,14 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: verdicts run as in-process ensembles")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_resilience)
 
     p = sub.add_parser("limitflow", help="asymptotic flows, optionally swept over inflow")
     p.add_argument("scenario")
     p.add_argument("--sweep", help="inflow grid as start:stop:num")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_limitflow)
     return parser

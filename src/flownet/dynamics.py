@@ -20,6 +20,7 @@ checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -40,6 +41,7 @@ __all__ = [
     "LocalSolverError",
     "rhs",
     "simulate",
+    "simulate_ensemble",
     "simulate_local",
     "alpha_transfer_estimate",
     "local_limit_flow",
@@ -82,6 +84,10 @@ class SimulationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        for name in ("inflow", "dt", "horizon", "density_ceiling"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.inflow < 0:
             raise ValueError("inflow must be nonnegative")
         if self.dt is not None and not self.dt > 0:
@@ -106,13 +112,23 @@ class _Compiled:
 
     Internally links are ordered by (tail, id) so per-node reductions are
     contiguous; ``arr_sorted[to_topo]`` converts back to the topology's
-    id order and ``arr_topo[to_sorted]`` the other way.  All-exponential
-    flow families and logit policies take fully vectorized paths; anything
-    else falls back to per-link / per-node evaluation.
+    id order and ``arr_topo[to_sorted]`` the other way.
+
+    One instance serves an ensemble of B networks that share one topology
+    under one policy.  Flow parameters are stacked per member, shape
+    (B, m), or kept at (m,) for a single network, so a state is either
+    (m,) or (B, m) and every reduction runs along the last axis.  The
+    exponential parameters are stored negated (exactly) so ``flows`` is one
+    multiply, one ``expm1`` and one multiply.  All-exponential flow
+    families and logit policies take fully vectorized paths; anything else
+    is evaluated member by member, link by link / node by node.
     """
 
-    def __init__(self, network: FlowNetwork, policy: RoutingPolicy):
-        topo = network.topology
+    def __init__(self, networks, policy: RoutingPolicy):
+        topo = networks[0].topology
+        if any((net.topology.num_nodes, net.topology.links) != (topo.num_nodes, topo.links)
+               for net in networks):
+            raise ValueError("ensemble members must share one topology")
         links = topo.links
         order = sorted(range(len(links)), key=lambda i: (links[i].tail, links[i].id))
         self.to_sorted = np.array(order)
@@ -120,57 +136,69 @@ class _Compiled:
         self.links = [links[i] for i in order]
         self.tails = np.array([l.tail for l in self.links])
         self.heads = np.array([l.head for l in self.links])
-        self.ffs = [network.flow_functions[l.id] for l in self.links]
+        self.ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
         self.origin = topo.origin
         self.n_nodes = topo.num_nodes
 
         starts = [0] + [i for i in range(1, len(self.links)) if self.tails[i] != self.tails[i - 1]]
         self.group_starts = np.array(starts)
-        self.group_nodes = self.tails[self.group_starts]
+        self.groups = [(int(self.tails[lo]), lo, hi)
+                       for lo, hi in zip(starts, starts[1:] + [len(self.links)])]
         self.group_of_link = np.repeat(np.arange(len(starts)),
                                        np.diff(np.append(self.group_starts, len(self.links))))
 
         self.head_mat = np.zeros((self.n_nodes, len(self.links)))
         self.head_mat[self.heads, np.arange(len(self.links))] = 1.0
 
-        self._exp = all(isinstance(ff, ExponentialFlow) for ff in self.ffs)
+        self._exp = all(isinstance(ff, ExponentialFlow) for member in self.ffs for ff in member)
         if self._exp:
-            self.a_flow = np.array([ff.rate for ff in self.ffs])
-            self.f_max = np.array([ff.f_max for ff in self.ffs])
+            self.neg_a = -self._stack([[ff.rate for ff in member] for member in self.ffs])
+            self.neg_fmax = -self._stack([[ff.f_max for ff in member] for member in self.ffs])
         self._logit = isinstance(policy, LogitPolicy)
         self.policy = policy
         if self._logit:
             self.a_pol = np.array([policy.weights[l.id] for l in self.links])
-            self.eta_link = np.array([policy.eta[l.tail] for l in self.links])
+            self.neg_eta = -np.array([policy.eta[l.tail] for l in self.links])
+
+    @staticmethod
+    def _stack(rows) -> np.ndarray:
+        return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
 
     def flows(self, rho: np.ndarray) -> np.ndarray:
+        """Link outflows for states of shape (..., m) or, in an ensemble, (..., B, m)."""
         if self._exp:
-            return self.f_max * -np.expm1(-self.a_flow * rho)
-        return np.array([ff.eval(r) for ff, r in zip(self.ffs, rho)])
+            return self.neg_fmax * np.expm1(self.neg_a * rho)
+        rows = rho.reshape(-1, len(self.links))
+        f = np.array([[ff.eval(r) for ff, r in zip(member, row)]
+                      for member, row in zip(itertools.cycle(self.ffs), rows)])
+        return f.reshape(rho.shape)
 
     def splits(self, rho: np.ndarray) -> np.ndarray:
         if self._logit:
-            ex = -self.eta_link * rho
-            ex = ex - np.maximum.reduceat(ex, self.group_starts)[self.group_of_link]
+            ex = self.neg_eta * rho
+            ex -= np.maximum.reduceat(ex, self.group_starts, axis=-1).take(self.group_of_link, axis=-1)
             w = self.a_pol * np.exp(ex)
-            return w / np.add.reduceat(w, self.group_starts)[self.group_of_link]
-        g = np.empty(len(self.links))
-        for gi, v in enumerate(self.group_nodes):
-            lo = self.group_starts[gi]
-            hi = self.group_starts[gi + 1] if gi + 1 < len(self.group_starts) else len(self.links)
-            g[lo:hi] = self.policy.route(v, rho[lo:hi])
+            w /= np.add.reduceat(w, self.group_starts, axis=-1).take(self.group_of_link, axis=-1)
+            return w
+        g = np.empty_like(rho)
+        for g_row, row in zip(g.reshape(-1, len(self.links)), rho.reshape(-1, len(self.links))):
+            for v, lo, hi in self.groups:
+                g_row[lo:hi] = self.policy.route(v, row[lo:hi])
         return g
 
     def rhs(self, rho: np.ndarray, inflow: float) -> np.ndarray:
         f = self.flows(rho)
-        lam = self.head_mat @ f
-        lam[self.origin] = inflow
-        return lam[self.tails] * self.splits(rho) - f
+        # a stacked matrix-vector product per member: the same summation
+        # order as ``head_mat @ f`` on one state, which ``f @ head_mat.T``
+        # does not keep
+        lam = np.matmul(self.head_mat, f[..., None])[..., 0]
+        lam[..., self.origin] = inflow
+        return lam.take(self.tails, axis=-1) * self.splits(rho) - f
 
 
 def rhs(network: FlowNetwork, policy: RoutingPolicy, inflow: float, rho) -> np.ndarray:
     """d rho / dt at the given state, ordered like ``network.topology.links``."""
-    compiled = _Compiled(network, policy)
+    compiled = _Compiled([network], policy)
     rho = np.asarray(rho, dtype=float)
     return compiled.rhs(rho[compiled.to_sorted], inflow)[compiled.to_topo]
 
@@ -214,36 +242,76 @@ class LocalTrajectory:
     max_undershoot: float = 0.0
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    return max(1, math.ceil(horizon / dt - 1e-12))
+
+
+def _record_count(n_steps: int, record_stride: int) -> int:
+    """States kept: the start, every ``record_stride``-th step and the last."""
+    return 1 + n_steps // record_stride + (n_steps % record_stride != 0)
+
+
 def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: float,
                record_stride: int = 1):
-    """Classical fixed-step RK4; clamps densities at zero and records the
-    worst undershoot.  The step is shrunk to land exactly on the horizon."""
-    n_steps = max(1, math.ceil(horizon / dt - 1e-12))
+    """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
+
+    Clamps densities at zero and records the worst undershoot per member
+    (a float for a single state, an array of B for an ensemble).  The step
+    is shrunk to land exactly on the horizon.  Returns ``(times, states,
+    undershoot, dt)`` with ``states`` of shape ``(records,) + rho0.shape``.
+    """
+    n_steps = _step_count(horizon, dt)
     dt = horizon / n_steps
+    half, sixth = 0.5 * dt, dt / 6.0
     rho = np.array(rho0, dtype=float)
-    times = [0.0]
-    states = [rho.copy()]
-    undershoot = 0.0
+    n_records = _record_count(n_steps, record_stride)
+    times = np.empty(n_records)
+    states = np.empty((n_records,) + rho.shape)
+    times[0] = 0.0
+    states[0] = rho
+    undershoot = np.zeros(rho.shape[:-1])
+    recorded = 1
     t = 0.0
     for step in range(1, n_steps + 1):
         k1 = deriv(t, rho)
-        k2 = deriv(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k2 = deriv(t + half, rho + half * k1)
+        k3 = deriv(t + half, rho + half * k2)
         k4 = deriv(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        low = rho.min()
-        if low < 0.0:
-            undershoot = max(undershoot, -low)
+        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if rho.min() < 0.0:
+            np.maximum(undershoot, -rho.min(axis=-1), out=undershoot)
             rho = np.maximum(rho, 0.0)
         t = step * dt
-        if not np.all(np.isfinite(rho)) or rho.max() > ceiling:
+        if not rho.max() <= ceiling:  # also catches NaN
+            bad = rho if rho.ndim == 1 else rho[np.argmin(rho.max(axis=-1) <= ceiling)]
             raise SimulationError(
-                f"integration unstable at t={t:.6g} (state={rho}); reduce dt or the horizon"
+                f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
         if step % record_stride == 0 or step == n_steps:
-            times.append(t)
-            states.append(rho.copy())
-    return np.array(times), np.array(states), undershoot, dt
+            times[recorded] = t
+            states[recorded] = rho
+            recorded += 1
+    if undershoot.ndim == 0:
+        undershoot = float(undershoot)
+    return times, states, undershoot, dt
+
+
+def _start_state(rho0, m: int) -> np.ndarray:
+    rho0 = np.zeros(m) if rho0 is None else np.asarray(rho0, dtype=float)
+    if rho0.shape != (m,):
+        raise ValueError(f"rho0 must have one entry per link ({m})")
+    if np.any(rho0 < 0):
+        raise ValueError("initial densities must be nonnegative")
+    return rho0
+
+
+def _ensemble_dt(networks, config: SimulationConfig) -> float:
+    if config.dt is not None:
+        return config.dt
+    dts = {default_dt(net) for net in networks}
+    if len(dts) > 1:
+        raise ValueError("ensemble members have different default steps; set config.dt")
+    return dts.pop()
 
 
 def simulate(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
@@ -251,40 +319,89 @@ def simulate(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConf
     """Integrate the network dynamics over [0, horizon].
 
     A perturbed run is this same operation on the perturbed network (the
-    policy never changes; routers only see densities).
+    policy never changes; routers only see densities).  This is the
+    one-member case of ``simulate_ensemble``, integrated on an (m,) state.
     """
-    topo = network.topology
-    compiled = _Compiled(network, policy)
-    dt = config.dt if config.dt is not None else default_dt(network)
-    if rho0 is None:
-        rho0 = np.zeros(len(topo.links))
-    rho0 = np.asarray(rho0, dtype=float)
-    if rho0.shape != (len(topo.links),):
-        raise ValueError(f"rho0 must have one entry per link ({len(topo.links)})")
-    if np.any(rho0 < 0):
-        raise ValueError("initial densities must be nonnegative")
-    rho0_sorted = rho0[compiled.to_sorted]
+    return simulate_ensemble([network], policy, config, [rho0])[0]
+
+
+def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
+                      rho0s=None) -> list:
+    """Integrate networks that share one topology under one policy, in lockstep.
+
+    Member b runs ``networks[b]`` from ``rho0s[b]`` (zero densities where
+    ``rho0s`` or its entry is None); all members share ``config`` and
+    hence one time grid.  Each returned ``Trajectory`` is bit-for-bit the
+    one ``simulate`` gives for that member alone.  A member that blows up
+    raises ``SimulationError`` for the whole ensemble.  Everything stays in
+    memory: callers with many long members go through ``_iter_ensemble``.
+    """
+    networks = list(networks)
+    if not networks:
+        return []
+    topo = networks[0].topology
+    m = len(topo.links)
+    rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
+    if len(rho0s) != len(networks):
+        raise ValueError("need one initial density per ensemble member")
+    dt = _ensemble_dt(networks, config)
+    compiled = _Compiled(networks, policy)
+    rho0 = np.array([_start_state(r, m) for r in rho0s])[:, compiled.to_sorted]
+    if len(networks) == 1:
+        rho0 = rho0[0]
 
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     times, states, undershoot, dt_actual = _integrate(
-        deriv, rho0_sorted, dt, config.horizon, config.density_ceiling, config.record_stride
+        deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride
     )
-    rho_traj = states[:, compiled.to_topo]
-    flows_sorted = np.array([compiled.flows(s) for s in states])
-    flows_traj = flows_sorted[:, compiled.to_topo]
-    lam = flows_sorted @ compiled.head_mat.T
-    lam[:, topo.origin] = config.inflow
-    return Trajectory(
-        times=times,
-        rho=rho_traj,
-        flows=flows_traj,
-        node_inflows=lam,
-        link_ids=topo.link_ids,
-        inflow=config.inflow,
-        dt=dt_actual,
-        destination=topo.destination,
-        max_undershoot=undershoot,
-    )
+    flows = compiled.flows(states)
+    if states.ndim == 2:
+        members = [(states, flows, undershoot)]
+    else:
+        members = [(states[:, b], flows[:, b], undershoot[b]) for b in range(len(networks))]
+    trajectories = []
+    for rho_sorted, flows_sorted, member_undershoot in members:
+        # one contiguous (records, m) block per member, as the single-run
+        # matrix product needs for its summation order
+        flows_sorted = np.ascontiguousarray(flows_sorted)
+        lam = flows_sorted @ compiled.head_mat.T
+        lam[:, topo.origin] = config.inflow
+        trajectories.append(Trajectory(
+            times=times.copy(),
+            rho=rho_sorted[:, compiled.to_topo],
+            flows=flows_sorted[:, compiled.to_topo],
+            node_inflows=lam,
+            link_ids=topo.link_ids,
+            inflow=config.inflow,
+            dt=dt_actual,
+            destination=topo.destination,
+            max_undershoot=float(member_undershoot),
+        ))
+    return trajectories
+
+
+# Retained float64 of the trajectories one chunk of an ensemble may hold.
+_ENSEMBLE_BYTES = 64 * 2**20
+
+
+def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s):
+    """``simulate_ensemble``'s trajectories one by one, in member order.
+
+    Members are integrated in chunks: each member keeps records x (2m + n)
+    floats (densities, flows, node inflows), and a chunk holds as many
+    members as fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each
+    trajectory as it arrives keeps at most one chunk alive.
+    """
+    networks, rho0s = list(networks), list(rho0s)
+    if not networks:
+        return
+    topo = networks[0].topology
+    n_steps = _step_count(config.horizon, _ensemble_dt(networks, config))
+    member_bytes = (8 * _record_count(n_steps, config.record_stride)
+                    * (2 * len(topo.links) + topo.num_nodes))
+    size = max(1, _ENSEMBLE_BYTES // member_bytes)
+    for lo in range(0, len(networks), size):
+        yield from simulate_ensemble(networks[lo:lo + size], policy, config, rho0s[lo:lo + size])
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: float,
@@ -477,7 +594,8 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
 
     Initial densities are drawn log-uniformly over [1e-3, 1e2] times each
     link's median density, covering near-empty through heavily congested
-    starts.  Saturated links are compared at their capacity value.
+    starts.  Saturated links are compared at their capacity value.  The
+    starts run as one ensemble (in memory-bounded chunks).
     """
     if n_initial < 2:
         raise ValueError("need at least two initial conditions to compare")
@@ -490,13 +608,10 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     medians = np.array([network.flow_functions[lid].median_density() for lid in topo.link_ids])
     reference = network_limit_flow(network, policy, inflow)
     ref_vec = reference.flow_vector(topo)
-    terminals = []
-    for _ in range(n_initial):
-        rho0 = medians * 10.0 ** rng.uniform(-3, 2, size=len(medians))
-        traj = simulate(network, policy, config, rho0)
-        est, _ = limit_flow_estimate(traj, network, config.sat_threshold)
-        terminals.append(est)
-    terminals = np.array(terminals)
+    rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
+    trajs = _iter_ensemble([network] * n_initial, policy, config, rho0s)
+    terminals = np.array([limit_flow_estimate(traj, network, config.sat_threshold)[0]
+                          for traj in trajs])
     pairwise = 0.0
     for i in range(n_initial):
         for j in range(i + 1, n_initial):

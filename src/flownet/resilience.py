@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import (
     SimulationConfig,
+    _iter_ensemble,
     alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
@@ -161,30 +162,28 @@ def initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
     return np.array(rho0)
 
 
-def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = None,
-                    f_init=None, transfer_tol: float | None = None) -> AttackOutcome:
-    """Simulate the perturbed network and judge alpha-transfer on the tail.
-
-    The run starts from the unperturbed network's limit flow (or an
-    explicit interior ``f_init``) and keeps the time step implied by the
-    unperturbed rates, which dominate the perturbed ones.
-    """
-    network, policy = scenario.network, scenario.policy
+def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
+                  config: SimulationConfig | None, f_init):
+    """The run settings every attack on ``network`` shares: the config with
+    the time step of the unperturbed rates, and the start densities."""
     if config is None:
-        config = SimulationConfig(inflow=scenario.inflow)
-    elif config.inflow != scenario.inflow:
-        config = replace(config, inflow=scenario.inflow)
+        config = SimulationConfig(inflow=inflow)
+    elif config.inflow != inflow:
+        config = replace(config, inflow=inflow)
     if config.dt is None:
         config = replace(config, dt=default_dt(network))
     if f_init is None:
-        base_limit = network_limit_flow(network, policy, scenario.inflow)
+        base_limit = network_limit_flow(network, policy, inflow)
         if any(base_limit.saturated.values()):
             raise ValueError(
                 "unperturbed limit flow touches capacity; supply an interior f_init"
             )
         f_init = base_limit.flow_vector(network.topology)
-    rho0 = initial_densities(network, f_init)
-    traj = simulate(network.perturbed(scenario.perturbation), policy, config, rho0)
+    return config, initial_densities(network, f_init)
+
+
+def _judge(traj, scenario: AttackScenario, config: SimulationConfig,
+           transfer_tol: float | None) -> AttackOutcome:
     est = alpha_transfer_estimate(traj, scenario.alpha, scenario.inflow,
                                   config.tail_fraction, tol=transfer_tol)
     return AttackOutcome(
@@ -193,6 +192,35 @@ def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = 
         inconclusive=est.inconclusive,
         magnitude=scenario.perturbation.magnitude,
     )
+
+
+def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = None,
+                    f_init=None, transfer_tol: float | None = None) -> AttackOutcome:
+    """Simulate the perturbed network and judge alpha-transfer on the tail.
+
+    The run starts from the unperturbed network's limit flow (or an
+    explicit interior ``f_init``) and keeps the time step implied by the
+    unperturbed rates, which dominate the perturbed ones.
+    """
+    config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow,
+                                 config, f_init)
+    traj = simulate(scenario.network.perturbed(scenario.perturbation), scenario.policy,
+                    config, rho0)
+    return _judge(traj, scenario, config, transfer_tol)
+
+
+def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
+    """Judge ``(scenario, transfer_tol)`` pairs on one network as one ensemble.
+
+    ``config`` and ``rho0`` come from ``_attack_setup``.  The outcomes are
+    those ``evaluate_attack`` gives one by one, in the same order.
+    """
+    if not attacks:
+        return []
+    network, policy = attacks[0][0].network, attacks[0][0].policy
+    perturbed = [network.perturbed(scenario.perturbation) for scenario, _ in attacks]
+    trajs = _iter_ensemble(perturbed, policy, config, [rho0] * len(attacks))
+    return [_judge(traj, scenario, config, tol) for traj, (scenario, tol) in zip(trajs, attacks)]
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork,
@@ -229,11 +257,15 @@ def sample_scaling_perturbations(network: FlowNetwork, budget: float, n_samples:
     budget.  Scaling factors are floored at 1e-3 so every sample stays an
     admissible (strictly increasing) replacement.
     """
+    capacity, cut = min_cut_capacity(network.topology, network.capacities())
+    return _sample_scalings(network, budget, n_samples, seed, capacity, sorted(cut.cut_links))
+
+
+def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: int,
+                     capacity: float, cut_links):
+    """``sample_scaling_perturbations`` around a min cut the caller already has."""
     rng = np.random.default_rng(seed)
-    topo = network.topology
-    capacity, cut = min_cut_capacity(topo, network.capacities())
-    cut_links = sorted(cut.cut_links)
-    all_ids = list(topo.link_ids)
+    all_ids = list(network.topology.link_ids)
     caps = network.capacities()
     if budget >= capacity:
         raise ValueError("budget must stay below the min-cut capacity")
@@ -253,10 +285,36 @@ def sample_scaling_perturbations(network: FlowNetwork, budget: float, n_samples:
     return specs
 
 
-def _sample_worker(payload):
-    network, policy, inflow, spec, alpha_floor, config, f_init = payload
-    scenario = AttackScenario(network, policy, inflow, spec, alpha_floor)
-    return evaluate_attack(scenario, config, f_init=f_init, transfer_tol=0.0)
+def _bisect_cut(alpha: float, eps_lo: float, capacity: float, delta_tol: float):
+    """One alpha's search for the smallest defeating uniform cut scaling.
+
+    A coroutine: it yields the next scaling factor to judge and is sent
+    that attack's ``AttackOutcome``; it returns the ``AlphaSweepPoint``.
+    It first confirms that ``eps_lo`` (the provably fatal scaling) defeats
+    alpha-transfer, then bisects against the identity until the bracket
+    is within ``delta_tol`` in magnitude.
+    """
+    evaluations = 0
+    while True:
+        out = yield eps_lo
+        evaluations += 1
+        if out.defeated:
+            break
+        eps_lo *= 0.5  # should not happen; keep the bracket honest
+        if eps_lo < 1e-12:
+            raise RuntimeError("failed to find a defeating attack below min-cut scale")
+    lo_delta = out.magnitude
+    eps_hi = 1.0  # identity: magnitude 0, trivially preserved
+    while (eps_hi - eps_lo) * capacity > delta_tol:
+        mid = 0.5 * (eps_lo + eps_hi)
+        out_mid = yield mid
+        evaluations += 1
+        if out_mid.defeated:
+            eps_lo, lo_delta = mid, out_mid.magnitude
+        else:
+            eps_hi = mid
+    return AlphaSweepPoint(alpha=alpha, defeating_delta=lo_delta, defeating_eps=eps_lo,
+                           preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)
 
 
 def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
@@ -273,10 +331,16 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     alpha-transfer, to within ``bisect_tol_frac`` of C.  Lower side: random
     scaling perturbations of magnitude up to (1 - margin) C, each of which
     must keep the tail outflow at or above ``alpha_floor * inflow``
-    (checked without slack).  The sample evaluations are independent
-    simulations and fan out over ``jobs`` worker processes; results are
-    aggregated in sampling order, so the report is deterministic for a
-    fixed seed regardless of ``jobs``.
+    (checked without slack).
+
+    Every verdict is an independent simulation of a perturbed copy of one
+    network, so they run as few ensembles as the search allows: the first
+    holds every alpha's provably fatal check and all the random samples;
+    each later one holds the next bisection point of every alpha still
+    open, so the alphas advance in lockstep.  Each verdict, and so the
+    report, is the one ``evaluate_attack`` would give run by run; it is
+    deterministic for a fixed seed.  ``jobs`` is accepted for compatibility
+    and ignored: there are no worker processes.
     """
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
@@ -284,61 +348,43 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     topo = network.topology
     capacity, cut = min_cut_capacity(topo, network.capacities())
     cut_links = sorted(cut.cut_links)
-    if config is None:
-        config = SimulationConfig(inflow=inflow)
     base_limit = network_limit_flow(network, policy, inflow)
     if any(base_limit.saturated.values()):
         raise ValueError("inflow saturates the unperturbed network; pick inflow < C")
-    f_init = base_limit.flow_vector(topo)
+    config, rho0 = _attack_setup(network, policy, inflow, config, base_limit.flow_vector(topo))
 
-    def run(spec: PerturbationSpec, alpha: float, tol):
-        scenario = AttackScenario(network, policy, inflow, spec, alpha)
-        return evaluate_attack(scenario, config, f_init=f_init, transfer_tol=tol)
-
-    def uniform_cut_spec(eps: float) -> PerturbationSpec:
-        return PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
+    def cut_scenario(eps: float, alpha: float) -> AttackScenario:
+        spec = PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
+        return AttackScenario(network, policy, inflow, spec, alpha)
 
     delta_tol = bisect_tol_frac * capacity
-    sweep = []
-    for alpha in sorted(alphas, reverse=True):
-        evaluations = 0
-        eps_lo = alpha * inflow / (2.0 * capacity)  # the provably fatal scaling
-        while True:
-            out = run(uniform_cut_spec(eps_lo), alpha, None)
-            evaluations += 1
-            if out.defeated:
-                break
-            eps_lo *= 0.5  # should not happen; keep the bracket honest
-            if eps_lo < 1e-12:
-                raise RuntimeError("failed to find a defeating attack below min-cut scale")
-        lo_delta = out.magnitude
-        eps_hi = 1.0  # identity: magnitude 0, trivially preserved
-        while (eps_hi - eps_lo) * capacity > delta_tol:
-            mid = 0.5 * (eps_lo + eps_hi)
-            out_mid = run(uniform_cut_spec(mid), alpha, None)
-            evaluations += 1
-            if out_mid.defeated:
-                eps_lo, lo_delta = mid, out_mid.magnitude
-            else:
-                eps_hi = mid
-        preserved_delta = (1.0 - eps_hi) * capacity
-        sweep.append(AlphaSweepPoint(alpha=alpha, defeating_delta=lo_delta,
-                                     defeating_eps=eps_lo, preserved_delta=preserved_delta,
-                                     evaluations=evaluations))
+    searches = []  # (sweep index, alpha, coroutine, scaling to judge next)
+    for i, alpha in enumerate(sorted(alphas, reverse=True)):
+        search = _bisect_cut(alpha, alpha * inflow / (2.0 * capacity), capacity, delta_tol)
+        searches.append((i, alpha, search, next(search)))
+    sweep = [None] * len(searches)
+
+    budget = (1.0 - margin) * capacity
+    specs = _sample_scalings(network, budget, n_samples, seed, capacity, cut_links)
+    sample_attacks = [(AttackScenario(network, policy, inflow, spec, alpha_floor), 0.0)
+                      for spec in specs]
+    sample_outcomes = []
+    while searches or sample_attacks:
+        attacks = [(cut_scenario(eps, alpha), None) for _, alpha, _, eps in searches]
+        outcomes = _evaluate_ensemble(attacks + sample_attacks, config, rho0)
+        sample_outcomes += outcomes[len(attacks):]
+        sample_attacks = []
+        still_open = []
+        for (i, alpha, search, _), out in zip(searches, outcomes):
+            try:
+                still_open.append((i, alpha, search, search.send(out)))
+            except StopIteration as done:
+                sweep[i] = done.value
+        searches = still_open
 
     samples = []
     preserved_max = 0.0
-    budget = (1.0 - margin) * capacity
-    specs = sample_scaling_perturbations(network, budget, n_samples, seed=seed)
-    payloads = [(network, policy, inflow, spec, alpha_floor, config, f_init) for spec in specs]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sample_worker, payloads))
-    else:
-        outcomes = [_sample_worker(p) for p in payloads]
-    for spec, out in zip(specs, outcomes):
+    for spec, out in zip(specs, sample_outcomes):
         preserved = not out.defeated
         samples.append({
             "delta": spec.magnitude,

@@ -7,8 +7,10 @@ import pytest
 from scipy.optimize import brentq
 
 from flownet import (
+    CustomFlow,
     ExponentialFlow,
     FlowNetwork,
+    GenericPolicy,
     LogitPolicy,
     NetworkTopology,
     PerturbationSpec,
@@ -19,12 +21,16 @@ from flownet import (
     local_limit_flow,
     network_limit_flow,
     rhs,
+    load_scenario,
     simulate,
+    simulate_ensemble,
     simulate_local,
 )
-from flownet.dynamics import limit_flow_estimate, detect_saturation
+from flownet import dynamics
+from flownet.dynamics import default_dt, limit_flow_estimate, detect_saturation
 
 from conftest import (
+    DATA,
     diamond_network,
     diamond_policy,
     two_route_limit_flow,
@@ -310,6 +316,14 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(inflow=1.0, record_stride=0)
 
+    @pytest.mark.parametrize("field", ["inflow", "dt", "horizon", "density_ceiling"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # nan < 0 is false, so a sign check alone lets NaN through
+        kwargs = {"inflow": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(**kwargs)
+
     def test_default_dt_follows_fastest_link(self, two_route):
         from flownet.dynamics import default_dt
         topo, net, policy = two_route
@@ -330,3 +344,104 @@ class TestSaturationDetection:
         traj = simulate(net, policy, SimulationConfig(inflow=1.0, horizon=150.0))
         est, flags = limit_flow_estimate(traj, net)
         assert flags == {0: False, 1: False}
+
+
+def _assert_same_trajectory(traj, ref):
+    for field in ("times", "rho", "flows", "node_inflows"):
+        assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+    assert traj.max_undershoot == ref.max_undershoot
+    assert traj.dt == ref.dt
+
+
+class TestEnsemble:
+    """``simulate_ensemble`` equals member-by-member ``simulate`` bit for bit."""
+
+    @staticmethod
+    def perturbed_members(net, size, seed):
+        rng = np.random.default_rng(seed)
+        ids = net.topology.link_ids
+        nets, rho0s = [], []
+        for _ in range(size):
+            factors = {lid: float(rng.uniform(0.4, 1.0)) for lid in ids if rng.random() < 0.5}
+            nets.append(net.perturbed(PerturbationSpec.scaling(net, factors)))
+            rho0s.append(rng.uniform(0.0, 2.0, size=len(ids)))
+        return nets, rho0s
+
+    # random8 has nodes where a matrix-matrix product sums the head-node
+    # inflows in a different order than the single-run matrix-vector product
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_matches_serial_runs(self, name, size):
+        sc = load_scenario(DATA / f"{name}.json")
+        nets, rho0s = self.perturbed_members(sc.network, size, seed=size)
+        config = SimulationConfig(inflow=sc.inflow, horizon=5.0, dt=default_dt(sc.network))
+        ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+        assert len(ensemble) == size
+        for net, rho0, traj in zip(nets, rho0s, ensemble):
+            _assert_same_trajectory(traj, simulate(net, sc.policy, config, rho0))
+
+    def test_undershoot_recorded_per_member(self):
+        # a coarse step that drives the unperturbed member below zero density
+        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
+        net = FlowNetwork(topo, {0: ExponentialFlow(2.214, 0.3844),
+                                 1: ExponentialFlow(10.942, 0.5013)})
+        policy = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
+        config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
+        nets = [net.perturbed(PerturbationSpec.scaling(net, {0: eps})) for eps in (1.0, 0.9, 0.7)]
+        rho0s = [[3.2586, 2.207]] * 3
+        ensemble = simulate_ensemble(nets, policy, config, rho0s)
+        serial = [simulate(n, policy, config, r) for n, r in zip(nets, rho0s)]
+        assert serial[0].max_undershoot > 0.0
+        assert serial[1].max_undershoot == 0.0
+        for traj, ref in zip(ensemble, serial):
+            _assert_same_trajectory(traj, ref)
+
+    def test_generic_flows_and_policy_member_by_member(self):
+        net = diamond_network()
+        topo = net.topology
+        logit = diamond_policy(topo)
+        generic = GenericPolicy(topo, {v: (lambda rho, _v=v: logit.route(_v, rho))
+                                       for v in range(topo.num_nodes) if topo.outgoing[v]})
+        custom = CustomFlow(lambda rho: 1.2 * np.tanh(rho), 1.2, name="tanh")
+        nets = [FlowNetwork(topo, {**net.flow_functions, 4: custom}),
+                net.perturbed(PerturbationSpec.scaling(net, {5: 0.5})),
+                net]
+        rho0s = [np.full(6, 0.3), np.linspace(0.1, 1.0, 6), None]
+        config = SimulationConfig(inflow=1.0, horizon=2.0, dt=0.01, record_stride=7)
+        ensemble = simulate_ensemble(nets, generic, config, rho0s)
+        for n, r, traj in zip(nets, rho0s, ensemble):
+            _assert_same_trajectory(traj, simulate(n, generic, config, r))
+
+    def test_member_blow_up_raises(self):
+        net = two_route_network()
+        policy = two_route_policy(net.topology)
+        strangled = net.perturbed(PerturbationSpec.scaling(net, {0: 0.3, 1: 0.3}))
+        config = SimulationConfig(inflow=1.0, horizon=200.0, dt=0.05, density_ceiling=50.0)
+        simulate(net, policy, config)  # the healthy member alone is fine
+        with pytest.raises(SimulationError):
+            simulate_ensemble([net, strangled, net], policy, config)
+
+    def test_members_must_share_topology(self):
+        with pytest.raises(ValueError):
+            simulate_ensemble([two_route_network(), diamond_network()],
+                              two_route_policy(two_route_network().topology),
+                              SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1))
+
+    def test_chunks_bound_retained_memory(self, monkeypatch):
+        sc = load_scenario(DATA / "diamond5.json")
+        nets, rho0s = self.perturbed_members(sc.network, 5, seed=7)
+        config = SimulationConfig(inflow=sc.inflow, horizon=1.0, dt=0.01)
+        # 101 records x (2 * 6 links + 5 nodes) floats per member: two members fit
+        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 17 + 1)
+        sizes = []
+        real = dynamics.simulate_ensemble
+
+        def counting(networks, *args):
+            sizes.append(len(networks))
+            return real(networks, *args)
+
+        monkeypatch.setattr(dynamics, "simulate_ensemble", counting)
+        chunked = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s))
+        assert sizes == [2, 2, 1]
+        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s)):
+            _assert_same_trajectory(traj, ref)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from flownet import dynamics, resilience
 from flownet import (
     AttackScenario,
     PerturbationSpec,
@@ -10,7 +11,7 @@ from flownet import (
     estimate_weak_resilience,
     evaluate_attack,
 )
-from flownet.resilience import require_locally_responsive
+from flownet.resilience import require_locally_responsive, sample_scaling_perturbations
 
 from conftest import (
     chain_network,
@@ -22,6 +23,7 @@ from conftest import (
 )
 
 FAST = SimulationConfig(inflow=1.0, horizon=150.0, dt=0.02)
+SHORT = SimulationConfig(inflow=1.0, horizon=10.0, dt=0.02)
 
 
 class TestCutAttack:
@@ -152,3 +154,51 @@ class TestWeakResilience:
         net = diamond_network()
         require_locally_responsive(diamond_policy(net.topology), net)
         require_locally_responsive(uniform_logit_policy(net.topology), net)
+
+
+class TestBatchedVerdicts:
+    def test_min_cut_computed_once_per_estimate(self, monkeypatch):
+        net = diamond_network()
+        calls = []
+        real = resilience.min_cut_capacity
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "min_cut_capacity", counting)
+        estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
+                                 alphas=(0.5, 0.1), n_samples=3, seed=1)
+        assert len(calls) == 1
+        sample_scaling_perturbations(net, 1.0, 2, seed=1)  # the public sampler finds its own
+        assert len(calls) == 2
+
+    def test_alphas_advance_in_lockstep(self, monkeypatch):
+        net = diamond_network()
+        sizes = []
+        real = dynamics.simulate_ensemble
+
+        def counting(networks, *args):
+            sizes.append(len(networks))
+            return real(networks, *args)
+
+        monkeypatch.setattr(dynamics, "simulate_ensemble", counting)
+        report = estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
+                                          alphas=(0.5, 0.05), n_samples=4, seed=3)
+        evaluations = [p.evaluations for p in report.alpha_sweep]
+        # round 0: both fatal checks and every sample; then one midpoint per open alpha
+        assert sizes[0] == 2 + 4
+        assert len(sizes) == max(evaluations)
+        assert sum(sizes) == sum(evaluations) + 4
+        assert all(size <= 2 for size in sizes[1:])
+
+    def test_ensemble_verdicts_match_evaluate_attack(self):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        config, rho0 = resilience._attack_setup(net, policy, 1.0, SHORT, None)
+        specs = sample_scaling_perturbations(net, 1.2, 4, seed=2)
+        attacks = [(AttackScenario(net, policy, 1.0, spec, alpha), tol)
+                   for spec, alpha, tol in zip(specs, (0.5, 0.05, 1e-3, 0.2), (None, 0.0, 0.0, 1e-2))]
+        batched = resilience._evaluate_ensemble(attacks, config, rho0)
+        assert batched == [evaluate_attack(scenario, SHORT, transfer_tol=tol)
+                           for scenario, tol in attacks]

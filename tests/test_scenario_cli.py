@@ -147,6 +147,16 @@ class TestCmdSimulate:
         assert code == 0
         assert (tmp_path / "sandbox" / "rel" / "run.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--horizon", "nan"),
+                                             ("--dt", "inf")])
+    def test_non_finite_setting_is_runtime_failure(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", str(DATA / "diamond5.json"), flag, value,
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err
+        assert not (tmp_path / "run.csv").exists()
+
 
 class TestCmdMincut:
     def test_two_route_capacity(self, capsys):
@@ -221,6 +231,13 @@ class TestCmdResilience:
         assert lo <= hi + 1e-12
         assert doc["alpha_sweep"][0]["defeating_delta"] <= 1.5 - 0.05 + 0.015 + 1e-9
 
+    def test_infinite_horizon_is_runtime_failure(self, capsys):
+        code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
+                     "--samples", "2", "--horizon", "inf"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err
+
     def test_anti_cooperative_policy_is_runtime_failure(self, capsys):
         code, _ = run_cli("resilience", str(DATA / "anti_cooperative.json"),
                           "--alphas", "0.1", "--samples", "2", capsys=capsys)
@@ -245,6 +262,13 @@ class TestGoldenFiles:
                 "--out", str(tmp_path / "mc.json"), capsys=capsys)
         assert (tmp_path / "mc.json").read_bytes() == \
             (self.GOLDEN / "chain_mincut.json").read_bytes()
+
+    def test_resilience_report_json(self, capsys):
+        # two alphas: the bisections run as lockstep ensemble rounds
+        code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
+                            "--samples", "4", "--horizon", "10", "--seed", "3", capsys=capsys)
+        assert code == 0
+        assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes()
 
     def test_limitflow_sweep_csv(self, tmp_path, capsys):
         run_cli("limitflow", str(DATA / "chain21.json"), "--sweep", "0:1.2:4",
