@@ -44,11 +44,9 @@ from .dynamics import (
     Trajectory,
     alpha_transfer_estimate,
     convergence_check,
-    detect_saturation,
     limit_flow_estimate,
     local_limit_flow,
     network_limit_flow,
-    rhs,
     simulate,
     simulate_ensemble,
     simulate_local,

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +25,11 @@ from .dynamics import (
     LocalSolverError,
     SimulationError,
     alpha_transfer_estimate,
-    default_dt,
     limit_flow_estimate,
     network_limit_flow,
     simulate,
 )
-from .resilience import estimate_weak_resilience
+from .resilience import _attack_setup, estimate_weak_resilience
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 from .topology import max_flow_value, min_cut_capacity
 
@@ -139,17 +137,12 @@ def cmd_simulate(args) -> int:
     else:
         # attack run: start from the unperturbed limit flow's densities and
         # integrate the perturbed functions with the unchanged policy
-        from .resilience import initial_densities
-
-        alpha = scenario.attack_alpha()
-        base_limit = network_limit_flow(scenario.network, scenario.policy, scenario.inflow)
-        rho0 = initial_densities(scenario.network, base_limit.flow_vector(scenario.topology))
-        if config.dt is None:
-            config = replace(config, dt=default_dt(scenario.network))
+        config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow,
+                                     config, None)
         net_for_sat = scenario.network.perturbed(spec)
         traj = simulate(net_for_sat, scenario.policy, config, rho0)
         summary["attack"] = {
-            "alpha": alpha,
+            "alpha": scenario.attack_alpha(),
             "magnitude": spec.magnitude,
             "stretching": spec.stretching,
         }

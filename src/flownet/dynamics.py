@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .flows import ExponentialFlow, FlowNetwork
-from .routing import LogitPolicy, RoutingPolicy, finite_difference_jacobian
-from .topology import topological_order
+from .routing import GenericPolicy, LogitPolicy, RoutingPolicy, finite_difference_jacobian
+from .topology import NetworkTopology, topological_order
 
 __all__ = [
     "SimulationConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "ConvergenceReport",
     "SimulationError",
     "LocalSolverError",
-    "rhs",
     "simulate",
     "simulate_ensemble",
     "simulate_local",
@@ -47,7 +46,6 @@ __all__ = [
     "local_limit_flow",
     "network_limit_flow",
     "convergence_check",
-    "detect_saturation",
     "limit_flow_estimate",
     "default_dt",
 ]
@@ -194,13 +192,6 @@ class _Compiled:
         lam = np.matmul(self.head_mat, f[..., None])[..., 0]
         lam[..., self.origin] = inflow
         return lam.take(self.tails, axis=-1) * self.splits(rho) - f
-
-
-def rhs(network: FlowNetwork, policy: RoutingPolicy, inflow: float, rho) -> np.ndarray:
-    """d rho / dt at the given state, ordered like ``network.topology.links``."""
-    compiled = _Compiled([network], policy)
-    rho = np.asarray(rho, dtype=float)
-    return compiled.rhs(rho[compiled.to_sorted], inflow)[compiled.to_topo]
 
 
 @dataclass
@@ -408,24 +399,20 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: floa
                    ceiling: float = 1e9) -> LocalTrajectory:
     """Single-node dynamics driven by a (possibly time-varying) input.
 
-    ``inflow_fn`` maps time to the node inflow; it is evaluated at the
+    The node is the origin of a two-node network with one parallel link per
+    flow function, integrated by the network kernel with ``inflow_fn(t)``
+    in place of the constant inflow.  ``inflow_fn`` is evaluated at the
     Runge-Kutta stage times, so it should be continuous.
     """
     flow_fns = list(flow_fns)
-    is_exp = all(isinstance(ff, ExponentialFlow) for ff in flow_fns)
-    if is_exp:
-        a = np.array([ff.rate for ff in flow_fns])
-        fm = np.array([ff.f_max for ff in flow_fns])
-        mu = lambda rho: fm * -np.expm1(-a * rho)
-    else:
-        mu = lambda rho: np.array([ff.eval(r) for ff, r in zip(flow_fns, rho)])
-
-    def deriv(t, rho):
-        return inflow_fn(t) * np.asarray(route_fn(rho)) - mu(rho)
-
-    times, states, undershoot, _ = _integrate(deriv, np.asarray(rho0, dtype=float),
-                                              dt, horizon, ceiling)
-    return LocalTrajectory(times, states, np.array([mu(s) for s in states]), undershoot)
+    topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(flow_fns))])
+    # every link leaves node 0 in id order, so the kernel's order is the caller's
+    compiled = _Compiled([FlowNetwork(topo, dict(enumerate(flow_fns)))],
+                         GenericPolicy(topo, {0: route_fn}))
+    times, states, undershoot, _ = _integrate(
+        lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
+        dt, horizon, ceiling)
+    return LocalTrajectory(times, states, compiled.flows(states), undershoot)
 
 
 @dataclass(frozen=True)
@@ -626,24 +613,12 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     )
 
 
-def detect_saturation(traj: Trajectory, network: FlowNetwork, policy: RoutingPolicy,
-                      s_sat: float = 0.999) -> dict:
-    """Flag links whose terminal flow sits above ``s_sat`` of capacity while
-    the density is still rising (the finite-horizon observable of an
-    unbounded density)."""
-    drho = rhs(network, policy, traj.inflow, traj.rho[-1])
-    flags = {}
-    for i, lid in enumerate(traj.link_ids):
-        fmax = network.flow_functions[lid].f_max
-        flags[lid] = bool(traj.flows[-1, i] >= s_sat * fmax and drho[i] > -1e-12)
-    return flags
-
-
 def limit_flow_estimate(traj: Trajectory, network: FlowNetwork, s_sat: float = 0.999):
     """Terminal flows with saturated links reported at capacity.
 
-    Returns ``(estimate, saturated_flags)``.  Unlike ``detect_saturation``
-    this reads the flow level only, which is what the limit estimate needs.
+    Returns ``(estimate, saturated_flags)``: a link is flagged once its
+    terminal flow reaches ``s_sat`` of its capacity.  This flow-level
+    reading is the package's one notion of saturation on a trajectory.
     """
     est = traj.terminal_flow().copy()
     flags = {}

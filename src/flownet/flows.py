@@ -253,7 +253,6 @@ class PerturbationSpec:
         unknown = set(replacements) - set(network.topology.link_ids)
         if unknown:
             raise TopologyError(f"perturbation names unknown links {sorted(unknown)}")
-        self.network = network
         self.replacements = dict(replacements)
         self.gaps = {}
         worst_stretch = 1.0 if len(replacements) < len(network.topology.link_ids) else 0.0
@@ -272,14 +271,3 @@ class PerturbationSpec:
     def scaling(cls, network: FlowNetwork, factors: dict) -> "PerturbationSpec":
         """Build from per-link scaling factors ``{link_id: eps}``."""
         return cls(network, {lid: network.flow_function(lid).scaled(e) for lid, e in factors.items()})
-
-    def apply(self) -> FlowNetwork:
-        return self.network.perturbed(self)
-
-
-def perturbation_magnitude(spec: PerturbationSpec) -> float:
-    return spec.magnitude
-
-
-def stretching_coefficient(spec: PerturbationSpec) -> float:
-    return spec.stretching

@@ -24,7 +24,6 @@ from .dynamics import (
     alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
-    simulate,
 )
 from .flows import FlowNetwork, PerturbationSpec
 from .routing import RoutingPolicy, check_property_a, check_property_b
@@ -165,7 +164,8 @@ def initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
 def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
                   config: SimulationConfig | None, f_init):
     """The run settings every attack on ``network`` shares: the config with
-    the time step of the unperturbed rates, and the start densities."""
+    the time step of the unperturbed rates, and the start densities, which
+    realize ``f_init`` or, by default, the unperturbed limit flow."""
     if config is None:
         config = SimulationConfig(inflow=inflow)
     elif config.inflow != inflow:
@@ -176,7 +176,8 @@ def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
         base_limit = network_limit_flow(network, policy, inflow)
         if any(base_limit.saturated.values()):
             raise ValueError(
-                "unperturbed limit flow touches capacity; supply an interior f_init"
+                "inflow saturates the unperturbed network; an attack run needs an "
+                "interior start flow (inflow < C, or an explicit f_init)"
             )
         f_init = base_limit.flow_vector(network.topology)
     return config, initial_densities(network, f_init)
@@ -200,20 +201,19 @@ def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = 
 
     The run starts from the unperturbed network's limit flow (or an
     explicit interior ``f_init``) and keeps the time step implied by the
-    unperturbed rates, which dominate the perturbed ones.
+    unperturbed rates, which dominate the perturbed ones.  This is the
+    one-member case of the ensemble ``estimate_weak_resilience`` runs.
     """
     config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow,
                                  config, f_init)
-    traj = simulate(scenario.network.perturbed(scenario.perturbation), scenario.policy,
-                    config, rho0)
-    return _judge(traj, scenario, config, transfer_tol)
+    return _evaluate_ensemble([(scenario, transfer_tol)], config, rho0)[0]
 
 
 def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
     """Judge ``(scenario, transfer_tol)`` pairs on one network as one ensemble.
 
-    ``config`` and ``rho0`` come from ``_attack_setup``.  The outcomes are
-    those ``evaluate_attack`` gives one by one, in the same order.
+    ``config`` and ``rho0`` come from ``_attack_setup``; the outcomes come
+    back in the order of ``attacks``.
     """
     if not attacks:
         return []
@@ -322,8 +322,7 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
                              alphas=(0.5, 0.2, 0.1, 0.05), n_samples: int = 50,
                              seed: int = 0, margin: float = 0.1,
                              alpha_floor: float = 1e-3,
-                             bisect_tol_frac: float = 0.01,
-                             jobs: int = 1) -> ResilienceReport:
+                             bisect_tol_frac: float = 0.01) -> ResilienceReport:
     """Bracket the weak-resilience magnitude against the min-cut capacity.
 
     Upper side: for each alpha (swept downward), bisect the uniform scaling
@@ -339,19 +338,14 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     each later one holds the next bisection point of every alpha still
     open, so the alphas advance in lockstep.  Each verdict, and so the
     report, is the one ``evaluate_attack`` would give run by run; it is
-    deterministic for a fixed seed.  ``jobs`` is accepted for compatibility
-    and ignored: there are no worker processes.
+    deterministic for a fixed seed.
     """
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
         raise ValueError("resilience estimation needs a positive inflow")
-    topo = network.topology
-    capacity, cut = min_cut_capacity(topo, network.capacities())
+    capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
-    base_limit = network_limit_flow(network, policy, inflow)
-    if any(base_limit.saturated.values()):
-        raise ValueError("inflow saturates the unperturbed network; pick inflow < C")
-    config, rho0 = _attack_setup(network, policy, inflow, config, base_limit.flow_vector(topo))
+    config, rho0 = _attack_setup(network, policy, inflow, config, None)
 
     def cut_scenario(eps: float, alpha: float) -> AttackScenario:
         spec = PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})

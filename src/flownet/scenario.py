@@ -27,12 +27,13 @@ A per-link perturbation instead looks like
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .flows import ExponentialFlow, FlowNetwork, InadmissiblePerturbation, PerturbationSpec
 from .resilience import cut_attack
 from .routing import LogitPolicy
-from .topology import NetworkTopology, TopologyError, validate_topology
+from .topology import Link, NetworkTopology, TopologyError, validate_topology
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "validate_scenario"]
 
@@ -56,19 +57,23 @@ class Scenario:
         """Materialize the perturbation section, if any."""
         if not self.perturbation:
             return None
-        if "cut_attack" in self.perturbation:
-            params = self.perturbation["cut_attack"]
-            return cut_attack(self.network, float(params["alpha"]), self.inflow)
+        alpha = self.attack_alpha()
+        if alpha is not None:
+            return cut_attack(self.network, alpha, self.inflow)
         factors = {}
         for key, body in self.perturbation["links"].items():
+            where = f"perturbation.links.{key}"
+            body = _object(body, where)
             if body.get("type", "scale") != "scale":
-                raise ScenarioError(f"perturbation.links.{key}: unknown type {body.get('type')!r}")
-            factors[int(key)] = float(body["eps"])
+                raise ScenarioError(f"{where}: unknown type {body.get('type')!r}")
+            factors[int(key)] = _number(_need(body, "eps", where), f"{where}.eps")
         return PerturbationSpec.scaling(self.network, factors)
 
     def attack_alpha(self) -> float | None:
         if self.perturbation and "cut_attack" in self.perturbation:
-            return float(self.perturbation["cut_attack"]["alpha"])
+            where = "perturbation.cut_attack"
+            return _number(_need(_object(self.perturbation["cut_attack"], where), "alpha", where),
+                           f"{where}.alpha")
         return None
 
 
@@ -78,60 +83,104 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _kind(value) -> str:
+    """What ``value`` is in JSON terms, for error messages."""
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+    return "null" if value is None else names.get(type(value), type(value).__name__)
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected a JSON object, got {_kind(value)}")
+    return value
+
+
+def _number(value, where: str, integer: bool = False):
+    """A JSON number as a finite float (an int with ``integer``), else ``ScenarioError``.
+
+    Strings, booleans and null are wrong types even where ``float()`` would
+    take them; NaN and infinities are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {_kind(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from a decoded JSON object, checking cross-references."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    doc = _object(doc, "scenario document")
     name = str(doc.get("name", name))
-    nodes = int(_need(doc, "nodes", "scenario"))
+    nodes = _number(_need(doc, "nodes", "scenario"), "nodes", integer=True)
     raw_links = _need(doc, "links", "scenario")
+    if not isinstance(raw_links, list):
+        raise ScenarioError(f"links: expected a JSON array, got {_kind(raw_links)}")
+    links = []
+    for i, raw in enumerate(raw_links):
+        where = f"links.{i}"
+        raw = _object(raw, where)
+        lid, tail, head = (_number(_need(raw, key, where), f"{where}.{key}", integer=True)
+                           for key in ("id", "tail", "head"))
+        links.append(Link(lid, tail, head))
     try:
-        topo = NetworkTopology.from_dict({"nodes": nodes, "links": raw_links})
-    except (TopologyError, KeyError, TypeError, ValueError) as exc:
+        topo = NetworkTopology(nodes, links)
+    except TopologyError as exc:
         raise ScenarioError(f"links: {exc}") from exc
 
-    ff_doc = _need(doc, "flow_functions", "scenario")
+    ff_doc = _object(_need(doc, "flow_functions", "scenario"), "flow_functions")
     fns = {}
     for lid in topo.link_ids:
+        where = f"flow_functions.{lid}"
         body = ff_doc.get(str(lid))
         if body is None:
             raise ScenarioError(f"flow_functions: missing entry for link {lid}")
+        body = _object(body, where)
         family = body.get("family", "exp")
         if family != "exp":
-            raise ScenarioError(f"flow_functions.{lid}: unknown family {family!r}")
+            raise ScenarioError(f"{where}: unknown family {family!r}")
+        rate = _number(_need(body, "a", where), f"{where}.a")
+        f_max = _number(_need(body, "f_max", where), f"{where}.f_max")
         try:
-            fns[lid] = ExponentialFlow(float(body["a"]), float(body["f_max"]))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"flow_functions.{lid}: {exc}") from exc
+            fns[lid] = ExponentialFlow(rate, f_max)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
     stray = set(ff_doc) - {str(lid) for lid in topo.link_ids}
     if stray:
         raise ScenarioError(f"flow_functions: entries for unknown links {sorted(stray)}")
     network = FlowNetwork(topo, fns)
 
-    pol_doc = _need(doc, "policies", "scenario")
+    pol_doc = _object(_need(doc, "policies", "scenario"), "policies")
     eta, weights = {}, {}
     for v in range(topo.num_nodes):
         out = topo.outgoing[v]
         if not out:
             continue
+        where = f"policies.{v}"
         body = pol_doc.get(str(v))
         if body is None:
             raise ScenarioError(f"policies: missing entry for non-destination node {v}")
-        try:
-            eta[v] = float(body["eta"])
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"policies.{v}: {exc}") from exc
-        w = body.get("weights", {})
+        body = _object(body, where)
+        eta[v] = _number(_need(body, "eta", where), f"{where}.eta")
+        w = _object(body.get("weights", {}), f"{where}.weights")
         for lid in out:
             if str(lid) not in w:
-                raise ScenarioError(f"policies.{v}: missing weight for outgoing link {lid}")
-            weights[lid] = float(w[str(lid)])
+                raise ScenarioError(f"{where}: missing weight for outgoing link {lid}")
+            weights[lid] = _number(w[str(lid)], f"{where}.weights.{lid}")
     try:
         policy = LogitPolicy(topo, eta, weights)
     except ValueError as exc:
         raise ScenarioError(f"policies: {exc}") from exc
 
-    inflow = float(_need(doc, "inflow", "scenario"))
+    inflow = _number(_need(doc, "inflow", "scenario"), "inflow")
     if inflow < 0:
         raise ScenarioError("inflow: must be nonnegative")
 
@@ -140,7 +189,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if not isinstance(pert, dict) or not ({"links", "cut_attack"} & set(pert)):
             raise ScenarioError("perturbation: expected a 'links' map or a 'cut_attack' section")
         if "links" in pert:
-            stray = set(pert["links"]) - {str(lid) for lid in topo.link_ids}
+            stray = set(_object(pert["links"], "perturbation.links")) \
+                - {str(lid) for lid in topo.link_ids}
             if stray:
                 raise ScenarioError(f"perturbation.links: unknown links {sorted(stray)}")
 
@@ -150,8 +200,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         network=network,
         policy=policy,
         inflow=inflow,
-        seed=int(doc.get("seed", 0)),
-        simulation=dict(doc.get("simulation", {})),
+        seed=_number(doc.get("seed", 0), "seed", integer=True),
+        simulation=dict(_object(doc.get("simulation", {}), "simulation")),
         perturbation=pert,
     )
 

@@ -20,14 +20,13 @@ from flownet import (
     convergence_check,
     local_limit_flow,
     network_limit_flow,
-    rhs,
     load_scenario,
     simulate,
     simulate_ensemble,
     simulate_local,
 )
 from flownet import dynamics
-from flownet.dynamics import default_dt, limit_flow_estimate, detect_saturation
+from flownet.dynamics import default_dt, limit_flow_estimate
 
 from conftest import (
     DATA,
@@ -60,16 +59,24 @@ def two_route_fixed_point_oracle(lam: float) -> np.ndarray:
     return np.array([f1, lam - f1])
 
 
+def compiled_rhs(network, policy, inflow, rho):
+    """``_Compiled.rhs`` at one state given and returned in ``topology.links`` order."""
+    compiled = dynamics._Compiled([network], policy)
+    rho = np.asarray(rho, dtype=float)
+    return compiled.rhs(rho[compiled.to_sorted], inflow)[compiled.to_topo]
+
+
 class TestRhs:
     def test_two_route_origin_at_rest(self, two_route):
         topo, net, policy = two_route
-        np.testing.assert_allclose(rhs(net, policy, 1.0, [0.0, 0.0]), [1 / 11, 10 / 11], atol=1e-15)
+        np.testing.assert_allclose(compiled_rhs(net, policy, 1.0, [0.0, 0.0]), [1 / 11, 10 / 11],
+                                   atol=1e-15)
 
     def test_drain_without_inflow(self):
         topo = NetworkTopology(2, [(0, 0, 1)])
         net = FlowNetwork(topo, {0: ExponentialFlow(1.0, 1.0)})
         policy = LogitPolicy(topo, eta={0: 1.0}, weights={0: 1.0})
-        out = rhs(net, policy, 0.0, [2.0])
+        out = compiled_rhs(net, policy, 0.0, [2.0])
         assert out[0] == pytest.approx(-(1.0 - math.exp(-2.0)), abs=1e-15)
         assert out[0] < 0
 
@@ -82,7 +89,7 @@ class TestRhs:
         rho_eq = np.array([net.flow_functions[lid].inverse(f_eq[lid]) for lid in topo.link_ids])
         weights = {lid: f_eq[lid] * math.exp(rho_eq[i]) for i, lid in enumerate(topo.link_ids)}
         policy = LogitPolicy(topo, eta={v: 1.0 for v in range(4)}, weights=weights)
-        np.testing.assert_allclose(rhs(net, policy, 1.0, rho_eq), 0.0, atol=1e-14)
+        np.testing.assert_allclose(compiled_rhs(net, policy, 1.0, rho_eq), 0.0, atol=1e-14)
 
 
 class TestSimulate:
@@ -281,6 +288,20 @@ class TestLocalSystemLaws:
         hi = simulate_local(fns, route, lam_hi, rho0, dt=0.01, horizon=40.0)
         assert np.all(lo.rho <= hi.rho + 1e-9)
 
+    def test_constant_input_equals_network_simulation(self):
+        # the local system is the network kernel on one origin with parallel links
+        fns, route = self._node_fixture()
+        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
+        net = FlowNetwork(topo, {0: fns[0], 1: fns[1]})
+        policy = GenericPolicy(topo, {0: route})
+        rho0 = np.array([0.3, 0.1])
+        local = simulate_local(fns, route, lambda t: 0.9, rho0, dt=0.01, horizon=20.0)
+        traj = simulate(net, policy, SimulationConfig(inflow=0.9, dt=0.01, horizon=20.0), rho0)
+        assert np.array_equal(local.times, traj.times)
+        assert np.array_equal(local.rho, traj.rho)
+        assert np.array_equal(local.flows, traj.flows)
+        assert local.max_undershoot == traj.max_undershoot
+
     def test_attractivity_under_convergent_input(self):
         fns, route = self._node_fixture()
         lam = 0.8
@@ -337,7 +358,6 @@ class TestSaturationDetection:
         est, flags = limit_flow_estimate(traj, net)
         assert flags == {0: True, 1: True}
         np.testing.assert_array_equal(est, [0.75, 0.75])
-        assert detect_saturation(traj, net, policy) == {0: True, 1: True}
 
     def test_below_capacity_no_flags(self, two_route):
         topo, net, policy = two_route

@@ -133,14 +133,6 @@ class TestWeakResilience:
         b = estimate_weak_resilience(net, policy, 1.0, **kwargs).to_dict()
         assert a == b
 
-    def test_parallel_sampling_matches_sequential(self):
-        net = two_route_network()
-        policy = two_route_policy(net.topology)
-        kwargs = dict(config=FAST, alphas=(0.5,), n_samples=4, seed=11)
-        seq = estimate_weak_resilience(net, policy, 1.0, jobs=1, **kwargs).to_dict()
-        par = estimate_weak_resilience(net, policy, 1.0, jobs=2, **kwargs).to_dict()
-        assert seq == par
-
     def test_non_responsive_policy_rejected(self):
         net = two_route_network()
         from flownet import LogitPolicy

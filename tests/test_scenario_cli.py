@@ -1,6 +1,8 @@
 """Scenario-document parsing, end-to-end CLI commands, and output schemas."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -63,6 +65,70 @@ class TestScenarioParsing:
         report = validate_scenario(load_scenario(DATA / "bad_cycle.json"))
         assert not report["ok"]
         assert any("cycle" in f["message"] for f in report["findings"])
+
+
+def write_mutated(tmp_path, path, value, source="example3.json"):
+    """``source`` with the field at ``path`` set to ``value``, written under tmp_path."""
+    doc = json.loads((DATA / source).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    out = tmp_path / "mutated.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+class TestMalformedNumbers:
+    """Wrong types and non-finite numbers exit 1 with a message, never a traceback."""
+
+    CASES = {
+        "nodes-null": (("nodes",), None),
+        "nodes-fraction": (("nodes",), 2.5),
+        "link-tail-string": (("links",), [{"id": 0, "tail": "0", "head": 1},
+                                          {"id": 1, "tail": 0, "head": 1}]),
+        "a-bool": (("flow_functions", "0", "a"), True),
+        "eta-null": (("policies", "0", "eta"), None),
+        "weight-string": (("policies", "0", "weights", "1"), "6"),
+        "inflow-null": (("inflow",), None),
+        "inflow-nan-string": (("inflow",), "nan"),
+        "inflow-nan": (("inflow",), math.nan),
+        "inflow-huge-int": (("inflow",), 10 ** 400),
+        "seed-null": (("seed",), None),
+        "flow-functions-array": (("flow_functions",), []),
+        "policies-array": (("policies",), []),
+        "simulation-number": (("simulation",), 5),
+    }
+
+    @staticmethod
+    def run(command, doc, tmp_path, capsys):
+        extra = ["--horizon", "1", "--out", str(tmp_path / "run")] if command == "simulate" else []
+        code = main([command, str(doc)] + extra)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if command != "validate":
+            assert captured.err.startswith("error: ")
+        return code, captured.out
+
+    @pytest.mark.parametrize("command", ["validate", "limitflow", "simulate"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_one(self, tmp_path, capsys, command, case):
+        doc = write_mutated(tmp_path, *self.CASES[case])
+        code, _ = self.run(command, doc, tmp_path, capsys)
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_null_perturbation_eps(self, tmp_path, capsys, command):
+        doc = write_mutated(tmp_path, ("perturbation",), {"links": {"0": {"eps": None}}})
+        code, _ = self.run(command, doc, tmp_path, capsys)
+        assert code == 1
+
+    def test_nan_inflow_no_longer_validates(self, tmp_path, capsys):
+        doc = write_mutated(tmp_path, ("inflow",), "nan")
+        code, out = self.run("validate", doc, tmp_path, capsys)
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False
+        assert report["findings"][0]["message"].startswith("inflow: ")
 
 
 class TestCmdValidate:
@@ -231,6 +297,18 @@ class TestCmdResilience:
         assert lo <= hi + 1e-12
         assert doc["alpha_sweep"][0]["defeating_delta"] <= 1.5 - 0.05 + 0.015 + 1e-9
 
+    def test_jobs_flag_writes_identical_report(self, tmp_path, capsys):
+        # verdicts run as in-process ensembles; --jobs is accepted and ignored
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            code, stdout = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
+                                   "--samples", "3", "--seed", "11", "--horizon", "10",
+                                   "--jobs", jobs, "--out", str(out), capsys=capsys)
+            assert code == 0
+            reports.append((stdout, out.read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_infinite_horizon_is_runtime_failure(self, capsys):
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                      "--samples", "2", "--horizon", "inf"])
@@ -269,6 +347,18 @@ class TestGoldenFiles:
                             "--samples", "4", "--horizon", "10", "--seed", "3", capsys=capsys)
         assert code == 0
         assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes()
+
+    # the attack run's 175 KB trajectory is pinned by digest, its summary by bytes
+    CUTATTACK_CSV_SHA256 = "3572d8ef67ea32ec7fd27f46075bfb3473cfb5c730e4e7414518c326f0b404a0"
+
+    def test_cut_attack_trajectory_and_summary(self, tmp_path, capsys):
+        code, _ = run_cli("simulate", str(DATA / "example3_cutattack.json"), "--horizon", "20",
+                          "--out", str(tmp_path / "example3_cutattack"), capsys=capsys)
+        assert code == 0
+        csv = (tmp_path / "example3_cutattack.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == self.CUTATTACK_CSV_SHA256
+        assert (tmp_path / "example3_cutattack.summary.json").read_bytes() == \
+            (self.GOLDEN / "example3_cutattack.summary.json").read_bytes()
 
     def test_limitflow_sweep_csv(self, tmp_path, capsys):
         run_cli("limitflow", str(DATA / "chain21.json"), "--sweep", "0:1.2:4",
