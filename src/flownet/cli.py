@@ -30,7 +30,13 @@ from .dynamics import (
     simulate,
 )
 from .resilience import _attack_setup, estimate_weak_resilience
-from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
+from .scenario import (
+    SIMULATION_SETTINGS,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    validate_scenario,
+)
 from .topology import max_flow_value, min_cut_capacity
 
 SCHEMA_VERSION = 1
@@ -74,14 +80,7 @@ def _build_config(scenario: Scenario, args) -> SimulationConfig:
         sim["horizon"] = args.horizon
     if getattr(args, "dt", None) is not None:
         sim["dt"] = args.dt
-    allowed = {"dt", "horizon", "tail_fraction", "transfer_tol", "sat_threshold",
-               "density_ceiling", "record_stride"}
-    stray = set(sim) - allowed - {"initial_density"}
-    if stray:
-        raise ScenarioError(f"simulation: unknown settings {sorted(stray)}")
-    kwargs = {k: v for k, v in sim.items() if k in allowed}
-    if "record_stride" in kwargs:
-        kwargs["record_stride"] = int(kwargs["record_stride"])
+    kwargs = {k: v for k, v in sim.items() if k in SIMULATION_SETTINGS}
     return SimulationConfig(inflow=scenario.inflow, **kwargs)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .flows import ExponentialFlow, FlowNetwork
 from .routing import GenericPolicy, LogitPolicy, RoutingPolicy, finite_difference_jacobian
-from .topology import NetworkTopology, topological_order
+from .topology import NetworkTopology, _require_valid, topological_order
 
 __all__ = [
     "SimulationConfig",
@@ -162,13 +162,20 @@ class _Compiled:
     def _stack(rows) -> np.ndarray:
         return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
 
-    def flows(self, rho: np.ndarray) -> np.ndarray:
-        """Link outflows for states of shape (..., m) or, in an ensemble, (..., B, m)."""
+    def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
+        """Link outflows for states of shape (..., m) or, in an ensemble, (..., B, m).
+
+        With ``member`` set, ``rho`` has shape (..., m) and holds states of
+        that one member of an ensemble of two or more.
+        """
         if self._exp:
-            return self.neg_fmax * np.expm1(self.neg_a * rho)
+            if member is None:
+                return self.neg_fmax * np.expm1(self.neg_a * rho)
+            return self.neg_fmax[member] * np.expm1(self.neg_a[member] * rho)
+        ffs = self.ffs if member is None else [self.ffs[member]]
         rows = rho.reshape(-1, len(self.links))
-        f = np.array([[ff.eval(r) for ff, r in zip(member, row)]
-                      for member, row in zip(itertools.cycle(self.ffs), rows)])
+        f = np.array([[ff.eval(r) for ff, r in zip(member_ffs, row)]
+                      for member_ffs, row in zip(itertools.cycle(ffs), rows)])
         return f.reshape(rho.shape)
 
     def splits(self, rho: np.ndarray) -> np.ndarray:
@@ -331,6 +338,7 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     if not networks:
         return []
     topo = networks[0].topology
+    _require_valid(topo)
     m = len(topo.links)
     rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
     if len(rho0s) != len(networks):
@@ -345,11 +353,12 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     times, states, undershoot, dt_actual = _integrate(
         deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride
     )
-    flows = compiled.flows(states)
     if states.ndim == 2:
-        members = [(states, flows, undershoot)]
+        members = [(states, compiled.flows(states), undershoot)]
     else:
-        members = [(states[:, b], flows[:, b], undershoot[b]) for b in range(len(networks))]
+        # flows member by member, so only one member's flows exist beside the chunk
+        members = ((states[:, b], compiled.flows(states[:, b], b), undershoot[b])
+                   for b in range(len(networks)))
     trajectories = []
     for rho_sorted, flows_sorted, member_undershoot in members:
         # one contiguous (records, m) block per member, as the single-run
@@ -415,6 +424,16 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: floa
     return LocalTrajectory(times, states, compiled.flows(states), undershoot)
 
 
+def _transfer_threshold(alpha: float, inflow: float, tol: float | None = None) -> float:
+    """The outflow alpha-transfer needs: ``alpha * inflow - tol`` (default tol 1e-3 * inflow).
+
+    Simulated tails and limit-flow outflows are judged against this one bound.
+    """
+    if tol is None:
+        tol = 1e-3 * inflow
+    return alpha * inflow - tol
+
+
 @dataclass(frozen=True)
 class TransferEstimate:
     """Tail-window verdict on whether the outflow clears alpha * inflow."""
@@ -437,14 +456,12 @@ def alpha_transfer_estimate(traj: Trajectory, alpha: float, inflow: float | None
     """
     if inflow is None:
         inflow = traj.inflow
-    if tol is None:
-        tol = 1e-3 * inflow
     tail = traj.outflow[traj.tail_slice(tail_fraction)]
     tail_min = float(tail.min())
     variation = float(tail.max() - tail.min())
     inconclusive = variation > 0.05 * inflow if inflow > 0 else False
     return TransferEstimate(
-        transferring=bool(tail_min >= alpha * inflow - tol),
+        transferring=bool(tail_min >= _transfer_threshold(alpha, inflow, tol)),
         tail_min=tail_min,
         tail_variation=variation,
         inconclusive=inconclusive,
@@ -482,9 +499,12 @@ def local_limit_flow(flow_fns, route_fn, inflow: float, *, jac_fn=None,
     everywhere, which is also why plain damped Picard iteration is not
     used -- near saturation the flat flow function makes the Picard map
     expansive even though Newton stays well conditioned.  If Newton stalls,
-    a homotopy walks the input up from smaller values, warm-starting each
-    stage.  ``jac_fn`` supplies the routing Jacobian (entry [e, j] =
-    dG_j/drho_e); central differences are used when it is omitted.
+    or meets a Jacobian that is singular in floating point (as policies
+    that are not locally responsive can produce), a homotopy walks the
+    input up from smaller values, warm-starting each stage; if that fails
+    too, ``LocalSolverError`` carries the best residual.  ``jac_fn``
+    supplies the routing Jacobian (entry [e, j] = dG_j/drho_e); central
+    differences are used when it is omitted.
     """
     flow_fns = list(flow_fns)
     k = len(flow_fns)
@@ -509,7 +529,10 @@ def local_limit_flow(flow_fns, route_fn, inflow: float, *, jac_fn=None,
                 return rho, res
             # standard Jacobian of H: rows = components, columns = densities
             jac = lam * jac_fn(rho).T - np.diag([ff.derivative(x) for ff, x in zip(flow_fns, rho)])
-            step = np.linalg.solve(jac, -r)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                return rho, res  # singular in floating point: a stall like any other
             t = 1.0
             while t >= 1e-8:
                 cand = np.maximum(rho + t * step, 0.0)

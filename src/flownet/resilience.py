@@ -7,8 +7,8 @@ cut down far enough defeats any routing policy with a perturbation of
 magnitude C - alpha * inflow / 2, while locally responsive strictly
 positive policies survive (keep a positive outflow trickle) under every
 scaling attack of magnitude bounded away from C.  The estimator brackets
-the critical magnitude between the largest perturbation verified harmless
-and the smallest verified fatal.
+the critical magnitude by bisecting on the limit-flow oracle, and
+simulates only its random samples and the bracket endpoints it audits.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import (
     SimulationConfig,
     _iter_ensemble,
+    _transfer_threshold,
     alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
@@ -285,36 +286,29 @@ def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: 
     return specs
 
 
-def _bisect_cut(alpha: float, eps_lo: float, capacity: float, delta_tol: float):
-    """One alpha's search for the smallest defeating uniform cut scaling.
+def _bisect_scaling(defeated, eps_lo: float, capacity: float, delta_tol: float):
+    """The smallest defeating uniform cut scaling, to within ``delta_tol`` in magnitude.
 
-    A coroutine: it yields the next scaling factor to judge and is sent
-    that attack's ``AttackOutcome``; it returns the ``AlphaSweepPoint``.
-    It first confirms that ``eps_lo`` (the provably fatal scaling) defeats
-    alpha-transfer, then bisects against the identity until the bracket
-    is within ``delta_tol`` in magnitude.
+    ``defeated(eps)`` is the verdict on scaling the cut by eps.  ``eps_lo``
+    (the provably fatal scaling) is confirmed first, then bisected against
+    the identity.  Returns ``(eps_lo, eps_hi, evaluations)``: the final
+    defeating and preserved scalings and the number of verdicts taken.
     """
-    evaluations = 0
-    while True:
-        out = yield eps_lo
-        evaluations += 1
-        if out.defeated:
-            break
+    evaluations = 1
+    while not defeated(eps_lo):
         eps_lo *= 0.5  # should not happen; keep the bracket honest
         if eps_lo < 1e-12:
             raise RuntimeError("failed to find a defeating attack below min-cut scale")
-    lo_delta = out.magnitude
+        evaluations += 1
     eps_hi = 1.0  # identity: magnitude 0, trivially preserved
     while (eps_hi - eps_lo) * capacity > delta_tol:
         mid = 0.5 * (eps_lo + eps_hi)
-        out_mid = yield mid
         evaluations += 1
-        if out_mid.defeated:
-            eps_lo, lo_delta = mid, out_mid.magnitude
+        if defeated(mid):
+            eps_lo = mid
         else:
             eps_hi = mid
-    return AlphaSweepPoint(alpha=alpha, defeating_delta=lo_delta, defeating_eps=eps_lo,
-                           preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)
+    return eps_lo, eps_hi, evaluations
 
 
 def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
@@ -332,13 +326,14 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     must keep the tail outflow at or above ``alpha_floor * inflow``
     (checked without slack).
 
-    Every verdict is an independent simulation of a perturbed copy of one
-    network, so they run as few ensembles as the search allows: the first
-    holds every alpha's provably fatal check and all the random samples;
-    each later one holds the next bisection point of every alpha still
-    open, so the alphas advance in lockstep.  Each verdict, and so the
-    report, is the one ``evaluate_attack`` would give run by run; it is
-    deterministic for a fixed seed.
+    The bisection is judged on the limit-flow oracle: the perturbed flow
+    converges to its unique limit flow, whose destination inflow is the
+    asymptotic outflow, so an attack defeats alpha when that inflow falls
+    below the threshold simulated verdicts use.  One simulated ensemble
+    then holds the samples and, as audits, every alpha's final defeating
+    and preserved scalings.  An audit whose simulated verdict differs from
+    the oracle's raises ``RuntimeError``: the horizon is too short for the
+    tail to reach the limit.  The report is deterministic for a fixed seed.
     """
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
@@ -347,38 +342,43 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     cut_links = sorted(cut.cut_links)
     config, rho0 = _attack_setup(network, policy, inflow, config, None)
 
-    def cut_scenario(eps: float, alpha: float) -> AttackScenario:
-        spec = PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
-        return AttackScenario(network, policy, inflow, spec, alpha)
+    def cut_spec(eps: float) -> PerturbationSpec:
+        return PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
 
-    delta_tol = bisect_tol_frac * capacity
-    searches = []  # (sweep index, alpha, coroutine, scaling to judge next)
-    for i, alpha in enumerate(sorted(alphas, reverse=True)):
-        search = _bisect_cut(alpha, alpha * inflow / (2.0 * capacity), capacity, delta_tol)
-        searches.append((i, alpha, search, next(search)))
-    sweep = [None] * len(searches)
+    def oracle_outflow(eps: float) -> float:
+        limit = network_limit_flow(network.perturbed(cut_spec(eps)), policy, inflow)
+        return limit.node_inflows[network.topology.destination]
 
-    budget = (1.0 - margin) * capacity
-    specs = _sample_scalings(network, budget, n_samples, seed, capacity, cut_links)
-    sample_attacks = [(AttackScenario(network, policy, inflow, spec, alpha_floor), 0.0)
-                      for spec in specs]
-    sample_outcomes = []
-    while searches or sample_attacks:
-        attacks = [(cut_scenario(eps, alpha), None) for _, alpha, _, eps in searches]
-        outcomes = _evaluate_ensemble(attacks + sample_attacks, config, rho0)
-        sample_outcomes += outcomes[len(attacks):]
-        sample_attacks = []
-        still_open = []
-        for (i, alpha, search, _), out in zip(searches, outcomes):
-            try:
-                still_open.append((i, alpha, search, search.send(out)))
-            except StopIteration as done:
-                sweep[i] = done.value
-        searches = still_open
+    brackets = []  # (alpha, eps_lo, eps_hi, evaluations)
+    for alpha in sorted(alphas, reverse=True):
+        threshold = _transfer_threshold(alpha, inflow)
+        brackets.append((alpha, *_bisect_scaling(
+            lambda eps: not oracle_outflow(eps) >= threshold,
+            alpha * inflow / (2.0 * capacity), capacity, bisect_tol_frac * capacity)))
 
+    audits = [(alpha, eps, defeated) for alpha, eps_lo, eps_hi, _ in brackets
+              for eps, defeated in ((eps_lo, True), (eps_hi, False))]
+    specs = _sample_scalings(network, (1.0 - margin) * capacity, n_samples, seed, capacity,
+                             cut_links)
+    outcomes = _evaluate_ensemble(
+        [(AttackScenario(network, policy, inflow, cut_spec(eps), alpha), None)
+         for alpha, eps, _ in audits]
+        + [(AttackScenario(network, policy, inflow, spec, alpha_floor), 0.0) for spec in specs],
+        config, rho0)
+    for (alpha, eps, defeated), out in zip(audits, outcomes):
+        if out.defeated != defeated:
+            raise RuntimeError(
+                f"alpha {alpha!r}, cut scaling eps {eps!r}: limit-flow oracle outflow "
+                f"{oracle_outflow(eps)!r} ({'defeated' if defeated else 'preserved'}), simulated "
+                f"tail_min {out.tail_min!r}; the run has not converged, try a longer --horizon")
+
+    sweep = [AlphaSweepPoint(alpha=alpha, defeating_delta=lo_out.magnitude, defeating_eps=eps_lo,
+                             preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)
+             for (alpha, eps_lo, eps_hi, evaluations), lo_out
+             in zip(brackets, outcomes[:len(audits):2])]
     samples = []
     preserved_max = 0.0
-    for spec, out in zip(specs, sample_outcomes):
+    for spec, out in zip(specs, outcomes[len(audits):]):
         preserved = not out.defeated
         samples.append({
             "delta": spec.magnitude,

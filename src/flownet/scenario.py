@@ -116,6 +116,34 @@ def _number(value, where: str, integer: bool = False):
     return int(value)
 
 
+# ``SimulationConfig`` fields a scenario's ``simulation`` section may set
+SIMULATION_SETTINGS = ("dt", "horizon", "tail_fraction", "transfer_tol", "sat_threshold",
+                       "density_ceiling", "record_stride")
+
+
+def _simulation_section(raw) -> dict:
+    """The ``simulation`` section with every value checked.
+
+    ``dt`` and ``transfer_tol`` may be null, which keeps their defaults;
+    ``record_stride`` is an integer; ``initial_density``, unless null, maps
+    link ids to densities (links it leaves out start empty).
+    """
+    sim = dict(_object(raw, "simulation"))
+    stray = set(sim) - set(SIMULATION_SETTINGS) - {"initial_density"}
+    if stray:
+        raise ScenarioError(f"simulation: unknown settings {sorted(stray)}")
+    for key, value in sim.items():
+        where = f"simulation.{key}"
+        if value is None and key in ("dt", "transfer_tol", "initial_density"):
+            continue
+        if key == "initial_density":
+            sim[key] = {lid: _number(rho, f"{where}.{lid}")
+                        for lid, rho in _object(value, where).items()}
+        else:
+            sim[key] = _number(value, where, integer=key == "record_stride")
+    return sim
+
+
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from a decoded JSON object, checking cross-references."""
     doc = _object(doc, "scenario document")
@@ -201,7 +229,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         policy=policy,
         inflow=inflow,
         seed=_number(doc.get("seed", 0), "seed", integer=True),
-        simulation=dict(_object(doc.get("simulation", {}), "simulation")),
+        simulation=_simulation_section(doc.get("simulation", {})),
         perturbation=pert,
     )
 

@@ -1,6 +1,7 @@
 """Integration, limit flows, transfer estimation, and the cooperative-system laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,21 @@ class TestEnsemble:
             simulate_ensemble([two_route_network(), diamond_network()],
                               two_route_policy(two_route_network().topology),
                               SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1))
+
+    def test_flows_built_member_by_member(self):
+        sc = load_scenario(DATA / "diamond5.json")
+        nets, rho0s = self.perturbed_members(sc.network, 8, seed=3)
+        config = SimulationConfig(inflow=sc.inflow, horizon=20.0, dt=0.01)
+        tracemalloc.start()
+        try:
+            ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the trajectories it returns, a run holds the chunk's states
+        # and a few (records, m) blocks of one member, never the chunk's flows
+        block = 8 * len(ensemble[0].times) * len(sc.topology.links)
+        assert peak - kept <= (len(nets) + 3) * block
 
     def test_chunks_bound_retained_memory(self, monkeypatch):
         sc = load_scenario(DATA / "diamond5.json")

@@ -11,9 +11,17 @@ from flownet import (
     estimate_weak_resilience,
     evaluate_attack,
 )
-from flownet.resilience import require_locally_responsive, sample_scaling_perturbations
+from flownet.cli import main
+from flownet.dynamics import _transfer_threshold
+from flownet.resilience import (
+    AlphaSweepPoint,
+    require_locally_responsive,
+    sample_scaling_perturbations,
+)
+from flownet.topology import min_cut_capacity
 
 from conftest import (
+    DATA,
     chain_network,
     diamond_network,
     diamond_policy,
@@ -165,7 +173,7 @@ class TestBatchedVerdicts:
         sample_scaling_perturbations(net, 1.0, 2, seed=1)  # the public sampler finds its own
         assert len(calls) == 2
 
-    def test_alphas_advance_in_lockstep(self, monkeypatch):
+    def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()
         sizes = []
         real = dynamics.simulate_ensemble
@@ -175,14 +183,71 @@ class TestBatchedVerdicts:
             return real(networks, *args)
 
         monkeypatch.setattr(dynamics, "simulate_ensemble", counting)
-        report = estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
-                                          alphas=(0.5, 0.05), n_samples=4, seed=3)
-        evaluations = [p.evaluations for p in report.alpha_sweep]
-        # round 0: both fatal checks and every sample; then one midpoint per open alpha
-        assert sizes[0] == 2 + 4
-        assert len(sizes) == max(evaluations)
-        assert sum(sizes) == sum(evaluations) + 4
-        assert all(size <= 2 for size in sizes[1:])
+        estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
+                                 alphas=(0.5, 0.05), n_samples=4, seed=3)
+        # both endpoints of both alphas' brackets, then every sample
+        assert sizes == [2 * 2 + 4]
+
+    @pytest.mark.parametrize("fixture, config, alphas", [
+        ("diamond", SHORT, (0.5, 0.05)),
+        ("two_route", FAST, (0.5, 0.1)),
+    ])
+    def test_oracle_bisection_matches_simulated_bisection(self, fixture, config, alphas, request):
+        _, net, policy = request.getfixturevalue(fixture)
+        capacity, cut = min_cut_capacity(net.topology, net.capacities())
+
+        def judge(eps, alpha):
+            spec = PerturbationSpec.scaling(net, {lid: eps for lid in sorted(cut.cut_links)})
+            return evaluate_attack(AttackScenario(net, policy, 1.0, spec, alpha), config)
+
+        reference = []
+        for alpha in sorted(alphas, reverse=True):
+            eps_lo, eps_hi = alpha / (2.0 * capacity), 1.0
+            out = judge(eps_lo, alpha)
+            assert out.defeated
+            lo_delta, evaluations = out.magnitude, 1
+            while (eps_hi - eps_lo) * capacity > 0.01 * capacity:
+                mid = 0.5 * (eps_lo + eps_hi)
+                out = judge(mid, alpha)
+                evaluations += 1
+                if out.defeated:
+                    eps_lo, lo_delta = mid, out.magnitude
+                else:
+                    eps_hi = mid
+            reference.append(AlphaSweepPoint(alpha, lo_delta, eps_lo,
+                                             (1.0 - eps_hi) * capacity, evaluations))
+        report = estimate_weak_resilience(net, policy, 1.0, config=config, alphas=alphas,
+                                          n_samples=1, seed=0)
+        assert report.alpha_sweep == reference
+
+    def test_audit_disagreement_exits_two(self, monkeypatch, capsys):
+        argv = ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
+                "--samples", "2", "--horizon", "10", "--seed", "3"]
+        real = resilience.network_limit_flow
+        calls = []
+
+        def oracle(network, policy, inflow):
+            limit = real(network, policy, inflow)
+            calls.append(None)
+            if len(calls) == flip_at:
+                # reflect the outflow across the threshold: the verdict flips
+                dest = network.topology.destination
+                limit.node_inflows[dest] = (2.0 * _transfer_threshold(0.5, inflow)
+                                            - limit.node_inflows[dest])
+            return limit
+
+        monkeypatch.setattr(resilience, "network_limit_flow", oracle)
+        flip_at = None
+        assert main(argv) == 0
+        # the last oracle call is the last bisection verdict, a final endpoint
+        flip_at, calls[:] = len(calls), []
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha 0.5, cut scaling eps ")
+        assert "Traceback" not in err
+        for part in ("limit-flow oracle outflow", "simulated tail_min", "--horizon"):
+            assert part in err
 
     def test_ensemble_verdicts_match_evaluate_attack(self):
         net = diamond_network()

@@ -98,6 +98,14 @@ class TestMalformedNumbers:
         "flow-functions-array": (("flow_functions",), []),
         "policies-array": (("policies",), []),
         "simulation-number": (("simulation",), 5),
+        "simulation-dt-string": (("simulation", "dt"), "x"),
+        "simulation-horizon-null": (("simulation", "horizon"), None),
+        "simulation-tail-fraction-bool": (("simulation", "tail_fraction"), False),
+        "simulation-transfer-tol-nan-string": (("simulation", "transfer_tol"), "nan"),
+        "simulation-ceiling-huge-int": (("simulation", "density_ceiling"), 10 ** 400),
+        "simulation-stride-fraction": (("simulation", "record_stride"), 2.5),
+        "simulation-initial-density-string": (("simulation", "initial_density"), "x"),
+        "simulation-unknown-setting": (("simulation", "step"), 0.1),
     }
 
     @staticmethod
@@ -213,6 +221,22 @@ class TestCmdSimulate:
         assert code == 0
         assert (tmp_path / "sandbox" / "rel" / "run.csv").exists()
 
+    def test_null_dt_keeps_default_step(self, tmp_path, capsys):
+        steps = []
+        for name, doc in [("null", write_mutated(tmp_path, ("simulation", "dt"), None)),
+                          ("plain", DATA / "example3.json")]:
+            code, _ = run_cli("simulate", str(doc), "--horizon", "1",
+                              "--out", str(tmp_path / name), capsys=capsys)
+            assert code == 0
+            steps.append(json.loads((tmp_path / f"{name}.summary.json").read_text())["dt"])
+        assert steps[0] == steps[1]
+
+    def test_cyclic_topology_named(self, tmp_path, capsys):
+        code = main(["simulate", str(DATA / "bad_cycle.json"), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cycle through nodes [1, 2]; ")
+
     @pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--horizon", "nan"),
                                              ("--dt", "inf")])
     def test_non_finite_setting_is_runtime_failure(self, tmp_path, capsys, flag, value):
@@ -273,6 +297,15 @@ class TestCmdLimitflow:
         run_cli("limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:5",
                 "--jobs", "2", "--out", str(b), capsys=capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_singular_newton_step_is_a_failed_row(self, capsys):
+        # the anti-cooperative policy makes the Newton Jacobian singular in places
+        code, out = run_cli("limitflow", str(DATA / "anti_cooperative.json"),
+                            "--sweep", "0:2:41", capsys=capsys)
+        assert code == 0
+        statuses = [line.split(",")[-1] for line in out.splitlines()[1:]]
+        assert len(statuses) == 41
+        assert all(s == "ok" or s.startswith("solver failed: residual ") for s in statuses)
 
     def test_single_point_to_stdout(self, capsys):
         code, out = run_cli("limitflow", str(DATA / "chain21.json"), capsys=capsys)
@@ -342,7 +375,7 @@ class TestGoldenFiles:
             (self.GOLDEN / "chain_mincut.json").read_bytes()
 
     def test_resilience_report_json(self, capsys):
-        # two alphas: the bisections run as lockstep ensemble rounds
+        # two alphas: both bisect on the oracle, then one ensemble audits their brackets
         code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
                             "--samples", "4", "--horizon", "10", "--seed", "3", capsys=capsys)
         assert code == 0
