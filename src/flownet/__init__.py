@@ -47,6 +47,7 @@ from .dynamics import (
     limit_flow_estimate,
     local_limit_flow,
     network_limit_flow,
+    network_limit_flows,
     simulate,
     simulate_ensemble,
     simulate_local,

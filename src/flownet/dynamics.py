@@ -20,6 +20,7 @@ checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -45,6 +46,7 @@ __all__ = [
     "alpha_transfer_estimate",
     "local_limit_flow",
     "network_limit_flow",
+    "network_limit_flows",
     "convergence_check",
     "limit_flow_estimate",
     "default_dt",
@@ -487,105 +489,250 @@ class LimitFlow:
         return sorted(lid for lid, s in self.saturated.items() if s)
 
 
-def local_limit_flow(flow_fns, route_fn, inflow: float, *, jac_fn=None,
+# Input fractions of the homotopy a stalled Newton solve falls back on.
+_HOMOTOPY = (0.0625, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9375, 1.0)
+
+
+def local_limit_flow(flow_fns, route_fn, inflow, *, jac_fn=None,
                      tol: float = 1e-10, max_iter: int = 200):
     """Stationary split of a constant input over one node's outgoing links.
 
-    Returns ``(flows, saturated)``.  At or above the node's total outgoing
-    capacity every link saturates at its own capacity.  Below it, the zero
-    of ``H(rho) = inflow * G(rho) - mu(rho)`` is found by a damped Newton
-    iteration (projected onto nonnegative densities): H's Jacobian is
-    strictly diagonally dominant with negative diagonal, hence invertible
-    everywhere, which is also why plain damped Picard iteration is not
-    used -- near saturation the flat flow function makes the Picard map
-    expansive even though Newton stays well conditioned.  If Newton stalls,
-    or meets a Jacobian that is singular in floating point (as policies
-    that are not locally responsive can produce), a homotopy walks the
-    input up from smaller values, warm-starting each stage; if that fails
-    too, ``LocalSolverError`` carries the best residual.  ``jac_fn``
-    supplies the routing Jacobian (entry [e, j] = dG_j/drho_e); central
-    differences are used when it is omitted.
+    For one input returns ``(flows, saturated)``.  ``inflow`` may also be
+    an array of P inputs, all solved together; then the result is
+    ``(flows, saturated, errors)`` with flows of shape (P, k), flags of
+    shape (P,) and, per input, None or the ``LocalSolverError`` that one
+    input alone would raise (its flow row is NaN).
+
+    At or above the node's total outgoing capacity every link saturates at
+    its own capacity.  Below it, the zero of ``H(rho) = inflow * G(rho) -
+    mu(rho)`` is found by a damped Newton iteration (projected onto
+    nonnegative densities): H's Jacobian is strictly diagonally dominant
+    with negative diagonal, hence invertible everywhere, which is also why
+    plain damped Picard iteration is not used -- near saturation the flat
+    flow function makes the Picard map expansive even though Newton stays
+    well conditioned.  If Newton stalls, or meets a Jacobian that is
+    singular in floating point (as policies that are not locally
+    responsive can produce), a homotopy walks the input up from smaller
+    values, warm-starting each stage; if that fails too,
+    ``LocalSolverError`` carries the best residual.
+
+    ``route_fn`` maps densities of shape (P, k) to splits of that shape
+    (and single rows (k,) to (k,), which central differences use).
+    ``jac_fn(rho, split=g)`` gives the routing Jacobians there, shape
+    (P, k, k) with entry [p, e, j] = dG_j/drho_e, and is handed the splits
+    ``g = route_fn(rho)`` already computed (``RoutingPolicy.jacobian``
+    takes them the same way); central differences are used when it is
+    omitted.  Every input takes its own Newton and line-search steps, so
+    its result is bit-for-bit the one it gets alone.
     """
     flow_fns = list(flow_fns)
-    k = len(flow_fns)
-    f_max = np.array([ff.f_max for ff in flow_fns])
-    if inflow < 0:
+    lam = np.asarray(inflow, dtype=float)
+    if (lam < 0).any():
         raise ValueError("inflow must be nonnegative")
-    if inflow == 0:
-        return np.zeros(k), False
-    if inflow >= f_max.sum():
-        return f_max.copy(), True
-    if jac_fn is None:
-        jac_fn = lambda rho: finite_difference_jacobian(route_fn, rho)
-
-    def residual(lam, rho):
-        return lam * np.asarray(route_fn(rho)) - _mu_vec(flow_fns, rho)
-
-    def solve_at(lam, rho):
-        r = residual(lam, rho)
-        res = float(np.abs(r).max())
-        for _ in range(max_iter):
-            if res <= tol:
-                return rho, res
-            # standard Jacobian of H: rows = components, columns = densities
-            jac = lam * jac_fn(rho).T - np.diag([ff.derivative(x) for ff, x in zip(flow_fns, rho)])
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                return rho, res  # singular in floating point: a stall like any other
-            t = 1.0
-            while t >= 1e-8:
-                cand = np.maximum(rho + t * step, 0.0)
-                r_cand = residual(lam, cand)
-                res_cand = float(np.abs(r_cand).max())
-                if res_cand < res:
-                    rho, r, res = cand, r_cand, res_cand
-                    break
-                t *= 0.5
-            else:
-                return rho, res  # stalled; caller may retry via homotopy
-        return rho, res
-
-    rho, res = solve_at(inflow, np.zeros(k))
-    if res > tol:
-        rho = np.zeros(k)
-        for frac in (0.0625, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9375, 1.0):
-            rho, res = solve_at(frac * inflow, rho)
-        if res > tol:
-            raise LocalSolverError(
-                f"stationary split did not converge (best residual {res:.3e})", res
+    lams = lam.reshape(-1)
+    f_max = np.array([ff.f_max for ff in flow_fns])
+    saturated = lams >= f_max.sum()
+    flows = np.where(saturated[:, None], f_max, 0.0)
+    errors = [None] * lams.size
+    inner = np.flatnonzero((lams != 0) & ~saturated)
+    if inner.size:
+        if jac_fn is None:
+            def jac_fn(rho, split):
+                return finite_difference_jacobian(route_fn, rho)
+        mu = _flow_map(flow_fns)
+        rho, res = _newton(flow_fns, mu, route_fn, jac_fn, lams[inner],
+                           np.zeros((inner.size, len(flow_fns))), tol, max_iter)
+        if (res > tol).any():
+            stalled = np.flatnonzero(res > tol)
+            rho_s = np.zeros((stalled.size, len(flow_fns)))
+            for frac in _HOMOTOPY:
+                rho_s, res_s = _newton(flow_fns, mu, route_fn, jac_fn,
+                                       frac * lams[inner[stalled]], rho_s, tol, max_iter)
+            rho[stalled], res[stalled] = rho_s, res_s
+        flows[inner] = mu(rho)
+        for i in np.flatnonzero(res > tol):
+            flows[inner[i]] = np.nan
+            errors[inner[i]] = LocalSolverError(
+                f"stationary split did not converge (best residual {res[i]:.3e})", float(res[i])
             )
-    return _mu_vec(flow_fns, rho), False
+    if lam.ndim == 0:
+        if errors[0] is not None:
+            raise errors[0]
+        return flows[0], bool(saturated[0])
+    return flows, saturated, errors
 
 
-def _mu_vec(flow_fns, rho):
-    return np.array([ff.eval(r) for ff, r in zip(flow_fns, rho)])
+def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho, tol: float, max_iter: int):
+    """Damped Newton on ``H(rho) = lam * G(rho) - mu(rho)`` for P inputs at once.
+
+    ``lam`` has shape (P,) and the start ``rho`` (P, k).  Each member stops
+    once its residual (max norm) is within ``tol`` and stalls out when its
+    Jacobian is singular or its backtracking step falls below 1e-8; the
+    others step on.  Returns the final densities and residuals.
+    """
+    n, k = rho.shape
+    lam = lam[:, None]
+    g = route_fn(rho)
+    r = lam * g - mu(rho)
+    res = np.abs(r).max(axis=-1)
+    live = np.flatnonzero(~(res <= tol))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        whole = live.size == n  # every member live: no gathers or scatters
+        if whole:
+            x, g_x, lam_x, r_x, res_x = rho, g, lam, r, res
+        else:
+            x, g_x, lam_x, r_x, res_x = rho[live], g[live], lam[live], r[live], res[live]
+        # standard Jacobian of H: rows = components, columns = densities
+        jac = np.multiply(lam_x[:, :, None], jac_fn(x, split=g_x).transpose(0, 2, 1), order="C")
+        jac.reshape(-1, k * k)[:, ::k + 1] -= _derivatives(flow_fns, x)  # the diagonal
+        step, singular = _solve(jac, -r_x)
+        # backtracking: every member still trying at a halving shares its step size
+        trial = None if singular is None else np.flatnonzero(~singular)
+        t = 1.0
+        while True:
+            if trial is None:
+                cand = np.maximum(x + t * step, 0.0)
+                lam_t, res_t = lam_x, res_x
+            else:
+                cand = np.maximum(x[trial] + t * step[trial], 0.0)
+                lam_t, res_t = lam_x[trial], res_x[trial]
+            g_cand = route_fn(cand)
+            r_cand = lam_t * g_cand - mu(cand)
+            res_cand = np.abs(r_cand).max(axis=-1)
+            better = res_cand < res_t
+            if whole and trial is None and better.all():
+                rho, g, r, res = cand, g_cand, r_cand, res_cand
+                break
+            if trial is None:
+                trial = np.arange(live.size)
+            dest = live[trial[better]]
+            rho[dest], g[dest] = cand[better], g_cand[better]
+            r[dest], res[dest] = r_cand[better], res_cand[better]
+            trial = trial[~better]
+            t *= 0.5
+            if not trial.size:
+                break
+            if t < 1e-8:
+                if singular is None:
+                    singular = np.zeros(live.size, dtype=bool)
+                singular[trial] = True  # stalled
+                break
+        if singular is not None:
+            live = live[~singular]
+        live = live[~(res[live] <= tol)]
+    return rho, res
+
+
+def _solve(jac: np.ndarray, b: np.ndarray):
+    """Newton steps ``jac^-1 b`` for stacked (P, k, k) systems.
+
+    Returns the steps and None or, when some matrix is singular in floating
+    point, a mask of those members: a singular step is a stall like any
+    other, so that member gets no step while the others solve on.
+    """
+    try:
+        return np.linalg.solve(jac, b[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(b)
+        singular = np.zeros(len(b), dtype=bool)
+        for i in range(len(b)):
+            try:
+                step[i] = np.linalg.solve(jac[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
+
+
+def _flow_map(flow_fns):
+    """One node's link flows as a map from densities (P, k) to flows (P, k).
+
+    Exponential links are one expression over the whole array with their
+    parameters hoisted, bit-for-bit what each function's ``__call__``
+    gives; any other family runs each flow function on its column.
+    """
+    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
+        neg_rate = -np.array([ff.rate for ff in flow_fns])
+        f_max = np.array([ff.f_max for ff in flow_fns])
+        return lambda rho: f_max * -np.expm1(neg_rate * rho)
+
+    def mu(rho):
+        out = np.empty_like(rho)
+        for j, ff in enumerate(flow_fns):
+            out[:, j] = ff(rho[:, j])
+        return out
+
+    return mu
+
+
+def _derivatives(flow_fns, rho: np.ndarray) -> np.ndarray:
+    """Flow-function slopes at densities (P, k), one scalar ``derivative`` call each.
+
+    Not vectorized on purpose: ``ExponentialFlow.derivative`` uses
+    ``math.exp``, which differs from ``np.exp`` in the last bit on some
+    inputs, and the Newton iterates must not move.
+    """
+    return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)] for row in rho.tolist()])
 
 
 def network_limit_flow(network: FlowNetwork, policy: RoutingPolicy, inflow: float) -> LimitFlow:
-    """Cascade the local stationary splits through the acyclic node order."""
+    """Cascade the local stationary splits through the acyclic node order.
+
+    The one-point case of ``network_limit_flows``; a node whose split does
+    not converge raises its ``LocalSolverError``.
+    """
+    (limit,) = network_limit_flows(network, policy, [inflow])
+    if isinstance(limit, LocalSolverError):
+        raise limit
+    return limit
+
+
+def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) -> list:
+    """Limit flows at P network inflows from one cascade through the acyclic order.
+
+    Each node solves its stationary splits for every point still in the
+    cascade with one ``local_limit_flow`` call.  Entry p is the
+    ``LimitFlow`` at ``inflows[p]`` or, when some node's split did not
+    converge at that point, the node's ``LocalSolverError``; that point
+    then drops out of every node downstream.  Every entry is bit-for-bit
+    what the point gets alone.
+    """
     topo = network.topology
-    order = topological_order(topo)
-    lam_star = {v: 0.0 for v in range(topo.num_nodes)}
-    lam_star[topo.origin] = inflow
-    flows = {}
-    saturated = {}
-    for v in order:
+    lam0 = np.asarray(inflows, dtype=float).reshape(-1)
+    n_points = lam0.size
+    node_in = np.zeros((topo.num_nodes, n_points))
+    node_in[topo.origin] = lam0
+    lids = []  # links in cascade order, the row order of ``flows`` and ``flags``
+    flows = np.full((len(topo.links), n_points), np.nan)
+    flags = np.zeros((len(topo.links), n_points), dtype=bool)
+    errors = [None] * n_points
+    live = np.arange(n_points)
+    for v in topological_order(topo):
         out = topo.outgoing[v]
-        if not out:
+        if not out or not live.size:
             continue
-        fns = [network.flow_functions[lid] for lid in out]
-        f_star, sat = local_limit_flow(
-            fns,
-            lambda rv, _v=v: policy.route(_v, rv),
-            lam_star[v],
-            jac_fn=lambda rv, _v=v: policy.jacobian(_v, rv),
-        )
-        for lid, fe in zip(out, f_star):
-            flows[lid] = float(fe)
-            saturated[lid] = bool(sat)
-            lam_star[topo.link(lid).head] += float(fe)
-    return LimitFlow(flows=flows, saturated=saturated, node_inflows=lam_star)
+        cols = slice(None) if live.size == n_points else live  # no gathers while all live
+        f, sat, errs = local_limit_flow(
+            [network.flow_functions[lid] for lid in out], functools.partial(policy.route, v),
+            node_in[v, cols], jac_fn=functools.partial(policy.jacobian, v))
+        for j, lid in enumerate(out):
+            flows[len(lids), cols] = f[:, j]
+            flags[len(lids), cols] = sat
+            lids.append(lid)
+            node_in[topo.link(lid).head, cols] += f[:, j]
+        failed = [i for i, err in enumerate(errs) if err is not None]
+        if failed:
+            for i in failed:
+                errors[live[i]] = errs[i]
+            live = np.delete(live, failed)
+    flows = flows[:len(lids)].T.tolist()
+    flags = flags[:len(lids)].T.tolist()
+    node_flows = node_in.T.tolist()
+    return [err if err is not None else LimitFlow(flows=dict(zip(lids, flows[p])),
+                                                  saturated=dict(zip(lids, flags[p])),
+                                                  node_inflows=dict(enumerate(node_flows[p])))
+            for p, err in enumerate(errors)]
 
 
 @dataclass

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .topology import NetworkTopology, TopologyError
 
@@ -63,6 +62,10 @@ class FlowFunction:
             raise ValueError(f"flow {f} outside [0, f_max={self.f_max}); no finite preimage")
         if f == 0:
             return 0.0
+        # imported here: only families without a closed-form inverse need it,
+        # and scipy.optimize costs about 50 MB and most of the package's import time
+        from scipy.optimize import brentq
+
         hi = 1.0
         while self.eval(hi) < f:
             hi *= 2.0

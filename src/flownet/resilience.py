@@ -214,14 +214,15 @@ def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
     """Judge ``(scenario, transfer_tol)`` pairs on one network as one ensemble.
 
     ``config`` and ``rho0`` come from ``_attack_setup``; the outcomes come
-    back in the order of ``attacks``.
+    back in the order of ``attacks``.  Each trajectory is judged and dropped
+    as it arrives, so none outlives its chunk.
     """
     if not attacks:
         return []
     network, policy = attacks[0][0].network, attacks[0][0].policy
     perturbed = [network.perturbed(scenario.perturbation) for scenario, _ in attacks]
     trajs = _iter_ensemble(perturbed, policy, config, [rho0] * len(attacks))
-    return [_judge(traj, scenario, config, tol) for traj, (scenario, tol) in zip(trajs, attacks)]
+    return [_judge(next(trajs), scenario, config, tol) for scenario, tol in attacks]
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork,
@@ -338,6 +339,12 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
         raise ValueError("resilience estimation needs a positive inflow")
+    for alpha in alphas:
+        if not _transfer_threshold(alpha, inflow) > 0:
+            raise ValueError(
+                f"alpha {alpha!r} is at or below the 1e-3 transfer slack: the required "
+                f"outflow alpha*inflow - 1e-3*inflow is not positive, so no attack can "
+                f"defeat it; use alphas above 1e-3")
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
     config, rho0 = _attack_setup(network, policy, inflow, config, None)

@@ -15,7 +15,7 @@ run exactly on ``fractions.Fraction`` capacities as well as on floats.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 __all__ = [
@@ -50,10 +50,15 @@ class Link:
 
 @dataclass(frozen=True)
 class Cut:
-    """An origin/destination cut: the origin-side node set and its crossing links."""
+    """An origin/destination cut: the origin-side node set and its crossing links.
+
+    ``flow_value`` is the max-flow value a minimum cut was certified
+    against (None for an enumerated cut); it takes no part in equality.
+    """
 
     origin_side: frozenset
     cut_links: frozenset
+    flow_value: object = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,8 @@ def min_cut_capacity(topo: NetworkTopology, capacities):
     The returned capacity is the cut's summed link capacity (ascending link
     id).  It is certified by duality: it must agree with the max-flow value,
     since a feasible flow and a cut of equal value are both optimal, and a
-    disagreement raises ``TopologyError``.
+    disagreement raises ``TopologyError``.  That flow value comes back as
+    the cut's ``flow_value``.
     """
     _require_valid(topo)
     _check_capacities(topo, capacities)
@@ -318,7 +324,7 @@ def min_cut_capacity(topo: NetworkTopology, capacities):
     value = sum(capacities[lid] for lid in sorted(cut_links))
     if not _agrees(value, flow_value):
         raise TopologyError(f"min-cut capacity ({value}) disagrees with max-flow ({flow_value})")
-    return value, Cut(side, cut_links)
+    return value, Cut(side, cut_links, flow_value)
 
 
 def _closure(succ, nodes):

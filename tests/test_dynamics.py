@@ -188,7 +188,7 @@ class TestLocalLimitFlow:
         for lam in (0.25, 0.7, 1.0, 1.45):
             f, sat = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
                                       lambda r: policy.route(0, r), lam,
-                                      jac_fn=lambda r: policy.jacobian(0, r))
+                                      jac_fn=lambda r, split: policy.jacobian(0, r, split))
             assert not sat
             np.testing.assert_allclose(f, two_route_fixed_point_oracle(lam), atol=1e-9)
             assert f.sum() == pytest.approx(lam, abs=1e-9)  # conservation
@@ -209,7 +209,7 @@ class TestLocalLimitFlow:
         step = grid[1] - grid[0]
         for lam in grid:
             f, _ = local_limit_flow(fns, lambda r: policy.route(0, r), float(lam),
-                                    jac_fn=lambda r: policy.jacobian(0, r))
+                                    jac_fn=lambda r, split: policy.jacobian(0, r, split))
             assert f.sum() == pytest.approx(min(lam, 1.5), abs=1e-8)
             if prev is not None:
                 assert np.abs(f - prev).max() < 12.0 * step  # continuity, O(grid step)

@@ -1,5 +1,7 @@
 """Cut attacks, attack evaluation, and the weak-resilience bracket."""
 
+import tracemalloc
+
 import pytest
 
 from flownet import dynamics, resilience
@@ -259,3 +261,26 @@ class TestBatchedVerdicts:
         batched = resilience._evaluate_ensemble(attacks, config, rho0)
         assert batched == [evaluate_attack(scenario, SHORT, transfer_tol=tol)
                            for scenario, tol in attacks]
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_judged_trajectories_do_not_outlive_their_chunk(self, monkeypatch, per_chunk):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        config, rho0 = resilience._attack_setup(
+            net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=100.0, dt=0.02), None)
+        attacks = [(AttackScenario(net, policy, 1.0, spec, 0.05), None)
+                   for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
+        records = dynamics._record_count(dynamics._step_count(config.horizon, config.dt), 1)
+        block = 8 * records * len(net.topology.links)
+        member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
+        # six members in chunks of one or two
+        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", per_chunk * member)
+        tracemalloc.start()
+        try:
+            resilience._evaluate_ensemble(attacks, config, rho0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk's states and trajectories plus two blocks of one member's
+        # flows in the making; the previous chunk's last trajectory is gone
+        assert peak <= per_chunk * (block + member) + 2 * block

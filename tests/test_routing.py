@@ -14,7 +14,7 @@ from flownet import (
     check_property_b,
     cooperative_gap,
 )
-from flownet.routing import finite_difference_jacobian
+from flownet.routing import _sample_densities, finite_difference_jacobian
 
 from conftest import two_route_policy, two_route_topology
 
@@ -142,6 +142,51 @@ class TestPropertyA:
         report = check_property_a(policy, 0, n_samples=200, rng=0)
         assert report.passed
         assert report.detail["min_cross_partial"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _property_a_one_sample_at_a_time(policy, v, n_samples, rng, tol=1e-9):
+    """Reference: the check with one Jacobian call per sampled density vector."""
+    rng = np.random.default_rng(rng)
+    k = len(policy.outgoing_links(v))
+    worst, violations = np.inf, []
+    off_mask = ~np.eye(k, dtype=bool)
+    for rho in _sample_densities(k, n_samples, rng):
+        off = policy.jacobian(v, rho)[off_mask]
+        m = float(off.min()) if off.size else 0.0
+        worst = min(worst, m)
+        if m < -tol and len(violations) < 10:
+            violations.append({"rho": rho.tolist(), "min_cross_partial": m})
+    return not violations, {"min_cross_partial": worst, "violations": violations}
+
+
+class TestPropertyABatched:
+    @pytest.mark.parametrize("make", [
+        lambda: three_link_node()[1],
+        lambda: anti_cooperative_policy(two_route_topology()),
+        lambda: constant_policy(two_route_topology()),
+        lambda: GenericPolicy(two_route_topology(),
+                              {0: lambda r: np.exp(r) / np.exp(r).sum()}),
+        lambda: LogitPolicy(NetworkTopology(2, [(0, 0, 1)]), eta={0: 1.0}, weights={0: 1.0}),
+    ])
+    def test_equals_one_sample_at_a_time(self, make):
+        policy = make()
+        report = check_property_a(policy, 0, n_samples=300, rng=4)
+        passed, detail = _property_a_one_sample_at_a_time(policy, 0, 300, 4)
+        assert report.passed == passed
+        assert repr(report.detail) == repr(detail)  # same floats, same first ten violations
+
+    def test_one_jacobian_call_per_node(self, monkeypatch):
+        _, policy = three_link_node()
+        calls = []
+        real = policy.jacobian
+
+        def counting(v, rho):
+            calls.append(np.shape(rho))
+            return real(v, rho)
+
+        monkeypatch.setattr(policy, "jacobian", counting)
+        check_property_a(policy, 0, n_samples=200, rng=0)
+        assert calls == [(200, 3)]
 
 
 class TestPropertyB:

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from flownet import load_scenario, parse_scenario, validate_scenario
+from flownet import load_scenario, max_flow_value, parse_scenario, resilience, topology
+from flownet import validate_scenario
 from flownet.cli import main
 from flownet.scenario import ScenarioError
 
@@ -261,6 +262,21 @@ class TestCmdMincut:
         code, out = run_cli("mincut", str(DATA / "chain21.json"), capsys=capsys)
         assert json.loads(out)["capacity"] == 1.0
 
+    def test_one_max_flow_run(self, monkeypatch, capsys):
+        sc = load_scenario(DATA / "random8.json")
+        expected = max_flow_value(sc.topology, sc.network.capacities())
+        runs = []
+        real = topology._max_flow
+
+        def counting(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(topology, "_max_flow", counting)
+        code, out = run_cli("mincut", str(DATA / "random8.json"), capsys=capsys)
+        assert code == 0 and len(runs) == 1
+        assert json.loads(out)["max_flow"] == expected
+
     def test_random_dag_frozen_oracle(self, capsys):
         # 1.53 brute-forced by standalone enumeration when the fixture was made
         code, out = run_cli("mincut", str(DATA / "random8.json"), capsys=capsys)
@@ -348,6 +364,18 @@ class TestCmdResilience:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("alphas", ["0.001", "0.5,0.0005"])
+    def test_alpha_within_transfer_slack_rejected_up_front(self, monkeypatch, capsys, alphas):
+        def no_oracle(*args):
+            raise AssertionError("no limit flow may be computed")
+
+        monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
+        code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: alpha {alphas.split(',')[-1]} ") and "1e-3" in err
+        assert "Traceback" not in err
 
     def test_anti_cooperative_policy_is_runtime_failure(self, capsys):
         code, _ = run_cli("resilience", str(DATA / "anti_cooperative.json"),
