@@ -13,8 +13,6 @@ from .topology import (
     NetworkTopology,
     TopologyError,
     ValidationResult,
-    enumerate_od_cuts,
-    max_flow_value,
     min_cut_capacity,
     topological_order,
     validate_topology,
@@ -59,7 +57,6 @@ from .resilience import (
     cut_attack,
     estimate_weak_resilience,
     evaluate_attack,
-    initial_densities,
     sample_scaling_perturbations,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, validate_scenario

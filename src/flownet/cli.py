@@ -135,8 +135,7 @@ def cmd_simulate(args) -> int:
     else:
         # attack run: start from the unperturbed limit flow's densities and
         # integrate the perturbed functions with the unchanged policy
-        config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow,
-                                     config, None)
+        config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow, config)
         net_for_sat = scenario.network.perturbed(spec)
         traj = simulate(net_for_sat, scenario.policy, config, rho0)
         summary["attack"] = {

@@ -103,8 +103,9 @@ class SimulationConfig:
 
 
 def default_dt(network: FlowNetwork) -> float:
-    """0.01 over the fastest local relaxation rate among the links."""
-    return 0.01 / max(ff.rate_scale() for ff in network.flow_functions.values())
+    """0.01 over the fastest local relaxation rate among the links (inf if all are 0)."""
+    fastest = max(ff.rate_scale() for ff in network.flow_functions.values())
+    return 0.01 / fastest if fastest > 0 else math.inf
 
 
 class _Compiled:
@@ -243,7 +244,10 @@ class LocalTrajectory:
 
 
 def _step_count(horizon: float, dt: float) -> int:
-    return max(1, math.ceil(horizon / dt - 1e-12))
+    steps = horizon / dt if dt > 0 else math.inf
+    if not math.isfinite(steps):
+        raise SimulationError(f"time step {dt!r} is too small for horizon {horizon!r}")
+    return max(1, math.ceil(steps - 1e-12))
 
 
 def _record_count(n_steps: int, record_stride: int) -> int:
@@ -265,8 +269,12 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: floa
     half, sixth = 0.5 * dt, dt / 6.0
     rho = np.array(rho0, dtype=float)
     n_records = _record_count(n_steps, record_stride)
-    times = np.empty(n_records)
-    states = np.empty((n_records,) + rho.shape)
+    try:
+        times = np.empty(n_records)
+        states = np.empty((n_records,) + rho.shape)
+    except (MemoryError, ValueError) as exc:
+        raise SimulationError(f"{n_records} recorded states do not fit in memory; raise dt "
+                              "or record_stride, or shorten the horizon") from exc
     times[0] = 0.0
     states[0] = rho
     undershoot = np.zeros(rho.shape[:-1])
@@ -485,23 +493,19 @@ class LimitFlow:
     def flow_vector(self, topo) -> np.ndarray:
         return np.array([self.flows[lid] for lid in topo.link_ids])
 
-    def saturated_links(self):
-        return sorted(lid for lid, s in self.saturated.items() if s)
-
 
 # Input fractions of the homotopy a stalled Newton solve falls back on.
 _HOMOTOPY = (0.0625, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9375, 1.0)
 
 
-def local_limit_flow(flow_fns, route_fn, inflow, *, jac_fn=None,
+def local_limit_flow(flow_fns, route_fn, inflows, *, jac_fn=None,
                      tol: float = 1e-10, max_iter: int = 200):
-    """Stationary split of a constant input over one node's outgoing links.
+    """Stationary splits of P constant inputs over one node's outgoing links.
 
-    For one input returns ``(flows, saturated)``.  ``inflow`` may also be
-    an array of P inputs, all solved together; then the result is
-    ``(flows, saturated, errors)`` with flows of shape (P, k), flags of
-    shape (P,) and, per input, None or the ``LocalSolverError`` that one
-    input alone would raise (its flow row is NaN).
+    ``inflows`` holds the P inputs, all solved together.  Returns
+    ``(flows, saturated, errors)``: flows of shape (P, k), flags of shape
+    (P,) and, per input, None or the ``LocalSolverError`` of an input whose
+    split did not converge (its flow row is NaN).
 
     At or above the node's total outgoing capacity every link saturates at
     its own capacity.  Below it, the zero of ``H(rho) = inflow * G(rho) -
@@ -526,10 +530,9 @@ def local_limit_flow(flow_fns, route_fn, inflow, *, jac_fn=None,
     its result is bit-for-bit the one it gets alone.
     """
     flow_fns = list(flow_fns)
-    lam = np.asarray(inflow, dtype=float)
-    if (lam < 0).any():
+    lams = np.asarray(inflows, dtype=float).reshape(-1)
+    if (lams < 0).any():
         raise ValueError("inflow must be nonnegative")
-    lams = lam.reshape(-1)
     f_max = np.array([ff.f_max for ff in flow_fns])
     saturated = lams >= f_max.sum()
     flows = np.where(saturated[:, None], f_max, 0.0)
@@ -555,10 +558,6 @@ def local_limit_flow(flow_fns, route_fn, inflow, *, jac_fn=None,
             errors[inner[i]] = LocalSolverError(
                 f"stationary split did not converge (best residual {res[i]:.3e})", float(res[i])
             )
-    if lam.ndim == 0:
-        if errors[0] is not None:
-            raise errors[0]
-        return flows[0], bool(saturated[0])
     return flows, saturated, errors
 
 

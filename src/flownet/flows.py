@@ -141,9 +141,6 @@ class ExponentialFlow(FlowFunction):
     def rate_scale(self) -> float:
         return self.rate * self.f_max
 
-    def to_dict(self) -> dict:
-        return {"family": "exp", "a": self.rate, "f_max": self.f_max}
-
 
 class CustomFlow(FlowFunction):
     """Black-box flow function; ``certify()`` must pass before it is trusted."""
@@ -232,9 +229,6 @@ class FlowNetwork:
         self.topology = topology
         self.flow_functions = dict(flow_functions)
 
-    def flow_function(self, link_id: int) -> FlowFunction:
-        return self.flow_functions[link_id]
-
     def capacities(self) -> dict:
         return {lid: self.flow_functions[lid].f_max for lid in self.topology.link_ids}
 
@@ -260,7 +254,7 @@ class PerturbationSpec:
         self.gaps = {}
         worst_stretch = 1.0 if len(replacements) < len(network.topology.link_ids) else 0.0
         for lid, pert in sorted(self.replacements.items()):
-            base = network.flow_function(lid)
+            base = network.flow_functions[lid]
             bad = pert.certify()
             if bad:
                 raise InadmissiblePerturbation(f"link {lid}: replacement fails certification: {bad}")
@@ -273,4 +267,4 @@ class PerturbationSpec:
     @classmethod
     def scaling(cls, network: FlowNetwork, factors: dict) -> "PerturbationSpec":
         """Build from per-link scaling factors ``{link_id: eps}``."""
-        return cls(network, {lid: network.flow_function(lid).scaled(e) for lid, e in factors.items()})
+        return cls(network, {lid: network.flow_functions[lid].scaled(e) for lid, e in factors.items()})

@@ -13,7 +13,6 @@ simulates only its random samples and the bracket endpoints it audits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .dynamics import (
     network_limit_flow,
 )
 from .flows import FlowNetwork, PerturbationSpec
-from .routing import RoutingPolicy, check_property_a, check_property_b
+from .routing import RoutingPolicy, responsiveness_findings
 from .topology import min_cut_capacity
 
 __all__ = [
@@ -40,8 +39,14 @@ __all__ = [
     "estimate_weak_resilience",
     "require_locally_responsive",
     "sample_scaling_perturbations",
-    "initial_densities",
 ]
+
+# Lower side of the bracket: random samples reach (1 - MARGIN) C ...
+MARGIN = 0.1
+# ... and each must keep its tail outflow at or above ALPHA_FLOOR * inflow.
+ALPHA_FLOOR = 1e-3
+# Upper side: cut-scaling bisections stop within this fraction of C.
+BISECT_TOL_FRAC = 0.01
 
 
 @dataclass(frozen=True)
@@ -53,15 +58,10 @@ class AttackScenario:
     inflow: float
     perturbation: PerturbationSpec
     alpha: float
-    theta_max: float = math.inf
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.perturbation.stretching > self.theta_max + 1e-12:
-            raise ValueError(
-                f"perturbation stretching {self.perturbation.stretching} exceeds budget {self.theta_max}"
-            )
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> Perturbatio
     return PerturbationSpec.scaling(network, {lid: eps for lid in sorted(cut.cut_links)})
 
 
-def initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
+def _initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
     """Densities realizing the pre-attack flow under the unperturbed functions.
 
     The attack changes flow functions, not the mass already on the links,
@@ -163,25 +163,23 @@ def initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
 
 
 def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
-                  config: SimulationConfig | None, f_init):
+                  config: SimulationConfig | None):
     """The run settings every attack on ``network`` shares: the config with
     the time step of the unperturbed rates, and the start densities, which
-    realize ``f_init`` or, by default, the unperturbed limit flow."""
+    realize the unperturbed limit flow."""
     if config is None:
         config = SimulationConfig(inflow=inflow)
     elif config.inflow != inflow:
         config = replace(config, inflow=inflow)
     if config.dt is None:
         config = replace(config, dt=default_dt(network))
-    if f_init is None:
-        base_limit = network_limit_flow(network, policy, inflow)
-        if any(base_limit.saturated.values()):
-            raise ValueError(
-                "inflow saturates the unperturbed network; an attack run needs an "
-                "interior start flow (inflow < C, or an explicit f_init)"
-            )
-        f_init = base_limit.flow_vector(network.topology)
-    return config, initial_densities(network, f_init)
+    base_limit = network_limit_flow(network, policy, inflow)
+    if any(base_limit.saturated.values()):
+        raise ValueError(
+            "inflow saturates the unperturbed network; an attack run needs an "
+            "interior start flow (inflow < C)"
+        )
+    return config, _initial_densities(network, base_limit.flow_vector(network.topology))
 
 
 def _judge(traj, scenario: AttackScenario, config: SimulationConfig,
@@ -197,16 +195,15 @@ def _judge(traj, scenario: AttackScenario, config: SimulationConfig,
 
 
 def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = None,
-                    f_init=None, transfer_tol: float | None = None) -> AttackOutcome:
+                    transfer_tol: float | None = None) -> AttackOutcome:
     """Simulate the perturbed network and judge alpha-transfer on the tail.
 
-    The run starts from the unperturbed network's limit flow (or an
-    explicit interior ``f_init``) and keeps the time step implied by the
-    unperturbed rates, which dominate the perturbed ones.  This is the
-    one-member case of the ensemble ``estimate_weak_resilience`` runs.
+    The run starts from the unperturbed network's limit flow and keeps the
+    time step implied by the unperturbed rates, which dominate the
+    perturbed ones.  This is the one-member case of the ensemble
+    ``estimate_weak_resilience`` runs.
     """
-    config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow,
-                                 config, f_init)
+    config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow, config)
     return _evaluate_ensemble([(scenario, transfer_tol)], config, rho0)[0]
 
 
@@ -225,28 +222,26 @@ def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
     return [_judge(next(trajs), scenario, config, tol) for scenario, tol in attacks]
 
 
-def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork,
-                               n_samples: int = 200, seed: int = 0):
+def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork, seed: int = 0):
     """Raise unless sampled checks support the locally responsive properties
-    and strictly positive splits that the resilience guarantee assumes."""
-    topo = network.topology
+    and strictly positive splits that the resilience guarantee assumes.
+
+    The properties are judged by ``responsiveness_findings``; the first
+    finding is raised.
+    """
+    findings = responsiveness_findings(policy, seed)
+    if findings:
+        v, message = findings[0]
+        raise ValueError(f"node {v}: {message}")
     rng = np.random.default_rng(seed)
+    topo = network.topology
     for v in range(topo.num_nodes):
         links = topo.outgoing[v]
         if not links:
             continue
-        rep = check_property_a(policy, v, n_samples=n_samples, rng=rng)
-        if not rep.passed:
-            raise ValueError(f"node {v}: routing policy violates the cooperative "
-                             f"cross-partial property: {rep.detail['violations'][:1]}")
         probe = 10.0 ** rng.uniform(-2, 2, size=(32, len(links)))
-        if min(float(policy.route(v, p).min()) for p in probe) <= 0.0:
+        if policy.route(v, probe).min() <= 0.0:
             raise ValueError(f"node {v}: routing split is not strictly positive")
-        if len(links) >= 2:
-            rep_b = check_property_b(policy, v, subset=links[:1])
-            if not rep_b.passed:
-                raise ValueError(f"node {v}: congested links are not abandoned "
-                                 f"(limit-split property fails): {rep_b.detail}")
 
 
 def sample_scaling_perturbations(network: FlowNetwork, budget: float, n_samples: int,
@@ -315,16 +310,14 @@ def _bisect_scaling(defeated, eps_lo: float, capacity: float, delta_tol: float):
 def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
                              config: SimulationConfig | None = None,
                              alphas=(0.5, 0.2, 0.1, 0.05), n_samples: int = 50,
-                             seed: int = 0, margin: float = 0.1,
-                             alpha_floor: float = 1e-3,
-                             bisect_tol_frac: float = 0.01) -> ResilienceReport:
+                             seed: int = 0) -> ResilienceReport:
     """Bracket the weak-resilience magnitude against the min-cut capacity.
 
     Upper side: for each alpha (swept downward), bisect the uniform scaling
     factor on a minimal cut for the smallest magnitude that defeats
-    alpha-transfer, to within ``bisect_tol_frac`` of C.  Lower side: random
-    scaling perturbations of magnitude up to (1 - margin) C, each of which
-    must keep the tail outflow at or above ``alpha_floor * inflow``
+    alpha-transfer, to within ``BISECT_TOL_FRAC`` of C.  Lower side: random
+    scaling perturbations of magnitude up to (1 - ``MARGIN``) C, each of which
+    must keep the tail outflow at or above ``ALPHA_FLOOR * inflow``
     (checked without slack).
 
     The bisection is judged on the limit-flow oracle: the perturbed flow
@@ -347,7 +340,7 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
                 f"defeat it; use alphas above 1e-3")
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
-    config, rho0 = _attack_setup(network, policy, inflow, config, None)
+    config, rho0 = _attack_setup(network, policy, inflow, config)
 
     def cut_spec(eps: float) -> PerturbationSpec:
         return PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
@@ -361,16 +354,16 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
         threshold = _transfer_threshold(alpha, inflow)
         brackets.append((alpha, *_bisect_scaling(
             lambda eps: not oracle_outflow(eps) >= threshold,
-            alpha * inflow / (2.0 * capacity), capacity, bisect_tol_frac * capacity)))
+            alpha * inflow / (2.0 * capacity), capacity, BISECT_TOL_FRAC * capacity)))
 
     audits = [(alpha, eps, defeated) for alpha, eps_lo, eps_hi, _ in brackets
               for eps, defeated in ((eps_lo, True), (eps_hi, False))]
-    specs = _sample_scalings(network, (1.0 - margin) * capacity, n_samples, seed, capacity,
+    specs = _sample_scalings(network, (1.0 - MARGIN) * capacity, n_samples, seed, capacity,
                              cut_links)
     outcomes = _evaluate_ensemble(
         [(AttackScenario(network, policy, inflow, cut_spec(eps), alpha), None)
          for alpha, eps, _ in audits]
-        + [(AttackScenario(network, policy, inflow, spec, alpha_floor), 0.0) for spec in specs],
+        + [(AttackScenario(network, policy, inflow, spec, ALPHA_FLOOR), 0.0) for spec in specs],
         config, rho0)
     for (alpha, eps, defeated), out in zip(audits, outcomes):
         if out.defeated != defeated:

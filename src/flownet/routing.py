@@ -32,8 +32,12 @@ __all__ = [
     "finite_difference_jacobian",
     "check_property_a",
     "check_property_b",
+    "responsiveness_findings",
     "cooperative_gap",
 ]
+
+# Density samples per node behind each property-(a) verdict.
+POLICY_SAMPLES = 300
 
 
 def finite_difference_jacobian(fn, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -68,7 +72,6 @@ class RoutingPolicy:
 
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
-        self._index_of = {lid: i for i, lid in enumerate(topology.link_ids)}
 
     def outgoing_links(self, v: int):
         links = self.topology.outgoing[v]
@@ -83,16 +86,6 @@ class RoutingPolicy:
         the splits come back in the same shape.
         """
         raise NotImplementedError
-
-    def route_from_global(self, v: int, rho) -> np.ndarray:
-        """Route using the full density vector (ordered like ``topology.links``).
-
-        Only the coordinates of v's outgoing links are read; this is the
-        distributedness of the policy.
-        """
-        rho = np.asarray(rho, dtype=float)
-        local = rho[[self._index_of[lid] for lid in self.outgoing_links(v)]]
-        return self.route(v, local)
 
     def jacobian(self, v: int, rho_v, split=None) -> np.ndarray:
         """Matrix [e, j] = d G_j / d rho_e (rows sum to 0 on the simplex).
@@ -174,9 +167,6 @@ class PropertyReport:
     passed: bool
     detail: dict
 
-    def __bool__(self):
-        return self.passed
-
 
 def _sample_densities(k: int, n_samples: int, rng) -> np.ndarray:
     """Mixed-scale samples: log-uniform over [1e-2, 1e2] with zeros sprinkled in."""
@@ -239,6 +229,33 @@ def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None,
         "cauchy_gap": max(gaps),
         "limit_split": limits[-1].tolist(),
     })
+
+
+def responsiveness_findings(policy: RoutingPolicy, seed: int = 0) -> list:
+    """Where sampled checks contradict the locally responsive properties.
+
+    Every non-destination node gets property (a) on ``POLICY_SAMPLES``
+    densities drawn from ``seed`` (the same draws at every node) and, with
+    two or more outgoing links, property (b) with its first link as the
+    surviving subset.  Returns ``(node, message)`` pairs in node order,
+    (a) before (b) at a node; an empty list means every check passed.
+    """
+    topo = policy.topology
+    findings = []
+    for v in range(topo.num_nodes):
+        out = topo.outgoing[v]
+        if not out:
+            continue
+        rep = check_property_a(policy, v, n_samples=POLICY_SAMPLES, rng=seed)
+        if not rep.passed:
+            findings.append((v, "cross-partial property (a) violated: inflow share may rise "
+                                f"with congestion (min cross-partial {rep.detail['min_cross_partial']:.3e})"))
+        if len(out) >= 2:
+            rep_b = check_property_b(policy, v, subset=out[:1])
+            if not rep_b.passed:
+                findings.append((v, "limit property (b) violated: congested links keep "
+                                    f"{rep_b.detail['off_subset_mass']:.3e} of the split"))
+    return findings
 
 
 def cooperative_gap(policy: RoutingPolicy, v: int, sigma, varsigma) -> float:

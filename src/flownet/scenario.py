@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .flows import ExponentialFlow, FlowNetwork, InadmissiblePerturbation, PerturbationSpec
 from .resilience import cut_attack
-from .routing import LogitPolicy
+from .routing import LogitPolicy, responsiveness_findings
 from .topology import Link, NetworkTopology, TopologyError, validate_topology
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "validate_scenario"]
@@ -152,6 +152,10 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     raw_links = _need(doc, "links", "scenario")
     if not isinstance(raw_links, list):
         raise ScenarioError(f"links: expected a JSON array, got {_kind(raw_links)}")
+    # every node but the destination has an outgoing link
+    if nodes > len(raw_links) + 1:
+        raise ScenarioError(f"nodes: {nodes} nodes cannot all be joined by "
+                            f"{len(raw_links)} links (at most {len(raw_links) + 1} nodes)")
     links = []
     for i, raw in enumerate(raw_links):
         where = f"links.{i}"
@@ -244,13 +248,11 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(doc, name=str(path))
 
 
-def validate_scenario(scenario: Scenario, n_policy_samples: int = 300) -> dict:
+def validate_scenario(scenario: Scenario) -> dict:
     """Full semantic validation: topology, flow certification, policy properties.
 
     Returns a machine-readable report; ``ok`` is the overall verdict.
     """
-    from .routing import check_property_a, check_property_b
-
     findings = []
     topo_result = validate_topology(scenario.topology)
     for msg in topo_result.violations:
@@ -261,25 +263,8 @@ def validate_scenario(scenario: Scenario, n_policy_samples: int = 300) -> dict:
             findings.append({"component": f"flow_function[{lid}]", "message": msg})
 
     if topo_result.ok:
-        for v in range(scenario.topology.num_nodes):
-            out = scenario.topology.outgoing[v]
-            if not out:
-                continue
-            rep = check_property_a(scenario.policy, v, n_samples=n_policy_samples, rng=scenario.seed)
-            if not rep.passed:
-                findings.append({
-                    "component": f"policy[{v}]",
-                    "message": "cross-partial property (a) violated: inflow share may rise "
-                               f"with congestion (min cross-partial {rep.detail['min_cross_partial']:.3e})",
-                })
-            if len(out) >= 2:
-                rep_b = check_property_b(scenario.policy, v, subset=out[:1])
-                if not rep_b.passed:
-                    findings.append({
-                        "component": f"policy[{v}]",
-                        "message": "limit property (b) violated: congested links keep "
-                                   f"{rep_b.detail['off_subset_mass']:.3e} of the split",
-                    })
+        for v, msg in responsiveness_findings(scenario.policy, scenario.seed):
+            findings.append({"component": f"policy[{v}]", "message": msg})
         if scenario.perturbation is not None:
             try:
                 scenario.perturbation_spec()

@@ -7,16 +7,14 @@ links are allowed and always kept as distinct link ids.
 Min-cut capacity comes from one augmenting-path max-flow run: the minimum
 cuts are exactly the origin sides closed in its residual network (Picard &
 Queyranne 1980), and the lexicographically smallest of them is read off
-that network directly, at any size.  Exhaustive cut enumeration is kept as
-an exact reference for small graphs.  Both are arithmetic-agnostic, so they
-run exactly on ``fractions.Fraction`` capacities as well as on floats.
+that network directly, at any size.  The computation is arithmetic-agnostic,
+so it runs exactly on ``fractions.Fraction`` capacities as well as on floats.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 __all__ = [
     "Link",
@@ -26,13 +24,8 @@ __all__ = [
     "TopologyError",
     "validate_topology",
     "topological_order",
-    "canonical_relabel",
-    "enumerate_od_cuts",
     "min_cut_capacity",
-    "max_flow_value",
 ]
-
-DEFAULT_ENUMERATION_LIMIT = 20
 
 
 class TopologyError(ValueError):
@@ -53,7 +46,7 @@ class Cut:
     """An origin/destination cut: the origin-side node set and its crossing links.
 
     ``flow_value`` is the max-flow value a minimum cut was certified
-    against (None for an enumerated cut); it takes no part in equality.
+    against (None for a cut built by hand); it takes no part in equality.
     """
 
     origin_side: frozenset
@@ -65,9 +58,6 @@ class Cut:
 class ValidationResult:
     ok: bool
     violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class NetworkTopology:
@@ -124,18 +114,6 @@ class NetworkTopology:
     def destination(self) -> int:
         (v,) = self.sinks()
         return v
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-ready form: node count plus id-sorted link records."""
-        return {
-            "nodes": self.num_nodes,
-            "links": [{"id": l.id, "tail": l.tail, "head": l.head} for l in self.links],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetworkTopology":
-        links = [Link(int(r["id"]), int(r["tail"]), int(r["head"])) for r in doc["links"]]
-        return cls(int(doc["nodes"]), links)
 
     def __repr__(self):
         return f"NetworkTopology(num_nodes={self.num_nodes}, links={len(self.links)})"
@@ -230,43 +208,6 @@ def topological_order(topo: NetworkTopology):
     return order
 
 
-def canonical_relabel(topo: NetworkTopology):
-    """Relabel nodes along ``topological_order``.
-
-    Returns ``(new_topo, mapping)`` where ``mapping[old_node] = new_label``.
-    Link ids are preserved.
-    """
-    order = topological_order(topo)
-    mapping = {old: new for new, old in enumerate(order)}
-    links = [Link(l.id, mapping[l.tail], mapping[l.head]) for l in topo.links]
-    return NetworkTopology(topo.num_nodes, links), mapping
-
-
-def enumerate_od_cuts(topo: NetworkTopology, limit: int = DEFAULT_ENUMERATION_LIMIT):
-    """All 2^(n-1) origin/destination cuts, n+1 being the node count.
-
-    Refuses graphs larger than ``limit`` nodes (the count is exponential).
-    Cuts are listed with origin sides in lexicographic order.
-    """
-    _require_valid(topo)
-    if topo.num_nodes > limit:
-        raise TopologyError(
-            f"{topo.num_nodes} nodes exceeds the cut-enumeration limit of {limit}"
-        )
-    origin, dest = topo.origin, topo.destination
-    middle = sorted(set(range(topo.num_nodes)) - {origin, dest})
-    cuts = []
-    for r in range(len(middle) + 1):
-        for extra in combinations(middle, r):
-            side = frozenset((origin,) + extra)
-            cut_links = frozenset(
-                l.id for l in topo.links if l.tail in side and l.head not in side
-            )
-            cuts.append(Cut(side, cut_links))
-    cuts.sort(key=lambda c: tuple(sorted(c.origin_side)))
-    return cuts
-
-
 def _check_capacities(topo: NetworkTopology, capacities):
     for lid in topo.link_ids:
         if lid not in capacities:
@@ -281,7 +222,7 @@ def min_cut_capacity(topo: NetworkTopology, capacities):
 
     Ties are broken lexicographically: among all minimizing cuts, the one
     whose sorted origin side is the smallest tuple is returned (``(0, 1, 2)``
-    precedes ``(0, 2)``), the first minimizer in the cut enumeration order.
+    precedes ``(0, 2)``).
     On float capacities, cuts whose sums tie only up to rounding follow the
     rounding of the flow rather than that of the cut sums.
 
@@ -337,14 +278,6 @@ def _closure(succ, nodes):
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def max_flow_value(topo: NetworkTopology, capacities):
-    """Maximum feasible origin-to-destination flow (Edmonds-Karp)."""
-    _require_valid(topo)
-    _check_capacities(topo, capacities)
-    value, _, _ = _max_flow(topo, capacities)
-    return value
 
 
 def _agrees(a, b) -> bool:

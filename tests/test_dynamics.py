@@ -178,17 +178,17 @@ class TestAlphaTransfer:
 class TestLocalLimitFlow:
     def test_zero_inflow(self, two_route):
         topo, net, policy = two_route
-        f, sat = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                  lambda r: policy.route(0, r), 0.0)
+        (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
+                                           lambda r: policy.route(0, r), [0.0])
         assert not sat
         np.testing.assert_array_equal(f, [0.0, 0.0])
 
     def test_interior_fixed_point_matches_scalar_oracle(self, two_route):
         topo, net, policy = two_route
         for lam in (0.25, 0.7, 1.0, 1.45):
-            f, sat = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                      lambda r: policy.route(0, r), lam,
-                                      jac_fn=lambda r, split: policy.jacobian(0, r, split))
+            (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
+                                               lambda r: policy.route(0, r), [lam],
+                                               jac_fn=lambda r, split: policy.jacobian(0, r, split))
             assert not sat
             np.testing.assert_allclose(f, two_route_fixed_point_oracle(lam), atol=1e-9)
             assert f.sum() == pytest.approx(lam, abs=1e-9)  # conservation
@@ -196,8 +196,8 @@ class TestLocalLimitFlow:
     def test_saturation_at_and_above_total_capacity(self, two_route):
         topo, net, policy = two_route
         for lam in (1.5, 2.0):
-            f, sat = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                      lambda r: policy.route(0, r), lam)
+            (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
+                                               lambda r: policy.route(0, r), [lam])
             assert sat
             np.testing.assert_array_equal(f, [0.75, 0.75])
 
@@ -208,8 +208,8 @@ class TestLocalLimitFlow:
         prev = None
         step = grid[1] - grid[0]
         for lam in grid:
-            f, _ = local_limit_flow(fns, lambda r: policy.route(0, r), float(lam),
-                                    jac_fn=lambda r, split: policy.jacobian(0, r, split))
+            (f,), _, _ = local_limit_flow(fns, lambda r: policy.route(0, r), [lam],
+                                          jac_fn=lambda r, split: policy.jacobian(0, r, split))
             assert f.sum() == pytest.approx(min(lam, 1.5), abs=1e-8)
             if prev is not None:
                 assert np.abs(f - prev).max() < 12.0 * step  # continuity, O(grid step)
@@ -227,7 +227,7 @@ class TestNetworkLimitFlow:
         lf = network_limit_flow(net, policy, 1.0)
         np.testing.assert_allclose(lf.flow_vector(topo), two_route_fixed_point_oracle(1.0),
                                    atol=1e-9)
-        assert lf.saturated_links() == []
+        assert not any(lf.saturated.values())
 
     def test_chain_saturating_middle_pins_its_links(self, chain):
         topo, net, policy = chain
@@ -246,7 +246,7 @@ class TestNetworkLimitFlow:
     def test_unsaturated_conservation_at_every_node(self, diamond):
         topo, net, policy = diamond
         lf = network_limit_flow(net, policy, 1.2)
-        assert not lf.saturated_links()
+        assert not any(lf.saturated.values())
         for v in range(topo.num_nodes):
             out = topo.outgoing[v]
             if out:

@@ -106,14 +106,6 @@ class TestEvaluateAttack:
             evaluate_attack(AttackScenario(net, policy, 2.0, spec, alpha=0.5),
                             SimulationConfig(inflow=2.0, horizon=50.0, dt=0.02))
 
-    def test_stretching_budget_enforced(self):
-        net = two_route_network()
-        policy = two_route_policy(net.topology)
-        from flownet import ExponentialFlow
-        stretchy = PerturbationSpec(net, {0: ExponentialFlow(0.5, 0.75)})  # theta = 2
-        with pytest.raises(ValueError):
-            AttackScenario(net, policy, 1.0, stretchy, alpha=0.5, theta_max=1.5)
-
 
 class TestWeakResilience:
     def test_two_route_bracket_and_bounds(self):
@@ -254,7 +246,7 @@ class TestBatchedVerdicts:
     def test_ensemble_verdicts_match_evaluate_attack(self):
         net = diamond_network()
         policy = diamond_policy(net.topology)
-        config, rho0 = resilience._attack_setup(net, policy, 1.0, SHORT, None)
+        config, rho0 = resilience._attack_setup(net, policy, 1.0, SHORT)
         specs = sample_scaling_perturbations(net, 1.2, 4, seed=2)
         attacks = [(AttackScenario(net, policy, 1.0, spec, alpha), tol)
                    for spec, alpha, tol in zip(specs, (0.5, 0.05, 1e-3, 0.2), (None, 0.0, 0.0, 1e-2))]
@@ -267,7 +259,7 @@ class TestBatchedVerdicts:
         net = diamond_network()
         policy = diamond_policy(net.topology)
         config, rho0 = resilience._attack_setup(
-            net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=100.0, dt=0.02), None)
+            net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=100.0, dt=0.02))
         attacks = [(AttackScenario(net, policy, 1.0, spec, 0.05), None)
                    for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
         records = dynamics._record_count(dynamics._step_count(config.horizon, config.dt), 1)

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flownet import (
+    ExponentialFlow,
+    FlowNetwork,
     GenericPolicy,
     LogitPolicy,
     NetworkTopology,
+    SimulationConfig,
     check_property_a,
     check_property_b,
     cooperative_gap,
+    simulate,
 )
 from flownet.routing import _sample_densities, finite_difference_jacobian
 
@@ -72,13 +76,16 @@ class TestRoute:
         assert np.all(policy.route(0, [r1, r2]) > 0.0)
 
     def test_distributedness(self):
-        # a 3-node chain: node 0's split ignores the downstream link's density
+        # a 3-node chain: node 0's split sees only its own links, so their
+        # densities evolve the same whatever the downstream link holds
         topo = NetworkTopology(3, [(0, 0, 1), (1, 0, 1), (2, 1, 2)])
+        net = FlowNetwork(topo, {lid: ExponentialFlow(1.0, 1.0) for lid in topo.link_ids})
         policy = LogitPolicy(topo, eta={0: 1.0, 1: 1.0}, weights={0: 1.0, 1: 2.0, 2: 1.0})
-        base = policy.route_from_global(0, [0.4, 0.9, 0.1])
+        config = SimulationConfig(inflow=1.0, horizon=5.0, dt=0.05)
+        base = simulate(net, policy, config, [0.4, 0.9, 0.1]).rho[:, :2]
         for downstream in (0.0, 5.0, 1e3):
             np.testing.assert_array_equal(
-                policy.route_from_global(0, [0.4, 0.9, downstream]), base
+                simulate(net, policy, config, [0.4, 0.9, downstream]).rho[:, :2], base
             )
 
     def test_weights_must_be_positive(self):

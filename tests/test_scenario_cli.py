@@ -5,11 +5,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from flownet import load_scenario, max_flow_value, parse_scenario, resilience, topology
+from flownet import load_scenario, parse_scenario, resilience, topology
 from flownet import validate_scenario
 from flownet.cli import main
 from flownet.scenario import ScenarioError
@@ -140,6 +141,34 @@ class TestMalformedNumbers:
         assert report["findings"][0]["message"].startswith("inflow: ")
 
 
+class TestNodeCount:
+    """A node count beyond what the links can join is a document error, found before
+    any per-node table is built."""
+
+    def test_one_more_node_than_links_parses(self):
+        doc = json.loads((DATA / "chain21.json").read_text())
+        assert doc["nodes"] == len(doc["links"]) + 1
+        assert parse_scenario(doc).topology.num_nodes == doc["nodes"]
+
+    def test_two_more_nodes_than_links_rejected(self):
+        doc = json.loads((DATA / "chain21.json").read_text())
+        doc["nodes"] = len(doc["links"]) + 2
+        with pytest.raises(ScenarioError, match=r"^nodes: 4 nodes .*at most 3 nodes"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("command", ["validate", "limitflow", "simulate"])
+    def test_billion_nodes_exit_one_fast(self, tmp_path, capsys, command):
+        doc = write_mutated(tmp_path, ("nodes",), 10 ** 9)
+        start = time.perf_counter()
+        code, out = TestMalformedNumbers.run(command, doc, tmp_path, capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        if command == "validate":
+            (finding,) = json.loads(out)["findings"]
+            assert finding["component"] == "document"
+            assert finding["message"].startswith("nodes: 1000000000 nodes")
+
+
 class TestCmdValidate:
     def test_good_scenario_exit_zero(self, capsys):
         code, out = run_cli("validate", str(DATA / "example3.json"), capsys=capsys)
@@ -264,7 +293,7 @@ class TestCmdMincut:
 
     def test_one_max_flow_run(self, monkeypatch, capsys):
         sc = load_scenario(DATA / "random8.json")
-        expected = max_flow_value(sc.topology, sc.network.capacities())
+        expected, _, _ = topology._max_flow(sc.topology, sc.network.capacities())
         runs = []
         real = topology._max_flow
 
@@ -381,6 +410,15 @@ class TestCmdResilience:
         code, _ = run_cli("resilience", str(DATA / "anti_cooperative.json"),
                           "--alphas", "0.1", "--samples", "2", capsys=capsys)
         assert code == 2
+
+    def test_responsiveness_failure_is_validates_first_finding(self, capsys):
+        # one judgement: resilience raises the first policy finding validate reports
+        code, out = run_cli("validate", str(DATA / "anti_cooperative.json"), capsys=capsys)
+        first = next(f for f in json.loads(out)["findings"] if f["component"].startswith("policy"))
+        assert main(["resilience", str(DATA / "anti_cooperative.json"),
+                     "--alphas", "0.1", "--samples", "2", "--seed", "0"]) == 2
+        node = first["component"][len("policy["):-1]
+        assert capsys.readouterr().err == f"error: node {node}: {first['message']}\n"
 
 
 class TestGoldenFiles:

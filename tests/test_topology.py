@@ -9,16 +9,14 @@ import pytest
 from flownet import (
     NetworkTopology,
     TopologyError,
-    enumerate_od_cuts,
-    max_flow_value,
     min_cut_capacity,
     topological_order,
     validate_topology,
 )
 from flownet import cli, topology
-from flownet.topology import canonical_relabel
 
 from conftest import DATA, random_dag
+from cut_enumeration import canonical_relabel, enumerate_od_cuts
 
 
 def brute_force_min_cut(topo, caps):
@@ -169,7 +167,7 @@ class TestMinCutMaxFlow:
         caps = {0: 0.75, 1: 0.75}
         value, cut = min_cut_capacity(topo, caps)
         assert value == pytest.approx(1.5, abs=1e-15)
-        assert max_flow_value(topo, caps) == pytest.approx(1.5, abs=1e-15)
+        assert cut.flow_value == pytest.approx(1.5, abs=1e-15)
         assert cut.cut_links == frozenset({0, 1})
 
     def test_chain_bottleneck(self):
@@ -191,8 +189,8 @@ class TestMinCutMaxFlow:
         for _ in range(40):
             topo = random_dag(rng)
             caps = {l.id: Fraction(int(rng.integers(10, 500)), 100) for l in topo.links}
-            enum_val, _ = min_cut_capacity(topo, caps)
-            assert enum_val == max_flow_value(topo, caps)  # exact rational equality
+            enum_val, cut = min_cut_capacity(topo, caps)
+            assert enum_val == cut.flow_value  # exact rational equality
             assert enum_val == brute_force_min_cut(topo, caps)
 
     def test_mincut_ties_resolved_lexicographically(self):
@@ -259,11 +257,9 @@ class TestMinCutMaxFlow:
         assert value == 2.0
         assert cut.origin_side == frozenset({0, 1, 2})
 
-    def test_twenty_nodes_never_enumerates(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerate_od_cuts called")
-
-        monkeypatch.setattr(topology, "enumerate_od_cuts", refuse)
+    def test_twenty_nodes_never_enumerates(self):
+        # cut enumeration lives in the tests only; the library cannot reach it
+        assert not hasattr(topology, "enumerate_od_cuts")
         topo = NetworkTopology(20, [(v, v, v + 1) for v in range(19)] + [(19, 0, 10)])
         caps = {lid: 1.0 for lid in topo.link_ids}
         value, cut = min_cut_capacity(topo, caps)
@@ -285,12 +281,3 @@ class TestMinCutMaxFlow:
         err = capsys.readouterr().err
         assert err.startswith("error: min-cut capacity") and "Traceback" not in err
 
-
-class TestSerialization:
-    def test_round_trip_canonical_dict(self):
-        topo = NetworkTopology(3, [(1, 1, 2), (0, 0, 1)])
-        doc = topo.to_dict()
-        assert [r["id"] for r in doc["links"]] == [0, 1]  # id-sorted
-        again = NetworkTopology.from_dict(doc)
-        assert again.to_dict() == doc
-        assert again.outgoing == topo.outgoing
