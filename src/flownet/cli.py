@@ -54,6 +54,17 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative integer, rejected by the parser otherwise."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -90,18 +101,25 @@ def _initial_density(scenario: Scenario):
     return np.array([float(raw.get(str(lid), 0.0)) for lid in scenario.topology.link_ids])
 
 
-def _trajectory_csv(traj) -> str:
+# Trajectory rows encoded and written per block of the simulate CSV.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_trajectory_csv(traj, fh) -> None:
+    """Write the trajectory as CSV to the text file ``fh``, a block of rows at a time.
+
+    A row is t, then rho, flows and node inflows, each float as ``repr``;
+    only one block's text exists at once.
+    """
     cols = (["t"] + [f"rho_{lid}" for lid in traj.link_ids]
             + [f"f_{lid}" for lid in traj.link_ids]
             + [f"lambda_{v}" for v in range(traj.node_inflows.shape[1])])
-    lines = [",".join(cols)]
-    for i in range(len(traj.times)):
-        row = [repr(float(traj.times[i]))]
-        row += [repr(float(x)) for x in traj.rho[i]]
-        row += [repr(float(x)) for x in traj.flows[i]]
-        row += [repr(float(x)) for x in traj.node_inflows[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    fh.write(",".join(cols) + "\n")
+    for lo in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+        block = np.column_stack((traj.times[rows], traj.rho[rows], traj.flows[rows],
+                                 traj.node_inflows[rows])).tolist()
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def cmd_validate(args) -> int:
@@ -166,7 +184,8 @@ def cmd_simulate(args) -> int:
 
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")
-    csv_path.write_text(_trajectory_csv(traj), encoding="utf-8")
+    with csv_path.open("w", encoding="utf-8") as fh:
+        _write_trajectory_csv(traj, fh)
     summary_path = out.parent / (out.name + ".summary.json")
     summary_path.write_text(_dump_json(summary), encoding="utf-8")
     manifest = _write_manifest(out, sys.argv[1:], args.scenario, scenario.seed,
@@ -278,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--alphas", default="0.5,0.2,0.1,0.05")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--jobs", type=int, default=1,

@@ -20,6 +20,7 @@ checked against.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -231,8 +232,13 @@ class Trajectory:
         return self.flows[-1]
 
     def tail_slice(self, tail_fraction: float) -> slice:
-        t0 = self.times[-1] - tail_fraction * (self.times[-1] - self.times[0])
+        t0 = _tail_t0(self.times[0], self.times[-1], tail_fraction)
         return slice(int(np.searchsorted(self.times, t0)), len(self.times))
+
+
+def _tail_t0(t_first, t_last, tail_fraction: float):
+    """Start of the trailing ``tail_fraction`` of [t_first, t_last]."""
+    return t_last - tail_fraction * (t_last - t_first)
 
 
 @dataclass
@@ -255,30 +261,55 @@ def _record_count(n_steps: int, record_stride: int) -> int:
     return 1 + n_steps // record_stride + (n_steps % record_stride != 0)
 
 
+def _record_step(record: int, n_steps: int, record_stride: int) -> int:
+    """The step whose state is record ``record`` of a run."""
+    return min(record * record_stride, n_steps)
+
+
+def _window_start(n_steps: int, dt: float, record_stride: int, window: float) -> int:
+    """First record in the trailing ``window`` fraction of a run's horizon.
+
+    This is the start of ``Trajectory.tail_slice(window)`` on the full
+    record, known before integrating: record r lies at ``step * dt`` as
+    ``_integrate`` computes it.  A window of 1 starts at record 0, a window
+    of 0 at the last record.
+    """
+    def time(record):
+        return _record_step(record, n_steps, record_stride) * dt
+
+    n_records = _record_count(n_steps, record_stride)
+    t0 = _tail_t0(time(0), time(n_records - 1), window)
+    return bisect.bisect_left(range(n_records), t0, key=time)
+
+
 def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: float,
-               record_stride: int = 1):
+               record_stride: int = 1, first_record: int = 0):
     """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
 
     Clamps densities at zero and records the worst undershoot per member
     (a float for a single state, an array of B for an ensemble).  The step
     is shrunk to land exactly on the horizon.  Returns ``(times, states,
-    undershoot, dt)`` with ``states`` of shape ``(records,) + rho0.shape``.
+    undershoot, dt)`` with ``states`` of shape ``(records,) + rho0.shape``:
+    the records of a full run from index ``first_record`` on.
     """
     n_steps = _step_count(horizon, dt)
     dt = horizon / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
     rho = np.array(rho0, dtype=float)
-    n_records = _record_count(n_steps, record_stride)
+    n_records = _record_count(n_steps, record_stride) - first_record
+    first_step = _record_step(first_record, n_steps, record_stride)
     try:
         times = np.empty(n_records)
         states = np.empty((n_records,) + rho.shape)
     except (MemoryError, ValueError) as exc:
         raise SimulationError(f"{n_records} recorded states do not fit in memory; raise dt "
                               "or record_stride, or shorten the horizon") from exc
-    times[0] = 0.0
-    states[0] = rho
+    recorded = 0
+    if first_record == 0:
+        times[0] = 0.0
+        states[0] = rho
+        recorded = 1
     undershoot = np.zeros(rho.shape[:-1])
-    recorded = 1
     t = 0.0
     for step in range(1, n_steps + 1):
         k1 = deriv(t, rho)
@@ -295,7 +326,7 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: floa
             raise SimulationError(
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
-        if step % record_stride == 0 or step == n_steps:
+        if step >= first_step and (step % record_stride == 0 or step == n_steps):
             times[recorded] = t
             states[recorded] = rho
             recorded += 1
@@ -341,8 +372,19 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     ``rho0s`` or its entry is None); all members share ``config`` and
     hence one time grid.  Each returned ``Trajectory`` is bit-for-bit the
     one ``simulate`` gives for that member alone.  A member that blows up
-    raises ``SimulationError`` for the whole ensemble.  Everything stays in
-    memory: callers with many long members go through ``_iter_ensemble``.
+    raises ``SimulationError`` for the whole ensemble.  Every state of
+    every member stays in memory: consumers that read less go through
+    ``_iter_ensemble``, which keeps only the records they read and sizes
+    its chunks by those.
+    """
+    return _simulate_records(networks, policy, config, rho0s, 0)
+
+
+def _simulate_records(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+                      first_record: int) -> list:
+    """``simulate_ensemble`` keeping the records from index ``first_record`` on.
+
+    The kept rows of every array are bit-for-bit those of the full run.
     """
     networks = list(networks)
     if not networks:
@@ -361,7 +403,8 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
 
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     times, states, undershoot, dt_actual = _integrate(
-        deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride
+        deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride,
+        first_record
     )
     if states.ndim == 2:
         members = [(states, compiled.flows(states), undershoot)]
@@ -374,7 +417,12 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
         # one contiguous (records, m) block per member, as the single-run
         # matrix product needs for its summation order
         flows_sorted = np.ascontiguousarray(flows_sorted)
-        lam = flows_sorted @ compiled.head_mat.T
+        if len(flows_sorted) > 1:
+            lam = flows_sorted @ compiled.head_mat.T
+        else:
+            # numpy hands a one-row product to a matrix-vector kernel, whose
+            # sums can differ in the last bit; a full run keeps two rows or more
+            lam = (np.repeat(flows_sorted, 2, axis=0) @ compiled.head_mat.T)[:1]
         lam[:, topo.origin] = config.inflow
         trajectories.append(Trajectory(
             times=times.copy(),
@@ -394,24 +442,34 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
 _ENSEMBLE_BYTES = 64 * 2**20
 
 
-def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s):
+def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+                   window: float = 1.0):
     """``simulate_ensemble``'s trajectories one by one, in member order.
 
-    Members are integrated in chunks: each member keeps records x (2m + n)
-    floats (densities, flows, node inflows), and a chunk holds as many
-    members as fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each
-    trajectory as it arrives keeps at most one chunk alive.
+    Each trajectory keeps only the records in the trailing ``window``
+    fraction of the horizon, the rows ``Trajectory.tail_slice(window)``
+    selects on the full run and bit-for-bit equal to them: 1 keeps every
+    record, ``config.tail_fraction`` the window a transfer verdict reads
+    and 0 only the last state.  Members are integrated in chunks sized by
+    the records a member keeps: each keeps records x (2m + n) floats
+    (densities, flows, node inflows), and a chunk holds as many members as
+    fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each trajectory as
+    it arrives keeps at most one chunk alive.
     """
     networks, rho0s = list(networks), list(rho0s)
     if not networks:
         return
     topo = networks[0].topology
     n_steps = _step_count(config.horizon, _ensemble_dt(networks, config))
-    member_bytes = (8 * _record_count(n_steps, config.record_stride)
+    # the step ``_integrate`` shrinks to land on the horizon
+    dt = config.horizon / n_steps
+    first = _window_start(n_steps, dt, config.record_stride, window)
+    member_bytes = (8 * (_record_count(n_steps, config.record_stride) - first)
                     * (2 * len(topo.links) + topo.num_nodes))
     size = max(1, _ENSEMBLE_BYTES // member_bytes)
     for lo in range(0, len(networks), size):
-        yield from simulate_ensemble(networks[lo:lo + size], policy, config, rho0s[lo:lo + size])
+        yield from _simulate_records(networks[lo:lo + size], policy, config,
+                                     rho0s[lo:lo + size], first)
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: float,
@@ -466,7 +524,16 @@ def alpha_transfer_estimate(traj: Trajectory, alpha: float, inflow: float | None
     """
     if inflow is None:
         inflow = traj.inflow
-    tail = traj.outflow[traj.tail_slice(tail_fraction)]
+    return _judge_tail(traj.outflow[traj.tail_slice(tail_fraction)], alpha, inflow, tol)
+
+
+def _judge_tail(tail: np.ndarray, alpha: float, inflow: float,
+                tol: float | None = None) -> TransferEstimate:
+    """The transfer verdict on the outflow over the tail window, ``tail``.
+
+    ``alpha_transfer_estimate`` cuts the window from a full trajectory;
+    consumers whose trajectories keep only the window judge it here.
+    """
     tail_min = float(tail.min())
     variation = float(tail.max() - tail.min())
     inconclusive = variation > 0.05 * inflow if inflow > 0 else False
@@ -751,7 +818,8 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     Initial densities are drawn log-uniformly over [1e-3, 1e2] times each
     link's median density, covering near-empty through heavily congested
     starts.  Saturated links are compared at their capacity value.  The
-    starts run as one ensemble (in memory-bounded chunks).
+    starts run as one ensemble (in memory-bounded chunks) that keeps only
+    each start's last state.
     """
     if n_initial < 2:
         raise ValueError("need at least two initial conditions to compare")
@@ -765,7 +833,7 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     reference = network_limit_flow(network, policy, inflow)
     ref_vec = reference.flow_vector(topo)
     rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
-    trajs = _iter_ensemble([network] * n_initial, policy, config, rho0s)
+    trajs = _iter_ensemble([network] * n_initial, policy, config, rho0s, window=0.0)
     terminals = np.array([limit_flow_estimate(traj, network, config.sat_threshold)[0]
                           for traj in trajs])
     pairwise = 0.0

@@ -20,8 +20,8 @@ import numpy as np
 from .dynamics import (
     SimulationConfig,
     _iter_ensemble,
+    _judge_tail,
     _transfer_threshold,
-    alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
 )
@@ -182,10 +182,9 @@ def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
     return config, _initial_densities(network, base_limit.flow_vector(network.topology))
 
 
-def _judge(traj, scenario: AttackScenario, config: SimulationConfig,
-           transfer_tol: float | None) -> AttackOutcome:
-    est = alpha_transfer_estimate(traj, scenario.alpha, scenario.inflow,
-                                  config.tail_fraction, tol=transfer_tol)
+def _judge(traj, scenario: AttackScenario, transfer_tol: float | None) -> AttackOutcome:
+    """The verdict on a trajectory that keeps only the tail window."""
+    est = _judge_tail(traj.outflow, scenario.alpha, scenario.inflow, transfer_tol)
     return AttackOutcome(
         defeated=not est.transferring,
         tail_min=est.tail_min,
@@ -211,15 +210,17 @@ def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
     """Judge ``(scenario, transfer_tol)`` pairs on one network as one ensemble.
 
     ``config`` and ``rho0`` come from ``_attack_setup``; the outcomes come
-    back in the order of ``attacks``.  Each trajectory is judged and dropped
-    as it arrives, so none outlives its chunk.
+    back in the order of ``attacks``.  Members record only the tail window
+    ``config.tail_fraction`` that the verdict reads, and each trajectory is
+    judged and dropped as it arrives, so none outlives its chunk.
     """
     if not attacks:
         return []
     network, policy = attacks[0][0].network, attacks[0][0].policy
     perturbed = [network.perturbed(scenario.perturbation) for scenario, _ in attacks]
-    trajs = _iter_ensemble(perturbed, policy, config, [rho0] * len(attacks))
-    return [_judge(next(trajs), scenario, config, tol) for scenario, tol in attacks]
+    trajs = _iter_ensemble(perturbed, policy, config, [rho0] * len(attacks),
+                           window=config.tail_fraction)
+    return [_judge(next(trajs), scenario, tol) for scenario, tol in attacks]
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork, seed: int = 0):

@@ -216,6 +216,10 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if inflow < 0:
         raise ScenarioError("inflow: must be nonnegative")
 
+    seed = _number(doc.get("seed", 0), "seed", integer=True)
+    if seed < 0:
+        raise ScenarioError(f"seed: must be a nonnegative integer, got {seed}")
+
     pert = doc.get("perturbation")
     if pert is not None:
         if not isinstance(pert, dict) or not ({"links", "cut_attack"} & set(pert)):
@@ -232,7 +236,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         network=network,
         policy=policy,
         inflow=inflow,
-        seed=_number(doc.get("seed", 0), "seed", integer=True),
+        seed=seed,
         simulation=_simulation_section(doc.get("simulation", {})),
         perturbation=pert,
     )

@@ -470,14 +470,77 @@ class TestEnsemble:
         # 101 records x (2 * 6 links + 5 nodes) floats per member: two members fit
         monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 17 + 1)
         sizes = []
-        real = dynamics.simulate_ensemble
+        real = dynamics._simulate_records
 
         def counting(networks, *args):
             sizes.append(len(networks))
             return real(networks, *args)
 
-        monkeypatch.setattr(dynamics, "simulate_ensemble", counting)
+        monkeypatch.setattr(dynamics, "_simulate_records", counting)
         chunked = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s))
         assert sizes == [2, 2, 1]
-        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s)):
+        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s, 0)):
             _assert_same_trajectory(traj, ref)
+
+
+class TestRecordWindow:
+    """Ensembles that keep only a trailing window hold the full run's rows bit for bit."""
+
+    @staticmethod
+    def _assert_tail_rows(traj, full, first):
+        for field in ("times", "rho", "flows", "node_inflows"):
+            assert np.array_equal(getattr(traj, field), getattr(full, field)[first:]), field
+        assert traj.max_undershoot == full.max_undershoot
+        assert traj.dt == full.dt
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    def test_every_first_record(self, name):
+        # the node inflows of a tail block are the full run's rows at every offset
+        sc = load_scenario(DATA / f"{name}.json")
+        nets, rho0s = TestEnsemble.perturbed_members(sc.network, 5, seed=4)
+        config = SimulationConfig(inflow=sc.inflow, horizon=0.5, dt=default_dt(sc.network))
+        full = simulate_ensemble(nets, sc.policy, config, rho0s)
+        for first in range(len(full[0].times)):
+            tails = dynamics._simulate_records(nets, sc.policy, config, rho0s, first)
+            for traj, ref in zip(tails, full):
+                self._assert_tail_rows(traj, ref, first)
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_window_is_the_tail_slice(self, name, stride):
+        sc = load_scenario(DATA / f"{name}.json")
+        nets, rho0s = TestEnsemble.perturbed_members(sc.network, 3, seed=stride)
+        config = SimulationConfig(inflow=sc.inflow, horizon=5.0, dt=default_dt(sc.network),
+                                  record_stride=stride)
+        n_steps = dynamics._step_count(config.horizon, config.dt)
+        assert n_steps % 7 and n_steps % 3  # the final step lies off the stride grid
+        full = simulate_ensemble(nets, sc.policy, config, rho0s)
+        for window in (0.0, 0.2, 0.37, 1.0):
+            tails = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s, window))
+            for traj, ref in zip(tails, full, strict=True):
+                self._assert_tail_rows(traj, ref, ref.tail_slice(window).start)
+                if window == 0.0:
+                    assert len(traj.times) == 1
+                elif window < 1:
+                    for alpha, tol in ((0.5, None), (0.05, 0.0)):
+                        assert dynamics._judge_tail(traj.outflow, alpha, sc.inflow, tol) == \
+                            alpha_transfer_estimate(ref, alpha, sc.inflow, window, tol)
+
+    def test_convergence_check_reads_only_the_last_state(self, two_route, monkeypatch):
+        topo, net, policy = two_route
+        config = SimulationConfig(inflow=1.2, horizon=40.0, dt=0.02, record_stride=3)
+        windows = []
+        real = dynamics._iter_ensemble
+
+        def full_record(networks, policy, config, rho0s, window=1.0):
+            windows.append(window)
+            return real(networks, policy, config, rho0s)
+
+        report = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
+        monkeypatch.setattr(dynamics, "_iter_ensemble", full_record)
+        reference = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
+        assert windows == [0.0]
+        assert np.array_equal(report.terminal_flows, reference.terminal_flows)
+        assert np.array_equal(report.limit_reference, reference.limit_reference)
+        assert (report.max_pairwise_gap, report.max_reference_gap, report.passed) == \
+            (reference.max_pairwise_gap, reference.max_reference_gap, reference.passed)

@@ -9,9 +9,12 @@ from flownet import (
     AttackScenario,
     PerturbationSpec,
     SimulationConfig,
+    alpha_transfer_estimate,
     cut_attack,
     estimate_weak_resilience,
     evaluate_attack,
+    load_scenario,
+    simulate,
 )
 from flownet.cli import main
 from flownet.dynamics import _transfer_threshold
@@ -170,13 +173,13 @@ class TestBatchedVerdicts:
     def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()
         sizes = []
-        real = dynamics.simulate_ensemble
+        real = dynamics._simulate_records
 
         def counting(networks, *args):
             sizes.append(len(networks))
             return real(networks, *args)
 
-        monkeypatch.setattr(dynamics, "simulate_ensemble", counting)
+        monkeypatch.setattr(dynamics, "_simulate_records", counting)
         estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
                                  alphas=(0.5, 0.05), n_samples=4, seed=3)
         # both endpoints of both alphas' brackets, then every sample
@@ -253,6 +256,30 @@ class TestBatchedVerdicts:
         batched = resilience._evaluate_ensemble(attacks, config, rho0)
         assert batched == [evaluate_attack(scenario, SHORT, transfer_tol=tol)
                            for scenario, tol in attacks]
+
+    @pytest.mark.parametrize("tail_fraction", [0.2, 0.37])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_tail_only_verdicts_match_full_trajectories(self, tail_fraction, stride):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        config = SimulationConfig(inflow=1.0, horizon=4.0, dt=0.02,
+                                  tail_fraction=tail_fraction, record_stride=stride)
+        assert dynamics._step_count(config.horizon, config.dt) % 7  # 200 steps
+        config, rho0 = resilience._attack_setup(net, policy, 1.0, config)
+        specs = sample_scaling_perturbations(net, 1.3, 5, seed=6)
+        # a cut attack, and origin links scaled down: the outflow still falls at the horizon
+        specs += [cut_attack(net, 0.05, 1.0), PerturbationSpec.scaling(net, {0: 0.1, 1: 0.1})]
+        attacks = [(AttackScenario(net, policy, 1.0, spec, alpha), tol)
+                   for spec in specs for alpha, tol in ((0.5, None), (0.05, 0.0))]
+        outcomes = resilience._evaluate_ensemble(attacks, config, rho0)
+        for (scenario, tol), out in zip(attacks, outcomes, strict=True):
+            traj = simulate(net.perturbed(scenario.perturbation), policy, config, rho0)
+            est = alpha_transfer_estimate(traj, scenario.alpha, 1.0, tail_fraction, tol)
+            assert (out.tail_min, out.inconclusive, out.defeated) == \
+                (est.tail_min, est.inconclusive, not est.transferring)
+        # the mix exercises both sides of each judgement
+        assert {out.defeated for out in outcomes} == {out.inconclusive for out in outcomes} \
+            == {True, False}
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_judged_trajectories_do_not_outlive_their_chunk(self, monkeypatch, per_chunk):

@@ -1,6 +1,7 @@
 """Scenario-document parsing, end-to-end CLI commands, and output schemas."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -10,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from flownet import load_scenario, parse_scenario, resilience, topology
-from flownet import validate_scenario
+from flownet import cli, dynamics, load_scenario, parse_scenario, resilience, topology
+from flownet import Trajectory, validate_scenario
 from flownet.cli import main
 from flownet.scenario import ScenarioError
 
 from conftest import DATA
+from simulate_digests import DIGESTS, simulate_digests, simulate_runs
 
 
 def run_cli(*argv, capsys=None):
@@ -97,6 +99,7 @@ class TestMalformedNumbers:
         "inflow-nan": (("inflow",), math.nan),
         "inflow-huge-int": (("inflow",), 10 ** 400),
         "seed-null": (("seed",), None),
+        "seed-negative": (("seed",), -1),
         "flow-functions-array": (("flow_functions",), []),
         "policies-array": (("policies",), []),
         "simulation-number": (("simulation",), 5),
@@ -188,6 +191,13 @@ class TestCmdValidate:
         report = json.loads(out)
         assert any(f["component"] == "policy[0]" and "cross-partial" in f["message"]
                    for f in report["findings"])
+
+    def test_negative_seed_is_a_document_finding(self, tmp_path, capsys):
+        code, out = run_cli("validate", str(write_mutated(tmp_path, ("seed",), -1)),
+                            capsys=capsys)
+        assert code == 1
+        (finding,) = json.loads(out)["findings"]
+        assert finding["component"] == "document" and finding["message"].startswith("seed: ")
 
     def test_unparseable_document_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
@@ -387,6 +397,18 @@ class TestCmdResilience:
             reports.append((stdout, out.read_bytes()))
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch, capsys, seed):
+        def no_work(*args):
+            raise AssertionError("no scenario may be loaded")
+
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["resilience", str(DATA / "diamond5.json"), "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in err
+
     def test_infinite_horizon_is_runtime_failure(self, capsys):
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                      "--samples", "2", "--horizon", "inf"])
@@ -447,6 +469,37 @@ class TestGoldenFiles:
         assert code == 0
         assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes()
 
+    # recorded with whole-trajectory sizing, which split these 16 members 15 + 1
+    DIAMOND5_16_MEMBERS_SHA256 = "132d0b4d366d27f587a8c03f080317dd3858587b3379895efe5f225a38334542"
+
+    def test_default_horizon_verdicts_run_as_one_chunk(self, monkeypatch, capsys):
+        # two alphas' bracket audits and 12 samples at the default horizon of 200
+        sizes = []
+        real = dynamics._simulate_records
+
+        def counting(networks, *args):
+            sizes.append(len(networks))
+            return real(networks, *args)
+
+        monkeypatch.setattr(dynamics, "_simulate_records", counting)
+        code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
+                            "--samples", "12", "--seed", "3", capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIAMOND5_16_MEMBERS_SHA256
+        assert sizes == [16]
+        # whole trajectories, 32 002 records of 2 * 6 links + 5 nodes, fit 15 to a chunk
+        dt = dynamics.default_dt(load_scenario(DATA / "diamond5.json").network)
+        records = dynamics._record_count(dynamics._step_count(200.0, dt), 1)
+        assert records == 32002
+        assert dynamics._ENSEMBLE_BYTES // (8 * records * 17) == 15
+
+    def test_simulate_outputs_match_pinned_digests(self, tmp_path):
+        pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+        runs = simulate_runs(tmp_path)
+        assert sorted(runs) == sorted(pinned)
+        for name, (path, extra) in runs.items():
+            assert simulate_digests(path, extra, tmp_path) == pinned[name], name
+
     # the attack run's 175 KB trajectory is pinned by digest, its summary by bytes
     CUTATTACK_CSV_SHA256 = "3572d8ef67ea32ec7fd27f46075bfb3473cfb5c730e4e7414518c326f0b404a0"
 
@@ -464,6 +517,39 @@ class TestGoldenFiles:
                 "--out", str(tmp_path / "sweep.csv"), capsys=capsys)
         assert (tmp_path / "sweep.csv").read_bytes() == \
             (self.GOLDEN / "chain_sweep.csv").read_bytes()
+
+
+def _one_string_csv(traj) -> str:
+    """The trajectory CSV built as one string, row by row."""
+    cols = (["t"] + [f"rho_{lid}" for lid in traj.link_ids]
+            + [f"f_{lid}" for lid in traj.link_ids]
+            + [f"lambda_{v}" for v in range(traj.node_inflows.shape[1])])
+    lines = [",".join(cols)]
+    for i in range(len(traj.times)):
+        row = [repr(float(traj.times[i]))]
+        row += [repr(float(x)) for x in traj.rho[i]]
+        row += [repr(float(x)) for x in traj.flows[i]]
+        row += [repr(float(x)) for x in traj.node_inflows[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_csv_blocks_match_one_string(offset):
+    block = cli._CSV_BLOCK_ROWS
+    rows = 2 if offset is None else block + offset
+    rng = np.random.default_rng(rows)
+    # floats of every repr shape: integral, tiny, huge, negative, long mantissas
+    values = rng.standard_normal((rows, 3 + 3 + 4)) * 10.0 ** rng.integers(-30, 30, (rows, 10))
+    values[::7, 1] = 0.0
+    values[::5, 4] = 1.0
+    traj = Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, rows)), rho=values[:, :3],
+                      flows=values[:, 3:6], node_inflows=values[:, 6:], link_ids=(0, 4, 2),
+                      inflow=1.0, dt=0.1, destination=3)
+    fh = io.StringIO()
+    cli._write_trajectory_csv(traj, fh)
+    assert fh.getvalue() == _one_string_csv(traj)
+    assert fh.getvalue().count("\n") == rows + 1
 
 
 class TestSweepAgainstSimulation:
