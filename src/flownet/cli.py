@@ -236,9 +236,12 @@ def cmd_limitflow(args) -> int:
     if args.sweep:
         try:
             start, stop, num = args.sweep.split(":")
-            lams = np.linspace(float(start), float(stop), int(num))
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite grids fail below
+                lams = np.linspace(float(start), float(stop), int(num))
         except ValueError as exc:
             raise ScenarioError(f"--sweep expects start:stop:num, got {args.sweep!r}") from exc
+        if not np.isfinite(lams).all():
+            raise ScenarioError(f"--sweep grid must be finite, got {args.sweep!r}")
     else:
         lams = np.array([scenario.inflow])
     limits = network_limit_flows(scenario.network, scenario.policy, lams)

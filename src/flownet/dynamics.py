@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flows import ExponentialFlow, FlowNetwork
-from .routing import GenericPolicy, LogitPolicy, RoutingPolicy, finite_difference_jacobian
+from .routing import GenericPolicy, LogitPolicy, RoutingPolicy
 from .topology import NetworkTopology, _require_valid, topological_order
 
 __all__ = [
@@ -122,8 +121,10 @@ class _Compiled:
     (m,) or (B, m) and every reduction runs along the last axis.  The
     exponential parameters are stored negated (exactly) so ``flows`` is one
     multiply, one ``expm1`` and one multiply.  All-exponential flow
-    families and logit policies take fully vectorized paths; anything else
-    is evaluated member by member, link by link / node by node.
+    families and logit policies take fully vectorized paths.  Any other
+    flow family goes through each member's ``_flow_map`` and any other
+    policy through one ``policy.route`` call per node on the whole state,
+    the calls the limit-flow cascade makes.
     """
 
     def __init__(self, networks, policy: RoutingPolicy):
@@ -138,7 +139,6 @@ class _Compiled:
         self.links = [links[i] for i in order]
         self.tails = np.array([l.tail for l in self.links])
         self.heads = np.array([l.head for l in self.links])
-        self.ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
         self.origin = topo.origin
         self.n_nodes = topo.num_nodes
 
@@ -152,10 +152,13 @@ class _Compiled:
         self.head_mat = np.zeros((self.n_nodes, len(self.links)))
         self.head_mat[self.heads, np.arange(len(self.links))] = 1.0
 
-        self._exp = all(isinstance(ff, ExponentialFlow) for member in self.ffs for ff in member)
+        ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
+        self._exp = all(isinstance(ff, ExponentialFlow) for member in ffs for ff in member)
         if self._exp:
-            self.neg_a = -self._stack([[ff.rate for ff in member] for member in self.ffs])
-            self.neg_fmax = -self._stack([[ff.f_max for ff in member] for member in self.ffs])
+            self.neg_a = -self._stack([[ff.rate for ff in member] for member in ffs])
+            self.neg_fmax = -self._stack([[ff.f_max for ff in member] for member in ffs])
+        else:
+            self.mus = [_flow_map(member) for member in ffs]
         self._logit = isinstance(policy, LogitPolicy)
         self.policy = policy
         if self._logit:
@@ -176,11 +179,9 @@ class _Compiled:
             if member is None:
                 return self.neg_fmax * np.expm1(self.neg_a * rho)
             return self.neg_fmax[member] * np.expm1(self.neg_a[member] * rho)
-        ffs = self.ffs if member is None else [self.ffs[member]]
-        rows = rho.reshape(-1, len(self.links))
-        f = np.array([[ff.eval(r) for ff, r in zip(member_ffs, row)]
-                      for member_ffs, row in zip(itertools.cycle(ffs), rows)])
-        return f.reshape(rho.shape)
+        if member is not None or len(self.mus) == 1:
+            return self.mus[member or 0](rho)
+        return np.stack([mu(rho[..., b, :]) for b, mu in enumerate(self.mus)], axis=-2)
 
     def splits(self, rho: np.ndarray) -> np.ndarray:
         if self._logit:
@@ -190,9 +191,8 @@ class _Compiled:
             w /= np.add.reduceat(w, self.group_starts, axis=-1).take(self.group_of_link, axis=-1)
             return w
         g = np.empty_like(rho)
-        for g_row, row in zip(g.reshape(-1, len(self.links)), rho.reshape(-1, len(self.links))):
-            for v, lo, hi in self.groups:
-                g_row[lo:hi] = self.policy.route(v, row[lo:hi])
+        for v, lo, hi in self.groups:
+            g[..., lo:hi] = self.policy.route(v, rho[..., lo:hi])
         return g
 
     def rhs(self, rho: np.ndarray, inflow: float) -> np.ndarray:
@@ -472,14 +472,15 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
                                      rho0s[lo:lo + size], first)
 
 
-def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: float,
-                   ceiling: float = 1e9) -> LocalTrajectory:
+def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
+                   horizon: float) -> LocalTrajectory:
     """Single-node dynamics driven by a (possibly time-varying) input.
 
     The node is the origin of a two-node network with one parallel link per
     flow function, integrated by the network kernel with ``inflow_fn(t)``
-    in place of the constant inflow.  ``inflow_fn`` is evaluated at the
-    Runge-Kutta stage times, so it should be continuous.
+    in place of the constant inflow and under the default density ceiling
+    of ``SimulationConfig``.  ``inflow_fn`` is evaluated at the Runge-Kutta
+    stage times, so it should be continuous.
     """
     flow_fns = list(flow_fns)
     topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(flow_fns))])
@@ -488,7 +489,7 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float, horizon: floa
                          GenericPolicy(topo, {0: route_fn}))
     times, states, undershoot, _ = _integrate(
         lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
-        dt, horizon, ceiling)
+        dt, horizon, SimulationConfig.density_ceiling)
     return LocalTrajectory(times, states, compiled.flows(states), undershoot)
 
 
@@ -563,10 +564,16 @@ class LimitFlow:
 
 # Input fractions of the homotopy a stalled Newton solve falls back on.
 _HOMOTOPY = (0.0625, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9375, 1.0)
+# A local solve converges once its residual (max norm) is within LOCAL_TOL;
+# each Newton run (the first try, then every homotopy stage) stops after
+# LOCAL_MAX_ITER steps.
+LOCAL_TOL = 1e-10
+LOCAL_MAX_ITER = 200
+# ``convergence_check`` passes when terminal flows agree to within this.
+CONVERGENCE_TOL = 1e-3
 
 
-def local_limit_flow(flow_fns, route_fn, inflows, *, jac_fn=None,
-                     tol: float = 1e-10, max_iter: int = 200):
+def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     """Stationary splits of P constant inputs over one node's outgoing links.
 
     ``inflows`` holds the P inputs, all solved together.  Returns
@@ -587,18 +594,16 @@ def local_limit_flow(flow_fns, route_fn, inflows, *, jac_fn=None,
     values, warm-starting each stage; if that fails too,
     ``LocalSolverError`` carries the best residual.
 
-    ``route_fn`` maps densities of shape (P, k) to splits of that shape
-    (and single rows (k,) to (k,), which central differences use).
+    ``route_fn`` maps densities of shape (P, k) to splits of that shape.
     ``jac_fn(rho, split=g)`` gives the routing Jacobians there, shape
     (P, k, k) with entry [p, e, j] = dG_j/drho_e, and is handed the splits
-    ``g = route_fn(rho)`` already computed (``RoutingPolicy.jacobian``
-    takes them the same way); central differences are used when it is
-    omitted.  Every input takes its own Newton and line-search steps, so
-    its result is bit-for-bit the one it gets alone.
+    ``g = route_fn(rho)`` already computed: ``RoutingPolicy.jacobian`` of
+    the node takes them that way.  Every input takes its own Newton and
+    line-search steps, so its result is bit-for-bit the one it gets alone.
     """
     flow_fns = list(flow_fns)
     lams = np.asarray(inflows, dtype=float).reshape(-1)
-    if (lams < 0).any():
+    if not (lams >= 0).all():  # NaN included
         raise ValueError("inflow must be nonnegative")
     f_max = np.array([ff.f_max for ff in flow_fns])
     saturated = lams >= f_max.sum()
@@ -606,21 +611,18 @@ def local_limit_flow(flow_fns, route_fn, inflows, *, jac_fn=None,
     errors = [None] * lams.size
     inner = np.flatnonzero((lams != 0) & ~saturated)
     if inner.size:
-        if jac_fn is None:
-            def jac_fn(rho, split):
-                return finite_difference_jacobian(route_fn, rho)
         mu = _flow_map(flow_fns)
         rho, res = _newton(flow_fns, mu, route_fn, jac_fn, lams[inner],
-                           np.zeros((inner.size, len(flow_fns))), tol, max_iter)
-        if (res > tol).any():
-            stalled = np.flatnonzero(res > tol)
+                           np.zeros((inner.size, len(flow_fns))))
+        if (res > LOCAL_TOL).any():
+            stalled = np.flatnonzero(res > LOCAL_TOL)
             rho_s = np.zeros((stalled.size, len(flow_fns)))
             for frac in _HOMOTOPY:
                 rho_s, res_s = _newton(flow_fns, mu, route_fn, jac_fn,
-                                       frac * lams[inner[stalled]], rho_s, tol, max_iter)
+                                       frac * lams[inner[stalled]], rho_s)
             rho[stalled], res[stalled] = rho_s, res_s
         flows[inner] = mu(rho)
-        for i in np.flatnonzero(res > tol):
+        for i in np.flatnonzero(res > LOCAL_TOL):
             flows[inner[i]] = np.nan
             errors[inner[i]] = LocalSolverError(
                 f"stationary split did not converge (best residual {res[i]:.3e})", float(res[i])
@@ -628,11 +630,11 @@ def local_limit_flow(flow_fns, route_fn, inflows, *, jac_fn=None,
     return flows, saturated, errors
 
 
-def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho, tol: float, max_iter: int):
+def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho):
     """Damped Newton on ``H(rho) = lam * G(rho) - mu(rho)`` for P inputs at once.
 
     ``lam`` has shape (P,) and the start ``rho`` (P, k).  Each member stops
-    once its residual (max norm) is within ``tol`` and stalls out when its
+    once its residual (max norm) is within ``LOCAL_TOL`` and stalls out when its
     Jacobian is singular or its backtracking step falls below 1e-8; the
     others step on.  Returns the final densities and residuals.
     """
@@ -641,8 +643,8 @@ def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho, tol: float, max_iter: int)
     g = route_fn(rho)
     r = lam * g - mu(rho)
     res = np.abs(r).max(axis=-1)
-    live = np.flatnonzero(~(res <= tol))
-    for _ in range(max_iter):
+    live = np.flatnonzero(~(res <= LOCAL_TOL))
+    for _ in range(LOCAL_MAX_ITER):
         if not live.size:
             break
         whole = live.size == n  # every member live: no gathers or scatters
@@ -687,7 +689,7 @@ def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho, tol: float, max_iter: int)
                 break
         if singular is not None:
             live = live[~singular]
-        live = live[~(res[live] <= tol)]
+        live = live[~(res[live] <= LOCAL_TOL)]
     return rho, res
 
 
@@ -712,7 +714,7 @@ def _solve(jac: np.ndarray, b: np.ndarray):
 
 
 def _flow_map(flow_fns):
-    """One node's link flows as a map from densities (P, k) to flows (P, k).
+    """k links' flows as a map from densities (..., k) to flows (..., k).
 
     Exponential links are one expression over the whole array with their
     parameters hoisted, bit-for-bit what each function's ``__call__``
@@ -726,7 +728,7 @@ def _flow_map(flow_fns):
     def mu(rho):
         out = np.empty_like(rho)
         for j, ff in enumerate(flow_fns):
-            out[:, j] = ff(rho[:, j])
+            out[..., j] = ff(rho[..., j])
         return out
 
     return mu
@@ -781,7 +783,7 @@ def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) ->
         cols = slice(None) if live.size == n_points else live  # no gathers while all live
         f, sat, errs = local_limit_flow(
             [network.flow_functions[lid] for lid in out], functools.partial(policy.route, v),
-            node_in[v, cols], jac_fn=functools.partial(policy.jacobian, v))
+            functools.partial(policy.jacobian, v), node_in[v, cols])
         for j, lid in enumerate(out):
             flows[len(lids), cols] = f[:, j]
             flags[len(lids), cols] = sat
@@ -812,9 +814,11 @@ class ConvergenceReport:
 
 def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
                       n_initial: int = 10, config: SimulationConfig | None = None,
-                      seed: int = 0, tol_limit: float = 1e-3) -> ConvergenceReport:
+                      seed: int = 0) -> ConvergenceReport:
     """Simulate from random initial conditions and compare terminal flows.
 
+    The check passes when every pair of terminal flows, and each terminal
+    flow against ``network_limit_flow``, agree within ``CONVERGENCE_TOL``.
     Initial densities are drawn log-uniformly over [1e-3, 1e2] times each
     link's median density, covering near-empty through heavily congested
     starts.  Saturated links are compared at their capacity value.  The
@@ -846,7 +850,7 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
         limit_reference=ref_vec,
         max_pairwise_gap=pairwise,
         max_reference_gap=ref_gap,
-        passed=pairwise <= tol_limit and ref_gap <= tol_limit,
+        passed=pairwise <= CONVERGENCE_TOL and ref_gap <= CONVERGENCE_TOL,
     )
 
 

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 CERTIFICATION_GRID_POINTS = 10_000
+# Density samples behind ``FlowFunction.certify``.
+SELF_CERTIFICATION_POINTS = 512
 SUP_GRID_POINTS = 4_096
 SUP_STABLE_TOL = 1e-6
 
@@ -86,10 +88,7 @@ class FlowFunction:
         """Fastest local relaxation rate: the derivative at zero density."""
         return self.derivative(0.0)
 
-    def scaled(self, eps: float) -> "FlowFunction":
-        return scale_perturbation(self, eps)
-
-    def certify(self, n_points: int = 512) -> list:
+    def certify(self) -> list:
         """Sampled Assumption-style checks; returns violation messages."""
         violations = []
         if self.eval(0.0) != 0.0:
@@ -102,7 +101,7 @@ class FlowFunction:
         except ValueError as exc:
             violations.append(f"median density undefined: {exc}")
             return violations
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, hi, n_points)])
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, hi, SELF_CERTIFICATION_POINTS)])
         vals = np.asarray(self(grid), dtype=float)
         if np.any(np.diff(vals) <= 0):
             violations.append("not strictly increasing on the certification grid")
@@ -267,4 +266,4 @@ class PerturbationSpec:
     @classmethod
     def scaling(cls, network: FlowNetwork, factors: dict) -> "PerturbationSpec":
         """Build from per-link scaling factors ``{link_id: eps}``."""
-        return cls(network, {lid: network.flow_functions[lid].scaled(e) for lid, e in factors.items()})
+        return cls(network, {lid: scale_perturbation(network.flow_functions[lid], e) for lid, e in factors.items()})

@@ -13,7 +13,7 @@ simulates only its random samples and the bracket endpoints it audits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -103,26 +103,8 @@ class ResilienceReport:
         return (self.preserved_delta_max, deepest.defeating_delta)
 
     def to_dict(self) -> dict:
-        lo, hi = self.bracket
-        return {
-            "min_cut": self.min_cut,
-            "witness_cut": list(self.witness_cut),
-            "inflow": self.inflow,
-            "alpha_sweep": [
-                {
-                    "alpha": p.alpha,
-                    "defeating_delta": p.defeating_delta,
-                    "defeating_eps": p.defeating_eps,
-                    "preserved_delta": p.preserved_delta,
-                    "evaluations": p.evaluations,
-                }
-                for p in self.alpha_sweep
-            ],
-            "preserved_delta_max": self.preserved_delta_max,
-            "bracket": [lo, hi],
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        """Every field, the witness cut as a list, and the bracket."""
+        return {**asdict(self), "witness_cut": list(self.witness_cut), "bracket": list(self.bracket)}
 
 
 def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> PerturbationSpec:

@@ -38,9 +38,17 @@ __all__ = [
 
 # Density samples per node behind each property-(a) verdict.
 POLICY_SAMPLES = 300
+# Central-difference step, relative to the density (absolute below 1).
+FD_REL_STEP = 1e-6
+# Property (a): the most negative cross-partial still counted as nonnegative.
+CROSS_PARTIAL_TOL = 1e-9
+# Property (b): the split share left on congested links, and the largest
+# change between successive escalations, that still pass.
+LIMIT_MASS_TOL = 1e-4
+LIMIT_CAUCHY_TOL = 1e-5
 
 
-def finite_difference_jacobian(fn, x, rel_step: float = 1e-6) -> np.ndarray:
+def finite_difference_jacobian(fn, x) -> np.ndarray:
     """Central differences; entry [e, j] approximates d fn_j / d x_e.
 
     ``x`` of shape (..., k) gives one (k, k) matrix per row, ``fn`` being
@@ -48,11 +56,11 @@ def finite_difference_jacobian(fn, x, rel_step: float = 1e-6) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
-        return _row_by_row(lambda row: finite_difference_jacobian(fn, row, rel_step), x, 2)
+        return _row_by_row(lambda row: finite_difference_jacobian(fn, row), x, 2)
     k = x.size
     out = np.empty((k, k))
     for e in range(k):
-        h = rel_step * max(1.0, abs(x[e]))
+        h = FD_REL_STEP * max(1.0, abs(x[e]))
         up, dn = x.copy(), x.copy()
         up[e] += h
         dn[e] = max(dn[e] - h, 0.0)
@@ -176,8 +184,8 @@ def _sample_densities(k: int, n_samples: int, rng) -> np.ndarray:
 
 
 def check_property_a(policy: RoutingPolicy, v: int, n_samples: int = 1000,
-                     rng=None, tol: float = 1e-9) -> PropertyReport:
-    """Sample local densities and require all cross-partials >= -tol.
+                     rng=None) -> PropertyReport:
+    """Sample local densities and require all cross-partials >= -``CROSS_PARTIAL_TOL``.
 
     All samples go through one batched ``policy.jacobian`` call.  A sample
     whose Jacobian holds a NaN neither counts as a violation nor moves the
@@ -194,17 +202,16 @@ def check_property_a(policy: RoutingPolicy, v: int, n_samples: int = 1000,
     # the first of tied minima and no NaN, as a running ``min`` keeps them
     worst = min([np.inf] + sample_min.tolist())
     violations = [{"rho": rho[i].tolist(), "min_cross_partial": float(sample_min[i])}
-                  for i in np.flatnonzero(sample_min < -tol)[:10]]
+                  for i in np.flatnonzero(sample_min < -CROSS_PARTIAL_TOL)[:10]]
     return PropertyReport(not violations, {"min_cross_partial": worst, "violations": violations})
 
 
-def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None,
-                     mass_tol: float = 1e-4, cauchy_tol: float = 1e-5) -> PropertyReport:
+def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None) -> PropertyReport:
     """Drive densities outside ``subset`` to 10^2..10^6 and watch the split.
 
-    The share outside the subset must decay below ``mass_tol`` and the
+    The share outside the subset must decay below ``LIMIT_MASS_TOL`` and the
     share inside must settle (successive escalations Cauchy within
-    ``cauchy_tol``).  The limit split itself is reported but not compared
+    ``LIMIT_CAUCHY_TOL``).  The limit split itself is reported but not compared
     against anything: for a generic policy only its existence is claimed.
     """
     links = policy.outgoing_links(v)
@@ -223,7 +230,7 @@ def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None,
         off_mass.append(float(g[~inside].sum()))
         limits.append(g[inside])
     gaps = [float(np.abs(limits[i + 1] - limits[i]).max()) for i in range(len(limits) - 1)]
-    passed = off_mass[-1] < mass_tol and max(gaps) < cauchy_tol
+    passed = off_mass[-1] < LIMIT_MASS_TOL and max(gaps) < LIMIT_CAUCHY_TOL
     return PropertyReport(passed, {
         "off_subset_mass": off_mass[-1],
         "cauchy_gap": max(gaps),

@@ -13,6 +13,7 @@ so it runs exactly on ``fractions.Fraction`` capacities as well as on floats.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -119,24 +120,6 @@ class NetworkTopology:
         return f"NetworkTopology(num_nodes={self.num_nodes}, links={len(self.links)})"
 
 
-def _find_cycle(topo: NetworkTopology):
-    """Return the node set of some directed cycle, or None if acyclic (Kahn)."""
-    indeg = {v: len(topo.incoming[v]) for v in range(topo.num_nodes)}
-    queue = deque(v for v, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for lid in topo.outgoing[v]:
-            h = topo.link(lid).head
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                queue.append(h)
-    if seen == topo.num_nodes:
-        return None
-    return sorted(v for v, d in indeg.items() if d > 0)
-
-
 def _reaches(topo: NetworkTopology, target: int):
     """Set of nodes with a directed path to ``target`` (reverse BFS)."""
     seen = {target}
@@ -151,48 +134,13 @@ def _reaches(topo: NetworkTopology, target: int):
     return seen
 
 
-def validate_topology(topo: NetworkTopology) -> ValidationResult:
-    """Check acyclicity, unique origin/destination, and destination reachability.
+def _validate(topo: NetworkTopology):
+    """Violations of ``validate_topology`` and the order of its one Kahn pass.
 
-    Violations are returned as data (human-readable strings), not raised.
+    The pass pops the smallest ready node from a min-heap, so the nodes it
+    places come in the lexicographically smallest topological order.  The
+    nodes it cannot place lie on or behind a cycle and are reported as it.
     """
-    violations = []
-    cycle = _find_cycle(topo)
-    if cycle is not None:
-        violations.append(f"cycle through nodes {cycle}")
-    sources = topo.sources()
-    if len(sources) != 1:
-        violations.append(f"expected exactly one origin (no incoming links), found {sources}")
-    sinks = topo.sinks()
-    if len(sinks) != 1:
-        violations.append(f"expected exactly one destination (no outgoing links), found {sinks}")
-    if cycle is None and sinks:
-        # with several sinks, judge reachability against the best-connected one
-        dest = max(sinks, key=lambda s: (len(_reaches(topo, s)), s))
-        unreachable = sorted(set(range(topo.num_nodes)) - _reaches(topo, dest))
-        if unreachable:
-            violations.append(f"nodes {unreachable} have no path to the destination ({dest})")
-    return ValidationResult(not violations, tuple(violations))
-
-
-def _require_valid(topo: NetworkTopology):
-    res = validate_topology(topo)
-    if not res.ok:
-        raise TopologyError("; ".join(res.violations))
-
-
-def topological_order(topo: NetworkTopology):
-    """Deterministic topological order of the nodes.
-
-    Returns ``order`` with ``order[new_label] = old_node``; the origin maps
-    to label 0, the destination to the last label, and every link points
-    from a lower to a higher label.  Among all valid orders the
-    lexicographically smallest (by original node index) is returned, via
-    Kahn's algorithm with a min-heap.
-    """
-    import heapq
-
-    _require_valid(topo)
     indeg = {v: len(topo.incoming[v]) for v in range(topo.num_nodes)}
     heap = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(heap)
@@ -205,7 +153,52 @@ def topological_order(topo: NetworkTopology):
             indeg[h] -= 1
             if indeg[h] == 0:
                 heapq.heappush(heap, h)
+    violations = []
+    acyclic = len(order) == topo.num_nodes
+    if not acyclic:
+        violations.append(f"cycle through nodes {sorted(set(range(topo.num_nodes)) - set(order))}")
+    sources = topo.sources()
+    if len(sources) != 1:
+        violations.append(f"expected exactly one origin (no incoming links), found {sources}")
+    sinks = topo.sinks()
+    if len(sinks) != 1:
+        violations.append(f"expected exactly one destination (no outgoing links), found {sinks}")
+    if acyclic and sinks:
+        # with several sinks, judge reachability against the best-connected one
+        dest = max(sinks, key=lambda s: (len(_reaches(topo, s)), s))
+        unreachable = sorted(set(range(topo.num_nodes)) - _reaches(topo, dest))
+        if unreachable:
+            violations.append(f"nodes {unreachable} have no path to the destination ({dest})")
+    return tuple(violations), order
+
+
+def validate_topology(topo: NetworkTopology) -> ValidationResult:
+    """Check acyclicity, unique origin/destination, and destination reachability.
+
+    Violations are returned as data (human-readable strings), not raised.
+    """
+    violations, _ = _validate(topo)
+    return ValidationResult(not violations, violations)
+
+
+def _require_valid(topo: NetworkTopology) -> list:
+    """The topological order of a valid topology; ``TopologyError`` otherwise."""
+    violations, order = _validate(topo)
+    if violations:
+        raise TopologyError("; ".join(violations))
     return order
+
+
+def topological_order(topo: NetworkTopology):
+    """Deterministic topological order of the nodes.
+
+    Returns ``order`` with ``order[new_label] = old_node``; the origin maps
+    to label 0, the destination to the last label, and every link points
+    from a lower to a higher label.  Among all valid orders the
+    lexicographically smallest (by original node index) is returned, via
+    Kahn's algorithm with a min-heap.
+    """
+    return _require_valid(topo)
 
 
 def _check_capacities(topo: NetworkTopology, capacities):

@@ -110,11 +110,11 @@ def test_criterion_02_global_attractivity():
     net = two_route_network()
     results["two-route"] = convergence_check(
         net, two_route_policy(net.topology), 1.0, n_initial=10,
-        config=SimulationConfig(inflow=1.0, horizon=250.0, dt=0.02), seed=42, tol_limit=1e-3)
+        config=SimulationConfig(inflow=1.0, horizon=250.0, dt=0.02), seed=42)
     dnet = diamond_network()
     results["diamond"] = convergence_check(
         dnet, diamond_policy(dnet.topology), 1.0, n_initial=10,
-        config=SimulationConfig(inflow=1.0, horizon=250.0, dt=0.02), seed=43, tol_limit=1e-3)
+        config=SimulationConfig(inflow=1.0, horizon=250.0, dt=0.02), seed=43)
     gaps = {k: r.max_pairwise_gap for k, r in results.items()}
     ok = all(r.passed for r in results.values())
     verdict(2, "global attractivity", ok,

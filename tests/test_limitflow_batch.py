@@ -64,9 +64,9 @@ def test_failed_member_is_masked_downstream(monkeypatch):
     seen = []
     real = dynamics.local_limit_flow
 
-    def spy(flow_fns, route_fn, inflow, **kw):
+    def spy(flow_fns, route_fn, jac_fn, inflow):
         seen.append(np.atleast_1d(inflow).shape[0])
-        return real(flow_fns, route_fn, inflow, **kw)
+        return real(flow_fns, route_fn, jac_fn, inflow)
 
     monkeypatch.setattr(dynamics, "local_limit_flow", spy)
     results = network_limit_flows(net, policy, lams)

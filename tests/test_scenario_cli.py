@@ -4,13 +4,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flownet
 from flownet import cli, dynamics, load_scenario, parse_scenario, resilience, topology
 from flownet import Trajectory, validate_scenario
 from flownet.cli import main
@@ -362,6 +365,15 @@ class TestCmdLimitflow:
         assert len(statuses) == 41
         assert all(s == "ok" or s.startswith("solver failed: residual ") for s in statuses)
 
+    @pytest.mark.parametrize("sweep", ["nan:1:3", "0:inf:3", "-1.7e308:1.7e308:3"])
+    def test_non_finite_sweep_grid_exit_one(self, capsys, sweep):
+        # the last grid overflows between finite endpoints
+        code = main(["limitflow", str(DATA / "diamond5.json"), f"--sweep={sweep}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--sweep grid must be finite" in captured.err
+
     def test_single_point_to_stdout(self, capsys):
         code, out = run_cli("limitflow", str(DATA / "chain21.json"), capsys=capsys)
         assert code == 0
@@ -578,3 +590,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_loading_scenarios_leaves_scipy_optimize_unimported():
+    # ``FlowFunction.inverse`` imports it on first use: about 50 MB and most of
+    # the package's import time that no scenario load needs.  The test process
+    # has imported it already, so the check runs in a fresh interpreter.
+    code = ("import pathlib, sys\n"
+            "import flownet\n"
+            "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+            "    flownet.load_scenario(path)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(flownet.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(DATA)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
