@@ -29,7 +29,7 @@ import numpy as np
 
 from .flows import ExponentialFlow, FlowNetwork
 from .routing import GenericPolicy, LogitPolicy, RoutingPolicy
-from .topology import NetworkTopology, _require_valid, topological_order
+from .topology import NetworkTopology, topological_order
 
 __all__ = [
     "SimulationConfig",
@@ -390,7 +390,7 @@ def _simulate_records(networks, policy: RoutingPolicy, config: SimulationConfig,
     if not networks:
         return []
     topo = networks[0].topology
-    _require_valid(topo)
+    topological_order(topo)
     m = len(topo.links)
     rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
     if len(rho0s) != len(networks):

@@ -181,24 +181,20 @@ def validate_topology(topo: NetworkTopology) -> ValidationResult:
     return ValidationResult(not violations, violations)
 
 
-def _require_valid(topo: NetworkTopology) -> list:
-    """The topological order of a valid topology; ``TopologyError`` otherwise."""
-    violations, order = _validate(topo)
-    if violations:
-        raise TopologyError("; ".join(violations))
-    return order
-
-
-def topological_order(topo: NetworkTopology):
+def topological_order(topo: NetworkTopology) -> list:
     """Deterministic topological order of the nodes.
 
     Returns ``order`` with ``order[new_label] = old_node``; the origin maps
     to label 0, the destination to the last label, and every link points
     from a lower to a higher label.  Among all valid orders the
     lexicographically smallest (by original node index) is returned, via
-    Kahn's algorithm with a min-heap.
+    Kahn's algorithm with a min-heap.  An invalid topology raises
+    ``TopologyError`` naming every violation.
     """
-    return _require_valid(topo)
+    violations, order = _validate(topo)
+    if violations:
+        raise TopologyError("; ".join(violations))
+    return order
 
 
 def _check_capacities(topo: NetworkTopology, capacities):
@@ -235,7 +231,7 @@ def min_cut_capacity(topo: NetworkTopology, capacities):
     disagreement raises ``TopologyError``.  That flow value comes back as
     the cut's ``flow_value``.
     """
-    _require_valid(topo)
+    topological_order(topo)
     _check_capacities(topo, capacities)
     flow_value, residual, backflow = _max_flow(topo, capacities)
     succ = {v: [] for v in range(topo.num_nodes)}

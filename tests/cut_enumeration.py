@@ -6,8 +6,7 @@ tests compare it against every origin/destination cut listed here.
 
 from itertools import combinations
 
-from flownet.topology import Cut, Link, NetworkTopology, TopologyError, _require_valid, \
-    topological_order
+from flownet.topology import Cut, Link, NetworkTopology, TopologyError, topological_order
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
@@ -30,7 +29,7 @@ def enumerate_od_cuts(topo: NetworkTopology, limit: int = DEFAULT_ENUMERATION_LI
     Refuses graphs larger than ``limit`` nodes (the count is exponential).
     Cuts are listed with origin sides in lexicographic order.
     """
-    _require_valid(topo)
+    topological_order(topo)
     if topo.num_nodes > limit:
         raise TopologyError(
             f"{topo.num_nodes} nodes exceeds the cut-enumeration limit of {limit}"
