@@ -52,11 +52,10 @@ from .dynamics import (
 )
 from .resilience import (
     AttackOutcome,
-    AttackScenario,
     ResilienceReport,
     cut_attack,
     estimate_weak_resilience,
-    evaluate_attack,
+    evaluate_attacks,
     sample_scaling_perturbations,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, validate_scenario

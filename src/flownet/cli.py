@@ -242,6 +242,9 @@ def cmd_limitflow(args) -> int:
             raise ScenarioError(f"--sweep expects start:stop:num, got {args.sweep!r}") from exc
         if not np.isfinite(lams).all():
             raise ScenarioError(f"--sweep grid must be finite, got {args.sweep!r}")
+        if (lams < 0).any():
+            raise ScenarioError(f"--sweep grid must be nonnegative, got point "
+                                f"{float(lams[lams < 0][0])!r} in {args.sweep!r}")
     else:
         lams = np.array([scenario.inflow])
     limits = network_limit_flows(scenario.network, scenario.policy, lams)

@@ -373,22 +373,34 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     hence one time grid.  Each returned ``Trajectory`` is bit-for-bit the
     one ``simulate`` gives for that member alone.  A member that blows up
     raises ``SimulationError`` for the whole ensemble.  Every state of
-    every member stays in memory: consumers that read less go through
-    ``_iter_ensemble``, which keeps only the records they read and sizes
-    its chunks by those.
+    every member stays in memory: consumers that read less call
+    ``_iter_ensemble`` with a shorter window.
     """
-    return _simulate_records(networks, policy, config, rho0s, 0)
+    return list(_iter_ensemble(networks, policy, config, rho0s))
 
 
-def _simulate_records(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                      first_record: int) -> list:
-    """``simulate_ensemble`` keeping the records from index ``first_record`` on.
+# Retained float64 of the trajectories one chunk of an ensemble may hold.
+_ENSEMBLE_BYTES = 64 * 2**20
 
-    The kept rows of every array are bit-for-bit those of the full run.
+
+def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+                   window: float = 1.0):
+    """``simulate_ensemble``'s trajectories one by one, in member order.
+
+    Each trajectory keeps only the records in the trailing ``window``
+    fraction of the horizon, the rows ``Trajectory.tail_slice(window)``
+    selects on the full run and bit-for-bit equal to them: 1 keeps every
+    record, ``config.tail_fraction`` the window a transfer verdict reads
+    and 0 only the last state.  Members are integrated in chunks sized by
+    the records a member keeps: each keeps records x (2m + n) floats
+    (densities, flows, node inflows), and a chunk holds as many members as
+    fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each trajectory as
+    it arrives keeps at most one chunk alive.  The topology, the start
+    densities and the time step are checked once, before the first chunk.
     """
     networks = list(networks)
     if not networks:
-        return []
+        return
     topo = networks[0].topology
     topological_order(topo)
     m = len(topo.links)
@@ -396,8 +408,29 @@ def _simulate_records(networks, policy: RoutingPolicy, config: SimulationConfig,
     if len(rho0s) != len(networks):
         raise ValueError("need one initial density per ensemble member")
     dt = _ensemble_dt(networks, config)
+    rho0s = [_start_state(r, m) for r in rho0s]
+    n_steps = _step_count(config.horizon, dt)
+    # the step ``_integrate`` shrinks to land on the horizon
+    first = _window_start(n_steps, config.horizon / n_steps, config.record_stride, window)
+    member_bytes = (8 * (_record_count(n_steps, config.record_stride) - first)
+                    * (2 * m + topo.num_nodes))
+    size = max(1, _ENSEMBLE_BYTES // member_bytes)
+    for lo in range(0, len(networks), size):
+        yield from _simulate_chunk(networks[lo:lo + size], policy, config,
+                                   rho0s[lo:lo + size], dt, first)
+
+
+def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+                    dt: float, first_record: int) -> list:
+    """One chunk of ``_iter_ensemble``: the trajectories of ``networks`` from
+    the checked start densities ``rho0s`` under time step ``dt``, keeping
+    the records from index ``first_record`` on.
+
+    The kept rows of every array are bit-for-bit those of the full run.
+    """
+    topo = networks[0].topology
     compiled = _Compiled(networks, policy)
-    rho0 = np.array([_start_state(r, m) for r in rho0s])[:, compiled.to_sorted]
+    rho0 = np.array(rho0s)[:, compiled.to_sorted]
     if len(networks) == 1:
         rho0 = rho0[0]
 
@@ -436,40 +469,6 @@ def _simulate_records(networks, policy: RoutingPolicy, config: SimulationConfig,
             max_undershoot=float(member_undershoot),
         ))
     return trajectories
-
-
-# Retained float64 of the trajectories one chunk of an ensemble may hold.
-_ENSEMBLE_BYTES = 64 * 2**20
-
-
-def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                   window: float = 1.0):
-    """``simulate_ensemble``'s trajectories one by one, in member order.
-
-    Each trajectory keeps only the records in the trailing ``window``
-    fraction of the horizon, the rows ``Trajectory.tail_slice(window)``
-    selects on the full run and bit-for-bit equal to them: 1 keeps every
-    record, ``config.tail_fraction`` the window a transfer verdict reads
-    and 0 only the last state.  Members are integrated in chunks sized by
-    the records a member keeps: each keeps records x (2m + n) floats
-    (densities, flows, node inflows), and a chunk holds as many members as
-    fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each trajectory as
-    it arrives keeps at most one chunk alive.
-    """
-    networks, rho0s = list(networks), list(rho0s)
-    if not networks:
-        return
-    topo = networks[0].topology
-    n_steps = _step_count(config.horizon, _ensemble_dt(networks, config))
-    # the step ``_integrate`` shrinks to land on the horizon
-    dt = config.horizon / n_steps
-    first = _window_start(n_steps, dt, config.record_stride, window)
-    member_bytes = (8 * (_record_count(n_steps, config.record_stride) - first)
-                    * (2 * len(topo.links) + topo.num_nodes))
-    size = max(1, _ENSEMBLE_BYTES // member_bytes)
-    for lo in range(0, len(networks), size):
-        yield from _simulate_records(networks[lo:lo + size], policy, config,
-                                     rho0s[lo:lo + size], first)
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,

@@ -30,12 +30,11 @@ from .routing import RoutingPolicy, responsiveness_findings
 from .topology import min_cut_capacity
 
 __all__ = [
-    "AttackScenario",
     "AttackOutcome",
     "AlphaSweepPoint",
     "ResilienceReport",
     "cut_attack",
-    "evaluate_attack",
+    "evaluate_attacks",
     "estimate_weak_resilience",
     "require_locally_responsive",
     "sample_scaling_perturbations",
@@ -47,21 +46,6 @@ MARGIN = 0.1
 ALPHA_FLOOR = 1e-3
 # Upper side: cut-scaling bisections stop within this fraction of C.
 BISECT_TOL_FRAC = 0.01
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    """A perturbation aimed at a running network, judged at transfer level alpha."""
-
-    network: FlowNetwork
-    policy: RoutingPolicy
-    inflow: float
-    perturbation: PerturbationSpec
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,45 +148,44 @@ def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
     return config, _initial_densities(network, base_limit.flow_vector(network.topology))
 
 
-def _judge(traj, scenario: AttackScenario, transfer_tol: float | None) -> AttackOutcome:
-    """The verdict on a trajectory that keeps only the tail window."""
-    est = _judge_tail(traj.outflow, scenario.alpha, scenario.inflow, transfer_tol)
-    return AttackOutcome(
-        defeated=not est.transferring,
-        tail_min=est.tail_min,
-        inconclusive=est.inconclusive,
-        magnitude=scenario.perturbation.magnitude,
-    )
+def evaluate_attacks(network: FlowNetwork, policy: RoutingPolicy, inflow: float, attacks,
+                     config: SimulationConfig | None = None) -> list:
+    """Simulate each attack on ``network`` and judge alpha-transfer on its tail.
 
-
-def evaluate_attack(scenario: AttackScenario, config: SimulationConfig | None = None,
-                    transfer_tol: float | None = None) -> AttackOutcome:
-    """Simulate the perturbed network and judge alpha-transfer on the tail.
-
-    The run starts from the unperturbed network's limit flow and keeps the
-    time step implied by the unperturbed rates, which dominate the
-    perturbed ones.  This is the one-member case of the ensemble
-    ``estimate_weak_resilience`` runs.
+    ``attacks`` holds ``(perturbation, alpha, transfer_tol)`` triples, with
+    alpha in (0, 1] and ``transfer_tol`` None for the default slack; one
+    ``AttackOutcome`` per attack comes back, in order.  Every run starts
+    from the unperturbed network's limit flow and keeps the time step
+    implied by the unperturbed rates, which dominate the perturbed ones.
+    The attacks run as one chunked ensemble, and each outcome is the one
+    the attack gets alone.
     """
-    config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow, config)
-    return _evaluate_ensemble([(scenario, transfer_tol)], config, rho0)[0]
-
-
-def _evaluate_ensemble(attacks, config: SimulationConfig, rho0) -> list:
-    """Judge ``(scenario, transfer_tol)`` pairs on one network as one ensemble.
-
-    ``config`` and ``rho0`` come from ``_attack_setup``; the outcomes come
-    back in the order of ``attacks``.  Members record only the tail window
-    ``config.tail_fraction`` that the verdict reads, and each trajectory is
-    judged and dropped as it arrives, so none outlives its chunk.
-    """
+    attacks = list(attacks)
     if not attacks:
         return []
-    network, policy = attacks[0][0].network, attacks[0][0].policy
-    perturbed = [network.perturbed(scenario.perturbation) for scenario, _ in attacks]
-    trajs = _iter_ensemble(perturbed, policy, config, [rho0] * len(attacks),
-                           window=config.tail_fraction)
-    return [_judge(next(trajs), scenario, tol) for scenario, tol in attacks]
+    config, rho0 = _attack_setup(network, policy, inflow, config)
+    return _simulate_attacks(network, policy, config, rho0, attacks)
+
+
+def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
+                      rho0, attacks) -> list:
+    """``evaluate_attacks`` from the ``config`` and ``rho0`` of ``_attack_setup``.
+
+    Members record only the tail window ``config.tail_fraction`` that the
+    verdict reads, and each trajectory is judged and dropped as it
+    arrives, so none outlives its chunk.
+    """
+    for _, alpha, _ in attacks:
+        if not 0 < alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
+    trajs = _iter_ensemble([network.perturbed(spec) for spec, _, _ in attacks], policy, config,
+                           [rho0] * len(attacks), window=config.tail_fraction)
+    outcomes = []
+    for spec, alpha, transfer_tol in attacks:
+        est = _judge_tail(next(trajs).outflow, alpha, config.inflow, transfer_tol)
+        outcomes.append(AttackOutcome(defeated=not est.transferring, tail_min=est.tail_min,
+                                      inconclusive=est.inconclusive, magnitude=spec.magnitude))
+    return outcomes
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork, seed: int = 0):
@@ -343,11 +326,10 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
               for eps, defeated in ((eps_lo, True), (eps_hi, False))]
     specs = _sample_scalings(network, (1.0 - MARGIN) * capacity, n_samples, seed, capacity,
                              cut_links)
-    outcomes = _evaluate_ensemble(
-        [(AttackScenario(network, policy, inflow, cut_spec(eps), alpha), None)
-         for alpha, eps, _ in audits]
-        + [(AttackScenario(network, policy, inflow, spec, ALPHA_FLOOR), 0.0) for spec in specs],
-        config, rho0)
+    outcomes = _simulate_attacks(
+        network, policy, config, rho0,
+        [(cut_spec(eps), alpha, None) for alpha, eps, _ in audits]
+        + [(spec, ALPHA_FLOOR, 0.0) for spec in specs])
     for (alpha, eps, defeated), out in zip(audits, outcomes):
         if out.defeated != defeated:
             raise RuntimeError(

@@ -121,12 +121,13 @@ SIMULATION_SETTINGS = ("dt", "horizon", "tail_fraction", "transfer_tol", "sat_th
                        "density_ceiling", "record_stride")
 
 
-def _simulation_section(raw) -> dict:
+def _simulation_section(raw, topo: NetworkTopology) -> dict:
     """The ``simulation`` section with every value checked.
 
     ``dt`` and ``transfer_tol`` may be null, which keeps their defaults;
     ``record_stride`` is an integer; ``initial_density``, unless null, maps
-    link ids to densities (links it leaves out start empty).
+    ids of ``topo``'s links to nonnegative densities (links it leaves out
+    start empty).
     """
     sim = dict(_object(raw, "simulation"))
     stray = set(sim) - set(SIMULATION_SETTINGS) - {"initial_density"}
@@ -137,8 +138,14 @@ def _simulation_section(raw) -> dict:
         if value is None and key in ("dt", "transfer_tol", "initial_density"):
             continue
         if key == "initial_density":
-            sim[key] = {lid: _number(rho, f"{where}.{lid}")
-                        for lid, rho in _object(value, where).items()}
+            density = _object(value, where)
+            stray = set(density) - {str(lid) for lid in topo.link_ids}
+            if stray:
+                raise ScenarioError(f"{where}: unknown links {sorted(stray)}")
+            sim[key] = {lid: _number(rho, f"{where}.{lid}") for lid, rho in density.items()}
+            for lid, rho in sim[key].items():
+                if rho < 0:
+                    raise ScenarioError(f"{where}.{lid}: must be nonnegative, got {rho!r}")
         else:
             sim[key] = _number(value, where, integer=key == "record_stride")
     return sim
@@ -237,7 +244,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         policy=policy,
         inflow=inflow,
         seed=seed,
-        simulation=_simulation_section(doc.get("simulation", {})),
+        simulation=_simulation_section(doc.get("simulation", {}), topo),
         perturbation=pert,
     )
 

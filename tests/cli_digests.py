@@ -1,5 +1,5 @@
 """Digests of ``mincut`` and ``limitflow`` CLI output on every ``tests/data``
-scenario and on ten seeded 20-node DAGs.
+scenario and on ten seeded 20-node DAGs from the benchmark's ``generate_dag``.
 
 ``tests/data/digests/cli_sha256.json`` holds them as recorded with the serial
 one-point-at-a-time limit-flow cascade; ``test_limitflow_batch`` checks the
@@ -10,9 +10,9 @@ current code against it.  Regenerate only for an intended output change::
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -24,45 +24,22 @@ DAG_SEEDS = range(10)
 SWEEP_POINTS = 41
 
 
-def dag_document(seed: int, nodes: int = 20, links: int = 44) -> dict:
-    """A seeded scenario on a 20-node DAG, the recipe of the benchmark's ``generate_dag``.
-
-    Node v in 1..nodes-2 gets one link from a lower and one to a higher
-    node; the rest join random ordered pairs.  Exponential flow functions
-    and logit policies with random parameters.
-    """
-    rng = random.Random(seed)
-    pairs = []
-    for v in range(1, nodes - 1):
-        pairs.append((rng.randrange(0, v), v))
-        pairs.append((v, rng.randrange(v + 1, nodes)))
-    while len(pairs) < links:
-        u, v = sorted(rng.sample(range(nodes), 2))
-        pairs.append((u, v))
-    doc = {
-        "name": f"dag{nodes}-seed{seed}",
-        "nodes": nodes,
-        "links": [{"id": i, "tail": u, "head": v} for i, (u, v) in enumerate(pairs)],
-        "flow_functions": {str(i): {"family": "exp", "a": round(rng.uniform(0.5, 2.0), 6),
-                                    "f_max": round(rng.uniform(0.5, 2.0), 6)}
-                           for i in range(len(pairs))},
-        "policies": {},
-        "inflow": 1.0,
-        "seed": seed,
-    }
-    for v in range(nodes - 1):
-        out = [i for i, (u, _) in enumerate(pairs) if u == v]
-        doc["policies"][str(v)] = {"eta": round(rng.uniform(0.5, 2.0), 6),
-                                   "weights": {str(i): round(rng.uniform(0.5, 3.0), 6) for i in out}}
-    return doc
+def _generate_dag():
+    """The benchmark's seeded DAG recipe, ``bench/workloads.generate_dag``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate_dag
 
 
 def scenario_paths(workdir: Path) -> dict:
     """Every ``tests/data`` scenario plus the seeded DAGs, written under ``workdir``."""
     paths = {p.name: p for p in sorted(DATA.glob("*.json"))}
+    generate_dag = _generate_dag()
     for seed in DAG_SEEDS:
         path = workdir / f"dag20-seed{seed}.json"
-        path.write_text(json.dumps(dag_document(seed), indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(generate_dag(seed), indent=2) + "\n", encoding="utf-8")
         paths[path.name] = path
     return paths
 

@@ -12,13 +12,12 @@ import pytest
 from scipy.optimize import brentq
 
 from flownet import (
-    AttackScenario,
     LogitPolicy,
     SimulationConfig,
     convergence_check,
     cooperative_gap,
     cut_attack,
-    evaluate_attack,
+    evaluate_attacks,
     estimate_weak_resilience,
     min_cut_capacity,
     network_limit_flow,
@@ -26,7 +25,7 @@ from flownet import (
     simulate_local,
 )
 from flownet.dynamics import limit_flow_estimate
-from flownet.resilience import _attack_setup, _evaluate_ensemble, sample_scaling_perturbations
+from flownet.resilience import sample_scaling_perturbations
 from flownet.routing import finite_difference_jacobian
 
 from conftest import (
@@ -175,8 +174,8 @@ def test_criterion_05_cut_attack_upper_bound():
         for alpha in (0.25, 0.5):
             spec = cut_attack(net, alpha, lam)
             assert abs(spec.magnitude - (capacity - alpha * lam / 2.0)) <= 1e-12
-            out = evaluate_attack(AttackScenario(net, policy, lam, spec, alpha),
-                                  SimulationConfig(inflow=lam, horizon=200.0, dt=0.02))
+            out = evaluate_attacks(net, policy, lam, [(spec, alpha, None)],
+                                   SimulationConfig(inflow=lam, horizon=200.0, dt=0.02))[0]
             assert out.defeated and not out.inconclusive
             assert out.tail_min < alpha * lam
             cases.append(f"{name}@a={alpha}: tail {out.tail_min:.3f} < {alpha * lam}")
@@ -216,12 +215,9 @@ def test_criterion_07_survival_below_min_cut():
     specs = sample_scaling_perturbations(net, 0.9 * capacity, 50, seed=7)
     floor = 1e-3 * lam
     # the 50 attacks run as one ensemble; each outcome is the one
-    # ``evaluate_attack`` gives that attack alone
-    config, rho0 = _attack_setup(net, policy, lam,
-                                 SimulationConfig(inflow=lam, horizon=200.0, dt=0.02))
-    outcomes = _evaluate_ensemble(
-        [(AttackScenario(net, policy, lam, spec, alpha=1e-3), 0.0) for spec in specs],
-        config, rho0)
+    # that attack gets alone
+    outcomes = evaluate_attacks(net, policy, lam, [(spec, 1e-3, 0.0) for spec in specs],
+                                SimulationConfig(inflow=lam, horizon=200.0, dt=0.02))
     worst = math.inf
     for spec, out in zip(specs, outcomes):
         assert spec.magnitude <= 0.9 * capacity + 1e-9

@@ -495,16 +495,16 @@ class TestEnsemble:
         # 101 records x (2 * 6 links + 5 nodes) floats per member: two members fit
         monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 17 + 1)
         sizes = []
-        real = dynamics._simulate_records
+        real = dynamics._simulate_chunk
 
         def counting(networks, *args):
             sizes.append(len(networks))
             return real(networks, *args)
 
-        monkeypatch.setattr(dynamics, "_simulate_records", counting)
+        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
         chunked = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s))
         assert sizes == [2, 2, 1]
-        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s, 0)):
+        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s, config.dt, 0)):
             _assert_same_trajectory(traj, ref)
 
 
@@ -526,7 +526,7 @@ class TestRecordWindow:
         config = SimulationConfig(inflow=sc.inflow, horizon=0.5, dt=default_dt(sc.network))
         full = simulate_ensemble(nets, sc.policy, config, rho0s)
         for first in range(len(full[0].times)):
-            tails = dynamics._simulate_records(nets, sc.policy, config, rho0s, first)
+            tails = dynamics._simulate_chunk(nets, sc.policy, config, rho0s, config.dt, first)
             for traj, ref in zip(tails, full):
                 self._assert_tail_rows(traj, ref, first)
 

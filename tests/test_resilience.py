@@ -6,13 +6,12 @@ import pytest
 
 from flownet import dynamics, resilience
 from flownet import (
-    AttackScenario,
     PerturbationSpec,
     SimulationConfig,
     alpha_transfer_estimate,
     cut_attack,
     estimate_weak_resilience,
-    evaluate_attack,
+    evaluate_attacks,
     load_scenario,
     simulate,
 )
@@ -81,7 +80,7 @@ class TestEvaluateAttack:
         net = two_route_network()
         policy = two_route_policy(net.topology)
         spec = PerturbationSpec.scaling(net, {})
-        out = evaluate_attack(AttackScenario(net, policy, 1.0, spec, alpha=0.1), FAST)
+        out = evaluate_attacks(net, policy, 1.0, [(spec, 0.1, None)], FAST)[0]
         assert not out.defeated
         assert out.tail_min == pytest.approx(1.0, abs=1e-3)
 
@@ -89,7 +88,7 @@ class TestEvaluateAttack:
         net = two_route_network()
         policy = two_route_policy(net.topology)
         spec = cut_attack(net, alpha=0.5, inflow=1.0)
-        out = evaluate_attack(AttackScenario(net, policy, 1.0, spec, alpha=0.5), FAST)
+        out = evaluate_attacks(net, policy, 1.0, [(spec, 0.5, None)], FAST)[0]
         assert out.defeated
         # the strangled cut passes at most eps * C = alpha * lam / 2
         assert out.tail_min <= 0.25 + 1e-6
@@ -98,7 +97,7 @@ class TestEvaluateAttack:
         net = diamond_network()
         policy = diamond_policy(net.topology)
         spec = PerturbationSpec.scaling(net, {0: 0.99})  # link 0 is off the min cut {5}
-        out = evaluate_attack(AttackScenario(net, policy, 1.0, spec, alpha=0.5), FAST)
+        out = evaluate_attacks(net, policy, 1.0, [(spec, 0.5, None)], FAST)[0]
         assert not out.defeated
 
     def test_saturated_baseline_rejected(self):
@@ -106,8 +105,23 @@ class TestEvaluateAttack:
         policy = two_route_policy(net.topology)
         spec = PerturbationSpec.scaling(net, {})
         with pytest.raises(ValueError):
-            evaluate_attack(AttackScenario(net, policy, 2.0, spec, alpha=0.5),
-                            SimulationConfig(inflow=2.0, horizon=50.0, dt=0.02))
+            evaluate_attacks(net, policy, 2.0, [(spec, 0.5, None)],
+                             SimulationConfig(inflow=2.0, horizon=50.0, dt=0.02))
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected_before_simulating(self, monkeypatch, alpha):
+        net = two_route_network()
+        policy = two_route_policy(net.topology)
+        monkeypatch.setattr(resilience, "_iter_ensemble", None)  # any simulation fails
+        attacks = [(cut_attack(net, 0.5, 1.0), 0.5, None),
+                   (PerturbationSpec.scaling(net, {}), alpha, None)]
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
+            evaluate_attacks(net, policy, 1.0, attacks, FAST)
+
+    def test_no_attacks_no_outcomes(self):
+        net = two_route_network()
+        assert evaluate_attacks(net, two_route_policy(net.topology), 1.0, []) == []
 
 
 class TestWeakResilience:
@@ -173,13 +187,13 @@ class TestBatchedVerdicts:
     def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()
         sizes = []
-        real = dynamics._simulate_records
+        real = dynamics._simulate_chunk
 
         def counting(networks, *args):
             sizes.append(len(networks))
             return real(networks, *args)
 
-        monkeypatch.setattr(dynamics, "_simulate_records", counting)
+        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
         estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
                                  alphas=(0.5, 0.05), n_samples=4, seed=3)
         # both endpoints of both alphas' brackets, then every sample
@@ -195,7 +209,7 @@ class TestBatchedVerdicts:
 
         def judge(eps, alpha):
             spec = PerturbationSpec.scaling(net, {lid: eps for lid in sorted(cut.cut_links)})
-            return evaluate_attack(AttackScenario(net, policy, 1.0, spec, alpha), config)
+            return evaluate_attacks(net, policy, 1.0, [(spec, alpha, None)], config)[0]
 
         reference = []
         for alpha in sorted(alphas, reverse=True):
@@ -249,13 +263,11 @@ class TestBatchedVerdicts:
     def test_ensemble_verdicts_match_evaluate_attack(self):
         net = diamond_network()
         policy = diamond_policy(net.topology)
-        config, rho0 = resilience._attack_setup(net, policy, 1.0, SHORT)
         specs = sample_scaling_perturbations(net, 1.2, 4, seed=2)
-        attacks = [(AttackScenario(net, policy, 1.0, spec, alpha), tol)
-                   for spec, alpha, tol in zip(specs, (0.5, 0.05, 1e-3, 0.2), (None, 0.0, 0.0, 1e-2))]
-        batched = resilience._evaluate_ensemble(attacks, config, rho0)
-        assert batched == [evaluate_attack(scenario, SHORT, transfer_tol=tol)
-                           for scenario, tol in attacks]
+        attacks = list(zip(specs, (0.5, 0.05, 1e-3, 0.2), (None, 0.0, 0.0, 1e-2)))
+        batched = evaluate_attacks(net, policy, 1.0, attacks, SHORT)
+        assert batched == [evaluate_attacks(net, policy, 1.0, [attack], SHORT)[0]
+                           for attack in attacks]
 
     @pytest.mark.parametrize("tail_fraction", [0.2, 0.37])
     @pytest.mark.parametrize("stride", [1, 3, 7])
@@ -269,12 +281,12 @@ class TestBatchedVerdicts:
         specs = sample_scaling_perturbations(net, 1.3, 5, seed=6)
         # a cut attack, and origin links scaled down: the outflow still falls at the horizon
         specs += [cut_attack(net, 0.05, 1.0), PerturbationSpec.scaling(net, {0: 0.1, 1: 0.1})]
-        attacks = [(AttackScenario(net, policy, 1.0, spec, alpha), tol)
+        attacks = [(spec, alpha, tol)
                    for spec in specs for alpha, tol in ((0.5, None), (0.05, 0.0))]
-        outcomes = resilience._evaluate_ensemble(attacks, config, rho0)
-        for (scenario, tol), out in zip(attacks, outcomes, strict=True):
-            traj = simulate(net.perturbed(scenario.perturbation), policy, config, rho0)
-            est = alpha_transfer_estimate(traj, scenario.alpha, 1.0, tail_fraction, tol)
+        outcomes = evaluate_attacks(net, policy, 1.0, attacks, config)
+        for (spec, alpha, tol), out in zip(attacks, outcomes, strict=True):
+            traj = simulate(net.perturbed(spec), policy, config, rho0)
+            est = alpha_transfer_estimate(traj, alpha, 1.0, tail_fraction, tol)
             assert (out.tail_min, out.inconclusive, out.defeated) == \
                 (est.tail_min, est.inconclusive, not est.transferring)
         # the mix exercises both sides of each judgement
@@ -287,7 +299,7 @@ class TestBatchedVerdicts:
         policy = diamond_policy(net.topology)
         config, rho0 = resilience._attack_setup(
             net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=100.0, dt=0.02))
-        attacks = [(AttackScenario(net, policy, 1.0, spec, 0.05), None)
+        attacks = [(spec, 0.05, None)
                    for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
         records = dynamics._record_count(dynamics._step_count(config.horizon, config.dt), 1)
         block = 8 * records * len(net.topology.links)
@@ -296,7 +308,7 @@ class TestBatchedVerdicts:
         monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", per_chunk * member)
         tracemalloc.start()
         try:
-            resilience._evaluate_ensemble(attacks, config, rho0)
+            resilience._simulate_attacks(net, policy, config, rho0, attacks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -113,6 +113,9 @@ class TestMalformedNumbers:
         "simulation-ceiling-huge-int": (("simulation", "density_ceiling"), 10 ** 400),
         "simulation-stride-fraction": (("simulation", "record_stride"), 2.5),
         "simulation-initial-density-string": (("simulation", "initial_density"), "x"),
+        "simulation-initial-density-unknown-link": (("simulation", "initial_density"), {"99": 1.0}),
+        "simulation-initial-density-non-id": (("simulation", "initial_density"), {"abc": 1.0}),
+        "simulation-initial-density-negative": (("simulation", "initial_density"), {"0": -1.0}),
         "simulation-unknown-setting": (("simulation", "step"), 0.1),
     }
 
@@ -374,6 +377,13 @@ class TestCmdLimitflow:
         assert captured.out == ""
         assert "--sweep grid must be finite" in captured.err
 
+    def test_negative_sweep_point_exit_one(self, capsys):
+        code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep=-1:1:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --sweep grid must be nonnegative, got point -1.0 in '-1:1:3'\n"
+
     def test_single_point_to_stdout(self, capsys):
         code, out = run_cli("limitflow", str(DATA / "chain21.json"), capsys=capsys)
         assert code == 0
@@ -487,13 +497,13 @@ class TestGoldenFiles:
     def test_default_horizon_verdicts_run_as_one_chunk(self, monkeypatch, capsys):
         # two alphas' bracket audits and 12 samples at the default horizon of 200
         sizes = []
-        real = dynamics._simulate_records
+        real = dynamics._simulate_chunk
 
         def counting(networks, *args):
             sizes.append(len(networks))
             return real(networks, *args)
 
-        monkeypatch.setattr(dynamics, "_simulate_records", counting)
+        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
         code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
                             "--samples", "12", "--seed", "3", capsys=capsys)
         assert code == 0
@@ -580,6 +590,15 @@ class TestSweepAgainstSimulation:
                                              record_stride=20))
             np.testing.assert_allclose(
                 [float(row[1]), float(row[2])], traj.terminal_flow(), atol=1e-3)
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```", 1)[0], {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1].startswith("True ")
 
 
 class TestEntryPoint:
