@@ -54,15 +54,15 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
-def _seed(text: str) -> int:
-    """``--seed``: a nonnegative integer, rejected by the parser otherwise."""
+def _nonnegative_int(text: str) -> int:
+    """``--seed`` and ``--samples``: a nonnegative integer, rejected by the parser otherwise."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return seed
+    return value
 
 
 def _dump_json(obj) -> str:
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resilience", help="bracket the weak resilience against min-cut")
     p.add_argument("scenario")
     p.add_argument("--alphas", default="0.5,0.2,0.1,0.05")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--samples", type=_nonnegative_int, default=50)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--jobs", type=int, default=1,

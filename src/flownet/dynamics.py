@@ -116,15 +116,13 @@ class _Compiled:
     id order and ``arr_topo[to_sorted]`` the other way.
 
     One instance serves an ensemble of B networks that share one topology
-    under one policy.  Flow parameters are stacked per member, shape
-    (B, m), or kept at (m,) for a single network, so a state is either
-    (m,) or (B, m) and every reduction runs along the last axis.  The
-    exponential parameters are stored negated (exactly) so ``flows`` is one
-    multiply, one ``expm1`` and one multiply.  All-exponential flow
-    families and logit policies take fully vectorized paths.  Any other
-    flow family goes through each member's ``_flow_map`` and any other
-    policy through one ``policy.route`` call per node on the whole state,
-    the calls the limit-flow cascade makes.
+    under one policy.  A state is (B, m), or (m,) for a single network, and
+    every reduction runs along the last axis.  ``flows`` is the
+    ``_flow_map`` of the whole state and ``member_flows[b]`` that of member
+    b alone; for a single network they are one map.  Logit policies take a
+    fully vectorized path; any other policy goes through one
+    ``policy.route`` call per node on the whole state, the calls the
+    limit-flow cascade makes.
     """
 
     def __init__(self, networks, policy: RoutingPolicy):
@@ -153,35 +151,13 @@ class _Compiled:
         self.head_mat[self.heads, np.arange(len(self.links))] = 1.0
 
         ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
-        self._exp = all(isinstance(ff, ExponentialFlow) for member in ffs for ff in member)
-        if self._exp:
-            self.neg_a = -self._stack([[ff.rate for ff in member] for member in ffs])
-            self.neg_fmax = -self._stack([[ff.f_max for ff in member] for member in ffs])
-        else:
-            self.mus = [_flow_map(member) for member in ffs]
+        self.member_flows = [_flow_map(member) for member in ffs]
+        self.flows = self.member_flows[0] if len(ffs) == 1 else _flow_map(ffs)
         self._logit = isinstance(policy, LogitPolicy)
         self.policy = policy
         if self._logit:
             self.a_pol = np.array([policy.weights[l.id] for l in self.links])
             self.neg_eta = -np.array([policy.eta[l.tail] for l in self.links])
-
-    @staticmethod
-    def _stack(rows) -> np.ndarray:
-        return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
-
-    def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
-        """Link outflows for states of shape (..., m) or, in an ensemble, (..., B, m).
-
-        With ``member`` set, ``rho`` has shape (..., m) and holds states of
-        that one member of an ensemble of two or more.
-        """
-        if self._exp:
-            if member is None:
-                return self.neg_fmax * np.expm1(self.neg_a * rho)
-            return self.neg_fmax[member] * np.expm1(self.neg_a[member] * rho)
-        if member is not None or len(self.mus) == 1:
-            return self.mus[member or 0](rho)
-        return np.stack([mu(rho[..., b, :]) for b, mu in enumerate(self.mus)], axis=-2)
 
     def splits(self, rho: np.ndarray) -> np.ndarray:
         if self._logit:
@@ -286,11 +262,11 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: floa
                record_stride: int = 1, first_record: int = 0):
     """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
 
-    Clamps densities at zero and records the worst undershoot per member
-    (a float for a single state, an array of B for an ensemble).  The step
-    is shrunk to land exactly on the horizon.  Returns ``(times, states,
-    undershoot, dt)`` with ``states`` of shape ``(records,) + rho0.shape``:
-    the records of a full run from index ``first_record`` on.
+    Clamps densities at zero and records the worst undershoot per member,
+    an array of shape ``rho0.shape[:-1]``.  The step is shrunk to land
+    exactly on the horizon.  Returns ``(times, states, undershoot, dt)``
+    with ``states`` of shape ``(records,) + rho0.shape``: the records of a
+    full run from index ``first_record`` on.
     """
     n_steps = _step_count(horizon, dt)
     dt = horizon / n_steps
@@ -330,8 +306,6 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: floa
             times[recorded] = t
             states[recorded] = rho
             recorded += 1
-    if undershoot.ndim == 0:
-        undershoot = float(undershoot)
     return times, states, undershoot, dt
 
 
@@ -394,9 +368,11 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
     and 0 only the last state.  Members are integrated in chunks sized by
     the records a member keeps: each keeps records x (2m + n) floats
     (densities, flows, node inflows), and a chunk holds as many members as
-    fit in ``_ENSEMBLE_BYTES``.  A consumer that reduces each trajectory as
-    it arrives keeps at most one chunk alive.  The topology, the start
-    densities and the time step are checked once, before the first chunk.
+    fit in ``_ENSEMBLE_BYTES``.  A chunk holds its members' densities and
+    builds one member's trajectory at a time, so a consumer that reduces
+    each trajectory as it arrives keeps one chunk's densities and one
+    trajectory alive.  The topology, the start densities and the time step
+    are checked once, before the first chunk.
     """
     networks = list(networks)
     if not networks:
@@ -421,35 +397,34 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
 
 
 def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                    dt: float, first_record: int) -> list:
+                    dt: float, first_record: int):
     """One chunk of ``_iter_ensemble``: the trajectories of ``networks`` from
     the checked start densities ``rho0s`` under time step ``dt``, keeping
     the records from index ``first_record`` on.
 
-    The kept rows of every array are bit-for-bit those of the full run.
+    The members' densities are integrated together; then each member's
+    flows and node inflows are built from its own densities and its
+    trajectory is yielded before the next member's is built.  The kept rows
+    of every array are bit-for-bit those of the full run.
     """
     topo = networks[0].topology
     compiled = _Compiled(networks, policy)
     rho0 = np.array(rho0s)[:, compiled.to_sorted]
     if len(networks) == 1:
-        rho0 = rho0[0]
+        rho0 = rho0[0]  # a single run integrates an (m,) state, its fastest right-hand side
 
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     times, states, undershoot, dt_actual = _integrate(
         deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride,
         first_record
     )
-    if states.ndim == 2:
-        members = [(states, compiled.flows(states), undershoot)]
-    else:
-        # flows member by member, so only one member's flows exist beside the chunk
-        members = ((states[:, b], compiled.flows(states[:, b], b), undershoot[b])
-                   for b in range(len(networks)))
-    trajectories = []
-    for rho_sorted, flows_sorted, member_undershoot in members:
+    states = states.reshape(len(times), len(networks), len(topo.links))
+    undershoot = undershoot.reshape(len(networks))
+    for b, member_flows in enumerate(compiled.member_flows):
+        rho_sorted = states[:, b]
         # one contiguous (records, m) block per member, as the single-run
         # matrix product needs for its summation order
-        flows_sorted = np.ascontiguousarray(flows_sorted)
+        flows_sorted = np.ascontiguousarray(member_flows(rho_sorted))
         if len(flows_sorted) > 1:
             lam = flows_sorted @ compiled.head_mat.T
         else:
@@ -457,7 +432,7 @@ def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, r
             # sums can differ in the last bit; a full run keeps two rows or more
             lam = (np.repeat(flows_sorted, 2, axis=0) @ compiled.head_mat.T)[:1]
         lam[:, topo.origin] = config.inflow
-        trajectories.append(Trajectory(
+        yield Trajectory(
             times=times.copy(),
             rho=rho_sorted[:, compiled.to_topo],
             flows=flows_sorted[:, compiled.to_topo],
@@ -466,9 +441,11 @@ def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, r
             inflow=config.inflow,
             dt=dt_actual,
             destination=topo.destination,
-            max_undershoot=float(member_undershoot),
-        ))
-    return trajectories
+            max_undershoot=float(undershoot[b]),
+        )
+        # the consumer may have dropped that trajectory: keep none of it
+        # while the next member's is built
+        del flows_sorted, lam
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
@@ -489,7 +466,7 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
     times, states, undershoot, _ = _integrate(
         lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
         dt, horizon, SimulationConfig.density_ceiling)
-    return LocalTrajectory(times, states, compiled.flows(states), undershoot)
+    return LocalTrajectory(times, states, compiled.flows(states), float(undershoot))
 
 
 def _transfer_threshold(alpha: float, inflow: float, tol: float | None = None) -> float:
@@ -713,21 +690,25 @@ def _solve(jac: np.ndarray, b: np.ndarray):
 
 
 def _flow_map(flow_fns):
-    """k links' flows as a map from densities (..., k) to flows (..., k).
+    """Link flows as a map from densities to flows of the same shape.
 
-    Exponential links are one expression over the whole array with their
-    parameters hoisted, bit-for-bit what each function's ``__call__``
-    gives; any other family runs each flow function on its column.
+    ``flow_fns`` is one member's k flow functions, a map on densities
+    (..., k), or a (B, k) nested list of B members' functions, a map on
+    (..., B, k).  Exponential links are one expression over the whole array
+    with their parameters hoisted and negated, bit-for-bit what each
+    function's ``__call__`` gives (negation is exact and IEEE products are
+    sign-symmetric); any other family runs each flow function on its column.
     """
-    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
-        neg_rate = -np.array([ff.rate for ff in flow_fns])
-        f_max = np.array([ff.f_max for ff in flow_fns])
-        return lambda rho: f_max * -np.expm1(neg_rate * rho)
+    fns = np.array(flow_fns, dtype=object)
+    if all(isinstance(ff, ExponentialFlow) for ff in fns.flat):
+        neg_rate = -np.array([ff.rate for ff in fns.flat]).reshape(fns.shape)
+        neg_f_max = -np.array([ff.f_max for ff in fns.flat]).reshape(fns.shape)
+        return lambda rho: neg_f_max * np.expm1(neg_rate * rho)
 
     def mu(rho):
         out = np.empty_like(rho)
-        for j, ff in enumerate(flow_fns):
-            out[..., j] = ff(rho[..., j])
+        for idx, ff in np.ndenumerate(fns):
+            out[(..., *idx)] = ff(rho[(..., *idx)])
         return out
 
     return mu

@@ -52,6 +52,7 @@ BISECT_TOL_FRAC = 0.01
 class AttackOutcome:
     defeated: bool
     tail_min: float
+    tail_variation: float
     inconclusive: bool
     magnitude: float
 
@@ -184,6 +185,7 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
     for spec, alpha, transfer_tol in attacks:
         est = _judge_tail(next(trajs).outflow, alpha, config.inflow, transfer_tol)
         outcomes.append(AttackOutcome(defeated=not est.transferring, tail_min=est.tail_min,
+                                      tail_variation=est.tail_variation,
                                       inconclusive=est.inconclusive, magnitude=spec.magnitude))
     return outcomes
 
@@ -284,7 +286,8 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     alpha-transfer, to within ``BISECT_TOL_FRAC`` of C.  Lower side: random
     scaling perturbations of magnitude up to (1 - ``MARGIN``) C, each of which
     must keep the tail outflow at or above ``ALPHA_FLOOR * inflow``
-    (checked without slack).
+    (checked without slack) over a tail that has settled: a sample whose
+    tail still varies by more than 5% of the inflow raises ``RuntimeError``.
 
     The bisection is judged on the limit-flow oracle: the perturbed flow
     converges to its unique limit flow, whose destination inflow is the
@@ -298,7 +301,11 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
         raise ValueError("resilience estimation needs a positive inflow")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
     for alpha in alphas:
+        if not 0 < alpha <= 1:  # NaN included
+            raise ValueError(f"alpha {alpha!r} must be in (0, 1]")
         if not _transfer_threshold(alpha, inflow) > 0:
             raise ValueError(
                 f"alpha {alpha!r} is at or below the 1e-3 transfer slack: the required "
@@ -344,6 +351,11 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     samples = []
     preserved_max = 0.0
     for spec, out in zip(specs, outcomes[len(audits):]):
+        if out.inconclusive:
+            raise RuntimeError(
+                f"sample of magnitude delta {spec.magnitude!r}: simulated tail_min "
+                f"{out.tail_min!r}, but the tail still varies by {out.tail_variation!r}, more "
+                f"than 5% of the inflow; the run has not converged, try a longer --horizon")
         preserved = not out.defeated
         samples.append({
             "delta": spec.magnitude,

@@ -1,6 +1,8 @@
 """Cut attacks, attack evaluation, and the weak-resilience bracket."""
 
+import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +163,13 @@ class TestWeakResilience:
         with pytest.raises(ValueError):
             estimate_weak_resilience(net, anti, 1.0, config=FAST, alphas=(0.5,), n_samples=2)
 
+    def test_negative_sample_count_rejected(self, monkeypatch):
+        net = two_route_network()
+        monkeypatch.setattr(resilience, "min_cut_capacity", None)  # no work may start
+        with pytest.raises(ValueError, match=r"^n_samples must be nonnegative, got -3$"):
+            estimate_weak_resilience(net, two_route_policy(net.topology), 1.0, config=FAST,
+                                     alphas=(0.5,), n_samples=-3)
+
     def test_diamond_policy_certified(self):
         net = diamond_network()
         require_locally_responsive(diamond_policy(net.topology), net)
@@ -260,6 +269,27 @@ class TestBatchedVerdicts:
         for part in ("limit-flow oracle outflow", "simulated tail_min", "--horizon"):
             assert part in err
 
+    def test_inconclusive_sample_exits_two(self, monkeypatch, capsys):
+        argv = ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
+                "--samples", "2", "--horizon", "10", "--seed", "3"]
+        assert main(argv) == 0
+        last = json.loads(capsys.readouterr().out)["samples"][-1]
+        real = resilience._simulate_attacks
+
+        def unsettled_last_sample(*args):
+            outcomes = real(*args)
+            outcomes[-1] = replace(outcomes[-1], inconclusive=True)
+            return outcomes
+
+        monkeypatch.setattr(resilience, "_simulate_attacks", unsettled_last_sample)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sample of magnitude delta {last['delta']!r}: "
+                              f"simulated tail_min {last['tail_min']!r}, ")
+        assert "Traceback" not in err
+        for part in ("still varies by", "--horizon"):
+            assert part in err
+
     def test_ensemble_verdicts_match_evaluate_attack(self):
         net = diamond_network()
         policy = diamond_policy(net.topology)
@@ -315,3 +345,34 @@ class TestBatchedVerdicts:
         # one chunk's states and trajectories plus two blocks of one member's
         # flows in the making; the previous chunk's last trajectory is gone
         assert peak <= per_chunk * (block + member) + 2 * block
+
+    def test_one_chunk_builds_one_trajectory_at_a_time(self, monkeypatch):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        config, rho0 = resilience._attack_setup(
+            net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=200.0, dt=0.02))
+        attacks = [(spec, 0.05, None)
+                   for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
+        sizes = []
+        real = dynamics._simulate_chunk
+
+        def counting(networks, *args):
+            sizes.append(len(networks))
+            return real(networks, *args)
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
+        n_steps = dynamics._step_count(config.horizon, config.dt)
+        records = (dynamics._record_count(n_steps, 1)
+                   - dynamics._window_start(n_steps, config.dt, 1, config.tail_fraction))
+        block = 8 * records * len(net.topology.links)
+        member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
+        tracemalloc.start()
+        try:
+            resilience._simulate_attacks(net, policy, config, rho0, attacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes == [len(attacks)]
+        # the chunk's tail-window states, one member's trajectory and two
+        # blocks of its flows in the making: never the chunk's trajectories
+        assert peak <= len(attacks) * block + member + 2 * block

@@ -431,6 +431,18 @@ class TestCmdResilience:
         err = capsys.readouterr().err
         assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in err
 
+    @pytest.mark.parametrize("samples", ["-3", "x"])
+    def test_negative_sample_count_rejected_before_any_work(self, monkeypatch, capsys, samples):
+        def no_work(*args):
+            raise AssertionError("no scenario may be loaded")
+
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["resilience", str(DATA / "diamond5.json"), "--samples", samples])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --samples: expected a nonnegative integer, got '{samples}'" in err
+
     def test_infinite_horizon_is_runtime_failure(self, capsys):
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                      "--samples", "2", "--horizon", "inf"])
@@ -449,6 +461,17 @@ class TestCmdResilience:
         assert code == 2
         assert err.startswith(f"error: alpha {alphas.split(',')[-1]} ") and "1e-3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alphas", ["1.5", "nan", "inf", "0.5,-0.2"])
+    def test_alpha_outside_unit_interval_rejected_up_front(self, monkeypatch, capsys, alphas):
+        def no_oracle(*args):
+            raise AssertionError("no limit flow may be computed")
+
+        monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
+        code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: alpha {alphas.split(',')[-1]} must be in (0, 1]\n"
 
     def test_anti_cooperative_policy_is_runtime_failure(self, capsys):
         code, _ = run_cli("resilience", str(DATA / "anti_cooperative.json"),
