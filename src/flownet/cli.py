@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,7 @@ from .dynamics import (
     simulate,
 )
 from .resilience import _attack_setup, estimate_weak_resilience
-from .scenario import (
-    SIMULATION_SETTINGS,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    validate_scenario,
-)
+from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 from .topology import min_cut_capacity
 
 SCHEMA_VERSION = 1
@@ -85,20 +80,9 @@ def _write_manifest(prefix: Path, args_list, scenario_path, seed, outputs):
 
 
 def _build_config(scenario: Scenario, args) -> SimulationConfig:
-    sim = dict(scenario.simulation)
-    if getattr(args, "horizon", None) is not None:
-        sim["horizon"] = args.horizon
-    if getattr(args, "dt", None) is not None:
-        sim["dt"] = args.dt
-    kwargs = {k: v for k, v in sim.items() if k in SIMULATION_SETTINGS}
-    return SimulationConfig(inflow=scenario.inflow, **kwargs)
-
-
-def _initial_density(scenario: Scenario):
-    raw = scenario.simulation.get("initial_density")
-    if raw is None:
-        return None
-    return np.array([float(raw.get(str(lid), 0.0)) for lid in scenario.topology.link_ids])
+    """The scenario's settings with the ``--horizon``/``--dt`` overrides given."""
+    overrides = {"horizon": args.horizon, "dt": args.dt}
+    return replace(scenario.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # Trajectory rows encoded and written per block of the simulate CSV.
@@ -148,7 +132,7 @@ def cmd_simulate(args) -> int:
         "inflow": scenario.inflow,
     }
     if spec is None:
-        traj = simulate(scenario.network, scenario.policy, config, _initial_density(scenario))
+        traj = simulate(scenario.network, scenario.policy, config, scenario.initial_density)
         net_for_sat = scenario.network
     else:
         # attack run: start from the unperturbed limit flow's densities and
@@ -157,7 +141,7 @@ def cmd_simulate(args) -> int:
         net_for_sat = scenario.network.perturbed(spec)
         traj = simulate(net_for_sat, scenario.policy, config, rho0)
         summary["attack"] = {
-            "alpha": scenario.attack_alpha(),
+            "alpha": scenario.attack_alpha,
             "magnitude": spec.magnitude,
             "stretching": spec.stretching,
         }
@@ -176,10 +160,9 @@ def cmd_simulate(args) -> int:
         "saturated_links": [lid for lid in traj.link_ids if flags[lid]],
         "max_undershoot": traj.max_undershoot,
     })
-    if spec is not None and scenario.attack_alpha() is not None:
-        alpha = scenario.attack_alpha()
-        verdict = alpha_transfer_estimate(traj, alpha, scenario.inflow, config.tail_fraction,
-                                          tol=config.transfer_tol)
+    if scenario.attack_alpha is not None:
+        verdict = alpha_transfer_estimate(traj, scenario.attack_alpha, scenario.inflow,
+                                          config.tail_fraction, tol=config.transfer_tol)
         summary["attack"]["defeated"] = not verdict.transferring
 
     out = _resolve_out(args.out)

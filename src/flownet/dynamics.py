@@ -88,6 +88,8 @@ class SimulationConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not self.density_ceiling > 0:
+            raise ValueError("density_ceiling must be positive")
         if self.inflow < 0:
             raise ValueError("inflow must be nonnegative")
         if self.dt is not None and not self.dt > 0:
@@ -422,15 +424,11 @@ def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, r
     undershoot = undershoot.reshape(len(networks))
     for b, member_flows in enumerate(compiled.member_flows):
         rho_sorted = states[:, b]
-        # one contiguous (records, m) block per member, as the single-run
-        # matrix product needs for its summation order
-        flows_sorted = np.ascontiguousarray(member_flows(rho_sorted))
-        if len(flows_sorted) > 1:
-            lam = flows_sorted @ compiled.head_mat.T
-        else:
-            # numpy hands a one-row product to a matrix-vector kernel, whose
-            # sums can differ in the last bit; a full run keeps two rows or more
-            lam = (np.repeat(flows_sorted, 2, axis=0) @ compiled.head_mat.T)[:1]
+        flows_sorted = member_flows(rho_sorted)
+        # incoming flows summed in the kernel's link order, as the pinned outputs were
+        lam = np.zeros((len(times), topo.num_nodes))
+        for j, head in enumerate(compiled.heads):
+            lam[:, head] += flows_sorted[:, j]
         lam[:, topo.origin] = config.inflow
         yield Trajectory(
             times=times.copy(),

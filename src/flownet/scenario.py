@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from .flows import ExponentialFlow, FlowNetwork, InadmissiblePerturbation, PerturbationSpec
+import numpy as np
+
+from .dynamics import SimulationConfig
+from .flows import ExponentialFlow, FlowNetwork, PerturbationSpec
 from .resilience import cut_attack
 from .routing import LogitPolicy, responsiveness_findings
 from .topology import Link, NetworkTopology, TopologyError, validate_topology
@@ -44,36 +47,29 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A checked scenario document: ``config`` holds its inflow and ``simulation``
+    settings, ``initial_density`` its start densities in ``topology.link_ids``
+    order (None: empty), and its perturbation is a cut attack at level
+    ``attack_alpha`` or the per-link factors ``scalings`` (both None without one).
+    """
+
     name: str
     topology: NetworkTopology
     network: FlowNetwork
     policy: LogitPolicy
     inflow: float
+    config: SimulationConfig
     seed: int = 0
-    simulation: dict = field(default_factory=dict)
-    perturbation: dict | None = None
+    initial_density: np.ndarray | None = None
+    attack_alpha: float | None = None
+    scalings: dict | None = None
 
     def perturbation_spec(self) -> PerturbationSpec | None:
-        """Materialize the perturbation section, if any."""
-        if not self.perturbation:
-            return None
-        alpha = self.attack_alpha()
-        if alpha is not None:
-            return cut_attack(self.network, alpha, self.inflow)
-        factors = {}
-        for key, body in self.perturbation["links"].items():
-            where = f"perturbation.links.{key}"
-            body = _object(body, where)
-            if body.get("type", "scale") != "scale":
-                raise ScenarioError(f"{where}: unknown type {body.get('type')!r}")
-            factors[int(key)] = _number(_need(body, "eps", where), f"{where}.eps")
-        return PerturbationSpec.scaling(self.network, factors)
-
-    def attack_alpha(self) -> float | None:
-        if self.perturbation and "cut_attack" in self.perturbation:
-            where = "perturbation.cut_attack"
-            return _number(_need(_object(self.perturbation["cut_attack"], where), "alpha", where),
-                           f"{where}.alpha")
+        """Materialize the perturbation, if any."""
+        if self.attack_alpha is not None:
+            return cut_attack(self.network, self.attack_alpha, self.inflow)
+        if self.scalings is not None:
+            return PerturbationSpec.scaling(self.network, self.scalings)
         return None
 
 
@@ -117,38 +113,65 @@ def _number(value, where: str, integer: bool = False):
 
 
 # ``SimulationConfig`` fields a scenario's ``simulation`` section may set
-SIMULATION_SETTINGS = ("dt", "horizon", "tail_fraction", "transfer_tol", "sat_threshold",
-                       "density_ceiling", "record_stride")
+SIMULATION_SETTINGS = tuple(f.name for f in fields(SimulationConfig) if f.name != "inflow")
 
 
-def _simulation_section(raw, topo: NetworkTopology) -> dict:
-    """The ``simulation`` section with every value checked.
+def _simulation_section(raw, topo: NetworkTopology, inflow: float):
+    """The ``SimulationConfig`` of ``inflow`` and the ``simulation`` section, and
+    the start densities in ``topo.link_ids`` order (None to start empty).
 
-    ``dt`` and ``transfer_tol`` may be null, which keeps their defaults;
-    ``record_stride`` is an integer; ``initial_density``, unless null, maps
-    ids of ``topo``'s links to nonnegative densities (links it leaves out
-    start empty).
+    ``dt``, ``transfer_tol`` and ``initial_density`` may be null for their
+    defaults; ``initial_density`` maps link ids to nonnegative densities (links
+    it leaves out start empty).  A setting out of range is a ``ScenarioError``.
     """
     sim = dict(_object(raw, "simulation"))
-    stray = set(sim) - set(SIMULATION_SETTINGS) - {"initial_density"}
+    density = sim.pop("initial_density", None)
+    stray = set(sim) - set(SIMULATION_SETTINGS)
     if stray:
         raise ScenarioError(f"simulation: unknown settings {sorted(stray)}")
-    for key, value in sim.items():
-        where = f"simulation.{key}"
-        if value is None and key in ("dt", "transfer_tol", "initial_density"):
-            continue
-        if key == "initial_density":
-            density = _object(value, where)
-            stray = set(density) - {str(lid) for lid in topo.link_ids}
-            if stray:
-                raise ScenarioError(f"{where}: unknown links {sorted(stray)}")
-            sim[key] = {lid: _number(rho, f"{where}.{lid}") for lid, rho in density.items()}
-            for lid, rho in sim[key].items():
-                if rho < 0:
-                    raise ScenarioError(f"{where}.{lid}: must be nonnegative, got {rho!r}")
-        else:
-            sim[key] = _number(value, where, integer=key == "record_stride")
-    return sim
+    settings = {key: _number(value, f"simulation.{key}", integer=key == "record_stride")
+                for key, value in sim.items()
+                if value is not None or key not in ("dt", "transfer_tol")}
+    try:
+        config = SimulationConfig(inflow=inflow, **settings)
+    except ValueError as exc:
+        raise ScenarioError(f"simulation: {exc}") from exc
+    if density is None:
+        return config, None
+    where = "simulation.initial_density"
+    stray = set(_object(density, where)) - {str(lid) for lid in topo.link_ids}
+    if stray:
+        raise ScenarioError(f"{where}: unknown links {sorted(stray)}")
+    rho = [_number(density.get(str(lid), 0.0), f"{where}.{lid}") for lid in topo.link_ids]
+    for lid, value in zip(topo.link_ids, rho):
+        if value < 0:
+            raise ScenarioError(f"{where}.{lid}: must be nonnegative, got {value!r}")
+    return config, np.array(rho)
+
+
+def _perturbation_section(raw, topo: NetworkTopology):
+    """The cut-attack level and the per-link scaling factors of a
+    ``perturbation`` section; exactly one of the two is not None."""
+    forms = {"links", "cut_attack"} & set(raw) if isinstance(raw, dict) else set()
+    if not forms:
+        raise ScenarioError("perturbation: expected a 'links' map or a 'cut_attack' section")
+    if len(forms) > 1:
+        raise ScenarioError("perturbation: holds both a 'links' map and a 'cut_attack' section")
+    if "cut_attack" in raw:
+        where = "perturbation.cut_attack"
+        return _number(_need(_object(raw["cut_attack"], where), "alpha", where), f"{where}.alpha"), None
+    links = _object(raw["links"], "perturbation.links")
+    stray = set(links) - {str(lid) for lid in topo.link_ids}
+    if stray:
+        raise ScenarioError(f"perturbation.links: unknown links {sorted(stray)}")
+    scalings = {}
+    for key, body in links.items():
+        where = f"perturbation.links.{key}"
+        body = _object(body, where)
+        if body.get("type", "scale") != "scale":
+            raise ScenarioError(f"{where}: unknown type {body.get('type')!r}")
+        scalings[int(key)] = _number(_need(body, "eps", where), f"{where}.eps")
+    return None, scalings
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
@@ -228,14 +251,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"seed: must be a nonnegative integer, got {seed}")
 
     pert = doc.get("perturbation")
-    if pert is not None:
-        if not isinstance(pert, dict) or not ({"links", "cut_attack"} & set(pert)):
-            raise ScenarioError("perturbation: expected a 'links' map or a 'cut_attack' section")
-        if "links" in pert:
-            stray = set(_object(pert["links"], "perturbation.links")) \
-                - {str(lid) for lid in topo.link_ids}
-            if stray:
-                raise ScenarioError(f"perturbation.links: unknown links {sorted(stray)}")
+    attack_alpha, scalings = (None, None) if pert is None else _perturbation_section(pert, topo)
+    config, initial_density = _simulation_section(doc.get("simulation", {}), topo, inflow)
 
     return Scenario(
         name=name,
@@ -243,9 +260,11 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         network=network,
         policy=policy,
         inflow=inflow,
+        config=config,
         seed=seed,
-        simulation=_simulation_section(doc.get("simulation", {}), topo),
-        perturbation=pert,
+        initial_density=initial_density,
+        attack_alpha=attack_alpha,
+        scalings=scalings,
     )
 
 
@@ -276,10 +295,9 @@ def validate_scenario(scenario: Scenario) -> dict:
     if topo_result.ok:
         for v, msg in responsiveness_findings(scenario.policy, scenario.seed):
             findings.append({"component": f"policy[{v}]", "message": msg})
-        if scenario.perturbation is not None:
-            try:
-                scenario.perturbation_spec()
-            except (InadmissiblePerturbation, ScenarioError, ValueError) as exc:
-                findings.append({"component": "perturbation", "message": str(exc)})
+        try:
+            scenario.perturbation_spec()
+        except ValueError as exc:  # an inadmissible perturbation among them
+            findings.append({"component": "perturbation", "message": str(exc)})
 
     return {"ok": not findings, "scenario": scenario.name, "findings": findings}

@@ -348,6 +348,9 @@ class TestSimulationConfig:
             SimulationConfig(inflow=1.0, sat_threshold=1.0)
         with pytest.raises(ValueError):
             SimulationConfig(inflow=1.0, record_stride=0)
+        for ceiling in (0.0, -1.0):
+            with pytest.raises(ValueError, match="density_ceiling"):
+                SimulationConfig(inflow=1.0, density_ceiling=ceiling)
 
     @pytest.mark.parametrize("field", ["inflow", "dt", "horizon", "density_ceiling"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

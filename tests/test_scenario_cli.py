@@ -65,7 +65,7 @@ class TestScenarioParsing:
         sc = load_scenario(DATA / "example3_cutattack.json")
         spec = sc.perturbation_spec()
         assert spec.magnitude == pytest.approx(1.5 - 0.25 / 2.0, abs=1e-12)
-        assert sc.attack_alpha() == 0.25
+        assert sc.attack_alpha == 0.25
 
     def test_semantic_validation_verdicts(self):
         assert validate_scenario(load_scenario(DATA / "example3.json"))["ok"]
@@ -117,6 +117,14 @@ class TestMalformedNumbers:
         "simulation-initial-density-non-id": (("simulation", "initial_density"), {"abc": 1.0}),
         "simulation-initial-density-negative": (("simulation", "initial_density"), {"0": -1.0}),
         "simulation-unknown-setting": (("simulation", "step"), 0.1),
+        "simulation-tail-fraction-above-one": (("simulation", "tail_fraction"), 2),
+        "simulation-sat-threshold-above-one": (("simulation", "sat_threshold"), 1.5),
+        "simulation-stride-zero": (("simulation", "record_stride"), 0),
+        "simulation-dt-negative": (("simulation", "dt"), -1),
+        "simulation-horizon-zero": (("simulation", "horizon"), 0),
+        "simulation-ceiling-negative": (("simulation", "density_ceiling"), -1),
+        "perturbation-both-forms": (("perturbation",), {"cut_attack": {"alpha": 0.25},
+                                                        "links": {"0": {"eps": 0.5}}}),
     }
 
     @staticmethod
@@ -129,12 +137,16 @@ class TestMalformedNumbers:
             assert captured.err.startswith("error: ")
         return code, captured.out
 
-    @pytest.mark.parametrize("command", ["validate", "limitflow", "simulate"])
+    @pytest.mark.parametrize("command", ["validate", "limitflow", "simulate", "mincut",
+                                         "resilience"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_one(self, tmp_path, capsys, command, case):
         doc = write_mutated(tmp_path, *self.CASES[case])
-        code, _ = self.run(command, doc, tmp_path, capsys)
+        code, out = self.run(command, doc, tmp_path, capsys)
         assert code == 1
+        if command == "validate":
+            (finding,) = json.loads(out)["findings"]
+            assert finding["component"] == "document"
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_null_perturbation_eps(self, tmp_path, capsys, command):
