@@ -146,9 +146,8 @@ def cmd_simulate(args) -> int:
             "stretching": spec.stretching,
         }
 
-    est, flags = limit_flow_estimate(traj, net_for_sat, config.sat_threshold)
-    transfer = alpha_transfer_estimate(traj, 0.0, scenario.inflow, config.tail_fraction,
-                                       tol=config.transfer_tol)
+    est, flags = limit_flow_estimate(traj, net_for_sat)
+    transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0, config.tail_fraction)
     summary.update({
         "dt": traj.dt,
         "horizon": float(traj.times[-1]),
@@ -161,9 +160,7 @@ def cmd_simulate(args) -> int:
         "max_undershoot": traj.max_undershoot,
     })
     if scenario.attack_alpha is not None:
-        verdict = alpha_transfer_estimate(traj, scenario.attack_alpha, scenario.inflow,
-                                          config.tail_fraction, tol=config.transfer_tol)
-        summary["attack"]["defeated"] = not verdict.transferring
+        summary["attack"]["defeated"] = not transfer.transferring
 
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")

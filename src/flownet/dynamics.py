@@ -54,7 +54,7 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Integration blew up (NaN/Inf or a density beyond the ceiling)."""
+    """Integration blew up (NaN/Inf, a density past the ceiling) or needs too many steps."""
 
 
 class LocalSolverError(RuntimeError):
@@ -65,31 +65,36 @@ class LocalSolverError(RuntimeError):
         self.residual = residual
 
 
+# A run aborts once a density passes DENSITY_CEILING (an overloaded network
+# grows without bound) or before it takes more than MAX_STEPS RK4 steps; a
+# link is saturated once its terminal flow reaches SAT_THRESHOLD of capacity.
+DENSITY_CEILING = 1e9
+MAX_STEPS = 10**7
+SAT_THRESHOLD = 0.999
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs for a single integration run.
 
     ``dt=None`` picks 0.01 over the fastest link relaxation rate (the
-    flow-function derivative at zero density).  ``transfer_tol=None``
-    resolves to 1e-3 times the inflow when a transfer verdict is computed.
+    flow-function derivative at zero density).  A run longer than
+    ``MAX_STEPS`` steps, or whose densities pass ``DENSITY_CEILING``, raises
+    ``SimulationError``; a transfer verdict compares the tail outflow with
+    ``alpha * inflow - 1e-3 * inflow``.
     """
 
     inflow: float
     dt: float | None = None
     horizon: float = 200.0
     tail_fraction: float = 0.2
-    transfer_tol: float | None = None
-    sat_threshold: float = 0.999
-    density_ceiling: float = 1e9
     record_stride: int = 1
 
     def __post_init__(self):
-        for name in ("inflow", "dt", "horizon", "density_ceiling"):
+        for name in ("inflow", "dt", "horizon"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.density_ceiling > 0:
-            raise ValueError("density_ceiling must be positive")
         if self.inflow < 0:
             raise ValueError("inflow must be nonnegative")
         if self.dt is not None and not self.dt > 0:
@@ -98,8 +103,6 @@ class SimulationConfig:
             raise ValueError("horizon must be positive")
         if not 0 < self.tail_fraction < 1:
             raise ValueError("tail_fraction must be in (0, 1)")
-        if not 0 < self.sat_threshold < 1:
-            raise ValueError("sat_threshold must be in (0, 1)")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -231,7 +234,11 @@ def _step_count(horizon: float, dt: float) -> int:
     steps = horizon / dt if dt > 0 else math.inf
     if not math.isfinite(steps):
         raise SimulationError(f"time step {dt!r} is too small for horizon {horizon!r}")
-    return max(1, math.ceil(steps - 1e-12))
+    n_steps = max(1, math.ceil(steps - 1e-12))
+    if n_steps > MAX_STEPS:
+        raise SimulationError(f"time step {dt!r} over horizon {horizon!r} takes {n_steps} "
+                              f"steps, more than {MAX_STEPS}; raise dt or shorten the horizon")
+    return n_steps
 
 
 def _record_count(n_steps: int, record_stride: int) -> int:
@@ -260,8 +267,8 @@ def _window_start(n_steps: int, dt: float, record_stride: int, window: float) ->
     return bisect.bisect_left(range(n_records), t0, key=time)
 
 
-def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: float,
-               record_stride: int = 1, first_record: int = 0):
+def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride: int = 1,
+               first_record: int = 0):
     """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
 
     Clamps densities at zero and records the worst undershoot per member,
@@ -299,8 +306,8 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, ceiling: floa
             np.maximum(undershoot, -rho.min(axis=-1), out=undershoot)
             rho = np.maximum(rho, 0.0)
         t = step * dt
-        if not rho.max() <= ceiling:  # also catches NaN
-            bad = rho if rho.ndim == 1 else rho[np.argmin(rho.max(axis=-1) <= ceiling)]
+        if not rho.max() <= DENSITY_CEILING:  # also catches NaN
+            bad = rho if rho.ndim == 1 else rho[np.argmin(rho.max(axis=-1) <= DENSITY_CEILING)]
             raise SimulationError(
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
@@ -417,9 +424,7 @@ def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, r
 
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     times, states, undershoot, dt_actual = _integrate(
-        deriv, rho0, dt, config.horizon, config.density_ceiling, config.record_stride,
-        first_record
-    )
+        deriv, rho0, dt, config.horizon, config.record_stride, first_record)
     states = states.reshape(len(times), len(networks), len(topo.links))
     undershoot = undershoot.reshape(len(networks))
     for b, member_flows in enumerate(compiled.member_flows):
@@ -452,8 +457,7 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
 
     The node is the origin of a two-node network with one parallel link per
     flow function, integrated by the network kernel with ``inflow_fn(t)``
-    in place of the constant inflow and under the default density ceiling
-    of ``SimulationConfig``.  ``inflow_fn`` is evaluated at the Runge-Kutta
+    in place of the constant inflow.  ``inflow_fn`` is evaluated at the Runge-Kutta
     stage times, so it should be continuous.
     """
     flow_fns = list(flow_fns)
@@ -463,7 +467,7 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
                          GenericPolicy(topo, {0: route_fn}))
     times, states, undershoot, _ = _integrate(
         lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
-        dt, horizon, SimulationConfig.density_ceiling)
+        dt, horizon)
     return LocalTrajectory(times, states, compiled.flows(states), float(undershoot))
 
 
@@ -487,19 +491,16 @@ class TransferEstimate:
     inconclusive: bool
 
 
-def alpha_transfer_estimate(traj: Trajectory, alpha: float, inflow: float | None = None,
-                            tail_fraction: float = 0.2,
+def alpha_transfer_estimate(traj: Trajectory, alpha: float, tail_fraction: float = 0.2,
                             tol: float | None = None) -> TransferEstimate:
     """Approximate the asymptotic outflow bound by the tail-window minimum.
 
     The verdict compares the minimum outflow over the trailing
-    ``tail_fraction`` of the horizon against ``alpha * inflow - tol``
-    (default tol: 1e-3 * inflow).  A tail still varying by more than 5% of
-    the inflow is flagged inconclusive rather than trusted.
+    ``tail_fraction`` of the horizon against ``alpha * inflow - tol``, with
+    the run's inflow (default tol: 1e-3 * inflow).  A tail still varying by
+    more than 5% of the inflow is flagged inconclusive rather than trusted.
     """
-    if inflow is None:
-        inflow = traj.inflow
-    return _judge_tail(traj.outflow[traj.tail_slice(tail_fraction)], alpha, inflow, tol)
+    return _judge_tail(traj.outflow[traj.tail_slice(tail_fraction)], alpha, traj.inflow, tol)
 
 
 def _judge_tail(tail: np.ndarray, alpha: float, inflow: float,
@@ -816,8 +817,7 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     ref_vec = reference.flow_vector(topo)
     rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
     trajs = _iter_ensemble([network] * n_initial, policy, config, rho0s, window=0.0)
-    terminals = np.array([limit_flow_estimate(traj, network, config.sat_threshold)[0]
-                          for traj in trajs])
+    terminals = np.array([limit_flow_estimate(traj, network)[0] for traj in trajs])
     pairwise = 0.0
     for i in range(n_initial):
         for j in range(i + 1, n_initial):
@@ -832,18 +832,18 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     )
 
 
-def limit_flow_estimate(traj: Trajectory, network: FlowNetwork, s_sat: float = 0.999):
+def limit_flow_estimate(traj: Trajectory, network: FlowNetwork):
     """Terminal flows with saturated links reported at capacity.
 
     Returns ``(estimate, saturated_flags)``: a link is flagged once its
-    terminal flow reaches ``s_sat`` of its capacity.  This flow-level
+    terminal flow reaches ``SAT_THRESHOLD`` of its capacity.  This flow-level
     reading is the package's one notion of saturation on a trajectory.
     """
     est = traj.terminal_flow().copy()
     flags = {}
     for i, lid in enumerate(traj.link_ids):
         fmax = network.flow_functions[lid].f_max
-        sat = traj.flows[-1, i] >= s_sat * fmax
+        sat = traj.flows[-1, i] >= SAT_THRESHOLD * fmax
         flags[lid] = bool(sat)
         if sat:
             est[i] = fmax

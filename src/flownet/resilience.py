@@ -295,8 +295,9 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     below the threshold simulated verdicts use.  One simulated ensemble
     then holds the samples and, as audits, every alpha's final defeating
     and preserved scalings.  An audit whose simulated verdict differs from
-    the oracle's raises ``RuntimeError``: the horizon is too short for the
-    tail to reach the limit.  The report is deterministic for a fixed seed.
+    the oracle's, or whose tail still varies by more than 5% of the inflow,
+    raises ``RuntimeError``: the horizon is too short for the tail to reach
+    the limit.  The report is deterministic for a fixed seed.
     """
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
@@ -338,11 +339,12 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
         [(cut_spec(eps), alpha, None) for alpha, eps, _ in audits]
         + [(spec, ALPHA_FLOOR, 0.0) for spec in specs])
     for (alpha, eps, defeated), out in zip(audits, outcomes):
-        if out.defeated != defeated:
+        if out.defeated != defeated or out.inconclusive:
             raise RuntimeError(
                 f"alpha {alpha!r}, cut scaling eps {eps!r}: limit-flow oracle outflow "
                 f"{oracle_outflow(eps)!r} ({'defeated' if defeated else 'preserved'}), simulated "
-                f"tail_min {out.tail_min!r}; the run has not converged, try a longer --horizon")
+                f"tail_min {out.tail_min!r}, tail variation {out.tail_variation!r}; the run has "
+                f"not converged, try a longer --horizon")
 
     sweep = [AlphaSweepPoint(alpha=alpha, defeating_delta=lo_out.magnitude, defeating_eps=eps_lo,
                              preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)

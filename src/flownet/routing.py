@@ -206,8 +206,8 @@ def check_property_a(policy: RoutingPolicy, v: int, n_samples: int = 1000,
     return PropertyReport(not violations, {"min_cross_partial": worst, "violations": violations})
 
 
-def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None) -> PropertyReport:
-    """Drive densities outside ``subset`` to 10^2..10^6 and watch the split.
+def check_property_b(policy: RoutingPolicy, v: int, subset) -> PropertyReport:
+    """Drive densities outside ``subset`` to 10^2..10^6 (inside: 0) and watch the split.
 
     The share outside the subset must decay below ``LIMIT_MASS_TOL`` and the
     share inside must settle (successive escalations Cauchy within
@@ -220,8 +220,6 @@ def check_property_b(policy: RoutingPolicy, v: int, subset, rho_subset=None) -> 
         raise ValueError("subset must be a nonempty proper subset of the node's outgoing links")
     inside = np.array([lid in subset for lid in links])
     rho = np.zeros(len(links))
-    if rho_subset is not None:
-        rho[inside] = np.asarray(rho_subset, dtype=float)
     limits = []
     off_mass = []
     for k in range(2, 7):

@@ -120,9 +120,9 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
     """The ``SimulationConfig`` of ``inflow`` and the ``simulation`` section, and
     the start densities in ``topo.link_ids`` order (None to start empty).
 
-    ``dt``, ``transfer_tol`` and ``initial_density`` may be null for their
-    defaults; ``initial_density`` maps link ids to nonnegative densities (links
-    it leaves out start empty).  A setting out of range is a ``ScenarioError``.
+    ``dt`` and ``initial_density`` may be null for their defaults;
+    ``initial_density`` maps link ids to nonnegative densities (links it
+    leaves out start empty).  A setting out of range is a ``ScenarioError``.
     """
     sim = dict(_object(raw, "simulation"))
     density = sim.pop("initial_density", None)
@@ -131,7 +131,7 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
         raise ScenarioError(f"simulation: unknown settings {sorted(stray)}")
     settings = {key: _number(value, f"simulation.{key}", integer=key == "record_stride")
                 for key, value in sim.items()
-                if value is not None or key not in ("dt", "transfer_tol")}
+                if value is not None or key != "dt"}
     try:
         config = SimulationConfig(inflow=inflow, **settings)
     except ValueError as exc:

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from flownet import dynamics
 from flownet.cli import main
 from flownet.scenario import Scenario, ScenarioError, parse_scenario
 
@@ -47,9 +48,8 @@ def _base_documents():
                          "chain21.json", "bad_cycle.json")]
     extended = copy.deepcopy(docs[0])
     extended["perturbation"] = {"links": {"0": {"type": "scale", "eps": 0.5}}}
-    extended["simulation"] = {"dt": 0.01, "tail_fraction": 0.2, "transfer_tol": None,
-                              "sat_threshold": 0.999, "density_ceiling": 1e9,
-                              "record_stride": 2, "initial_density": {"0": 0.5, "1": 0.1}}
+    extended["simulation"] = {"dt": 0.01, "tail_fraction": 0.2, "record_stride": 2,
+                              "initial_density": {"0": 0.5, "1": 0.1}}
     return docs + [extended]
 
 
@@ -126,8 +126,8 @@ def _with_flow_functions(**params):
     (_with_flow_functions(a=1e308), 2, "error: time step "),
     # rates that underflow to zero leave nothing to integrate: one step
     (_with_flow_functions(a=5e-324, f_max=5e-324), 0, ""),
-    # 2^53 rates ask for more recorded states than memory holds
-    (_with_flow_functions(a=2 ** 53 + 1), 2, "error: 675539944105574401 recorded states "),
+    # 2^53 rates ask for far more steps than the budget allows
+    (_with_flow_functions(a=2 ** 53 + 1), 2, "error: time step "),
     (dict(_with_flow_functions(), simulation={"dt": 5e-324}), 2, "error: time step 5e-324 "),
 ], ids=["rate-overflow", "rate-underflow", "records-beyond-memory", "dt-subnormal"])
 def test_step_count_extremes_exit_cleanly(doc, expected, message):
@@ -138,3 +138,25 @@ def test_step_count_extremes_exit_cleanly(doc, expected, message):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", str(path), "--horizon", "1", "--out", str(Path(tmp) / "run")])
     assert code == expected and err.getvalue().startswith(message)
+
+
+@pytest.mark.parametrize("command", ["simulate", "resilience"])
+def test_step_budget_exits_before_integrating(command, monkeypatch):
+    # 1e8 steps at horizon 1, ten times the budget: refused before a single step
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a run over the step budget was integrated")
+
+    monkeypatch.setattr(dynamics, "_integrate", no_integration)
+    doc = dict(_with_flow_functions(), simulation={"dt": 1e-8})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(path), "--horizon", "1"]
+        if command == "simulate":
+            argv += ["--out", str(Path(tmp) / "run")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2
+    assert err.getvalue().startswith(f"error: time step 1e-08 over horizon 1.0 takes "
+                                     f"{10 ** 8} steps, more than {dynamics.MAX_STEPS}")

@@ -269,6 +269,27 @@ class TestBatchedVerdicts:
         for part in ("limit-flow oracle outflow", "simulated tail_min", "--horizon"):
             assert part in err
 
+    def test_inconclusive_audit_exits_two(self, monkeypatch, capsys):
+        argv = ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
+                "--samples", "2", "--horizon", "10", "--seed", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        real = resilience._simulate_attacks
+
+        def unsettled_first_audit(*args):
+            outcomes = real(*args)
+            # the verdict still agrees with the oracle; only its tail is unsettled
+            outcomes[0] = replace(outcomes[0], inconclusive=True)
+            return outcomes
+
+        monkeypatch.setattr(resilience, "_simulate_attacks", unsettled_first_audit)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha 0.5, cut scaling eps ")
+        assert "Traceback" not in err
+        for part in ("simulated tail_min", "tail variation", "--horizon"):
+            assert part in err
+
     def test_inconclusive_sample_exits_two(self, monkeypatch, capsys):
         argv = ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                 "--samples", "2", "--horizon", "10", "--seed", "3"]
@@ -316,7 +337,7 @@ class TestBatchedVerdicts:
         outcomes = evaluate_attacks(net, policy, 1.0, attacks, config)
         for (spec, alpha, tol), out in zip(attacks, outcomes, strict=True):
             traj = simulate(net.perturbed(spec), policy, config, rho0)
-            est = alpha_transfer_estimate(traj, alpha, 1.0, tail_fraction, tol)
+            est = alpha_transfer_estimate(traj, alpha, tail_fraction, tol)
             assert (out.tail_min, out.inconclusive, out.defeated) == \
                 (est.tail_min, est.inconclusive, not est.transferring)
         # the mix exercises both sides of each judgement

@@ -209,11 +209,11 @@ class TestPropertyB:
         assert report.detail["off_subset_mass"] > 0.5
 
     def test_three_link_limit_is_restricted_logit(self):
+        # the subset's densities stay at zero: the limit is its weights renormalized
         topo, policy = three_link_node()
-        rho_fixed = np.array([0.4, 1.1])
-        report = check_property_b(policy, 0, subset=[0, 1], rho_subset=rho_fixed)
+        report = check_property_b(policy, 0, subset=[0, 1])
         assert report.passed
-        w = np.array([1.0, 2.0]) * np.exp(-rho_fixed)
+        w = np.array([1.0, 2.0])
         np.testing.assert_allclose(report.detail["limit_split"], w / w.sum(), atol=1e-8)
 
     def test_subset_must_be_proper(self):

@@ -110,6 +110,8 @@ class TestMalformedNumbers:
         "simulation-horizon-null": (("simulation", "horizon"), None),
         "simulation-tail-fraction-bool": (("simulation", "tail_fraction"), False),
         "simulation-transfer-tol-nan-string": (("simulation", "transfer_tol"), "nan"),
+        # a removed setting is unknown, whatever its value
+        "simulation-transfer-tol-five": (("simulation", "transfer_tol"), 5),
         "simulation-ceiling-huge-int": (("simulation", "density_ceiling"), 10 ** 400),
         "simulation-stride-fraction": (("simulation", "record_stride"), 2.5),
         "simulation-initial-density-string": (("simulation", "initial_density"), "x"),
