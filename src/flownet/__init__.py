@@ -51,7 +51,6 @@ from .dynamics import (
     simulate_local,
 )
 from .resilience import (
-    AttackOutcome,
     ResilienceReport,
     cut_attack,
     estimate_weak_resilience,

@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
         }
 
     est, flags = limit_flow_estimate(traj, net_for_sat)
-    transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0, config.tail_fraction)
+    transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0)
     summary.update({
         "dt": traj.dt,
         "horizon": float(traj.times[-1]),

@@ -67,10 +67,12 @@ class LocalSolverError(RuntimeError):
 
 # A run aborts once a density passes DENSITY_CEILING (an overloaded network
 # grows without bound) or before it takes more than MAX_STEPS RK4 steps; a
-# link is saturated once its terminal flow reaches SAT_THRESHOLD of capacity.
+# link is saturated once its terminal flow reaches SAT_THRESHOLD of capacity,
+# and a transfer verdict reads the trailing TAIL_FRACTION of a run's horizon.
 DENSITY_CEILING = 1e9
 MAX_STEPS = 10**7
 SAT_THRESHOLD = 0.999
+TAIL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,13 @@ class SimulationConfig:
     ``dt=None`` picks 0.01 over the fastest link relaxation rate (the
     flow-function derivative at zero density).  A run longer than
     ``MAX_STEPS`` steps, or whose densities pass ``DENSITY_CEILING``, raises
-    ``SimulationError``; a transfer verdict compares the tail outflow with
-    ``alpha * inflow - 1e-3 * inflow``.
+    ``SimulationError``; a transfer verdict compares the outflow over the
+    trailing ``TAIL_FRACTION`` of the horizon with ``alpha * inflow - 1e-3 * inflow``.
     """
 
     inflow: float
     dt: float | None = None
     horizon: float = 200.0
-    tail_fraction: float = 0.2
     record_stride: int = 1
 
     def __post_init__(self):
@@ -101,8 +102,6 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if not 0 < self.tail_fraction < 1:
-            raise ValueError("tail_fraction must be in (0, 1)")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -212,14 +211,15 @@ class Trajectory:
     def terminal_flow(self) -> np.ndarray:
         return self.flows[-1]
 
-    def tail_slice(self, tail_fraction: float) -> slice:
-        t0 = _tail_t0(self.times[0], self.times[-1], tail_fraction)
+    def tail_slice(self, fraction: float = TAIL_FRACTION) -> slice:
+        """Records in the trailing ``fraction`` of run time [0, t_last]: all of a kept tail."""
+        t0 = _tail_t0(self.times[-1], fraction)
         return slice(int(np.searchsorted(self.times, t0)), len(self.times))
 
 
-def _tail_t0(t_first, t_last, tail_fraction: float):
-    """Start of the trailing ``tail_fraction`` of [t_first, t_last]."""
-    return t_last - tail_fraction * (t_last - t_first)
+def _tail_t0(t_last, fraction: float):
+    """Start of the trailing ``fraction`` of [0, t_last]."""
+    return t_last - fraction * t_last
 
 
 @dataclass
@@ -263,7 +263,7 @@ def _window_start(n_steps: int, dt: float, record_stride: int, window: float) ->
         return _record_step(record, n_steps, record_stride) * dt
 
     n_records = _record_count(n_steps, record_stride)
-    t0 = _tail_t0(time(0), time(n_records - 1), window)
+    t0 = _tail_t0(time(n_records - 1), window)
     return bisect.bisect_left(range(n_records), t0, key=time)
 
 
@@ -373,13 +373,12 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
     Each trajectory keeps only the records in the trailing ``window``
     fraction of the horizon, the rows ``Trajectory.tail_slice(window)``
     selects on the full run and bit-for-bit equal to them: 1 keeps every
-    record, ``config.tail_fraction`` the window a transfer verdict reads
-    and 0 only the last state.  Members are integrated in chunks sized by
-    the records a member keeps: each keeps records x (2m + n) floats
-    (densities, flows, node inflows), and a chunk holds as many members as
-    fit in ``_ENSEMBLE_BYTES``.  A chunk holds its members' densities and
-    builds one member's trajectory at a time, so a consumer that reduces
-    each trajectory as it arrives keeps one chunk's densities and one
+    record, ``TAIL_FRACTION`` the window a transfer verdict reads and 0
+    only the last state.  Members are integrated in chunks sized by the
+    records a member keeps: a chunk holds records x m floats (densities)
+    per member, as many members as fit in ``_ENSEMBLE_BYTES``, and builds
+    one member's trajectory at a time, so a consumer that reduces each
+    trajectory as it arrives keeps one chunk's densities and one
     trajectory alive.  The topology, the start densities and the time step
     are checked once, before the first chunk.
     """
@@ -397,8 +396,7 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
     n_steps = _step_count(config.horizon, dt)
     # the step ``_integrate`` shrinks to land on the horizon
     first = _window_start(n_steps, config.horizon / n_steps, config.record_stride, window)
-    member_bytes = (8 * (_record_count(n_steps, config.record_stride) - first)
-                    * (2 * m + topo.num_nodes))
+    member_bytes = 8 * (_record_count(n_steps, config.record_stride) - first) * m
     size = max(1, _ENSEMBLE_BYTES // member_bytes)
     for lo in range(0, len(networks), size):
         yield from _simulate_chunk(networks[lo:lo + size], policy, config,
@@ -491,30 +489,22 @@ class TransferEstimate:
     inconclusive: bool
 
 
-def alpha_transfer_estimate(traj: Trajectory, alpha: float, tail_fraction: float = 0.2,
+def alpha_transfer_estimate(traj: Trajectory, alpha: float,
                             tol: float | None = None) -> TransferEstimate:
     """Approximate the asymptotic outflow bound by the tail-window minimum.
 
     The verdict compares the minimum outflow over the trailing
-    ``tail_fraction`` of the horizon against ``alpha * inflow - tol``, with
-    the run's inflow (default tol: 1e-3 * inflow).  A tail still varying by
+    ``TAIL_FRACTION`` of run time against ``alpha * inflow - tol``, with the
+    run's inflow (default tol: 1e-3 * inflow), so a trajectory that kept
+    only that window is judged as the full one.  A tail still varying by
     more than 5% of the inflow is flagged inconclusive rather than trusted.
     """
-    return _judge_tail(traj.outflow[traj.tail_slice(tail_fraction)], alpha, traj.inflow, tol)
-
-
-def _judge_tail(tail: np.ndarray, alpha: float, inflow: float,
-                tol: float | None = None) -> TransferEstimate:
-    """The transfer verdict on the outflow over the tail window, ``tail``.
-
-    ``alpha_transfer_estimate`` cuts the window from a full trajectory;
-    consumers whose trajectories keep only the window judge it here.
-    """
+    tail = traj.outflow[traj.tail_slice()]
     tail_min = float(tail.min())
     variation = float(tail.max() - tail.min())
-    inconclusive = variation > 0.05 * inflow if inflow > 0 else False
+    inconclusive = variation > 0.05 * traj.inflow if traj.inflow > 0 else False
     return TransferEstimate(
-        transferring=bool(tail_min >= _transfer_threshold(alpha, inflow, tol)),
+        transferring=bool(tail_min >= _transfer_threshold(alpha, traj.inflow, tol)),
         tail_min=tail_min,
         tail_variation=variation,
         inconclusive=inconclusive,
@@ -693,16 +683,23 @@ def _flow_map(flow_fns):
 
     ``flow_fns`` is one member's k flow functions, a map on densities
     (..., k), or a (B, k) nested list of B members' functions, a map on
-    (..., B, k).  Exponential links are one expression over the whole array
-    with their parameters hoisted and negated, bit-for-bit what each
-    function's ``__call__`` gives (negation is exact and IEEE products are
+    (..., B, k).  Exponential links fill one result array in place, their
+    parameters hoisted and negated, bit-for-bit what each function's
+    ``__call__`` gives (negation is exact and IEEE products are
     sign-symmetric); any other family runs each flow function on its column.
     """
     fns = np.array(flow_fns, dtype=object)
     if all(isinstance(ff, ExponentialFlow) for ff in fns.flat):
         neg_rate = -np.array([ff.rate for ff in fns.flat]).reshape(fns.shape)
         neg_f_max = -np.array([ff.f_max for ff in fns.flat]).reshape(fns.shape)
-        return lambda rho: neg_f_max * np.expm1(neg_rate * rho)
+
+        def exponential(rho):
+            out = np.multiply(neg_rate, rho)
+            np.expm1(out, out=out)
+            out *= neg_f_max
+            return out
+
+        return exponential
 
     def mu(rho):
         out = np.empty_like(rho)

@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    TAIL_FRACTION,
     SimulationConfig,
     _iter_ensemble,
-    _judge_tail,
     _transfer_threshold,
+    alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
 )
@@ -30,7 +31,6 @@ from .routing import RoutingPolicy, responsiveness_findings
 from .topology import min_cut_capacity
 
 __all__ = [
-    "AttackOutcome",
     "AlphaSweepPoint",
     "ResilienceReport",
     "cut_attack",
@@ -46,15 +46,6 @@ MARGIN = 0.1
 ALPHA_FLOOR = 1e-3
 # Upper side: cut-scaling bisections stop within this fraction of C.
 BISECT_TOL_FRAC = 0.01
-
-
-@dataclass(frozen=True)
-class AttackOutcome:
-    defeated: bool
-    tail_min: float
-    tail_variation: float
-    inconclusive: bool
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,17 @@ def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> Perturbatio
     return PerturbationSpec.scaling(network, {lid: eps for lid in sorted(cut.cut_links)})
 
 
+def _require_positive_threshold(alpha: float, inflow: float, tol: float | None = None):
+    """Raise ``ValueError`` unless ``_transfer_threshold`` is positive: at or
+    below zero no outflow falls short of it, so no attack could be judged defeated."""
+    if not inflow > 0:
+        raise ValueError("a transfer verdict needs a positive inflow")
+    if not _transfer_threshold(alpha, inflow, tol) > 0:  # NaN included
+        slack = "the 1e-3 transfer slack" if tol is None else f"the transfer slack {tol!r}"
+        raise ValueError(f"alpha {alpha!r} is at or below {slack}: the outflow alpha-transfer "
+                         f"needs is not positive, so no attack can defeat it")
+
+
 def _initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
     """Densities realizing the pre-attack flow under the unperturbed functions.
 
@@ -155,10 +157,12 @@ def evaluate_attacks(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
 
     ``attacks`` holds ``(perturbation, alpha, transfer_tol)`` triples, with
     alpha in (0, 1] and ``transfer_tol`` None for the default slack; one
-    ``AttackOutcome`` per attack comes back, in order.  Every run starts
+    ``TransferEstimate`` per attack comes back, in order (an attack defeats
+    alpha where it is not ``transferring``); a threshold that is not
+    positive raises ``ValueError`` before any simulation.  Every run starts
     from the unperturbed network's limit flow and keeps the time step
     implied by the unperturbed rates, which dominate the perturbed ones.
-    The attacks run as one chunked ensemble, and each outcome is the one
+    The attacks run as one chunked ensemble, and each verdict is the one
     the attack gets alone.
     """
     attacks = list(attacks)
@@ -172,22 +176,19 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
                       rho0, attacks) -> list:
     """``evaluate_attacks`` from the ``config`` and ``rho0`` of ``_attack_setup``.
 
-    Members record only the tail window ``config.tail_fraction`` that the
-    verdict reads, and each trajectory is judged and dropped as it
-    arrives, so none outlives its chunk.
+    Members record only the tail window ``TAIL_FRACTION`` that the verdict
+    reads, and each trajectory is judged and dropped as it arrives, so none
+    outlives its chunk.
     """
-    for _, alpha, _ in attacks:
+    for _, alpha, transfer_tol in attacks:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        _require_positive_threshold(alpha, config.inflow, transfer_tol)
     trajs = _iter_ensemble([network.perturbed(spec) for spec, _, _ in attacks], policy, config,
-                           [rho0] * len(attacks), window=config.tail_fraction)
-    outcomes = []
-    for spec, alpha, transfer_tol in attacks:
-        est = _judge_tail(next(trajs).outflow, alpha, config.inflow, transfer_tol)
-        outcomes.append(AttackOutcome(defeated=not est.transferring, tail_min=est.tail_min,
-                                      tail_variation=est.tail_variation,
-                                      inconclusive=est.inconclusive, magnitude=spec.magnitude))
-    return outcomes
+                           [rho0] * len(attacks), window=TAIL_FRACTION)
+    # the verdict holds no trajectory while the next one is built
+    return [alpha_transfer_estimate(next(trajs), alpha, transfer_tol)
+            for _, alpha, transfer_tol in attacks]
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork, seed: int = 0):
@@ -307,11 +308,7 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     for alpha in alphas:
         if not 0 < alpha <= 1:  # NaN included
             raise ValueError(f"alpha {alpha!r} must be in (0, 1]")
-        if not _transfer_threshold(alpha, inflow) > 0:
-            raise ValueError(
-                f"alpha {alpha!r} is at or below the 1e-3 transfer slack: the required "
-                f"outflow alpha*inflow - 1e-3*inflow is not positive, so no attack can "
-                f"defeat it; use alphas above 1e-3")
+        _require_positive_threshold(alpha, inflow)
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
     config, rho0 = _attack_setup(network, policy, inflow, config)
@@ -332,24 +329,24 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
 
     audits = [(alpha, eps, defeated) for alpha, eps_lo, eps_hi, _ in brackets
               for eps, defeated in ((eps_lo, True), (eps_hi, False))]
+    audit_specs = [cut_spec(eps) for _, eps, _ in audits]
     specs = _sample_scalings(network, (1.0 - MARGIN) * capacity, n_samples, seed, capacity,
                              cut_links)
     outcomes = _simulate_attacks(
         network, policy, config, rho0,
-        [(cut_spec(eps), alpha, None) for alpha, eps, _ in audits]
+        [(spec, alpha, None) for spec, (alpha, _, _) in zip(audit_specs, audits)]
         + [(spec, ALPHA_FLOOR, 0.0) for spec in specs])
     for (alpha, eps, defeated), out in zip(audits, outcomes):
-        if out.defeated != defeated or out.inconclusive:
+        if (not out.transferring) != defeated or out.inconclusive:
             raise RuntimeError(
                 f"alpha {alpha!r}, cut scaling eps {eps!r}: limit-flow oracle outflow "
                 f"{oracle_outflow(eps)!r} ({'defeated' if defeated else 'preserved'}), simulated "
                 f"tail_min {out.tail_min!r}, tail variation {out.tail_variation!r}; the run has "
                 f"not converged, try a longer --horizon")
 
-    sweep = [AlphaSweepPoint(alpha=alpha, defeating_delta=lo_out.magnitude, defeating_eps=eps_lo,
+    sweep = [AlphaSweepPoint(alpha=alpha, defeating_delta=lo_spec.magnitude, defeating_eps=eps_lo,
                              preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)
-             for (alpha, eps_lo, eps_hi, evaluations), lo_out
-             in zip(brackets, outcomes[:len(audits):2])]
+             for (alpha, eps_lo, eps_hi, evaluations), lo_spec in zip(brackets, audit_specs[::2])]
     samples = []
     preserved_max = 0.0
     for spec, out in zip(specs, outcomes[len(audits):]):
@@ -358,7 +355,7 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
                 f"sample of magnitude delta {spec.magnitude!r}: simulated tail_min "
                 f"{out.tail_min!r}, but the tail still varies by {out.tail_variation!r}, more "
                 f"than 5% of the inflow; the run has not converged, try a longer --horizon")
-        preserved = not out.defeated
+        preserved = out.transferring
         samples.append({
             "delta": spec.magnitude,
             "tail_min": out.tail_min,

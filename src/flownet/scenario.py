@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import SimulationConfig
 from .flows import ExponentialFlow, FlowNetwork, PerturbationSpec
-from .resilience import cut_attack
+from .resilience import _require_positive_threshold, cut_attack
 from .routing import LogitPolicy, responsiveness_findings
 from .topology import Link, NetworkTopology, TopologyError, validate_topology
 
@@ -65,8 +65,10 @@ class Scenario:
     scalings: dict | None = None
 
     def perturbation_spec(self) -> PerturbationSpec | None:
-        """Materialize the perturbation, if any."""
+        """Materialize the perturbation, if any; a cut attack at a level whose
+        transfer verdict could not be judged is a ``ValueError``."""
         if self.attack_alpha is not None:
+            _require_positive_threshold(self.attack_alpha, self.inflow)
             return cut_attack(self.network, self.attack_alpha, self.inflow)
         if self.scalings is not None:
             return PerturbationSpec.scaling(self.network, self.scalings)

@@ -176,7 +176,7 @@ def test_criterion_05_cut_attack_upper_bound():
             assert abs(spec.magnitude - (capacity - alpha * lam / 2.0)) <= 1e-12
             out = evaluate_attacks(net, policy, lam, [(spec, alpha, None)],
                                    SimulationConfig(inflow=lam, horizon=200.0, dt=0.02))[0]
-            assert out.defeated and not out.inconclusive
+            assert not out.transferring and not out.inconclusive
             assert out.tail_min < alpha * lam
             cases.append(f"{name}@a={alpha}: tail {out.tail_min:.3f} < {alpha * lam}")
     verdict(5, "cut attack defeats its transfer level", True, "; ".join(cases))

@@ -343,8 +343,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(inflow=1.0, horizon=-5.0)
         with pytest.raises(ValueError):
-            SimulationConfig(inflow=1.0, tail_fraction=1.0)
-        with pytest.raises(ValueError):
             SimulationConfig(inflow=1.0, record_stride=0)
 
     @pytest.mark.parametrize("field", ["inflow", "dt", "horizon"])
@@ -491,8 +489,8 @@ class TestEnsemble:
         sc = load_scenario(DATA / "diamond5.json")
         nets, rho0s = self.perturbed_members(sc.network, 5, seed=7)
         config = SimulationConfig(inflow=sc.inflow, horizon=1.0, dt=0.01)
-        # 101 records x (2 * 6 links + 5 nodes) floats per member: two members fit
-        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 17 + 1)
+        # 101 records x 6 links of densities per member: two members fit
+        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 6 + 1)
         sizes = []
         real = dynamics._simulate_chunk
 
@@ -505,6 +503,28 @@ class TestEnsemble:
         assert sizes == [2, 2, 1]
         for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s, config.dt, 0)):
             _assert_same_trajectory(traj, ref)
+
+
+class TestFlowMap:
+    def test_member_flows_allocate_one_result_block(self):
+        # a member's densities are a strided view of the chunk's (records, B, m) states;
+        # numpy's iterator buffers (8 192 floats per operand) stay small beside the
+        # result at this many records
+        sc = load_scenario(DATA / "diamond5.json")
+        nets, _ = TestEnsemble.perturbed_members(sc.network, 2, seed=1)
+        compiled = dynamics._Compiled(nets, sc.policy)
+        states = np.random.default_rng(2).uniform(0.0, 5.0,
+                                                  size=(10_000, 2, len(sc.topology.links)))
+        member = states[:, 1]
+        assert not member.flags.c_contiguous
+        compiled.member_flows[1](member)  # warm up before measuring
+        tracemalloc.start()
+        try:
+            flows = compiled.member_flows[1](member)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * flows.nbytes
 
 
 class TestRecordWindow:
@@ -539,16 +559,18 @@ class TestRecordWindow:
         n_steps = dynamics._step_count(config.horizon, config.dt)
         assert n_steps % 7 and n_steps % 3  # the final step lies off the stride grid
         full = simulate_ensemble(nets, sc.policy, config, rho0s)
-        for window in (0.0, 0.2, 0.37, 1.0):
+        for window in (0.0, dynamics.TAIL_FRACTION, 0.37, 1.0):
             tails = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s, window))
             for traj, ref in zip(tails, full, strict=True):
                 self._assert_tail_rows(traj, ref, ref.tail_slice(window).start)
+                # the window is one of run time: a kept tail is the whole of itself
+                assert traj.tail_slice(window) == slice(0, len(traj.times))
                 if window == 0.0:
                     assert len(traj.times) == 1
-                elif window < 1:
+                elif window == dynamics.TAIL_FRACTION:
                     for alpha, tol in ((0.5, None), (0.05, 0.0)):
-                        assert dynamics._judge_tail(traj.outflow, alpha, sc.inflow, tol) == \
-                            alpha_transfer_estimate(ref, alpha, window, tol)
+                        assert alpha_transfer_estimate(traj, alpha, tol) == \
+                            alpha_transfer_estimate(ref, alpha, tol)
 
     def test_convergence_check_reads_only_the_last_state(self, two_route, monkeypatch):
         topo, net, policy = two_route

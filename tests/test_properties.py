@@ -48,7 +48,7 @@ def _base_documents():
                          "chain21.json", "bad_cycle.json")]
     extended = copy.deepcopy(docs[0])
     extended["perturbation"] = {"links": {"0": {"type": "scale", "eps": 0.5}}}
-    extended["simulation"] = {"dt": 0.01, "tail_fraction": 0.2, "record_stride": 2,
+    extended["simulation"] = {"dt": 0.01, "record_stride": 2,
                               "initial_density": {"0": 0.5, "1": 0.1}}
     return docs + [extended]
 

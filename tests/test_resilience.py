@@ -83,7 +83,7 @@ class TestEvaluateAttack:
         policy = two_route_policy(net.topology)
         spec = PerturbationSpec.scaling(net, {})
         out = evaluate_attacks(net, policy, 1.0, [(spec, 0.1, None)], FAST)[0]
-        assert not out.defeated
+        assert out.transferring
         assert out.tail_min == pytest.approx(1.0, abs=1e-3)
 
     def test_cut_attack_defeats_its_alpha(self):
@@ -91,7 +91,7 @@ class TestEvaluateAttack:
         policy = two_route_policy(net.topology)
         spec = cut_attack(net, alpha=0.5, inflow=1.0)
         out = evaluate_attacks(net, policy, 1.0, [(spec, 0.5, None)], FAST)[0]
-        assert out.defeated
+        assert not out.transferring
         # the strangled cut passes at most eps * C = alpha * lam / 2
         assert out.tail_min <= 0.25 + 1e-6
 
@@ -100,7 +100,7 @@ class TestEvaluateAttack:
         policy = diamond_policy(net.topology)
         spec = PerturbationSpec.scaling(net, {0: 0.99})  # link 0 is off the min cut {5}
         out = evaluate_attacks(net, policy, 1.0, [(spec, 0.5, None)], FAST)[0]
-        assert not out.defeated
+        assert out.transferring
 
     def test_saturated_baseline_rejected(self):
         net = two_route_network()
@@ -120,6 +120,22 @@ class TestEvaluateAttack:
                    (PerturbationSpec.scaling(net, {}), alpha, None)]
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
             evaluate_attacks(net, policy, 1.0, attacks, FAST)
+
+    @pytest.mark.parametrize("inflow, alpha, tol, message", [
+        (1.0, 1e-3, None, "alpha 0.001 is at or below the 1e-3 transfer slack: "),
+        (1.0, 0.5, 0.5, "alpha 0.5 is at or below the transfer slack 0.5: "),
+        (1.0, 0.5, float("nan"), "alpha 0.5 is at or below the transfer slack nan: "),
+        (0.0, 0.5, None, "a transfer verdict needs a positive inflow"),
+    ])
+    def test_threshold_at_or_below_zero_rejected_before_simulating(self, monkeypatch, inflow,
+                                                                   alpha, tol, message):
+        net = two_route_network()
+        policy = two_route_policy(net.topology)
+        monkeypatch.setattr(resilience, "_iter_ensemble", None)  # any simulation fails
+        spec = cut_attack(net, 0.5, 1.0)
+        with pytest.raises(ValueError) as exc:
+            evaluate_attacks(net, policy, inflow, [(spec, alpha, tol)], FAST)
+        assert str(exc.value).startswith(message)
 
     def test_no_attacks_no_outcomes(self):
         net = two_route_network()
@@ -217,21 +233,23 @@ class TestBatchedVerdicts:
         capacity, cut = min_cut_capacity(net.topology, net.capacities())
 
         def judge(eps, alpha):
+            """Whether scaling the cut by eps defeats alpha, and the attack's magnitude."""
             spec = PerturbationSpec.scaling(net, {lid: eps for lid in sorted(cut.cut_links)})
-            return evaluate_attacks(net, policy, 1.0, [(spec, alpha, None)], config)[0]
+            out = evaluate_attacks(net, policy, 1.0, [(spec, alpha, None)], config)[0]
+            return not out.transferring, spec.magnitude
 
         reference = []
         for alpha in sorted(alphas, reverse=True):
             eps_lo, eps_hi = alpha / (2.0 * capacity), 1.0
-            out = judge(eps_lo, alpha)
-            assert out.defeated
-            lo_delta, evaluations = out.magnitude, 1
+            defeated, lo_delta = judge(eps_lo, alpha)
+            assert defeated
+            evaluations = 1
             while (eps_hi - eps_lo) * capacity > 0.01 * capacity:
                 mid = 0.5 * (eps_lo + eps_hi)
-                out = judge(mid, alpha)
+                defeated, delta = judge(mid, alpha)
                 evaluations += 1
-                if out.defeated:
-                    eps_lo, lo_delta = mid, out.magnitude
+                if defeated:
+                    eps_lo, lo_delta = mid, delta
                 else:
                     eps_hi = mid
             reference.append(AlphaSweepPoint(alpha, lo_delta, eps_lo,
@@ -320,13 +338,13 @@ class TestBatchedVerdicts:
         assert batched == [evaluate_attacks(net, policy, 1.0, [attack], SHORT)[0]
                            for attack in attacks]
 
-    @pytest.mark.parametrize("tail_fraction", [0.2, 0.37])
-    @pytest.mark.parametrize("stride", [1, 3, 7])
-    def test_tail_only_verdicts_match_full_trajectories(self, tail_fraction, stride):
+    # the ids name the one window a verdict reads, TAIL_FRACTION
+    @pytest.mark.parametrize("stride", [1, 3, 7],
+                             ids=lambda stride: f"{stride}-{dynamics.TAIL_FRACTION}")
+    def test_tail_only_verdicts_match_full_trajectories(self, stride):
         net = diamond_network()
         policy = diamond_policy(net.topology)
-        config = SimulationConfig(inflow=1.0, horizon=4.0, dt=0.02,
-                                  tail_fraction=tail_fraction, record_stride=stride)
+        config = SimulationConfig(inflow=1.0, horizon=4.0, dt=0.02, record_stride=stride)
         assert dynamics._step_count(config.horizon, config.dt) % 7  # 200 steps
         config, rho0 = resilience._attack_setup(net, policy, 1.0, config)
         specs = sample_scaling_perturbations(net, 1.3, 5, seed=6)
@@ -337,11 +355,9 @@ class TestBatchedVerdicts:
         outcomes = evaluate_attacks(net, policy, 1.0, attacks, config)
         for (spec, alpha, tol), out in zip(attacks, outcomes, strict=True):
             traj = simulate(net.perturbed(spec), policy, config, rho0)
-            est = alpha_transfer_estimate(traj, alpha, tail_fraction, tol)
-            assert (out.tail_min, out.inconclusive, out.defeated) == \
-                (est.tail_min, est.inconclusive, not est.transferring)
+            assert out == alpha_transfer_estimate(traj, alpha, tol)
         # the mix exercises both sides of each judgement
-        assert {out.defeated for out in outcomes} == {out.inconclusive for out in outcomes} \
+        assert {out.transferring for out in outcomes} == {out.inconclusive for out in outcomes} \
             == {True, False}
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
@@ -355,8 +371,8 @@ class TestBatchedVerdicts:
         records = dynamics._record_count(dynamics._step_count(config.horizon, config.dt), 1)
         block = 8 * records * len(net.topology.links)
         member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
-        # six members in chunks of one or two
-        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", per_chunk * member)
+        # six members in chunks of one or two, each charged its densities
+        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", per_chunk * block)
         tracemalloc.start()
         try:
             resilience._simulate_attacks(net, policy, config, rho0, attacks)
@@ -384,7 +400,7 @@ class TestBatchedVerdicts:
         monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
         n_steps = dynamics._step_count(config.horizon, config.dt)
         records = (dynamics._record_count(n_steps, 1)
-                   - dynamics._window_start(n_steps, config.dt, 1, config.tail_fraction))
+                   - dynamics._window_start(n_steps, config.dt, 1, dynamics.TAIL_FRACTION))
         block = 8 * records * len(net.topology.links)
         member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
         tracemalloc.start()

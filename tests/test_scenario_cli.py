@@ -120,6 +120,8 @@ class TestMalformedNumbers:
         "simulation-initial-density-negative": (("simulation", "initial_density"), {"0": -1.0}),
         "simulation-unknown-setting": (("simulation", "step"), 0.1),
         "simulation-tail-fraction-above-one": (("simulation", "tail_fraction"), 2),
+        # the verdict window is the constant TAIL_FRACTION, so even its value is unknown
+        "simulation-tail-fraction-default": (("simulation", "tail_fraction"), 0.2),
         "simulation-sat-threshold-above-one": (("simulation", "sat_threshold"), 1.5),
         "simulation-stride-zero": (("simulation", "record_stride"), 0),
         "simulation-dt-negative": (("simulation", "dt"), -1),
@@ -219,6 +221,16 @@ class TestCmdValidate:
         (finding,) = json.loads(out)["findings"]
         assert finding["component"] == "document" and finding["message"].startswith("seed: ")
 
+    def test_cut_attack_within_transfer_slack_is_a_perturbation_finding(self, tmp_path,
+                                                                        capsys):
+        doc = write_mutated(tmp_path, ("perturbation", "cut_attack", "alpha"), 0.001,
+                            source="example3_cutattack.json")
+        code, out = run_cli("validate", str(doc), capsys=capsys)
+        assert code == 1
+        (finding,) = json.loads(out)["findings"]
+        assert finding["component"] == "perturbation"
+        assert finding["message"].startswith("alpha 0.001 is at or below the 1e-3 transfer slack")
+
     def test_unparseable_document_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
         bad.write_text("{", encoding="utf-8")
@@ -266,6 +278,16 @@ class TestCmdSimulate:
         assert summary["attack"]["defeated"] is True
         assert summary["tail_min_outflow"] < 0.25 * 1.0
         assert summary["attack"]["magnitude"] == pytest.approx(1.375, abs=1e-12)
+
+    def test_cut_attack_within_transfer_slack_exits_two(self, tmp_path, capsys):
+        # the threshold alpha*inflow - 1e-3*inflow is 0: no outflow could defeat it
+        doc = write_mutated(tmp_path, ("perturbation", "cut_attack", "alpha"), 0.001,
+                            source="example3_cutattack.json")
+        code = main(["simulate", str(doc), "--out", str(tmp_path / "atk")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: alpha 0.001 is at or below the 1e-3 transfer slack")
+        assert not (tmp_path / "atk.summary.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for name in ("a", "b"):
