@@ -10,9 +10,11 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,10 +26,10 @@ from .dynamics import (
     SimulationConfig,
     LocalSolverError,
     SimulationError,
+    _simulate_blocks,
     alpha_transfer_estimate,
     limit_flow_estimate,
     network_limit_flows,
-    simulate,
 )
 from .resilience import _attack_setup, estimate_weak_resilience
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -85,25 +87,63 @@ def _build_config(scenario: Scenario, args) -> SimulationConfig:
     return replace(scenario.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-# Trajectory rows encoded and written per block of the simulate CSV.
+# Trajectory rows integrated and sent to the CSV encoder per block.
 _CSV_BLOCK_ROWS = 1024
+# Run by path, so the encoder process imports neither flownet nor numpy.
+_CSV_ENCODER = Path(__file__).with_name("_csv_encoder.py")
 
 
-def _write_trajectory_csv(traj, fh) -> None:
-    """Write the trajectory as CSV to the text file ``fh``, a block of rows at a time.
+@contextlib.contextmanager
+def _csv_encoder(path: Path, columns):
+    """Write a CSV file from a child process while the caller computes its rows.
 
-    A row is t, then rho, flows and node inflows, each float as ``repr``;
-    only one block's text exists at once.
+    Yields ``send``, which hands the encoder one C-contiguous float64 block
+    of rows, ``len(columns)`` values each.  The encoder formats the text
+    beside the caller and writes ``<path>.tmp``, which is renamed to
+    ``path`` once the body has returned and the encoder has exited 0.  On
+    any failure, the body's own or the encoder's, the encoder is killed and
+    reaped and the temporary file deleted: nothing is written, and an
+    earlier file at ``path`` stays as it was.
     """
-    cols = (["t"] + [f"rho_{lid}" for lid in traj.link_ids]
-            + [f"f_{lid}" for lid in traj.link_ids]
-            + [f"lambda_{v}" for v in range(traj.node_inflows.shape[1])])
-    fh.write(",".join(cols) + "\n")
-    for lo in range(0, len(traj.times), _CSV_BLOCK_ROWS):
-        rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-        block = np.column_stack((traj.times[rows], traj.rho[rows], traj.flows[rows],
-                                 traj.node_inflows[rows])).tolist()
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+    tmp = path.with_name(path.name + ".tmp")
+    encoder = subprocess.Popen(
+        [sys.executable, "-I", "-S", str(_CSV_ENCODER), str(tmp), str(len(columns))],
+        stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def send(block) -> None:
+        data = memoryview(block).cast("B")
+        encoder.stdin.write(len(data).to_bytes(8, "little"))
+        encoder.stdin.write(data)
+        encoder.stdin.flush()
+
+    try:
+        try:
+            send((",".join(columns) + "\n").encode("utf-8"))
+            yield send
+            encoder.stdin.close()
+        except BrokenPipeError:  # the encoder stopped reading; its exit says why
+            raise _encoder_error(encoder) from None
+        if encoder.wait() != 0:
+            raise _encoder_error(encoder)
+        os.replace(tmp, path)
+    except BaseException:
+        encoder.kill()
+        encoder.wait()
+        with contextlib.suppress(OSError):  # unsent bytes to a killed reader
+            encoder.stdin.close()
+        tmp.unlink(missing_ok=True)
+        raise
+    finally:
+        encoder.stderr.close()
+
+
+def _encoder_error(encoder) -> RuntimeError:
+    """The failure of an encoder that exited early or not 0: its exit status
+    and the last line it wrote to stderr."""
+    status = encoder.wait()
+    lines = encoder.stderr.read().decode("utf-8", "replace").strip().splitlines()
+    return RuntimeError(f"the CSV encoder exited with status {status}"
+                        + (f": {lines[-1]}" if lines else ""))
 
 
 def cmd_validate(args) -> int:
@@ -131,41 +171,57 @@ def cmd_simulate(args) -> int:
         "seed": scenario.seed,
         "inflow": scenario.inflow,
     }
-    if spec is None:
-        traj = simulate(scenario.network, scenario.policy, config, scenario.initial_density)
-        net_for_sat = scenario.network
-    else:
+    network, rho0 = scenario.network, scenario.initial_density
+    if spec is not None:
         # attack run: start from the unperturbed limit flow's densities and
         # integrate the perturbed functions with the unchanged policy
         config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow, config)
-        net_for_sat = scenario.network.perturbed(spec)
-        traj = simulate(net_for_sat, scenario.policy, config, rho0)
+        network = scenario.network.perturbed(spec)
         summary["attack"] = {
             "alpha": scenario.attack_alpha,
             "magnitude": spec.magnitude,
             "stretching": spec.stretching,
         }
 
-    est, flags = limit_flow_estimate(traj, net_for_sat)
-    transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0)
-    summary.update({
-        "dt": traj.dt,
-        "horizon": float(traj.times[-1]),
-        "terminal_flow": {str(lid): float(traj.flows[-1, i]) for i, lid in enumerate(traj.link_ids)},
-        "limit_flow_estimate": {str(lid): float(est[i]) for i, lid in enumerate(traj.link_ids)},
-        "tail_min_outflow": transfer.tail_min,
-        "tail_variation": transfer.tail_variation,
-        "converged": not transfer.inconclusive,
-        "saturated_links": [lid for lid in traj.link_ids if flags[lid]],
-        "max_undershoot": traj.max_undershoot,
-    })
-    if scenario.attack_alpha is not None:
-        summary["attack"]["defeated"] = not transfer.transferring
-
+    # checked here, integrated block by block as the encoder takes the rows
+    tail_start, blocks = _simulate_blocks(network, scenario.policy, config, rho0, _CSV_BLOCK_ROWS)
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")
-    with csv_path.open("w", encoding="utf-8") as fh:
-        _write_trajectory_csv(traj, fh)
+    topo = scenario.topology
+    columns = (["t"] + [f"rho_{lid}" for lid in topo.link_ids]
+               + [f"f_{lid}" for lid in topo.link_ids]
+               + [f"lambda_{v}" for v in range(topo.num_nodes)])
+    with _csv_encoder(csv_path, columns) as send:
+        tail, seen = [], 0  # blocks that reach the verdict window, with their first row in it
+        for block in blocks:
+            send(np.column_stack((block.times, block.rho, block.flows, block.node_inflows)))
+            first = max(tail_start - seen, 0)
+            seen += len(block.times)
+            if first < len(block.times):
+                tail.append((block, first))
+        # the run's settings and undershoot come with its last block
+        traj = replace(tail[-1][0], **{
+            name: np.concatenate([getattr(block, name)[first:] for block, first in tail])
+            for name in ("times", "rho", "flows", "node_inflows")})
+
+        est, flags = limit_flow_estimate(traj, network)
+        transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0)
+        summary.update({
+            "dt": traj.dt,
+            "horizon": float(traj.times[-1]),
+            "terminal_flow": {str(lid): float(traj.flows[-1, i])
+                              for i, lid in enumerate(traj.link_ids)},
+            "limit_flow_estimate": {str(lid): float(est[i])
+                                    for i, lid in enumerate(traj.link_ids)},
+            "tail_min_outflow": transfer.tail_min,
+            "tail_variation": transfer.tail_variation,
+            "converged": not transfer.inconclusive,
+            "saturated_links": [lid for lid in traj.link_ids if flags[lid]],
+            "max_undershoot": traj.max_undershoot,
+        })
+        if scenario.attack_alpha is not None:
+            summary["attack"]["defeated"] = not transfer.transferring
+
     summary_path = out.parent / (out.name + ".summary.json")
     summary_path.write_text(_dump_json(summary), encoding="utf-8")
     manifest = _write_manifest(out, sys.argv[1:], args.scenario, scenario.seed,

@@ -142,7 +142,9 @@ class _Compiled:
         self.tails = np.array([l.tail for l in self.links])
         self.heads = np.array([l.head for l in self.links])
         self.origin = topo.origin
+        self.destination = topo.destination
         self.n_nodes = topo.num_nodes
+        self.link_ids = topo.link_ids
 
         starts = [0] + [i for i in range(1, len(self.links)) if self.tails[i] != self.tails[i - 1]]
         self.group_starts = np.array(starts)
@@ -241,6 +243,12 @@ def _step_count(horizon: float, dt: float) -> int:
     return n_steps
 
 
+def _time_grid(horizon: float, dt: float):
+    """``(n_steps, dt)`` of a run: the step shrunk to land exactly on the horizon."""
+    n_steps = _step_count(horizon, dt)
+    return n_steps, horizon / n_steps
+
+
 def _record_count(n_steps: int, record_stride: int) -> int:
     """States kept: the start, every ``record_stride``-th step and the last."""
     return 1 + n_steps // record_stride + (n_steps % record_stride != 0)
@@ -268,33 +276,48 @@ def _window_start(n_steps: int, dt: float, record_stride: int, window: float) ->
 
 
 def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride: int = 1,
-               first_record: int = 0):
+               first_record: int = 0, block_records: int | None = None):
     """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
 
-    Clamps densities at zero and records the worst undershoot per member,
+    Clamps densities at zero and tracks the worst undershoot per member,
     an array of shape ``rho0.shape[:-1]``.  The step is shrunk to land
-    exactly on the horizon.  Returns ``(times, states, undershoot, dt)``
-    with ``states`` of shape ``(records,) + rho0.shape``: the records of a
-    full run from index ``first_record`` on.
+    exactly on the horizon (``_time_grid``).  Yields the records of a full
+    run from index ``first_record`` on as ``(times, states, undershoot)``
+    blocks of at most ``block_records`` records (default: one block of them
+    all), with ``states`` of shape ``(records,) + rho0.shape`` and
+    ``undershoot`` the worst up to the block's last record.  A block's
+    buffers are allocated before the steps that fill it are taken.
     """
-    n_steps = _step_count(horizon, dt)
-    dt = horizon / n_steps
-    half, sixth = 0.5 * dt, dt / 6.0
+    n_steps, dt = _time_grid(horizon, dt)
     rho = np.array(rho0, dtype=float)
-    n_records = _record_count(n_steps, record_stride) - first_record
-    first_step = _record_step(first_record, n_steps, record_stride)
-    try:
-        times = np.empty(n_records)
-        states = np.empty((n_records,) + rho.shape)
-    except (MemoryError, ValueError) as exc:
-        raise SimulationError(f"{n_records} recorded states do not fit in memory; raise dt "
-                              "or record_stride, or shorten the horizon") from exc
-    recorded = 0
-    if first_record == 0:
-        times[0] = 0.0
-        states[0] = rho
-        recorded = 1
     undershoot = np.zeros(rho.shape[:-1])
+    n_records = _record_count(n_steps, record_stride) - first_record
+    size = n_records if block_records is None else min(block_records, n_records)
+    records = _rk4_records(deriv, rho, dt, n_steps, record_stride,
+                           _record_step(first_record, n_steps, record_stride), undershoot)
+    for lo in range(0, n_records, size):
+        rows = min(size, n_records - lo)
+        try:
+            times = np.empty(rows)
+            states = np.empty((rows,) + rho.shape)
+        except (MemoryError, ValueError) as exc:
+            raise SimulationError(f"{rows} recorded states do not fit in memory; raise dt "
+                                  "or record_stride, or shorten the horizon") from exc
+        for i, (t, state) in zip(range(rows), records):
+            times[i] = t
+            states[i] = state
+        yield times, states, undershoot.copy()
+
+
+def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride: int,
+                 first_step: int, undershoot: np.ndarray):
+    """``_integrate``'s step loop: yields ``(t, state)`` at step 0 (when
+    ``first_step`` is 0), every ``record_stride``-th step and the last one,
+    from step ``first_step`` on, and raises its worst undershoot per member
+    into ``undershoot`` in place."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    if first_step == 0:
+        yield 0.0, rho
     t = 0.0
     for step in range(1, n_steps + 1):
         k1 = deriv(t, rho)
@@ -312,10 +335,7 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
         if step >= first_step and (step % record_stride == 0 or step == n_steps):
-            times[recorded] = t
-            states[recorded] = rho
-            recorded += 1
-    return times, states, undershoot, dt
+            yield t, rho
 
 
 def _start_state(rho0, m: int) -> np.ndarray:
@@ -385,68 +405,101 @@ def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rh
     networks = list(networks)
     if not networks:
         return
-    topo = networks[0].topology
-    topological_order(topo)
-    m = len(topo.links)
-    rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
-    if len(rho0s) != len(networks):
-        raise ValueError("need one initial density per ensemble member")
-    dt = _ensemble_dt(networks, config)
-    rho0s = [_start_state(r, m) for r in rho0s]
-    n_steps = _step_count(config.horizon, dt)
-    # the step ``_integrate`` shrinks to land on the horizon
-    first = _window_start(n_steps, config.horizon / n_steps, config.record_stride, window)
-    member_bytes = 8 * (_record_count(n_steps, config.record_stride) - first) * m
-    size = max(1, _ENSEMBLE_BYTES // member_bytes)
+    dt, rho0s, first, kept = _checked_run(networks, config, rho0s, window)
+    size = max(1, _ENSEMBLE_BYTES // (8 * kept * len(networks[0].topology.links)))
     for lo in range(0, len(networks), size):
         yield from _simulate_chunk(networks[lo:lo + size], policy, config,
                                    rho0s[lo:lo + size], dt, first)
 
 
+def _checked_run(networks, config: SimulationConfig, rho0s, window: float):
+    """Check an ensemble run before any step: the topology is acyclic, each
+    member has valid start densities and the run fits ``MAX_STEPS``.
+
+    Returns ``(dt, rho0s, first, kept)``: the time step asked for, the
+    checked start densities, the first record in the trailing ``window``
+    fraction of the horizon (``_window_start``) and the records from there
+    to the end.
+    """
+    topo = networks[0].topology
+    topological_order(topo)
+    rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
+    if len(rho0s) != len(networks):
+        raise ValueError("need one initial density per ensemble member")
+    dt = _ensemble_dt(networks, config)
+    rho0s = [_start_state(r, len(topo.links)) for r in rho0s]
+    n_steps, dt_run = _time_grid(config.horizon, dt)
+    first = _window_start(n_steps, dt_run, config.record_stride, window)
+    return dt, rho0s, first, _record_count(n_steps, config.record_stride) - first
+
+
+def _simulate_blocks(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
+                     rho0, block_records: int):
+    """``simulate``'s trajectory as consecutive blocks of at most
+    ``block_records`` records, each built as soon as it is integrated.
+
+    Returns ``(tail_start, blocks)``: the first record of the verdict
+    window, the start of ``Trajectory.tail_slice()`` on the whole run, and
+    an iterator of block trajectories whose rows, joined, are bit-for-bit
+    those of ``simulate``.  A block's ``max_undershoot`` is the run's worst
+    up to its last record.  The run is checked before this returns.
+    """
+    dt, rho0s, tail_start, _ = _checked_run([network], config, [rho0], TAIL_FRACTION)
+    return tail_start, _simulate_chunk([network], policy, config, rho0s, dt, 0, block_records)
+
+
 def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                    dt: float, first_record: int):
+                    dt: float, first_record: int, block_records: int | None = None):
     """One chunk of ``_iter_ensemble``: the trajectories of ``networks`` from
     the checked start densities ``rho0s`` under time step ``dt``, keeping
     the records from index ``first_record`` on.
 
-    The members' densities are integrated together; then each member's
-    flows and node inflows are built from its own densities and its
-    trajectory is yielded before the next member's is built.  The kept rows
-    of every array are bit-for-bit those of the full run.
+    The members' densities are integrated together, a block of at most
+    ``block_records`` records at a time (default: one block of them all);
+    then each member's trajectory of the block is built from its own
+    densities and yielded, in member order, before the next member's is
+    built.  The kept rows of every array are bit-for-bit those of the full
+    run.
     """
-    topo = networks[0].topology
     compiled = _Compiled(networks, policy)
     rho0 = np.array(rho0s)[:, compiled.to_sorted]
     if len(networks) == 1:
         rho0 = rho0[0]  # a single run integrates an (m,) state, its fastest right-hand side
-
+    dt_run = _time_grid(config.horizon, dt)[1]
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
-    times, states, undershoot, dt_actual = _integrate(
-        deriv, rho0, dt, config.horizon, config.record_stride, first_record)
-    states = states.reshape(len(times), len(networks), len(topo.links))
-    undershoot = undershoot.reshape(len(networks))
-    for b, member_flows in enumerate(compiled.member_flows):
-        rho_sorted = states[:, b]
-        flows_sorted = member_flows(rho_sorted)
-        # incoming flows summed in the kernel's link order, as the pinned outputs were
-        lam = np.zeros((len(times), topo.num_nodes))
-        for j, head in enumerate(compiled.heads):
-            lam[:, head] += flows_sorted[:, j]
-        lam[:, topo.origin] = config.inflow
-        yield Trajectory(
-            times=times.copy(),
-            rho=rho_sorted[:, compiled.to_topo],
-            flows=flows_sorted[:, compiled.to_topo],
-            node_inflows=lam,
-            link_ids=topo.link_ids,
-            inflow=config.inflow,
-            dt=dt_actual,
-            destination=topo.destination,
-            max_undershoot=float(undershoot[b]),
-        )
-        # the consumer may have dropped that trajectory: keep none of it
-        # while the next member's is built
-        del flows_sorted, lam
+    for times, states, undershoot in _integrate(deriv, rho0, dt, config.horizon,
+                                                config.record_stride, first_record,
+                                                block_records):
+        states = states.reshape(len(times), len(networks), len(compiled.links))
+        undershoot = undershoot.reshape(len(networks))
+        for b, member_flows in enumerate(compiled.member_flows):
+            yield _member_trajectory(compiled, member_flows, times.copy(), states[:, b],
+                                     config.inflow, dt_run, float(undershoot[b]))
+
+
+def _member_trajectory(compiled: _Compiled, member_flows, times: np.ndarray,
+                       rho_sorted: np.ndarray, inflow: float, dt: float,
+                       undershoot: float) -> Trajectory:
+    """One member's trajectory over ``times`` from its densities in the
+    kernel's link order: its flows, and node inflows summed per column in
+    that order, as the pinned outputs were, so a block of rows gets the
+    bits of the whole run."""
+    flows_sorted = member_flows(rho_sorted)
+    lam = np.zeros((len(times), compiled.n_nodes))
+    for j, head in enumerate(compiled.heads):
+        lam[:, head] += flows_sorted[:, j]
+    lam[:, compiled.origin] = inflow
+    return Trajectory(
+        times=times,
+        rho=rho_sorted[:, compiled.to_topo],
+        flows=flows_sorted[:, compiled.to_topo],
+        node_inflows=lam,
+        link_ids=compiled.link_ids,
+        inflow=inflow,
+        dt=dt,
+        destination=compiled.destination,
+        max_undershoot=undershoot,
+    )
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
@@ -463,9 +516,9 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
     # every link leaves node 0 in id order, so the kernel's order is the caller's
     compiled = _Compiled([FlowNetwork(topo, dict(enumerate(flow_fns)))],
                          GenericPolicy(topo, {0: route_fn}))
-    times, states, undershoot, _ = _integrate(
+    times, states, undershoot = next(_integrate(
         lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
-        dt, horizon)
+        dt, horizon))
     return LocalTrajectory(times, states, compiled.flows(states), float(undershoot))
 
 

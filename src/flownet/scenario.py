@@ -51,6 +51,8 @@ class Scenario:
     settings, ``initial_density`` its start densities in ``topology.link_ids``
     order (None: empty), and its perturbation is a cut attack at level
     ``attack_alpha`` or the per-link factors ``scalings`` (both None without one).
+    A perturbed run starts from the unperturbed limit flow, so a scenario
+    with a perturbation has no ``initial_density``.
     """
 
     name: str
@@ -255,6 +257,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     pert = doc.get("perturbation")
     attack_alpha, scalings = (None, None) if pert is None else _perturbation_section(pert, topo)
     config, initial_density = _simulation_section(doc.get("simulation", {}), topo, inflow)
+    if pert is not None and initial_density is not None:
+        raise ScenarioError("simulation.initial_density: a run with a perturbation starts from "
+                            "the unperturbed limit flow; drop one of the two")
 
     return Scenario(
         name=name,

@@ -1,7 +1,6 @@
 """Scenario-document parsing, end-to-end CLI commands, and output schemas."""
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -157,6 +156,19 @@ class TestMalformedNumbers:
         doc = write_mutated(tmp_path, ("perturbation",), {"links": {"0": {"eps": None}}})
         code, _ = self.run(command, doc, tmp_path, capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["validate", "limitflow", "simulate", "mincut",
+                                         "resilience"])
+    def test_attack_with_initial_density(self, tmp_path, capsys, command):
+        # an attack run starts from the unperturbed limit flow, so a start density is refused
+        doc = write_mutated(tmp_path, ("simulation", "initial_density"), {"0": 5.0, "1": 5.0},
+                            source="example3_cutattack.json")
+        code, out = self.run(command, doc, tmp_path, capsys)
+        assert code == 1
+        if command == "validate":
+            (finding,) = json.loads(out)["findings"]
+            assert finding["component"] == "document"
+            assert finding["message"].startswith("simulation.initial_density: ")
 
     def test_nan_inflow_no_longer_validates(self, tmp_path, capsys):
         doc = write_mutated(tmp_path, ("inflow",), "nan")
@@ -328,6 +340,82 @@ class TestCmdSimulate:
         assert code == 2
         assert err.startswith("error: ") and "finite" in err
         assert not (tmp_path / "run.csv").exists()
+
+
+class TestStreamedFailure:
+    """A ``simulate`` run that fails while its CSV streams writes no file, leaves an
+    earlier run's files as they were and reaps its encoder process."""
+
+    OUTPUTS = ("csv", "csv.tmp", "summary.json", "manifest.json")
+
+    @staticmethod
+    def recorded_encoders(monkeypatch):
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return started
+
+    def earlier_run(self, tmp_path, capsys):
+        """An overloaded example3 run, short enough to succeed; its files by extension."""
+        doc = write_mutated(tmp_path, ("inflow",), 2.0)
+        prefix = tmp_path / "run"
+        code, _ = run_cli("simulate", str(doc), "--horizon", "5", "--out", str(prefix),
+                          capsys=capsys)
+        assert code == 0
+        files = {ext: Path(f"{prefix}.{ext}") for ext in self.OUTPUTS}
+        return doc, prefix, {ext: p.read_bytes() for ext, p in files.items() if p.exists()}
+
+    def assert_untouched(self, prefix, before, started):
+        after = {ext: Path(f"{prefix}.{ext}").read_bytes() for ext in self.OUTPUTS
+                 if Path(f"{prefix}.{ext}").exists()}
+        assert after == before
+        assert "csv.tmp" not in after
+        (encoder,) = started
+        assert encoder.returncode is not None  # waited for: no zombie left
+        assert encoder.stdin.closed and encoder.stderr.closed
+
+    def test_blow_up_after_many_blocks(self, tmp_path, capsys, monkeypatch):
+        doc, prefix, before = self.earlier_run(tmp_path, capsys)
+        # the overloaded densities pass the lowered ceiling near t = 189, 1 888 steps in
+        monkeypatch.setattr(dynamics, "DENSITY_CEILING", 50.0)
+        started = self.recorded_encoders(monkeypatch)
+        code = main(["simulate", str(doc), "--horizon", "400", "--dt", "0.1",
+                     "--out", str(prefix)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: integration unstable at t=188.")
+        assert 188.0 / 0.1 > cli._CSV_BLOCK_ROWS
+        self.assert_untouched(prefix, before, started)
+
+    def test_encoder_failure(self, tmp_path, capsys, monkeypatch):
+        doc, prefix, before = self.earlier_run(tmp_path, capsys)
+        failing = tmp_path / "failing_encoder.py"
+        failing.write_text("import sys\nsys.exit('no room left')\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_ENCODER", failing)
+        started = self.recorded_encoders(monkeypatch)
+        code = main(["simulate", str(doc), "--horizon", "400", "--dt", "0.1",
+                     "--out", str(prefix)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: the CSV encoder exited with status 1: no room left\n"
+        self.assert_untouched(prefix, before, started)
+
+    def test_keyboard_interrupt(self, tmp_path, capsys, monkeypatch):
+        doc, prefix, before = self.earlier_run(tmp_path, capsys)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # once every block has gone to the encoder
+        monkeypatch.setattr(cli, "limit_flow_estimate", interrupted)
+        started = self.recorded_encoders(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", str(doc), "--horizon", "40", "--out", str(prefix)])
+        self.assert_untouched(prefix, before, started)
 
 
 class TestCmdMincut:
@@ -581,6 +669,11 @@ class TestGoldenFiles:
         for name, (path, extra) in runs.items():
             assert simulate_digests(path, extra, tmp_path) == pinned[name], name
 
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_block_size_keeps_pinned_digests(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        self.test_simulate_outputs_match_pinned_digests(tmp_path)
+
     # the attack run's 175 KB trajectory is pinned by digest, its summary by bytes
     CUTATTACK_CSV_SHA256 = "3572d8ef67ea32ec7fd27f46075bfb3473cfb5c730e4e7414518c326f0b404a0"
 
@@ -616,7 +709,7 @@ def _one_string_csv(traj) -> str:
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_csv_blocks_match_one_string(offset):
+def test_csv_blocks_match_one_string(offset, tmp_path):
     block = cli._CSV_BLOCK_ROWS
     rows = 2 if offset is None else block + offset
     rng = np.random.default_rng(rows)
@@ -627,10 +720,16 @@ def test_csv_blocks_match_one_string(offset):
     traj = Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, rows)), rho=values[:, :3],
                       flows=values[:, 3:6], node_inflows=values[:, 6:], link_ids=(0, 4, 2),
                       inflow=1.0, dt=0.1, destination=3)
-    fh = io.StringIO()
-    cli._write_trajectory_csv(traj, fh)
-    assert fh.getvalue() == _one_string_csv(traj)
-    assert fh.getvalue().count("\n") == rows + 1
+    expected = _one_string_csv(traj)
+    table = np.column_stack((traj.times, traj.rho, traj.flows, traj.node_inflows))
+    path = tmp_path / "run.csv"
+    # the encoder process writes the blocks simulate sends it
+    with cli._csv_encoder(path, expected.split("\n", 1)[0].split(",")) as send:
+        for lo in range(0, rows, block):
+            send(table[lo:lo + block])
+    assert path.read_text(encoding="utf-8") == expected
+    assert expected.count("\n") == rows + 1
+    assert not (tmp_path / "run.csv.tmp").exists()
 
 
 class TestSweepAgainstSimulation:
