@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     except (SimulationError, LocalSolverError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # e.g. a --sweep grid larger than memory
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

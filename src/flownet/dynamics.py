@@ -618,6 +618,9 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     ``g = route_fn(rho)`` already computed: ``RoutingPolicy.jacobian`` of
     the node takes them that way.  Every input takes its own Newton and
     line-search steps, so its result is bit-for-bit the one it gets alone.
+    The links' flow map (``_flow_map``) and slope map (``_slope_map``) are
+    built once per call, their parameters hoisted, and serve the first
+    Newton run and every homotopy stage.
     """
     flow_fns = list(flow_fns)
     lams = np.asarray(inflows, dtype=float).reshape(-1)
@@ -629,14 +632,14 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     errors = [None] * lams.size
     inner = np.flatnonzero((lams != 0) & ~saturated)
     if inner.size:
-        mu = _flow_map(flow_fns)
-        rho, res = _newton(flow_fns, mu, route_fn, jac_fn, lams[inner],
+        mu, slope = _flow_map(flow_fns), _slope_map(flow_fns)
+        rho, res = _newton(mu, slope, route_fn, jac_fn, lams[inner],
                            np.zeros((inner.size, len(flow_fns))))
         if (res > LOCAL_TOL).any():
             stalled = np.flatnonzero(res > LOCAL_TOL)
             rho_s = np.zeros((stalled.size, len(flow_fns)))
             for frac in _HOMOTOPY:
-                rho_s, res_s = _newton(flow_fns, mu, route_fn, jac_fn,
+                rho_s, res_s = _newton(mu, slope, route_fn, jac_fn,
                                        frac * lams[inner[stalled]], rho_s)
             rho[stalled], res[stalled] = rho_s, res_s
         flows[inner] = mu(rho)
@@ -648,10 +651,12 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     return flows, saturated, errors
 
 
-def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho):
+def _newton(mu, slope, route_fn, jac_fn, lam, rho):
     """Damped Newton on ``H(rho) = lam * G(rho) - mu(rho)`` for P inputs at once.
 
-    ``lam`` has shape (P,) and the start ``rho`` (P, k).  Each member stops
+    ``lam`` has shape (P,) and the start ``rho`` (P, k).  ``mu`` and
+    ``slope`` map densities of that shape to the links' flows and to their
+    slopes, the diagonal of ``mu``'s Jacobian.  Each member stops
     once its residual (max norm) is within ``LOCAL_TOL`` and stalls out when its
     Jacobian is singular or its backtracking step falls below 1e-8; the
     others step on.  Returns the final densities and residuals.
@@ -672,7 +677,7 @@ def _newton(flow_fns, mu, route_fn, jac_fn, lam, rho):
             x, g_x, lam_x, r_x, res_x = rho[live], g[live], lam[live], r[live], res[live]
         # standard Jacobian of H: rows = components, columns = densities
         jac = np.multiply(lam_x[:, :, None], jac_fn(x, split=g_x).transpose(0, 2, 1), order="C")
-        jac.reshape(-1, k * k)[:, ::k + 1] -= _derivatives(flow_fns, x)  # the diagonal
+        jac.reshape(-1, k * k)[:, ::k + 1] -= slope(x)  # the diagonal
         step, singular = _solve(jac, -r_x)
         # backtracking: every member still trying at a halving shares its step size
         trial = None if singular is None else np.flatnonzero(~singular)
@@ -763,14 +768,37 @@ def _flow_map(flow_fns):
     return mu
 
 
-def _derivatives(flow_fns, rho: np.ndarray) -> np.ndarray:
-    """Flow-function slopes at densities (P, k), one scalar ``derivative`` call each.
+def _slope_map(flow_fns):
+    """Flow-function slopes as a map from densities (P, k) to slopes of that shape.
 
-    Not vectorized on purpose: ``ExponentialFlow.derivative`` uses
-    ``math.exp``, which differs from ``np.exp`` in the last bit on some
-    inputs, and the Newton iterates must not move.
+    All-exponential links hoist ``-rate`` and ``rate * f_max`` once, like
+    ``_flow_map``; each call takes ``(-rate) * rho`` in numpy, maps libm's
+    ``math.exp`` over it and scales.  Those are the IEEE operations, in the
+    order, of ``ExponentialFlow.derivative``, ``(rate * f_max) *
+    math.exp((-rate) * rho)``, so every slope is bit-for-bit that call's and
+    the Newton iterates do not move.  ``np.exp`` is not used: its SIMD
+    kernels differ from libm in the last bit on some inputs.  Any other
+    family calls each flow function's ``derivative`` per element.
     """
-    return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)] for row in rho.tolist()])
+    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
+        # (1, k) rows: at P = 1 the products skip numpy's broadcasting setup
+        neg_rate = np.array([[-ff.rate for ff in flow_fns]])
+        scale = np.array([[ff.rate * ff.f_max for ff in flow_fns]])
+
+        def exponential(rho):
+            arg = neg_rate * rho
+            out = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+            out = out.reshape(arg.shape)
+            out *= scale
+            return out
+
+        return exponential
+
+    def slopes(rho):
+        return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
+                         for row in rho.tolist()])
+
+    return slopes
 
 
 def network_limit_flow(network: FlowNetwork, policy: RoutingPolicy, inflow: float) -> LimitFlow:

@@ -527,6 +527,58 @@ class TestFlowMap:
         assert peak <= 1.5 * flows.nbytes
 
 
+def _derivative_rows(flow_fns, rho):
+    """The reference slopes: one scalar ``derivative`` call per element."""
+    return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)] for row in rho.tolist()])
+
+
+class TestSlopeMap:
+    @staticmethod
+    def densities(rng, rates, n):
+        """(n, k) densities: zeros, 1e-300, mid-range, and rate * rho past 745."""
+        mid = 10.0 ** rng.uniform(-3, 2, size=(n, len(rates)))
+        # (-rate) * rho from -760 to -700: exp is normal, subnormal or 0
+        tail = rng.uniform(700.0, 760.0, size=(n, len(rates))) / rates
+        pick = rng.integers(0, 4, size=(n, len(rates)))
+        return np.choose(pick, [np.zeros_like(mid), np.full_like(mid, 1e-300), mid, tail])
+
+    def test_exponential_slopes_equal_derivative_calls(self):
+        rng = np.random.default_rng(16)
+        tiny = np.finfo(float).tiny
+        subnormal = underflow = 0
+        for k in range(1, 6):
+            for n in range(1, 65):
+                rates = 10.0 ** rng.uniform(-1, 1, size=k)
+                fns = [ExponentialFlow(float(a), float(c))
+                       for a, c in zip(rates, 10.0 ** rng.uniform(-1, 1, size=k))]
+                rho = self.densities(rng, rates, n)
+                got = dynamics._slope_map(fns)(rho)
+                assert got.shape == (n, k)
+                assert np.array_equal(got, _derivative_rows(fns, rho)), (n, k)
+                subnormal += int(((got > 0) & (got < tiny)).sum())
+                underflow += int((got == 0).sum())
+        assert subnormal and underflow  # the exp tail was exercised
+
+    def test_mixed_node_takes_the_per_element_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        base = ExponentialFlow(0.8, 1.5)
+        fns = [ExponentialFlow(1.3, 0.9), CustomFlow(lambda r: base(r), base.f_max),
+               ExponentialFlow(0.5, 2.0)]
+        rho = self.densities(rng, np.array([1.3, 0.8, 0.5]), 40)
+        want = _derivative_rows(fns, rho)
+        calls = []
+        real = ExponentialFlow.derivative
+
+        def counting(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(ExponentialFlow, "derivative", counting)
+        got = dynamics._slope_map(fns)(rho)
+        assert np.array_equal(got, want)
+        assert len(calls) == 2 * len(rho)  # one call per exponential element
+
+
 class TestRecordWindow:
     """Ensembles that keep only a trailing window hold the full run's rows bit for bit."""
 

@@ -14,6 +14,7 @@ from flownet import (
     LogitPolicy,
     NetworkTopology,
     load_scenario,
+    min_cut_capacity,
     network_limit_flow,
 )
 from flownet import cli, dynamics
@@ -33,6 +34,24 @@ def test_cli_output_matches_the_serial_cascade(tmp_path, pinned):
     assert sorted(paths) == sorted(pinned)
     for name, path in paths.items():
         assert cli_digests(path) == pinned[name], name
+
+
+def test_exponential_sweeps_make_no_scalar_derivative_calls(tmp_path, monkeypatch):
+    # every slope of an all-exponential node comes from the node's slope map
+    dag = scenario_paths(tmp_path)["dag20-seed0.json"]
+    networks = [load_scenario(DATA / "diamond5.json"), load_scenario(dag)]
+
+    def scalar(self, rho):
+        raise AssertionError("scalar ExponentialFlow.derivative call")
+
+    monkeypatch.setattr(ExponentialFlow, "derivative", scalar)
+    for sc in networks:
+        cap, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+        lams = np.linspace(0.0, 2.0 * cap, 41)
+        limits = network_limit_flows(sc.network, sc.policy, lams)
+        # Newton ran: some point carries flow with no link saturated
+        assert any(0 < lam and not any(lf.saturated.values())
+                   for lam, lf in zip(lams, limits))
 
 
 def _csv_rows(out: str):

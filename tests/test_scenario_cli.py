@@ -508,6 +508,15 @@ class TestCmdLimitflow:
         assert captured.out == ""
         assert captured.err == "error: --sweep grid must be nonnegative, got point -1.0 in '-1:1:3'\n"
 
+    def test_sweep_larger_than_memory_exit_two(self, capsys):
+        # a 73 TiB grid: the allocation is refused at once, nothing is touched
+        code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:1:10000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+
     def test_single_point_to_stdout(self, capsys):
         code, out = run_cli("limitflow", str(DATA / "chain21.json"), capsys=capsys)
         assert code == 0
