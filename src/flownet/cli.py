@@ -267,6 +267,10 @@ def cmd_resilience(args) -> int:
     return EXIT_OK
 
 
+# Sweep points solved per ``network_limit_flows`` call by ``limitflow``.
+_SWEEP_CHUNK = 1024
+
+
 def cmd_limitflow(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.sweep:
@@ -283,30 +287,36 @@ def cmd_limitflow(args) -> int:
                                 f"{float(lams[lams < 0][0])!r} in {args.sweep!r}")
     else:
         lams = np.array([scenario.inflow])
-    limits = network_limit_flows(scenario.network, scenario.policy, lams)
 
     lids = scenario.topology.link_ids
     cols = ["lambda0"] + [f"f_{lid}" for lid in lids] + [f"sat_{lid}" for lid in lids] + ["status"]
-    lines = [",".join(cols)]
-    for lam, lf in zip(lams.tolist(), limits):
-        if isinstance(lf, LocalSolverError):
-            lines.append(",".join([repr(lam)] + [""] * (2 * len(lids))
-                                  + [f"solver failed: residual {lf.residual:.3e}"]))
-        else:
-            lines.append(",".join(
-                [repr(lam)]
-                + [repr(lf.flows[lid]) for lid in lids]
-                + [str(int(lf.saturated[lid])) for lid in lids]
-                + ["ok"]
-            ))
-    text = "\n".join(lines) + "\n"
+    # one text block per chunk of points: a chunk's limit flows are dropped
+    # once formatted, and each point is bit for bit its own cascade
+    blocks = [",".join(cols) + "\n"]
+    for lo in range(0, len(lams), _SWEEP_CHUNK):
+        chunk = lams[lo:lo + _SWEEP_CHUNK]
+        lines = []
+        for lam, lf in zip(chunk.tolist(),
+                           network_limit_flows(scenario.network, scenario.policy, chunk)):
+            if isinstance(lf, LocalSolverError):
+                lines.append(",".join([repr(lam)] + [""] * (2 * len(lids))
+                                      + [f"solver failed: residual {lf.residual:.3e}"]))
+            else:
+                lines.append(",".join(
+                    [repr(lam)]
+                    + [repr(lf.flows[lid]) for lid in lids]
+                    + [str(int(lf.saturated[lid])) for lid in lids]
+                    + ["ok"]
+                ))
+        blocks.append("\n".join(lines) + "\n")
     if args.out:
         out = _resolve_out(args.out)
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as fh:
+            fh.writelines(blocks)
         _write_manifest(out, sys.argv[1:], args.scenario, scenario.seed, [out])
         sys.stdout.write(_dump_json({"outputs": [str(out)]}))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return EXIT_OK
 
 

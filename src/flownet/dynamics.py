@@ -120,13 +120,16 @@ class _Compiled:
     id order and ``arr_topo[to_sorted]`` the other way.
 
     One instance serves an ensemble of B networks that share one topology
-    under one policy.  A state is (B, m), or (m,) for a single network, and
-    every reduction runs along the last axis.  ``flows`` is the
-    ``_flow_map`` of the whole state and ``member_flows[b]`` that of member
-    b alone; for a single network they are one map.  Logit policies take a
-    fully vectorized path; any other policy goes through one
-    ``policy.route`` call per node on the whole state, the calls the
-    limit-flow cascade makes.
+    under one policy.  The right-hand side takes one flat state of the B*m
+    densities, member after member, at every B.  ``flows`` is the
+    ``_flow_map`` of that flat state and ``member_flows[b]`` that of member
+    b alone; for a single network they are one map.  Per-node index arrays
+    (``group_starts``, ``group_of_link``, ``flat_tails``) are offset per member
+    over the flat state, so a logit policy's softmax is one segmented
+    reduction over all B*m densities, each group summed in the order of a
+    single run.  Any other policy goes through one ``policy.route`` call per
+    node on the state viewed as ``state_shape`` ((m,) for a single network,
+    (B, m) for more), the calls the limit-flow cascade makes.
     """
 
     def __init__(self, networks, policy: RoutingPolicy):
@@ -139,52 +142,60 @@ class _Compiled:
         self.to_sorted = np.array(order)
         self.to_topo = np.argsort(order)
         self.links = [links[i] for i in order]
-        self.tails = np.array([l.tail for l in self.links])
+        tails = np.array([l.tail for l in self.links])
         self.heads = np.array([l.head for l in self.links])
         self.origin = topo.origin
         self.destination = topo.destination
         self.n_nodes = topo.num_nodes
         self.link_ids = topo.link_ids
 
-        starts = [0] + [i for i in range(1, len(self.links)) if self.tails[i] != self.tails[i - 1]]
-        self.group_starts = np.array(starts)
-        self.groups = [(int(self.tails[lo]), lo, hi)
-                       for lo, hi in zip(starts, starts[1:] + [len(self.links)])]
-        self.group_of_link = np.repeat(np.arange(len(starts)),
-                                       np.diff(np.append(self.group_starts, len(self.links))))
+        m, n_members = len(self.links), len(networks)
+        starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
+        self.groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
+        self.state_shape = (m,) if n_members == 1 else (n_members, m)
 
-        self.head_mat = np.zeros((self.n_nodes, len(self.links)))
-        self.head_mat[self.heads, np.arange(len(self.links))] = 1.0
+        self.head_mat = np.zeros((self.n_nodes, m))
+        self.head_mat[self.heads, np.arange(m)] = 1.0
 
+        def per_member(index, stride):
+            return (index + stride * np.arange(n_members)[:, None]).ravel()
+
+        # into the (B, n_nodes) node inflows, flattened
+        self.flat_tails = per_member(tails, self.n_nodes)
         ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
         self.member_flows = [_flow_map(member) for member in ffs]
-        self.flows = self.member_flows[0] if len(ffs) == 1 else _flow_map(ffs)
+        self.flows = (self.member_flows[0] if n_members == 1
+                      else _flow_map([ff for member in ffs for ff in member]))
         self._logit = isinstance(policy, LogitPolicy)
         self.policy = policy
         if self._logit:
-            self.a_pol = np.array([policy.weights[l.id] for l in self.links])
-            self.neg_eta = -np.array([policy.eta[l.tail] for l in self.links])
-
-    def splits(self, rho: np.ndarray) -> np.ndarray:
-        if self._logit:
-            ex = self.neg_eta * rho
-            ex -= np.maximum.reduceat(ex, self.group_starts, axis=-1).take(self.group_of_link, axis=-1)
-            w = self.a_pol * np.exp(ex)
-            w /= np.add.reduceat(w, self.group_starts, axis=-1).take(self.group_of_link, axis=-1)
-            return w
-        g = np.empty_like(rho)
-        for v, lo, hi in self.groups:
-            g[..., lo:hi] = self.policy.route(v, rho[..., lo:hi])
-        return g
+            group_of_link = np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
+            self.group_starts = per_member(np.array(starts), m)
+            self.group_of_link = per_member(group_of_link, len(starts))
+            self.a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
+            self.neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
 
     def rhs(self, rho: np.ndarray, inflow: float) -> np.ndarray:
+        """d rho / dt at the flat state ``rho`` of all members, a fresh array."""
         f = self.flows(rho)
-        # a stacked matrix-vector product per member: the same summation
-        # order as ``head_mat @ f`` on one state, which ``f @ head_mat.T``
-        # does not keep
-        lam = np.matmul(self.head_mat, f[..., None])[..., 0]
-        lam[..., self.origin] = inflow
-        return lam.take(self.tails, axis=-1) * self.splits(rho) - f
+        # one matrix-vector product per member: the summation order of
+        # ``head_mat @ f`` on one state, which ``f @ head_mat.T`` does not keep
+        lam = np.matmul(self.head_mat, f.reshape(-1, len(self.links), 1))
+        lam[:, self.origin] = inflow
+        if self._logit:
+            g = self.neg_eta * rho
+            g -= np.maximum.reduceat(g, self.group_starts).take(self.group_of_link)
+            np.exp(g, out=g)
+            g *= self.a_pol
+            g /= np.add.reduceat(g, self.group_starts).take(self.group_of_link)
+        else:
+            g = np.empty_like(rho)
+            state, splits = rho.reshape(self.state_shape), g.reshape(self.state_shape)
+            for v, lo, hi in self.groups:
+                splits[..., lo:hi] = self.policy.route(v, state[..., lo:hi])
+        g *= lam.take(self.flat_tails)
+        g -= f
+        return g
 
 
 @dataclass
@@ -279,18 +290,21 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
                first_record: int = 0, block_records: int | None = None):
     """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
 
-    Clamps densities at zero and tracks the worst undershoot per member,
-    an array of shape ``rho0.shape[:-1]``.  The step is shrunk to land
-    exactly on the horizon (``_time_grid``).  Yields the records of a full
-    run from index ``first_record`` on as ``(times, states, undershoot)``
-    blocks of at most ``block_records`` records (default: one block of them
-    all), with ``states`` of shape ``(records,) + rho0.shape`` and
-    ``undershoot`` the worst up to the block's last record.  A block's
+    ``deriv(t, rho)`` takes the state flattened to one vector and returns
+    d rho / dt as a fresh array of that shape, which the step then updates
+    in place.  Clamps densities at zero and tracks the worst undershoot per
+    member, an array of shape ``rho0.shape[:-1]``.  The step is shrunk to
+    land exactly on the horizon (``_time_grid``).  Yields the records of a
+    full run from index ``first_record`` on as ``(times, states,
+    undershoot)`` blocks of at most ``block_records`` records (default: one
+    block of them all), with ``states`` of shape ``(records,) + rho0.shape``
+    and ``undershoot`` the worst up to the block's last record.  A block's
     buffers are allocated before the steps that fill it are taken.
     """
     n_steps, dt = _time_grid(horizon, dt)
-    rho = np.array(rho0, dtype=float)
-    undershoot = np.zeros(rho.shape[:-1])
+    shape = np.shape(rho0)
+    rho = np.array(rho0, dtype=float).reshape(-1)
+    undershoot = np.zeros(shape[:-1])
     n_records = _record_count(n_steps, record_stride) - first_record
     size = n_records if block_records is None else min(block_records, n_records)
     records = _rk4_records(deriv, rho, dt, n_steps, record_stride,
@@ -299,38 +313,63 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
         rows = min(size, n_records - lo)
         try:
             times = np.empty(rows)
-            states = np.empty((rows,) + rho.shape)
+            states = np.empty((rows, rho.size))
         except (MemoryError, ValueError) as exc:
             raise SimulationError(f"{rows} recorded states do not fit in memory; raise dt "
                                   "or record_stride, or shorten the horizon") from exc
         for i, (t, state) in zip(range(rows), records):
             times[i] = t
             states[i] = state
-        yield times, states, undershoot.copy()
+        yield times, states.reshape((rows,) + shape), undershoot.copy()
 
 
 def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride: int,
                  first_step: int, undershoot: np.ndarray):
-    """``_integrate``'s step loop: yields ``(t, state)`` at step 0 (when
-    ``first_step`` is 0), every ``record_stride``-th step and the last one,
-    from step ``first_step`` on, and raises its worst undershoot per member
-    into ``undershoot`` in place."""
+    """``_integrate``'s step loop on the flat state ``rho``: yields
+    ``(t, state)`` at step 0 (when ``first_step`` is 0), every
+    ``record_stride``-th step and the last one, from step ``first_step`` on,
+    and raises its worst undershoot per member into ``undershoot`` in place.
+
+    A step takes the IEEE operations of ``rho + sixth * (k1 + 2.0 * k2 +
+    2.0 * k3 + k4)`` and of its stages ``rho + half * k`` in their order,
+    only commutative operands swapped, in the buffers ``deriv`` returned:
+    the new state is accumulated in k2's.  A yielded state is never
+    written again.
+    """
     half, sixth = 0.5 * dt, dt / 6.0
+    # 0-d arrays: an array times a Python float pays for converting the float on every call
+    half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
+    members = undershoot.shape + (-1,)
     if first_step == 0:
         yield 0.0, rho
     t = 0.0
     for step in range(1, n_steps + 1):
         k1 = deriv(t, rho)
-        k2 = deriv(t + half, rho + half * k1)
-        k3 = deriv(t + half, rho + half * k2)
-        k4 = deriv(t + dt, rho + dt * k3)
-        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if rho.min() < 0.0:
-            np.maximum(undershoot, -rho.min(axis=-1), out=undershoot)
-            rho = np.maximum(rho, 0.0)
+        s = k1 * half_
+        s += rho
+        k2 = deriv(t + half, s)
+        s = k2 * half_
+        s += rho
+        k3 = deriv(t + half, s)
+        s = k3 * dt_
+        s += rho
+        k4 = deriv(t + dt, s)
+        k2 *= two
+        k2 += k1
+        k3 *= two
+        k2 += k3
+        k2 += k4
+        k2 *= sixth_
+        k2 += rho
+        rho = k2
+        if np.minimum.reduce(rho) < 0.0:
+            np.maximum(undershoot, -np.minimum.reduce(rho.reshape(members), axis=-1),
+                       out=undershoot)
+            np.maximum(rho, 0.0, out=rho)
         t = step * dt
-        if not rho.max() <= DENSITY_CEILING:  # also catches NaN
-            bad = rho if rho.ndim == 1 else rho[np.argmin(rho.max(axis=-1) <= DENSITY_CEILING)]
+        if not np.maximum.reduce(rho) <= DENSITY_CEILING:  # also catches NaN
+            rows = rho.reshape(members)
+            bad = rows if rows.ndim == 1 else rows[np.argmin(rows.max(axis=-1) <= DENSITY_CEILING)]
             raise SimulationError(
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
@@ -362,7 +401,7 @@ def simulate(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConf
 
     A perturbed run is this same operation on the perturbed network (the
     policy never changes; routers only see densities).  This is the
-    one-member case of ``simulate_ensemble``, integrated on an (m,) state.
+    one-member case of ``simulate_ensemble``, on the same flat kernel.
     """
     return simulate_ensemble([network], policy, config, [rho0])[0]
 
@@ -463,15 +502,11 @@ def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, r
     """
     compiled = _Compiled(networks, policy)
     rho0 = np.array(rho0s)[:, compiled.to_sorted]
-    if len(networks) == 1:
-        rho0 = rho0[0]  # a single run integrates an (m,) state, its fastest right-hand side
     dt_run = _time_grid(config.horizon, dt)[1]
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     for times, states, undershoot in _integrate(deriv, rho0, dt, config.horizon,
                                                 config.record_stride, first_record,
                                                 block_records):
-        states = states.reshape(len(times), len(networks), len(compiled.links))
-        undershoot = undershoot.reshape(len(networks))
         for b, member_flows in enumerate(compiled.member_flows):
             yield _member_trajectory(compiled, member_flows, times.copy(), states[:, b],
                                      config.inflow, dt_run, float(undershoot[b]))
@@ -739,17 +774,17 @@ def _solve(jac: np.ndarray, b: np.ndarray):
 def _flow_map(flow_fns):
     """Link flows as a map from densities to flows of the same shape.
 
-    ``flow_fns`` is one member's k flow functions, a map on densities
-    (..., k), or a (B, k) nested list of B members' functions, a map on
-    (..., B, k).  Exponential links fill one result array in place, their
-    parameters hoisted and negated, bit-for-bit what each function's
-    ``__call__`` gives (negation is exact and IEEE products are
-    sign-symmetric); any other family runs each flow function on its column.
+    ``flow_fns`` is a sequence of k flow functions (one member's links, or
+    an ensemble's members one after another), a map on densities (..., k).
+    Exponential links fill one result array in place, their parameters
+    hoisted and negated, bit-for-bit what each function's ``__call__``
+    gives (negation is exact and IEEE products are sign-symmetric); any
+    other family runs each flow function on its column.
     """
-    fns = np.array(flow_fns, dtype=object)
-    if all(isinstance(ff, ExponentialFlow) for ff in fns.flat):
-        neg_rate = -np.array([ff.rate for ff in fns.flat]).reshape(fns.shape)
-        neg_f_max = -np.array([ff.f_max for ff in fns.flat]).reshape(fns.shape)
+    fns = list(flow_fns)
+    if all(isinstance(ff, ExponentialFlow) for ff in fns):
+        neg_rate = -np.array([ff.rate for ff in fns])
+        neg_f_max = -np.array([ff.f_max for ff in fns])
 
         def exponential(rho):
             out = np.multiply(neg_rate, rho)
@@ -761,8 +796,8 @@ def _flow_map(flow_fns):
 
     def mu(rho):
         out = np.empty_like(rho)
-        for idx, ff in np.ndenumerate(fns):
-            out[(..., *idx)] = ff(rho[(..., *idx)])
+        for j, ff in enumerate(fns):
+            out[..., j] = ff(rho[..., j])
         return out
 
     return mu

@@ -505,6 +505,85 @@ class TestEnsemble:
             _assert_same_trajectory(traj, ref)
 
 
+class TestFlatKernel:
+    """The RK4 kernel on one flat state of all members' densities, stepped in place."""
+
+    # a step this many times the default one drives some members' densities
+    # below zero within 40 steps, and no member's past the ceiling; members
+    # are drawn from one seed, so a smaller ensemble is a prefix of a larger
+    COARSE = {"random8": 300, "diamond5": 600}
+    SEED = 7
+
+    @staticmethod
+    def distinct_members(net, size, seed):
+        """Members that each scale every link by their own factors, with some empty links at start."""
+        rng = np.random.default_rng(seed)
+        ids = net.topology.link_ids
+        nets, rho0s = [], []
+        for _ in range(size):
+            factors = {lid: float(rng.uniform(0.3, 1.0)) for lid in ids}
+            nets.append(net.perturbed(PerturbationSpec.scaling(net, factors)))
+            rho0 = rng.uniform(0.0, 3.0, size=len(ids))
+            rho0[rng.random(len(ids)) < 0.3] = 0.0
+            rho0s.append(rho0)
+        return nets, rho0s
+
+    def coarse_run(self, name, size, coarse=True):
+        sc = load_scenario(DATA / f"{name}.json")
+        nets, rho0s = self.distinct_members(sc.network, size, self.SEED)
+        dt = default_dt(sc.network) * (self.COARSE[name] if coarse else 1)
+        return sc, nets, rho0s, SimulationConfig(inflow=sc.inflow, horizon=40 * dt, dt=dt)
+
+    # random8 has out-degrees up to 4 and in-degrees up to 5
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    @pytest.mark.parametrize("size", [1, 3, 58])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_matches_serial_runs(self, name, size, coarse):
+        sc, nets, rho0s, config = self.coarse_run(name, size, coarse)
+        capacities = {tuple(sorted(net.capacities().items())) for net in nets}
+        assert len(capacities) == size
+        ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+        serial = [simulate(net, sc.policy, config, rho0) for net, rho0 in zip(nets, rho0s)]
+        for traj, ref in zip(ensemble, serial):
+            _assert_same_trajectory(traj, ref)
+        undershoots = [ref.max_undershoot for ref in serial]
+        if coarse and size > 1:  # members clamp at different steps by different amounts
+            assert max(undershoots) > 0.0
+            assert len(set(undershoots)) > 1
+        if not coarse:
+            assert max(undershoots) == 0.0
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    def test_yielded_states_are_never_written_again(self, name):
+        sc, nets, rho0s, config = self.coarse_run(name, 3)
+        compiled = dynamics._Compiled(nets, sc.policy)
+        rho0 = np.array(rho0s)[:, compiled.to_sorted]
+        deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
+        n_steps, dt = dynamics._time_grid(config.horizon, config.dt)  # _integrate's grid
+        undershoot = np.zeros(len(nets))
+        kept, seen = [], []
+        for _, state in dynamics._rk4_records(deriv, rho0.reshape(-1).copy(), dt, n_steps, 1, 0,
+                                              undershoot):
+            kept.append(state)
+            seen.append(state.copy())
+        assert len(kept) == 41 and undershoot.max() > 0.0  # clamps ran in place
+        for state, copy in zip(kept, seen):
+            assert np.array_equal(state, copy)
+
+        blocks, block_seen = [], []
+        for times, states, under in dynamics._integrate(deriv, rho0, config.dt, config.horizon,
+                                                        block_records=6):
+            blocks.append((times, states, under))
+            block_seen.append((times.copy(), states.copy(), under.copy()))
+        assert len(blocks) == 7
+        for block, copy in zip(blocks, block_seen):
+            for array, array_copy in zip(block, copy):
+                assert np.array_equal(array, array_copy)
+        joined = np.concatenate([states for _, states, _ in blocks])
+        assert np.array_equal(joined.reshape(41, -1), np.array(seen))
+        assert np.array_equal(blocks[-1][2], undershoot)
+
+
 class TestFlowMap:
     def test_member_flows_allocate_one_result_block(self):
         # a member's densities are a strided view of the chunk's (records, B, m) states;

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +517,57 @@ class TestCmdLimitflow:
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory: ")
         assert captured.err.count("\n") == 1
+
+    # anti_cooperative's sweep has failed rows among its ok ones
+    @pytest.mark.parametrize("name", ["diamond5", "anti_cooperative"])
+    def test_chunked_sweep_matches_one_chunk(self, tmp_path, capsys, monkeypatch, name):
+        outputs = []
+        for chunk in (7, 10**9):
+            monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+            out = tmp_path / f"{chunk}.csv"
+            code, stdout = run_cli("limitflow", str(DATA / f"{name}.json"), "--sweep", "0:2:41",
+                                   capsys=capsys)
+            assert code == 0
+            assert run_cli("limitflow", str(DATA / f"{name}.json"), "--sweep", "0:2:41",
+                           "--out", str(out), capsys=capsys)[0] == 0
+            assert out.read_text() == stdout
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 42
+
+    def test_sweep_memory_follows_its_text(self, tmp_path, monkeypatch):
+        # each chunk's limit flows go once formatted: what stays is the
+        # grid and the row text, not a LimitFlow of three dicts per point
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 64)
+        out = tmp_path / "sweep.csv"
+        argv = ["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:3000", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * out.stat().st_size
+
+    def test_failed_sweep_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 4)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("cascade failed")
+            return dynamics.network_limit_flows(*args)
+
+        monkeypatch.setattr(cli, "network_limit_flows", failing)
+        out = tmp_path / "sweep.csv"
+        code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:9",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and len(calls) == 2
+        assert captured.out == "" and captured.err == "error: cascade failed\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_point_to_stdout(self, capsys):
         code, out = run_cli("limitflow", str(DATA / "chain21.json"), capsys=capsys)
