@@ -27,7 +27,7 @@ from .dynamics import (
     LocalSolverError,
     SimulationError,
     _simulate_blocks,
-    alpha_transfer_estimate,
+    _transfer_estimate,
     limit_flow_estimate,
     network_limit_flows,
 )
@@ -192,32 +192,28 @@ def cmd_simulate(args) -> int:
                + [f"f_{lid}" for lid in topo.link_ids]
                + [f"lambda_{v}" for v in range(topo.num_nodes)])
     with _csv_encoder(csv_path, columns) as send:
-        tail, seen = [], 0  # blocks that reach the verdict window, with their first row in it
+        lo, hi, seen = np.inf, -np.inf, 0  # the verdict window's outflow extremes so far
         for block in blocks:
             send(np.column_stack((block.times, block.rho, block.flows, block.node_inflows)))
-            first = max(tail_start - seen, 0)
+            tail = block.outflow[max(tail_start - seen, 0):]  # empty before the window
+            lo, hi = tail.min(initial=lo), tail.max(initial=hi)
             seen += len(block.times)
-            if first < len(block.times):
-                tail.append((block, first))
-        # the run's settings and undershoot come with its last block
-        traj = replace(tail[-1][0], **{
-            name: np.concatenate([getattr(block, name)[first:] for block, first in tail])
-            for name in ("times", "rho", "flows", "node_inflows")})
-
-        est, flags = limit_flow_estimate(traj, network)
-        transfer = alpha_transfer_estimate(traj, scenario.attack_alpha or 0.0)
+        # the last block holds the run's terminal flows, settings and undershoot
+        est, flags = limit_flow_estimate(block, network)
+        transfer = _transfer_estimate(float(lo), float(hi), block.inflow,
+                                      scenario.attack_alpha or 0.0)
         summary.update({
-            "dt": traj.dt,
-            "horizon": float(traj.times[-1]),
-            "terminal_flow": {str(lid): float(traj.flows[-1, i])
-                              for i, lid in enumerate(traj.link_ids)},
+            "dt": block.dt,
+            "horizon": float(block.times[-1]),
+            "terminal_flow": {str(lid): float(block.flows[-1, i])
+                              for i, lid in enumerate(block.link_ids)},
             "limit_flow_estimate": {str(lid): float(est[i])
-                                    for i, lid in enumerate(traj.link_ids)},
+                                    for i, lid in enumerate(block.link_ids)},
             "tail_min_outflow": transfer.tail_min,
             "tail_variation": transfer.tail_variation,
             "converged": not transfer.inconclusive,
-            "saturated_links": [lid for lid in traj.link_ids if flags[lid]],
-            "max_undershoot": traj.max_undershoot,
+            "saturated_links": [lid for lid in block.link_ids if flags[lid]],
+            "max_undershoot": block.max_undershoot,
         })
         if scenario.attack_alpha is not None:
             summary["attack"]["defeated"] = not transfer.transferring

@@ -197,6 +197,20 @@ class _Compiled:
         g -= f
         return g
 
+    def outflow(self, states: np.ndarray) -> np.ndarray:
+        """Destination inflow of (records, B, m) densities, of shape (records, B).
+
+        The stacked flow map runs on all members at once; the links into
+        the destination are then summed from 0.0 in the kernel's link order,
+        the sum ``_member_trajectories`` takes for ``node_inflows``, so
+        every entry is bit-for-bit that member's trajectory's outflow.
+        """
+        flows = self.flows(states.reshape(len(states), -1)).reshape(states.shape)
+        out = np.zeros(states.shape[:-1])
+        for j in np.flatnonzero(self.heads == self.destination):
+            out += flows[..., j]
+        return out
+
 
 @dataclass
 class Trajectory:
@@ -270,19 +284,18 @@ def _record_step(record: int, n_steps: int, record_stride: int) -> int:
     return min(record * record_stride, n_steps)
 
 
-def _window_start(n_steps: int, dt: float, record_stride: int, window: float) -> int:
-    """First record in the trailing ``window`` fraction of a run's horizon.
+def _tail_start(n_steps: int, dt: float, record_stride: int) -> int:
+    """First record in the trailing ``TAIL_FRACTION`` of a run's horizon.
 
-    This is the start of ``Trajectory.tail_slice(window)`` on the full
-    record, known before integrating: record r lies at ``step * dt`` as
-    ``_integrate`` computes it.  A window of 1 starts at record 0, a window
-    of 0 at the last record.
+    This is the start of ``Trajectory.tail_slice()`` on the full record,
+    known before integrating: record r lies at ``step * dt`` as
+    ``_integrate`` computes it.
     """
     def time(record):
         return _record_step(record, n_steps, record_stride) * dt
 
     n_records = _record_count(n_steps, record_stride)
-    t0 = _tail_t0(time(n_records - 1), window)
+    t0 = _tail_t0(time(n_records - 1), TAIL_FRACTION)
     return bisect.bisect_left(range(n_records), t0, key=time)
 
 
@@ -362,7 +375,8 @@ def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride:
         k2 *= sixth_
         k2 += rho
         rho = k2
-        if np.minimum.reduce(rho) < 0.0:
+        # a NaN anywhere makes the minimum NaN: clamp every member then too
+        if not np.minimum.reduce(rho) >= 0.0:
             np.maximum(undershoot, -np.minimum.reduce(rho.reshape(members), axis=-1),
                        out=undershoot)
             np.maximum(rho, 0.0, out=rho)
@@ -415,50 +429,33 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     hence one time grid.  Each returned ``Trajectory`` is bit-for-bit the
     one ``simulate`` gives for that member alone.  A member that blows up
     raises ``SimulationError`` for the whole ensemble.  Every state of
-    every member stays in memory: consumers that read less call
-    ``_iter_ensemble`` with a shorter window.
-    """
-    return list(_iter_ensemble(networks, policy, config, rho0s))
-
-
-# Retained float64 of the trajectories one chunk of an ensemble may hold.
-_ENSEMBLE_BYTES = 64 * 2**20
-
-
-def _iter_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                   window: float = 1.0):
-    """``simulate_ensemble``'s trajectories one by one, in member order.
-
-    Each trajectory keeps only the records in the trailing ``window``
-    fraction of the horizon, the rows ``Trajectory.tail_slice(window)``
-    selects on the full run and bit-for-bit equal to them: 1 keeps every
-    record, ``TAIL_FRACTION`` the window a transfer verdict reads and 0
-    only the last state.  Members are integrated in chunks sized by the
-    records a member keeps: a chunk holds records x m floats (densities)
-    per member, as many members as fit in ``_ENSEMBLE_BYTES``, and builds
-    one member's trajectory at a time, so a consumer that reduces each
-    trajectory as it arrives keeps one chunk's densities and one
-    trajectory alive.  The topology, the start densities and the time step
-    are checked once, before the first chunk.
+    every member is integrated into one block, and the trajectories are
+    built from it one member at a time.
     """
     networks = list(networks)
     if not networks:
-        return
-    dt, rho0s, first, kept = _checked_run(networks, config, rho0s, window)
-    size = max(1, _ENSEMBLE_BYTES // (8 * kept * len(networks[0].topology.links)))
-    for lo in range(0, len(networks), size):
-        yield from _simulate_chunk(networks[lo:lo + size], policy, config,
-                                   rho0s[lo:lo + size], dt, first)
+        return []
+    compiled, dt, _, blocks = _ensemble_blocks(networks, policy, config, rho0s)
+    return list(_member_trajectories(compiled, next(blocks), config.inflow, dt))
 
 
-def _checked_run(networks, config: SimulationConfig, rho0s, window: float):
-    """Check an ensemble run before any step: the topology is acyclic, each
-    member has valid start densities and the run fits ``MAX_STEPS``.
+def _ensemble_blocks(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+                     keep: str = "all", block_records: int | None = None):
+    """Check an ensemble run once, before any step, and return its kernel and record blocks.
 
-    Returns ``(dt, rho0s, first, kept)``: the time step asked for, the
-    checked start densities, the first record in the trailing ``window``
-    fraction of the horizon (``_window_start``) and the records from there
-    to the end.
+    The checks: the topology is acyclic, each member has valid start
+    densities (zeros where ``rho0s`` or its entry is None), the time step
+    is set or shared, and the run fits ``MAX_STEPS``.  ``keep`` picks the
+    records integrated: ``"all"``, ``"tail"`` (from the first record of the
+    trailing ``TAIL_FRACTION`` of the horizon on) or ``"last"`` (the last
+    state only).  Every kept record is bit-for-bit that of the full run.
+
+    Returns ``(compiled, dt, tail_start, blocks)``: the members' kernel, the
+    run's step shrunk to land on the horizon, the first record of the
+    ``TAIL_FRACTION`` window in the full run (``_tail_start``), and
+    ``_integrate``'s ``(times, states, undershoot)`` blocks of at most
+    ``block_records`` records (default: one block), ``states`` of shape
+    (records, B, m) with links in the kernel's order.
     """
     topo = networks[0].topology
     topological_order(topo)
@@ -468,8 +465,14 @@ def _checked_run(networks, config: SimulationConfig, rho0s, window: float):
     dt = _ensemble_dt(networks, config)
     rho0s = [_start_state(r, len(topo.links)) for r in rho0s]
     n_steps, dt_run = _time_grid(config.horizon, dt)
-    first = _window_start(n_steps, dt_run, config.record_stride, window)
-    return dt, rho0s, first, _record_count(n_steps, config.record_stride) - first
+    tail_start = _tail_start(n_steps, dt_run, config.record_stride)
+    first = {"all": 0, "tail": tail_start,
+             "last": _record_count(n_steps, config.record_stride) - 1}[keep]
+    compiled = _Compiled(networks, policy)
+    deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
+    blocks = _integrate(deriv, np.array(rho0s)[:, compiled.to_sorted], dt, config.horizon,
+                        config.record_stride, first, block_records)
+    return compiled, dt_run, tail_start, blocks
 
 
 def _simulate_blocks(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
@@ -477,64 +480,44 @@ def _simulate_blocks(network: FlowNetwork, policy: RoutingPolicy, config: Simula
     """``simulate``'s trajectory as consecutive blocks of at most
     ``block_records`` records, each built as soon as it is integrated.
 
-    Returns ``(tail_start, blocks)``: the first record of the verdict
-    window, the start of ``Trajectory.tail_slice()`` on the whole run, and
-    an iterator of block trajectories whose rows, joined, are bit-for-bit
-    those of ``simulate``.  A block's ``max_undershoot`` is the run's worst
-    up to its last record.  The run is checked before this returns.
+    Returns ``(tail_start, blocks)``: the start of ``Trajectory.tail_slice()``
+    on the whole run, and block trajectories whose rows, joined, are
+    bit-for-bit those of ``simulate``.  A block's ``max_undershoot`` is the
+    run's worst up to its last record, so the last block holds all of the
+    run but its earlier rows.  The run is checked before this returns.
     """
-    dt, rho0s, tail_start, _ = _checked_run([network], config, [rho0], TAIL_FRACTION)
-    return tail_start, _simulate_chunk([network], policy, config, rho0s, dt, 0, block_records)
+    compiled, dt, tail_start, blocks = _ensemble_blocks([network], policy, config, [rho0],
+                                                        block_records=block_records)
+    return tail_start, (traj for block in blocks
+                        for traj in _member_trajectories(compiled, block, config.inflow, dt))
 
 
-def _simulate_chunk(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                    dt: float, first_record: int, block_records: int | None = None):
-    """One chunk of ``_iter_ensemble``: the trajectories of ``networks`` from
-    the checked start densities ``rho0s`` under time step ``dt``, keeping
-    the records from index ``first_record`` on.
+def _member_trajectories(compiled: _Compiled, block, inflow: float, dt: float):
+    """Each member's ``Trajectory`` over one ``_integrate`` block, in member order.
 
-    The members' densities are integrated together, a block of at most
-    ``block_records`` records at a time (default: one block of them all);
-    then each member's trajectory of the block is built from its own
-    densities and yielded, in member order, before the next member's is
-    built.  The kept rows of every array are bit-for-bit those of the full
-    run.
+    A member's flows come from its own densities, and its node inflows are
+    its flows summed per column from 0.0 in the kernel's link order, as
+    the pinned outputs were, so a block of rows gets the bits of the whole
+    run.  One member's trajectory is built at a time.
     """
-    compiled = _Compiled(networks, policy)
-    rho0 = np.array(rho0s)[:, compiled.to_sorted]
-    dt_run = _time_grid(config.horizon, dt)[1]
-    deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
-    for times, states, undershoot in _integrate(deriv, rho0, dt, config.horizon,
-                                                config.record_stride, first_record,
-                                                block_records):
-        for b, member_flows in enumerate(compiled.member_flows):
-            yield _member_trajectory(compiled, member_flows, times.copy(), states[:, b],
-                                     config.inflow, dt_run, float(undershoot[b]))
-
-
-def _member_trajectory(compiled: _Compiled, member_flows, times: np.ndarray,
-                       rho_sorted: np.ndarray, inflow: float, dt: float,
-                       undershoot: float) -> Trajectory:
-    """One member's trajectory over ``times`` from its densities in the
-    kernel's link order: its flows, and node inflows summed per column in
-    that order, as the pinned outputs were, so a block of rows gets the
-    bits of the whole run."""
-    flows_sorted = member_flows(rho_sorted)
-    lam = np.zeros((len(times), compiled.n_nodes))
-    for j, head in enumerate(compiled.heads):
-        lam[:, head] += flows_sorted[:, j]
-    lam[:, compiled.origin] = inflow
-    return Trajectory(
-        times=times,
-        rho=rho_sorted[:, compiled.to_topo],
-        flows=flows_sorted[:, compiled.to_topo],
-        node_inflows=lam,
-        link_ids=compiled.link_ids,
-        inflow=inflow,
-        dt=dt,
-        destination=compiled.destination,
-        max_undershoot=undershoot,
-    )
+    times, states, undershoot = block
+    for b, member_flows in enumerate(compiled.member_flows):
+        flows_sorted = member_flows(states[:, b])
+        lam = np.zeros((len(times), compiled.n_nodes))
+        for j, head in enumerate(compiled.heads):
+            lam[:, head] += flows_sorted[:, j]
+        lam[:, compiled.origin] = inflow
+        yield Trajectory(
+            times=times.copy(),
+            rho=states[:, b][:, compiled.to_topo],
+            flows=flows_sorted[:, compiled.to_topo],
+            node_inflows=lam,
+            link_ids=compiled.link_ids,
+            inflow=inflow,
+            dt=dt,
+            destination=compiled.destination,
+            max_undershoot=float(undershoot[b]),
+        )
 
 
 def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
@@ -588,14 +571,18 @@ def alpha_transfer_estimate(traj: Trajectory, alpha: float,
     more than 5% of the inflow is flagged inconclusive rather than trusted.
     """
     tail = traj.outflow[traj.tail_slice()]
-    tail_min = float(tail.min())
-    variation = float(tail.max() - tail.min())
-    inconclusive = variation > 0.05 * traj.inflow if traj.inflow > 0 else False
+    return _transfer_estimate(float(tail.min()), float(tail.max()), traj.inflow, alpha, tol)
+
+
+def _transfer_estimate(tail_min: float, tail_max: float, inflow: float, alpha: float,
+                       tol: float | None = None) -> TransferEstimate:
+    """``alpha_transfer_estimate``'s verdict from the tail window's outflow extremes alone."""
+    variation = tail_max - tail_min
     return TransferEstimate(
-        transferring=bool(tail_min >= _transfer_threshold(alpha, traj.inflow, tol)),
+        transferring=bool(tail_min >= _transfer_threshold(alpha, inflow, tol)),
         tail_min=tail_min,
         tail_variation=variation,
-        inconclusive=inconclusive,
+        inconclusive=variation > 0.05 * inflow if inflow > 0 else False,
     )
 
 
@@ -914,8 +901,7 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     Initial densities are drawn log-uniformly over [1e-3, 1e2] times each
     link's median density, covering near-empty through heavily congested
     starts.  Saturated links are compared at their capacity value.  The
-    starts run as one ensemble (in memory-bounded chunks) that keeps only
-    each start's last state.
+    starts run as one ensemble that records only each start's last state.
     """
     if n_initial < 2:
         raise ValueError("need at least two initial conditions to compare")
@@ -929,8 +915,10 @@ def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float
     reference = network_limit_flow(network, policy, inflow)
     ref_vec = reference.flow_vector(topo)
     rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
-    trajs = _iter_ensemble([network] * n_initial, policy, config, rho0s, window=0.0)
-    terminals = np.array([limit_flow_estimate(traj, network)[0] for traj in trajs])
+    compiled, dt, _, blocks = _ensemble_blocks([network] * n_initial, policy, config, rho0s,
+                                               "last")
+    terminals = np.array([limit_flow_estimate(traj, network)[0] for traj in
+                          _member_trajectories(compiled, next(blocks), config.inflow, dt)])
     pairwise = 0.0
     for i in range(n_initial):
         for j in range(i + 1, n_initial):

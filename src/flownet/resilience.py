@@ -18,11 +18,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    TAIL_FRACTION,
     SimulationConfig,
-    _iter_ensemble,
+    _ensemble_blocks,
+    _transfer_estimate,
     _transfer_threshold,
-    alpha_transfer_estimate,
     default_dt,
     network_limit_flow,
 )
@@ -46,6 +45,8 @@ MARGIN = 0.1
 ALPHA_FLOOR = 1e-3
 # Upper side: cut-scaling bisections stop within this fraction of C.
 BISECT_TOL_FRAC = 0.01
+# Tail-window records of every attack integrated and folded into the verdicts at a time.
+_VERDICT_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ def evaluate_attacks(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
     positive raises ``ValueError`` before any simulation.  Every run starts
     from the unperturbed network's limit flow and keeps the time step
     implied by the unperturbed rates, which dominate the perturbed ones.
-    The attacks run as one chunked ensemble, and each verdict is the one
-    the attack gets alone.
+    The attacks run as one ensemble, and each verdict is the one
+    ``alpha_transfer_estimate`` gives the attack's own ``simulate`` run.
     """
     attacks = list(attacks)
     if not attacks:
@@ -177,18 +178,24 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
     """``evaluate_attacks`` from the ``config`` and ``rho0`` of ``_attack_setup``.
 
     Members record only the tail window ``TAIL_FRACTION`` that the verdict
-    reads, and each trajectory is judged and dropped as it arrives, so none
-    outlives its chunk.
+    reads, in blocks of ``_VERDICT_BLOCK_RECORDS`` records; each block's
+    outflows are folded into every member's running minimum and maximum
+    and dropped, so memory does not grow with the horizon.
     """
     for _, alpha, transfer_tol in attacks:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         _require_positive_threshold(alpha, config.inflow, transfer_tol)
-    trajs = _iter_ensemble([network.perturbed(spec) for spec, _, _ in attacks], policy, config,
-                           [rho0] * len(attacks), window=TAIL_FRACTION)
-    # the verdict holds no trajectory while the next one is built
-    return [alpha_transfer_estimate(next(trajs), alpha, transfer_tol)
-            for _, alpha, transfer_tol in attacks]
+    compiled, _, _, blocks = _ensemble_blocks(
+        [network.perturbed(spec) for spec, _, _ in attacks], policy, config,
+        [rho0] * len(attacks), "tail", _VERDICT_BLOCK_RECORDS)
+    lo, hi = np.inf, -np.inf  # every member's running outflow extremes
+    for _, states, _ in blocks:
+        outflow = compiled.outflow(states)
+        lo, hi = np.minimum(lo, outflow.min(axis=0)), np.maximum(hi, outflow.max(axis=0))
+    return [_transfer_estimate(float(tail_min), float(tail_max), config.inflow, alpha,
+                               transfer_tol)
+            for tail_min, tail_max, (_, alpha, transfer_tol) in zip(lo, hi, attacks)]
 
 
 def require_locally_responsive(policy: RoutingPolicy, network: FlowNetwork, seed: int = 0):

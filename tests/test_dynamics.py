@@ -480,29 +480,10 @@ class TestEnsemble:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # beyond the trajectories it returns, a run holds the chunk's states
-        # and a few (records, m) blocks of one member, never the chunk's flows
+        # beyond the trajectories it returns, a run holds the ensemble's states
+        # and a few (records, m) blocks of one member, never every member's flows
         block = 8 * len(ensemble[0].times) * len(sc.topology.links)
         assert peak - kept <= (len(nets) + 3) * block
-
-    def test_chunks_bound_retained_memory(self, monkeypatch):
-        sc = load_scenario(DATA / "diamond5.json")
-        nets, rho0s = self.perturbed_members(sc.network, 5, seed=7)
-        config = SimulationConfig(inflow=sc.inflow, horizon=1.0, dt=0.01)
-        # 101 records x 6 links of densities per member: two members fit
-        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", 2 * 8 * 101 * 6 + 1)
-        sizes = []
-        real = dynamics._simulate_chunk
-
-        def counting(networks, *args):
-            sizes.append(len(networks))
-            return real(networks, *args)
-
-        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
-        chunked = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s))
-        assert sizes == [2, 2, 1]
-        for traj, ref in zip(chunked, real(nets, sc.policy, config, rho0s, config.dt, 0)):
-            _assert_same_trajectory(traj, ref)
 
 
 class TestFlatKernel:
@@ -583,10 +564,25 @@ class TestFlatKernel:
         assert np.array_equal(joined.reshape(41, -1), np.array(seen))
         assert np.array_equal(blocks[-1][2], undershoot)
 
+    def test_a_nan_member_leaves_the_clamp_to_the_others(self):
+        # two members of two links; member 0's first density turns NaN in the
+        # step that drives its second and member 1's first below zero
+        slope = np.array([np.nan, -100.0, -100.0, 0.0])
+        undershoot = np.zeros(2)
+        records = dynamics._rk4_records(lambda t, rho: slope.copy(), np.ones(4), 0.1, 1, 1, 0,
+                                        undershoot)
+        next(records)  # the start
+        with pytest.raises(SimulationError) as exc:
+            next(records)
+        # the finite member was clamped and its undershoot kept: 1 - 0.1 * 100
+        assert undershoot[1] == pytest.approx(9.0)
+        assert str(exc.value).startswith("integration unstable at t=0.1 (state=[nan  0.]);")
+        assert "-" not in str(exc.value)  # no negative density is shown
+
 
 class TestFlowMap:
     def test_member_flows_allocate_one_result_block(self):
-        # a member's densities are a strided view of the chunk's (records, B, m) states;
+        # a member's densities are a strided view of the ensemble's (records, B, m) states;
         # numpy's iterator buffers (8 192 floats per operand) stay small beside the
         # result at this many records
         sc = load_scenario(DATA / "diamond5.json")
@@ -659,7 +655,7 @@ class TestSlopeMap:
 
 
 class TestRecordWindow:
-    """Ensembles that keep only a trailing window hold the full run's rows bit for bit."""
+    """Runs that keep only a trailing window hold the full run's rows bit for bit."""
 
     @staticmethod
     def _assert_tail_rows(traj, full, first):
@@ -675,9 +671,14 @@ class TestRecordWindow:
         nets, rho0s = TestEnsemble.perturbed_members(sc.network, 5, seed=4)
         config = SimulationConfig(inflow=sc.inflow, horizon=0.5, dt=default_dt(sc.network))
         full = simulate_ensemble(nets, sc.policy, config, rho0s)
+        compiled = dynamics._Compiled(nets, sc.policy)
+        rho0 = np.array(rho0s)[:, compiled.to_sorted]
+        deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
         for first in range(len(full[0].times)):
-            tails = dynamics._simulate_chunk(nets, sc.policy, config, rho0s, config.dt, first)
-            for traj, ref in zip(tails, full):
+            (block,) = dynamics._integrate(deriv, rho0, config.dt, config.horizon,
+                                           first_record=first)
+            tails = dynamics._member_trajectories(compiled, block, config.inflow, full[0].dt)
+            for traj, ref in zip(tails, full, strict=True):
                 self._assert_tail_rows(traj, ref, first)
 
     @pytest.mark.parametrize("name", ["random8", "diamond5"])
@@ -690,15 +691,19 @@ class TestRecordWindow:
         n_steps = dynamics._step_count(config.horizon, config.dt)
         assert n_steps % 7 and n_steps % 3  # the final step lies off the stride grid
         full = simulate_ensemble(nets, sc.policy, config, rho0s)
-        for window in (0.0, dynamics.TAIL_FRACTION, 0.37, 1.0):
-            tails = list(dynamics._iter_ensemble(nets, sc.policy, config, rho0s, window))
+        for keep in ("all", "tail", "last"):
+            compiled, dt, tail_start, blocks = dynamics._ensemble_blocks(
+                nets, sc.policy, config, rho0s, keep)
+            tails = list(dynamics._member_trajectories(compiled, next(blocks), config.inflow,
+                                                       dt))
+            assert next(blocks, None) is None
             for traj, ref in zip(tails, full, strict=True):
-                self._assert_tail_rows(traj, ref, ref.tail_slice(window).start)
-                # the window is one of run time: a kept tail is the whole of itself
-                assert traj.tail_slice(window) == slice(0, len(traj.times))
-                if window == 0.0:
-                    assert len(traj.times) == 1
-                elif window == dynamics.TAIL_FRACTION:
+                assert tail_start == ref.tail_slice().start
+                first = {"all": 0, "tail": tail_start, "last": len(ref.times) - 1}[keep]
+                self._assert_tail_rows(traj, ref, first)
+                if keep == "tail":
+                    # the window is one of run time: a kept tail is the whole of itself
+                    assert traj.tail_slice() == slice(0, len(traj.times))
                     for alpha, tol in ((0.5, None), (0.05, 0.0)):
                         assert alpha_transfer_estimate(traj, alpha, tol) == \
                             alpha_transfer_estimate(ref, alpha, tol)
@@ -706,17 +711,19 @@ class TestRecordWindow:
     def test_convergence_check_reads_only_the_last_state(self, two_route, monkeypatch):
         topo, net, policy = two_route
         config = SimulationConfig(inflow=1.2, horizon=40.0, dt=0.02, record_stride=3)
-        windows = []
-        real = dynamics._iter_ensemble
+        keeps = []
+        real = dynamics._ensemble_blocks
 
-        def full_record(networks, policy, config, rho0s, window=1.0):
-            windows.append(window)
-            return real(networks, policy, config, rho0s)
+        def full_record(networks, policy, config, rho0s, keep="all", block_records=None):
+            keeps.append((keep, block_records))
+            compiled, dt, tail_start, blocks = real(networks, policy, config, rho0s)
+            (times, states, undershoot), = blocks
+            return compiled, dt, tail_start, iter([(times[-1:], states[-1:], undershoot)])
 
         report = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
-        monkeypatch.setattr(dynamics, "_iter_ensemble", full_record)
+        monkeypatch.setattr(dynamics, "_ensemble_blocks", full_record)
         reference = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
-        assert windows == [0.0]
+        assert keeps == [("last", None)]
         assert np.array_equal(report.terminal_flows, reference.terminal_flows)
         assert np.array_equal(report.limit_reference, reference.limit_reference)
         assert (report.max_pairwise_gap, report.max_reference_gap, report.passed) == \

@@ -115,7 +115,7 @@ class TestEvaluateAttack:
     def test_alpha_outside_unit_interval_rejected_before_simulating(self, monkeypatch, alpha):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        monkeypatch.setattr(resilience, "_iter_ensemble", None)  # any simulation fails
+        monkeypatch.setattr(dynamics, "_integrate", None)  # any simulation fails
         attacks = [(cut_attack(net, 0.5, 1.0), 0.5, None),
                    (PerturbationSpec.scaling(net, {}), alpha, None)]
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
@@ -131,7 +131,7 @@ class TestEvaluateAttack:
                                                                    alpha, tol, message):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        monkeypatch.setattr(resilience, "_iter_ensemble", None)  # any simulation fails
+        monkeypatch.setattr(dynamics, "_integrate", None)  # any simulation fails
         spec = cut_attack(net, 0.5, 1.0)
         with pytest.raises(ValueError) as exc:
             evaluate_attacks(net, policy, inflow, [(spec, alpha, tol)], FAST)
@@ -212,13 +212,13 @@ class TestBatchedVerdicts:
     def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()
         sizes = []
-        real = dynamics._simulate_chunk
+        real = dynamics._integrate
 
-        def counting(networks, *args):
-            sizes.append(len(networks))
-            return real(networks, *args)
+        def counting(deriv, rho0, *args):
+            sizes.append(len(rho0))  # the (B, m) start densities of one ensemble
+            return real(deriv, rho0, *args)
 
-        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
+        monkeypatch.setattr(dynamics, "_integrate", counting)
         estimate_weak_resilience(net, diamond_policy(net.topology), 1.0, config=SHORT,
                                  alphas=(0.5, 0.05), n_samples=4, seed=3)
         # both endpoints of both alphas' brackets, then every sample
@@ -360,56 +360,84 @@ class TestBatchedVerdicts:
         assert {out.transferring for out in outcomes} == {out.inconclusive for out in outcomes} \
             == {True, False}
 
+    @pytest.mark.parametrize("name", ["diamond5", "random8"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("block_records", [1, 7])
+    def test_verdict_blocks_match_full_trajectories(self, monkeypatch, name, stride,
+                                                    block_records):
+        # the running extremes cross block boundaries at every offset of the tail window
+        monkeypatch.setattr(resilience, "_VERDICT_BLOCK_RECORDS", block_records)
+        sc = load_scenario(DATA / f"{name}.json")
+        net, policy, inflow = sc.network, sc.policy, sc.inflow
+        dt = dynamics.default_dt(net)
+        config = SimulationConfig(inflow=inflow, horizon=204.5 * dt, dt=dt, record_stride=stride)
+        n_steps = dynamics._step_count(config.horizon, config.dt)
+        assert n_steps % 7 and n_steps % 3  # the final step lies off the stride grid
+        config, rho0 = resilience._attack_setup(net, policy, inflow, config)
+        capacity, _ = min_cut_capacity(net.topology, net.capacities())
+        specs = sample_scaling_perturbations(net, 0.9 * capacity, 3, seed=stride)
+        specs.append(cut_attack(net, 0.05, inflow))
+        attacks = [(spec, alpha, tol)
+                   for spec in specs for alpha, tol in ((0.5, None), (0.05, 0.0))]
+        outcomes = evaluate_attacks(net, policy, inflow, attacks, config)
+        for (spec, alpha, tol), out in zip(attacks, outcomes, strict=True):
+            traj = simulate(net.perturbed(spec), policy, config, rho0)
+            assert out == alpha_transfer_estimate(traj, alpha, tol)
+
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_judged_trajectories_do_not_outlive_their_chunk(self, monkeypatch, per_chunk):
-        net = diamond_network()
-        policy = diamond_policy(net.topology)
-        config, rho0 = resilience._attack_setup(
-            net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=100.0, dt=0.02))
-        attacks = [(spec, 0.05, None)
-                   for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
-        records = dynamics._record_count(dynamics._step_count(config.horizon, config.dt), 1)
-        block = 8 * records * len(net.topology.links)
-        member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
-        # six members in chunks of one or two, each charged its densities
-        monkeypatch.setattr(dynamics, "_ENSEMBLE_BYTES", per_chunk * block)
-        tracemalloc.start()
-        try:
-            resilience._simulate_attacks(net, policy, config, rho0, attacks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one chunk's states and trajectories plus two blocks of one member's
-        # flows in the making; the previous chunk's last trajectory is gone
-        assert peak <= per_chunk * (block + member) + 2 * block
-
-    def test_one_chunk_builds_one_trajectory_at_a_time(self, monkeypatch):
         net = diamond_network()
         policy = diamond_policy(net.topology)
         config, rho0 = resilience._attack_setup(
             net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=200.0, dt=0.02))
         attacks = [(spec, 0.05, None)
                    for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
-        sizes = []
-        real = dynamics._simulate_chunk
-
-        def counting(networks, *args):
-            sizes.append(len(networks))
-            return real(networks, *args)
-
-        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
-        n_steps = dynamics._step_count(config.horizon, config.dt)
-        records = (dynamics._record_count(n_steps, 1)
-                   - dynamics._window_start(n_steps, config.dt, 1, dynamics.TAIL_FRACTION))
-        block = 8 * records * len(net.topology.links)
-        member = 8 * records * (2 * len(net.topology.links) + net.topology.num_nodes)
+        # 2 001 tail-window records judged in blocks of 500 or 1 000: 5 or 3 blocks
+        monkeypatch.setattr(resilience, "_VERDICT_BLOCK_RECORDS", 500 * per_chunk)
+        # one verdict block: (records, B, m) float64 densities of every attack
+        block = 8 * 500 * per_chunk * len(attacks) * len(net.topology.links)
         tracemalloc.start()
         try:
             resilience._simulate_attacks(net, policy, config, rho0, attacks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sizes == [len(attacks)]
-        # the chunk's tail-window states, one member's trajectory and two
-        # blocks of its flows in the making: never the chunk's trajectories
-        assert peak <= len(attacks) * block + member + 2 * block
+        # a block of densities being filled, the block before it and its
+        # stacked flows: a judged block is gone once the next is full, while
+        # the tail window's densities and flows would not fit in three blocks
+        assert peak <= 3 * block
+
+    def test_one_chunk_builds_one_trajectory_at_a_time(self, monkeypatch):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        attacks = [(spec, 0.05, None)
+                   for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
+        sizes = []
+        real = dynamics._integrate
+
+        def counting(deriv, rho0, *args):
+            sizes.append(len(rho0))  # the (B, m) start densities of one ensemble
+            return real(deriv, rho0, *args)
+
+        def no_trajectory(*args, **kwargs):
+            raise AssertionError("a verdict built a trajectory")
+
+        monkeypatch.setattr(dynamics, "_integrate", counting)
+        monkeypatch.setattr(dynamics, "Trajectory", no_trajectory)
+        # one block at the default size, then two: 1 001 and 2 001 tail-window records
+        block = 8 * resilience._VERDICT_BLOCK_RECORDS * len(attacks) * len(net.topology.links)
+        for horizon in (100.0, 200.0):
+            sizes.clear()
+            config, rho0 = resilience._attack_setup(
+                net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=horizon, dt=0.02))
+            tracemalloc.start()
+            try:
+                resilience._simulate_attacks(net, policy, config, rho0, attacks)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # one ensemble of every attack, judged from its densities: the
+            # verdict builds fewer than one trajectory at a time, none at all
+            assert sizes == [len(attacks)], horizon
+            # memory does not grow with the horizon
+            assert peak <= 3 * block, horizon

@@ -699,29 +699,24 @@ class TestGoldenFiles:
         assert code == 0
         assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes()
 
-    # recorded with whole-trajectory sizing, which split these 16 members 15 + 1
+    # recorded when the verdicts kept whole trajectories and split these 16 members 15 + 1
     DIAMOND5_16_MEMBERS_SHA256 = "132d0b4d366d27f587a8c03f080317dd3858587b3379895efe5f225a38334542"
 
     def test_default_horizon_verdicts_run_as_one_chunk(self, monkeypatch, capsys):
         # two alphas' bracket audits and 12 samples at the default horizon of 200
         sizes = []
-        real = dynamics._simulate_chunk
+        real = dynamics._integrate
 
-        def counting(networks, *args):
-            sizes.append(len(networks))
-            return real(networks, *args)
+        def counting(deriv, rho0, *args):
+            sizes.append(len(rho0))  # the (B, m) start densities of one ensemble
+            return real(deriv, rho0, *args)
 
-        monkeypatch.setattr(dynamics, "_simulate_chunk", counting)
+        monkeypatch.setattr(dynamics, "_integrate", counting)
         code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
                             "--samples", "12", "--seed", "3", capsys=capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIAMOND5_16_MEMBERS_SHA256
         assert sizes == [16]
-        # whole trajectories, 32 002 records of 2 * 6 links + 5 nodes, fit 15 to a chunk
-        dt = dynamics.default_dt(load_scenario(DATA / "diamond5.json").network)
-        records = dynamics._record_count(dynamics._step_count(200.0, dt), 1)
-        assert records == 32002
-        assert dynamics._ENSEMBLE_BYTES // (8 * records * 17) == 15
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path):
         pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
