@@ -26,7 +26,8 @@ from .dynamics import (
     SimulationConfig,
     LocalSolverError,
     SimulationError,
-    _simulate_blocks,
+    _ensemble_blocks,
+    _member_trajectories,
     _transfer_estimate,
     limit_flow_estimate,
     network_limit_flows,
@@ -87,8 +88,6 @@ def _build_config(scenario: Scenario, args) -> SimulationConfig:
     return replace(scenario.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-# Trajectory rows integrated and sent to the CSV encoder per block.
-_CSV_BLOCK_ROWS = 1024
 # Run by path, so the encoder process imports neither flownet nor numpy.
 _CSV_ENCODER = Path(__file__).with_name("_csv_encoder.py")
 
@@ -184,7 +183,8 @@ def cmd_simulate(args) -> int:
         }
 
     # checked here, integrated block by block as the encoder takes the rows
-    tail_start, blocks = _simulate_blocks(network, scenario.policy, config, rho0, _CSV_BLOCK_ROWS)
+    compiled, dt, tail_start, blocks = _ensemble_blocks([network], scenario.policy, config,
+                                                        [rho0], "stream")
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")
     topo = scenario.topology
@@ -193,7 +193,8 @@ def cmd_simulate(args) -> int:
                + [f"lambda_{v}" for v in range(topo.num_nodes)])
     with _csv_encoder(csv_path, columns) as send:
         lo, hi, seen = np.inf, -np.inf, 0  # the verdict window's outflow extremes so far
-        for block in blocks:
+        for records in blocks:
+            (block,) = _member_trajectories(compiled, records, config.inflow, dt)
             send(np.column_stack((block.times, block.rho, block.flows, block.node_inflows)))
             tail = block.outflow[max(tail_start - seen, 0):]  # empty before the window
             lo, hi = tail.min(initial=lo), tail.max(initial=hi)
@@ -272,8 +273,7 @@ def cmd_limitflow(args) -> int:
     if args.sweep:
         try:
             start, stop, num = args.sweep.split(":")
-            with np.errstate(invalid="ignore", over="ignore"):  # non-finite grids fail below
-                lams = np.linspace(float(start), float(stop), int(num))
+            lams = np.linspace(float(start), float(stop), int(num))  # non-finite: fails below
         except ValueError as exc:
             raise ScenarioError(f"--sweep expects start:stop:num, got {args.sweep!r}") from exc
         if not np.isfinite(lams).all():
@@ -367,7 +367,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # an unstable run overflows before its clean error: no numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

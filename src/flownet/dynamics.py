@@ -73,6 +73,8 @@ DENSITY_CEILING = 1e9
 MAX_STEPS = 10**7
 SAT_THRESHOLD = 0.999
 TAIL_FRACTION = 0.2
+# Records per block of a run read in blocks: a streamed trajectory or a verdict's tail.
+_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ class _Compiled:
     over the flat state, so a logit policy's softmax is one segmented
     reduction over all B*m densities, each group summed in the order of a
     single run.  Any other policy goes through one ``policy.route`` call per
-    node on the state viewed as ``state_shape`` ((m,) for a single network,
-    (B, m) for more), the calls the limit-flow cascade makes.
+    node on the state viewed as (B, m), the calls the limit-flow cascade
+    makes on (P, k) densities.
     """
 
     def __init__(self, networks, policy: RoutingPolicy):
@@ -152,7 +154,6 @@ class _Compiled:
         m, n_members = len(self.links), len(networks)
         starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
         self.groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
-        self.state_shape = (m,) if n_members == 1 else (n_members, m)
 
         self.head_mat = np.zeros((self.n_nodes, m))
         self.head_mat[self.heads, np.arange(m)] = 1.0
@@ -190,9 +191,9 @@ class _Compiled:
             g /= np.add.reduceat(g, self.group_starts).take(self.group_of_link)
         else:
             g = np.empty_like(rho)
-            state, splits = rho.reshape(self.state_shape), g.reshape(self.state_shape)
+            state, splits = (a.reshape(-1, len(self.links)) for a in (rho, g))
             for v, lo, hi in self.groups:
-                splits[..., lo:hi] = self.policy.route(v, state[..., lo:hi])
+                splits[:, lo:hi] = self.policy.route(v, state[:, lo:hi])
         g *= lam.take(self.flat_tails)
         g -= f
         return g
@@ -238,15 +239,15 @@ class Trajectory:
     def terminal_flow(self) -> np.ndarray:
         return self.flows[-1]
 
-    def tail_slice(self, fraction: float = TAIL_FRACTION) -> slice:
-        """Records in the trailing ``fraction`` of run time [0, t_last]: all of a kept tail."""
-        t0 = _tail_t0(self.times[-1], fraction)
+    def tail_slice(self) -> slice:
+        """Records in the trailing ``TAIL_FRACTION`` of run time: all of a kept tail."""
+        t0 = _tail_t0(self.times[-1])
         return slice(int(np.searchsorted(self.times, t0)), len(self.times))
 
 
-def _tail_t0(t_last, fraction: float):
-    """Start of the trailing ``fraction`` of [0, t_last]."""
-    return t_last - fraction * t_last
+def _tail_t0(t_last):
+    """Start of the trailing ``TAIL_FRACTION`` of [0, t_last]."""
+    return t_last - TAIL_FRACTION * t_last
 
 
 @dataclass
@@ -295,29 +296,29 @@ def _tail_start(n_steps: int, dt: float, record_stride: int) -> int:
         return _record_step(record, n_steps, record_stride) * dt
 
     n_records = _record_count(n_steps, record_stride)
-    t0 = _tail_t0(time(n_records - 1), TAIL_FRACTION)
+    t0 = _tail_t0(time(n_records - 1))
     return bisect.bisect_left(range(n_records), t0, key=time)
 
 
 def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride: int = 1,
                first_record: int = 0, block_records: int | None = None):
-    """Classical fixed-step RK4 on a state of shape (m,) or (B, m).
+    """Classical fixed-step RK4 on the (B, m) densities of B members.
 
     ``deriv(t, rho)`` takes the state flattened to one vector and returns
     d rho / dt as a fresh array of that shape, which the step then updates
     in place.  Clamps densities at zero and tracks the worst undershoot per
-    member, an array of shape ``rho0.shape[:-1]``.  The step is shrunk to
-    land exactly on the horizon (``_time_grid``).  Yields the records of a
-    full run from index ``first_record`` on as ``(times, states,
-    undershoot)`` blocks of at most ``block_records`` records (default: one
-    block of them all), with ``states`` of shape ``(records,) + rho0.shape``
-    and ``undershoot`` the worst up to the block's last record.  A block's
-    buffers are allocated before the steps that fill it are taken.
+    member, an array of shape (B,).  The step is shrunk to land exactly on
+    the horizon (``_time_grid``).  Yields the records of a full run from
+    index ``first_record`` on as ``(times, states, undershoot)`` blocks of
+    at most ``block_records`` records (default: one block of them all),
+    with ``states`` of shape (records, B, m) and ``undershoot`` the worst up
+    to the block's last record.  A block's buffers are allocated before the
+    steps that fill it are taken.
     """
     n_steps, dt = _time_grid(horizon, dt)
     shape = np.shape(rho0)
     rho = np.array(rho0, dtype=float).reshape(-1)
-    undershoot = np.zeros(shape[:-1])
+    undershoot = np.zeros(shape[0])
     n_records = _record_count(n_steps, record_stride) - first_record
     size = n_records if block_records is None else min(block_records, n_records)
     records = _rk4_records(deriv, rho, dt, n_steps, record_stride,
@@ -383,7 +384,7 @@ def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride:
         t = step * dt
         if not np.maximum.reduce(rho) <= DENSITY_CEILING:  # also catches NaN
             rows = rho.reshape(members)
-            bad = rows if rows.ndim == 1 else rows[np.argmin(rows.max(axis=-1) <= DENSITY_CEILING)]
+            bad = rows[np.argmin(rows.max(axis=-1) <= DENSITY_CEILING)]
             raise SimulationError(
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
@@ -392,11 +393,12 @@ def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride:
 
 
 def _start_state(rho0, m: int) -> np.ndarray:
+    """A member's start densities: ``m`` finite, nonnegative entries (zeros for None)."""
     rho0 = np.zeros(m) if rho0 is None else np.asarray(rho0, dtype=float)
     if rho0.shape != (m,):
         raise ValueError(f"rho0 must have one entry per link ({m})")
-    if np.any(rho0 < 0):
-        raise ValueError("initial densities must be nonnegative")
+    if not (np.isfinite(rho0) & (rho0 >= 0)).all():
+        raise ValueError("initial densities must be finite and nonnegative")
     return rho0
 
 
@@ -440,22 +442,27 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
 
 
 def _ensemble_blocks(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
-                     keep: str = "all", block_records: int | None = None):
+                     records: str = "all"):
     """Check an ensemble run once, before any step, and return its kernel and record blocks.
 
-    The checks: the topology is acyclic, each member has valid start
-    densities (zeros where ``rho0s`` or its entry is None), the time step
-    is set or shared, and the run fits ``MAX_STEPS``.  ``keep`` picks the
-    records integrated: ``"all"``, ``"tail"`` (from the first record of the
-    trailing ``TAIL_FRACTION`` of the horizon on) or ``"last"`` (the last
-    state only).  Every kept record is bit-for-bit that of the full run.
+    Every constant-inflow run is integrated here, a single run as an
+    ensemble of one.  The checks: the topology is acyclic, each member has finite,
+    nonnegative start densities (zeros where ``rho0s`` or its entry is
+    None), the time step is set or shared, and the run fits ``MAX_STEPS``.
+    ``records`` picks the records integrated and their blocks:
 
-    Returns ``(compiled, dt, tail_start, blocks)``: the members' kernel, the
-    run's step shrunk to land on the horizon, the first record of the
+    - ``"all"``: every record, in one block;
+    - ``"stream"``: every record, in blocks of ``_BLOCK_RECORDS``;
+    - ``"tail"``: the records of the trailing ``TAIL_FRACTION`` of the
+      horizon, in blocks of ``_BLOCK_RECORDS``;
+    - ``"last"``: the last state only.
+
+    Every kept record is bit-for-bit that of the full run.  Returns
+    ``(compiled, dt, tail_start, blocks)``: the members' kernel, the run's
+    step shrunk to land on the horizon, the first record of the
     ``TAIL_FRACTION`` window in the full run (``_tail_start``), and
-    ``_integrate``'s ``(times, states, undershoot)`` blocks of at most
-    ``block_records`` records (default: one block), ``states`` of shape
-    (records, B, m) with links in the kernel's order.
+    ``_integrate``'s ``(times, states, undershoot)`` blocks, ``states`` of
+    shape (records, B, m) with links in the kernel's order.
     """
     topo = networks[0].topology
     topological_order(topo)
@@ -466,30 +473,14 @@ def _ensemble_blocks(networks, policy: RoutingPolicy, config: SimulationConfig, 
     rho0s = [_start_state(r, len(topo.links)) for r in rho0s]
     n_steps, dt_run = _time_grid(config.horizon, dt)
     tail_start = _tail_start(n_steps, dt_run, config.record_stride)
-    first = {"all": 0, "tail": tail_start,
-             "last": _record_count(n_steps, config.record_stride) - 1}[keep]
+    last = _record_count(n_steps, config.record_stride) - 1
+    first, block_records = {"all": (0, None), "stream": (0, _BLOCK_RECORDS),
+                            "tail": (tail_start, _BLOCK_RECORDS), "last": (last, None)}[records]
     compiled = _Compiled(networks, policy)
     deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
     blocks = _integrate(deriv, np.array(rho0s)[:, compiled.to_sorted], dt, config.horizon,
                         config.record_stride, first, block_records)
     return compiled, dt_run, tail_start, blocks
-
-
-def _simulate_blocks(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
-                     rho0, block_records: int):
-    """``simulate``'s trajectory as consecutive blocks of at most
-    ``block_records`` records, each built as soon as it is integrated.
-
-    Returns ``(tail_start, blocks)``: the start of ``Trajectory.tail_slice()``
-    on the whole run, and block trajectories whose rows, joined, are
-    bit-for-bit those of ``simulate``.  A block's ``max_undershoot`` is the
-    run's worst up to its last record, so the last block holds all of the
-    run but its earlier rows.  The run is checked before this returns.
-    """
-    compiled, dt, tail_start, blocks = _ensemble_blocks([network], policy, config, [rho0],
-                                                        block_records=block_records)
-    return tail_start, (traj for block in blocks
-                        for traj in _member_trajectories(compiled, block, config.inflow, dt))
 
 
 def _member_trajectories(compiled: _Compiled, block, inflow: float, dt: float):
@@ -498,7 +489,8 @@ def _member_trajectories(compiled: _Compiled, block, inflow: float, dt: float):
     A member's flows come from its own densities, and its node inflows are
     its flows summed per column from 0.0 in the kernel's link order, as
     the pinned outputs were, so a block of rows gets the bits of the whole
-    run.  One member's trajectory is built at a time.
+    run.  A block's ``max_undershoot`` is the run's worst up to its last
+    record.  One member's trajectory is built at a time.
     """
     times, states, undershoot = block
     for b, member_flows in enumerate(compiled.member_flows):
@@ -525,19 +517,21 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
     """Single-node dynamics driven by a (possibly time-varying) input.
 
     The node is the origin of a two-node network with one parallel link per
-    flow function, integrated by the network kernel with ``inflow_fn(t)``
-    in place of the constant inflow.  ``inflow_fn`` is evaluated at the Runge-Kutta
-    stage times, so it should be continuous.
+    flow function, integrated by the network kernel as an ensemble of one
+    with ``inflow_fn(t)`` in place of the constant inflow.  The start
+    densities are checked as every run's are (``_start_state``), before
+    any step.  ``inflow_fn`` is evaluated at the Runge-Kutta stage times,
+    so it should be continuous.
     """
     flow_fns = list(flow_fns)
     topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(flow_fns))])
+    rho0 = _start_state(rho0, len(flow_fns))
     # every link leaves node 0 in id order, so the kernel's order is the caller's
     compiled = _Compiled([FlowNetwork(topo, dict(enumerate(flow_fns)))],
                          GenericPolicy(topo, {0: route_fn}))
     times, states, undershoot = next(_integrate(
-        lambda t, rho: compiled.rhs(rho, inflow_fn(t)), np.asarray(rho0, dtype=float),
-        dt, horizon))
-    return LocalTrajectory(times, states, compiled.flows(states), float(undershoot))
+        lambda t, rho: compiled.rhs(rho, inflow_fn(t)), rho0[None], dt, horizon))
+    return LocalTrajectory(times, states[:, 0], compiled.flows(states[:, 0]), float(undershoot[0]))
 
 
 def _transfer_threshold(alpha: float, inflow: float, tol: float | None = None) -> float:

@@ -45,8 +45,6 @@ MARGIN = 0.1
 ALPHA_FLOOR = 1e-3
 # Upper side: cut-scaling bisections stop within this fraction of C.
 BISECT_TOL_FRAC = 0.01
-# Tail-window records of every attack integrated and folded into the verdicts at a time.
-_VERDICT_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -177,10 +175,11 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
                       rho0, attacks) -> list:
     """``evaluate_attacks`` from the ``config`` and ``rho0`` of ``_attack_setup``.
 
-    Members record only the tail window ``TAIL_FRACTION`` that the verdict
-    reads, in blocks of ``_VERDICT_BLOCK_RECORDS`` records; each block's
-    outflows are folded into every member's running minimum and maximum
-    and dropped, so memory does not grow with the horizon.
+    The attacks run as one ``_ensemble_blocks`` ensemble that records only
+    the ``TAIL_FRACTION`` window the verdict reads, in blocks of
+    ``dynamics._BLOCK_RECORDS`` records; each block's outflows are folded
+    into every member's running minimum and maximum and dropped, so memory
+    does not grow with the horizon.
     """
     for _, alpha, transfer_tol in attacks:
         if not 0 < alpha <= 1:
@@ -188,7 +187,7 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
         _require_positive_threshold(alpha, config.inflow, transfer_tol)
     compiled, _, _, blocks = _ensemble_blocks(
         [network.perturbed(spec) for spec, _, _ in attacks], policy, config,
-        [rho0] * len(attacks), "tail", _VERDICT_BLOCK_RECORDS)
+        [rho0] * len(attacks), "tail")
     lo, hi = np.inf, -np.inf  # every member's running outflow extremes
     for _, states, _ in blocks:
         outflow = compiled.outflow(states)

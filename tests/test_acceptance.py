@@ -85,7 +85,7 @@ def test_criterion_01_closed_form_limit_flow():
         lf = network_limit_flow(net, policy, lam).flow_vector(net.topology)
         traj = simulate(net, policy,
                         SimulationConfig(inflow=lam, horizon=horizon, record_stride=10))
-        tail = traj.outflow[traj.tail_slice(0.2)]
+        tail = traj.outflow[traj.tail_slice()]
         assert float(tail.max() - tail.min()) < 1e-5  # horizon long enough
         worst = max(worst,
                     float(np.abs(lf - target).max()),

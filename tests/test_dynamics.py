@@ -139,6 +139,29 @@ class TestSimulate:
         with pytest.raises(SimulationError):
             simulate(net, policy, SimulationConfig(inflow=2.0, horizon=500.0, dt=0.05))
 
+    @pytest.mark.parametrize("rho0, message", [
+        ([-1.0, 0.2], "nonnegative"), ([np.nan, 0.2], "finite"), ([0.2, np.inf], "finite"),
+        ([-np.inf, 0.2], "finite"), ([0.2], "one entry per link"),
+    ])
+    def test_bad_start_refused_before_any_step(self, two_route, monkeypatch, rho0, message):
+        topo, net, policy = two_route
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a run from a bad start took a step")
+
+        monkeypatch.setattr(dynamics, "_rk4_records", no_step)
+        config = SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1)
+        runs = [
+            lambda: simulate(net, policy, config, rho0),
+            lambda: simulate_ensemble([net, net], policy, config, [None, rho0]),
+            lambda: simulate_local([net.flow_functions[0], net.flow_functions[1]],
+                                   lambda r: policy.route(0, r), lambda t: 1.0, rho0,
+                                   dt=0.1, horizon=1.0),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_record_stride_keeps_endpoints(self, two_route):
         topo, net, policy = two_route
         full = simulate(net, policy, SimulationConfig(inflow=1.0, horizon=10.0, dt=0.01))
@@ -714,8 +737,8 @@ class TestRecordWindow:
         keeps = []
         real = dynamics._ensemble_blocks
 
-        def full_record(networks, policy, config, rho0s, keep="all", block_records=None):
-            keeps.append((keep, block_records))
+        def full_record(networks, policy, config, rho0s, records="all"):
+            keeps.append(records)
             compiled, dt, tail_start, blocks = real(networks, policy, config, rho0s)
             (times, states, undershoot), = blocks
             return compiled, dt, tail_start, iter([(times[-1:], states[-1:], undershoot)])
@@ -723,7 +746,7 @@ class TestRecordWindow:
         report = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
         monkeypatch.setattr(dynamics, "_ensemble_blocks", full_record)
         reference = convergence_check(net, policy, 1.2, n_initial=4, config=config, seed=5)
-        assert keeps == [("last", None)]
+        assert keeps == ["last"]
         assert np.array_equal(report.terminal_flows, reference.terminal_flows)
         assert np.array_equal(report.limit_reference, reference.limit_reference)
         assert (report.max_pairwise_gap, report.max_reference_gap, report.passed) == \

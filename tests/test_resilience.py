@@ -366,7 +366,7 @@ class TestBatchedVerdicts:
     def test_verdict_blocks_match_full_trajectories(self, monkeypatch, name, stride,
                                                     block_records):
         # the running extremes cross block boundaries at every offset of the tail window
-        monkeypatch.setattr(resilience, "_VERDICT_BLOCK_RECORDS", block_records)
+        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", block_records)
         sc = load_scenario(DATA / f"{name}.json")
         net, policy, inflow = sc.network, sc.policy, sc.inflow
         dt = dynamics.default_dt(net)
@@ -393,7 +393,7 @@ class TestBatchedVerdicts:
         attacks = [(spec, 0.05, None)
                    for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
         # 2 001 tail-window records judged in blocks of 500 or 1 000: 5 or 3 blocks
-        monkeypatch.setattr(resilience, "_VERDICT_BLOCK_RECORDS", 500 * per_chunk)
+        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", 500 * per_chunk)
         # one verdict block: (records, B, m) float64 densities of every attack
         block = 8 * 500 * per_chunk * len(attacks) * len(net.topology.links)
         tracemalloc.start()
@@ -425,7 +425,7 @@ class TestBatchedVerdicts:
         monkeypatch.setattr(dynamics, "_integrate", counting)
         monkeypatch.setattr(dynamics, "Trajectory", no_trajectory)
         # one block at the default size, then two: 1 001 and 2 001 tail-window records
-        block = 8 * resilience._VERDICT_BLOCK_RECORDS * len(attacks) * len(net.topology.links)
+        block = 8 * dynamics._BLOCK_RECORDS * len(attacks) * len(net.topology.links)
         for horizon in (100.0, 200.0):
             sizes.clear()
             config, rho0 = resilience._attack_setup(

@@ -389,7 +389,7 @@ class TestStreamedFailure:
                      "--out", str(prefix)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: integration unstable at t=188.")
-        assert 188.0 / 0.1 > cli._CSV_BLOCK_ROWS
+        assert 188.0 / 0.1 > dynamics._BLOCK_RECORDS
         self.assert_untouched(prefix, before, started)
 
     def test_encoder_failure(self, tmp_path, capsys, monkeypatch):
@@ -727,7 +727,7 @@ class TestGoldenFiles:
 
     @pytest.mark.parametrize("block_rows", [1, 7])
     def test_block_size_keeps_pinned_digests(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", block_rows)
         self.test_simulate_outputs_match_pinned_digests(tmp_path)
 
     # the attack run's 175 KB trajectory is pinned by digest, its summary by bytes
@@ -766,7 +766,7 @@ def _one_string_csv(traj) -> str:
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_csv_blocks_match_one_string(offset, tmp_path):
-    block = cli._CSV_BLOCK_ROWS
+    block = dynamics._BLOCK_RECORDS
     rows = 2 if offset is None else block + offset
     rng = np.random.default_rng(rows)
     # floats of every repr shape: integral, tiny, huge, negative, long mantissas
@@ -823,6 +823,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_unstable_run_prints_only_its_error(self, tmp_path):
+        # the huge step overflows expm1 and matmul before the ceiling check stops the run
+        src = str(Path(flownet.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "flownet.cli", "simulate", str(DATA / "diamond5.json"),
+             "--dt", "1e9", "--out", str(tmp_path / "X")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: integration unstable")
+        assert "Warning" not in proc.stderr
 
 
 def test_loading_scenarios_leaves_scipy_optimize_unimported():
