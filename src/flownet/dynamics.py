@@ -115,26 +115,21 @@ def default_dt(network: FlowNetwork) -> float:
 
 
 class _Compiled:
-    """Link arrays grouped by tail node for vectorized right-hand sides.
+    """Link arrays grouped by tail node, and the right-hand side built on them.
 
     Internally links are ordered by (tail, id) so per-node reductions are
     contiguous; ``arr_sorted[to_topo]`` converts back to the topology's
     id order and ``arr_topo[to_sorted]`` the other way.
 
     One instance serves an ensemble of B networks that share one topology
-    under one policy.  The right-hand side takes one flat state of the B*m
-    densities, member after member, at every B.  ``flows`` is the
-    ``_flow_map`` of that flat state and ``member_flows[b]`` that of member
-    b alone; for a single network they are one map.  Per-node index arrays
-    (``group_starts``, ``group_of_link``, ``flat_tails``) are offset per member
-    over the flat state, so a logit policy's softmax is one segmented
-    reduction over all B*m densities, each group summed in the order of a
-    single run.  Any other policy goes through one ``policy.route`` call per
-    node on the state viewed as (B, m), the calls the limit-flow cascade
-    makes on (P, k) densities.
+    under one policy, fed at the origin by ``inflow``, a constant or a
+    function of time.  ``rhs(t, rho)`` (``_rhs``) is d rho / dt at time t
+    and the flat state of all B*m densities, member after member, as a
+    fresh array.  ``flows`` is the ``_flow_map`` of (P, B*m) densities and
+    ``member_flows[b]`` member b's; for a single network they are one map.
     """
 
-    def __init__(self, networks, policy: RoutingPolicy):
+    def __init__(self, networks, policy: RoutingPolicy, inflow):
         topo = networks[0].topology
         if any((net.topology.num_nodes, net.topology.links) != (topo.num_nodes, topo.links)
                for net in networks):
@@ -144,59 +139,76 @@ class _Compiled:
         self.to_sorted = np.array(order)
         self.to_topo = np.argsort(order)
         self.links = [links[i] for i in order]
-        tails = np.array([l.tail for l in self.links])
         self.heads = np.array([l.head for l in self.links])
         self.origin = topo.origin
         self.destination = topo.destination
         self.n_nodes = topo.num_nodes
         self.link_ids = topo.link_ids
-
-        m, n_members = len(self.links), len(networks)
-        starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
-        self.groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
-
-        self.head_mat = np.zeros((self.n_nodes, m))
-        self.head_mat[self.heads, np.arange(m)] = 1.0
-
-        def per_member(index, stride):
-            return (index + stride * np.arange(n_members)[:, None]).ravel()
-
-        # into the (B, n_nodes) node inflows, flattened
-        self.flat_tails = per_member(tails, self.n_nodes)
         ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
         self.member_flows = [_flow_map(member) for member in ffs]
-        self.flows = (self.member_flows[0] if n_members == 1
-                      else _flow_map([ff for member in ffs for ff in member]))
-        self._logit = isinstance(policy, LogitPolicy)
-        self.policy = policy
-        if self._logit:
-            group_of_link = np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
-            self.group_starts = per_member(np.array(starts), m)
-            self.group_of_link = per_member(group_of_link, len(starts))
-            self.a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
-            self.neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
+        fns = [ff for member in ffs for ff in member]
+        self.flows = self.member_flows[0] if len(networks) == 1 else _flow_map(fns)
+        self.rhs = self._rhs(policy, inflow, len(networks), fns)
 
-    def rhs(self, rho: np.ndarray, inflow: float) -> np.ndarray:
-        """d rho / dt at the flat state ``rho`` of all members, a fresh array."""
-        f = self.flows(rho)
-        # one matrix-vector product per member: the summation order of
-        # ``head_mat @ f`` on one state, which ``f @ head_mat.T`` does not keep
-        lam = np.matmul(self.head_mat, f.reshape(-1, len(self.links), 1))
-        lam[:, self.origin] = inflow
-        if self._logit:
-            g = self.neg_eta * rho
-            g -= np.maximum.reduceat(g, self.group_starts).take(self.group_of_link)
-            np.exp(g, out=g)
-            g *= self.a_pol
-            g /= np.add.reduceat(g, self.group_starts).take(self.group_of_link)
-        else:
-            g = np.empty_like(rho)
-            state, splits = (a.reshape(-1, len(self.links)) for a in (rho, g))
-            for v, lo, hi in self.groups:
-                splits[:, lo:hi] = self.policy.route(v, state[:, lo:hi])
-        g *= lam.take(self.flat_tails)
-        g -= f
-        return g
+    def _rhs(self, policy, inflow, n_members, fns):
+        """``rhs(t, rho)``, built once with every array it reads bound as a local.
+
+        Each link's routed inflow is its tail node's, gathered by one
+        matrix-vector product per member: row e of ``tail_head`` is node
+        tail(e)'s row of the head incidence, so link e sums that node's
+        in-links in a per-node product's order, which the pinned outputs
+        depend on.  The origin's links, one contiguous range, take the
+        network inflow.  A logit softmax is one segmented reduction over all
+        B*m densities (group starts offset per member); any other policy
+        gets one ``policy.route`` call per node on the state as (B, m).
+        """
+        m, flows, route = len(self.links), self.flows, policy.route
+        tails = np.array([l.tail for l in self.links])
+        incidence = np.zeros((self.n_nodes, m))  # [v, j]: link j enters node v
+        incidence[self.heads, np.arange(m)] = 1.0
+        tail_head = incidence[tails]
+        starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
+        groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
+        origin = next(slice(lo, hi) for v, lo, hi in groups if v == self.origin)
+        columns, timed = (n_members, m, 1), callable(inflow)
+        exponential = _negated_exponential(fns)
+        neg_rate, neg_f_max = exponential or (None, None)
+        logit = isinstance(policy, LogitPolicy)
+        if logit:
+            offsets = np.arange(n_members)[:, None]  # per member, over the flat state
+            group_starts = (np.array(starts) + m * offsets).ravel()
+            group_of_link = (np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
+                             + len(starts) * offsets).ravel()
+            a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
+            neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
+        multiply, expm1, matmul, exp = np.multiply, np.expm1, np.matmul, np.exp
+        max_at, add_at = np.maximum.reduceat, np.add.reduceat
+
+        def rhs(t, rho):
+            if exponential:
+                f = multiply(neg_rate, rho)
+                expm1(f, f)
+                f *= neg_f_max
+            else:
+                f = flows(rho)
+            lam = matmul(tail_head, f.reshape(columns))
+            lam[:, origin] = inflow(t) if timed else inflow
+            if logit:
+                g = neg_eta * rho
+                g -= max_at(g, group_starts).take(group_of_link)
+                exp(g, g)
+                g *= a_pol
+                g /= add_at(g, group_starts).take(group_of_link)
+            else:
+                g = np.empty_like(rho)
+                state, splits = rho.reshape(n_members, m), g.reshape(n_members, m)
+                for v, lo, hi in groups:
+                    splits[:, lo:hi] = route(v, state[:, lo:hi])
+            g *= lam.reshape(-1)
+            g -= f
+            return g
+
+        return rhs
 
     def outflow(self, states: np.ndarray) -> np.ndarray:
         """Destination inflow of (records, B, m) densities, of shape (records, B).
@@ -344,16 +356,18 @@ def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride:
     ``record_stride``-th step and the last one, from step ``first_step`` on,
     and raises its worst undershoot per member into ``undershoot`` in place.
 
-    A step takes the IEEE operations of ``rho + sixth * (k1 + 2.0 * k2 +
-    2.0 * k3 + k4)`` and of its stages ``rho + half * k`` in their order,
-    only commutative operands swapped, in the buffers ``deriv`` returned:
-    the new state is accumulated in k2's.  A yielded state is never
-    written again.
+    ``deriv`` is called as given (a run's ``_Compiled.rhs``), and the
+    reducers and ``DENSITY_CEILING`` are bound once.  A step takes the IEEE
+    operations of ``rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and of
+    its stages ``rho + half * k`` in their order, only commutative operands
+    swapped, in the buffers ``deriv`` returned: the new state is accumulated
+    in k2's.  A yielded state is never written again.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     # 0-d arrays: an array times a Python float pays for converting the float on every call
     half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
     members = undershoot.shape + (-1,)
+    lowest, highest, ceiling = np.minimum.reduce, np.maximum.reduce, DENSITY_CEILING
     if first_step == 0:
         yield 0.0, rho
     t = 0.0
@@ -377,14 +391,14 @@ def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride:
         k2 += rho
         rho = k2
         # a NaN anywhere makes the minimum NaN: clamp every member then too
-        if not np.minimum.reduce(rho) >= 0.0:
-            np.maximum(undershoot, -np.minimum.reduce(rho.reshape(members), axis=-1),
+        if not lowest(rho) >= 0.0:
+            np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
                        out=undershoot)
             np.maximum(rho, 0.0, out=rho)
         t = step * dt
-        if not np.maximum.reduce(rho) <= DENSITY_CEILING:  # also catches NaN
+        if not highest(rho) <= ceiling:  # also catches NaN
             rows = rho.reshape(members)
-            bad = rows[np.argmin(rows.max(axis=-1) <= DENSITY_CEILING)]
+            bad = rows[np.argmin(rows.max(axis=-1) <= ceiling)]
             raise SimulationError(
                 f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
             )
@@ -476,9 +490,8 @@ def _ensemble_blocks(networks, policy: RoutingPolicy, config: SimulationConfig, 
     last = _record_count(n_steps, config.record_stride) - 1
     first, block_records = {"all": (0, None), "stream": (0, _BLOCK_RECORDS),
                             "tail": (tail_start, _BLOCK_RECORDS), "last": (last, None)}[records]
-    compiled = _Compiled(networks, policy)
-    deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
-    blocks = _integrate(deriv, np.array(rho0s)[:, compiled.to_sorted], dt, config.horizon,
+    compiled = _Compiled(networks, policy, config.inflow)
+    blocks = _integrate(compiled.rhs, np.array(rho0s)[:, compiled.to_sorted], dt, config.horizon,
                         config.record_stride, first, block_records)
     return compiled, dt_run, tail_start, blocks
 
@@ -528,9 +541,8 @@ def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
     rho0 = _start_state(rho0, len(flow_fns))
     # every link leaves node 0 in id order, so the kernel's order is the caller's
     compiled = _Compiled([FlowNetwork(topo, dict(enumerate(flow_fns)))],
-                         GenericPolicy(topo, {0: route_fn}))
-    times, states, undershoot = next(_integrate(
-        lambda t, rho: compiled.rhs(rho, inflow_fn(t)), rho0[None], dt, horizon))
+                         GenericPolicy(topo, {0: route_fn}), inflow_fn)
+    times, states, undershoot = next(_integrate(compiled.rhs, rho0[None], dt, horizon))
     return LocalTrajectory(times, states[:, 0], compiled.flows(states[:, 0]), float(undershoot[0]))
 
 
@@ -752,20 +764,28 @@ def _solve(jac: np.ndarray, b: np.ndarray):
         return step, singular
 
 
+def _negated_exponential(flow_fns):
+    """``(-rate, -f_max)`` vectors of all-exponential flow functions, else None."""
+    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
+        return -np.array([ff.rate for ff in flow_fns]), -np.array([ff.f_max for ff in flow_fns])
+    return None
+
+
 def _flow_map(flow_fns):
-    """Link flows as a map from densities to flows of the same shape.
+    """Link flows as a map from densities (P, k) to flows of that shape.
 
     ``flow_fns`` is a sequence of k flow functions (one member's links, or
-    an ensemble's members one after another), a map on densities (..., k).
-    Exponential links fill one result array in place, their parameters
-    hoisted and negated, bit-for-bit what each function's ``__call__``
-    gives (negation is exact and IEEE products are sign-symmetric); any
-    other family runs each flow function on its column.
+    an ensemble's members one after another).  Exponential links fill one
+    result array in place, their parameters hoisted and negated as (1, k)
+    rows, bit-for-bit what each function's ``__call__`` gives (negation is
+    exact and IEEE products are sign-symmetric); at P = 1 the row products
+    skip numpy's broadcasting setup.  Any other family runs each flow
+    function on its column, on densities of any leading shape.
     """
     fns = list(flow_fns)
-    if all(isinstance(ff, ExponentialFlow) for ff in fns):
-        neg_rate = -np.array([ff.rate for ff in fns])
-        neg_f_max = -np.array([ff.f_max for ff in fns])
+    negated = _negated_exponential(fns)
+    if negated:
+        neg_rate, neg_f_max = (row[None] for row in negated)
 
         def exponential(rho):
             out = np.multiply(neg_rate, rho)

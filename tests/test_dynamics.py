@@ -1,5 +1,6 @@
 """Integration, limit flows, transfer estimation, and the cooperative-system laws."""
 
+import functools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from flownet import (
     local_limit_flow,
     network_limit_flow,
     load_scenario,
+    parse_scenario,
     simulate,
     simulate_ensemble,
     simulate_local,
@@ -29,6 +31,7 @@ from flownet import (
 from flownet import dynamics
 from flownet.dynamics import default_dt, limit_flow_estimate
 
+from cli_digests import _generate_dag
 from conftest import (
     DATA,
     diamond_network,
@@ -62,9 +65,9 @@ def two_route_fixed_point_oracle(lam: float) -> np.ndarray:
 
 def compiled_rhs(network, policy, inflow, rho):
     """``_Compiled.rhs`` at one state given and returned in ``topology.links`` order."""
-    compiled = dynamics._Compiled([network], policy)
+    compiled = dynamics._Compiled([network], policy, inflow)
     rho = np.asarray(rho, dtype=float)
-    return compiled.rhs(rho[compiled.to_sorted], inflow)[compiled.to_topo]
+    return compiled.rhs(0.0, rho[compiled.to_sorted])[compiled.to_topo]
 
 
 class TestRhs:
@@ -560,14 +563,13 @@ class TestFlatKernel:
     @pytest.mark.parametrize("name", ["random8", "diamond5"])
     def test_yielded_states_are_never_written_again(self, name):
         sc, nets, rho0s, config = self.coarse_run(name, 3)
-        compiled = dynamics._Compiled(nets, sc.policy)
+        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
-        deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
         n_steps, dt = dynamics._time_grid(config.horizon, config.dt)  # _integrate's grid
         undershoot = np.zeros(len(nets))
         kept, seen = [], []
-        for _, state in dynamics._rk4_records(deriv, rho0.reshape(-1).copy(), dt, n_steps, 1, 0,
-                                              undershoot):
+        for _, state in dynamics._rk4_records(compiled.rhs, rho0.reshape(-1).copy(), dt, n_steps,
+                                              1, 0, undershoot):
             kept.append(state)
             seen.append(state.copy())
         assert len(kept) == 41 and undershoot.max() > 0.0  # clamps ran in place
@@ -575,8 +577,8 @@ class TestFlatKernel:
             assert np.array_equal(state, copy)
 
         blocks, block_seen = [], []
-        for times, states, under in dynamics._integrate(deriv, rho0, config.dt, config.horizon,
-                                                        block_records=6):
+        for times, states, under in dynamics._integrate(compiled.rhs, rho0, config.dt,
+                                                        config.horizon, block_records=6):
             blocks.append((times, states, under))
             block_seen.append((times.copy(), states.copy(), under.copy()))
         assert len(blocks) == 7
@@ -603,6 +605,107 @@ class TestFlatKernel:
         assert "-" not in str(exc.value)  # no negative density is shown
 
 
+def per_node_rhs(compiled, networks, policy, inflow, rho):
+    """d rho / dt at the flat state ``rho`` with node inflows built per node.
+
+    Each member's node inflows are one matrix-vector product with the
+    (nodes, m) head incidence, the origin's is set to ``inflow``, and every
+    link takes its tail node's; flows and splits take the operations of
+    ``_Compiled.rhs``.  The reference its per-link tail gather must match
+    bit for bit.
+    """
+    links, n_members, n_nodes = compiled.links, len(networks), compiled.n_nodes
+    m = len(links)
+    tails = np.array([link.tail for link in links])
+    head_mat = np.zeros((n_nodes, m))
+    head_mat[compiled.heads, np.arange(m)] = 1.0
+    f = compiled.flows(rho[None])[0]
+    lam = np.matmul(head_mat, f.reshape(n_members, m, 1))
+    lam[:, compiled.origin] = inflow
+    offsets = np.arange(n_members)[:, None]
+    if isinstance(policy, LogitPolicy):
+        new_group = np.r_[True, tails[1:] != tails[:-1]]
+        starts = (np.flatnonzero(new_group) + m * offsets).ravel()
+        group_of_link = (np.cumsum(new_group) - 1 + new_group.sum() * offsets).ravel()
+        g = -np.tile([policy.eta[link.tail] for link in links], n_members) * rho
+        g -= np.maximum.reduceat(g, starts).take(group_of_link)
+        np.exp(g, out=g)
+        g *= np.tile([policy.weights[link.id] for link in links], n_members)
+        g /= np.add.reduceat(g, starts).take(group_of_link)
+    else:
+        g = np.empty_like(rho)
+        state, splits = rho.reshape(n_members, m), g.reshape(n_members, m)
+        for v in np.unique(tails):
+            lo, hi = np.searchsorted(tails, [v, v + 1])
+            splits[:, lo:hi] = policy.route(int(v), state[:, lo:hi])
+    g *= lam.take((tails + n_nodes * offsets).ravel())
+    g -= f
+    return g
+
+
+def _softmax_route(weights, eta, rho):
+    """A logit split that, unlike ``LogitPolicy.route``, takes negative densities."""
+    w = weights * np.exp(-eta * (rho - rho.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _black_box_policy(topo, logit):
+    return GenericPolicy(topo, {
+        v: functools.partial(_softmax_route, np.array([logit.weights[lid] for lid in out]),
+                             logit.eta[v])
+        for v, out in topo.outgoing.items() if out})
+
+
+class TestTailGather:
+    """Each link's tail inflow, gathered by one matrix-vector product per member, is
+    the per-node inflow bit for bit, at the states RK4 stages reach (negative ones too)."""
+
+    @staticmethod
+    def scenario(name):
+        if name == "dag20-seed6":  # in-degrees up to 8
+            return parse_scenario(_generate_dag()(6))
+        return load_scenario(DATA / f"{name}.json")
+
+    @staticmethod
+    def states(rng, size):
+        rho = rng.uniform(-0.5, 4.0, size=(40, size))
+        rho[:, ::3] *= 10.0 ** rng.uniform(-3, 1, size=rho[:, ::3].shape)
+        return rho
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5", "dag20-seed6"])
+    @pytest.mark.parametrize("size", [1, 3, 58])
+    @pytest.mark.parametrize("kind", ["logit", "generic"])
+    def test_matches_per_node_inflows(self, name, size, kind):
+        sc = self.scenario(name)
+        topo = sc.topology
+        nets, _ = TestEnsemble.perturbed_members(sc.network, size, seed=size)
+        policy = sc.policy
+        if kind == "generic":  # black-box splits, and one black-box flow
+            policy = _black_box_policy(topo, sc.policy)
+            lid = topo.link_ids[-1]
+            base = nets[0].flow_functions[lid]
+            nets[0] = FlowNetwork(topo, {**nets[0].flow_functions,
+                                         lid: CustomFlow(lambda r: base(r), base.f_max)})
+        compiled = dynamics._Compiled(nets, policy, sc.inflow)
+        for rho in self.states(np.random.default_rng(size), size * len(topo.links)):
+            want = per_node_rhs(compiled, nets, policy, sc.inflow, rho)
+            assert np.array_equal(compiled.rhs(0.0, rho), want)
+
+    def test_time_varying_inflow(self):
+        # simulate_local's kernel: a node as the origin of a two-node network
+        fns = [ExponentialFlow(1.3, 0.9), ExponentialFlow(0.5, 2.0), ExponentialFlow(2.0, 0.4)]
+        topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(fns))])
+        logit = LogitPolicy(topo, eta={0: 1.2}, weights={0: 1.0, 1: 0.5, 2: 2.0})
+        policy = _black_box_policy(topo, logit)
+        nets = [FlowNetwork(topo, dict(enumerate(fns)))]
+        inflow_fn = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)
+        compiled = dynamics._Compiled(nets, policy, inflow_fn)
+        rng = np.random.default_rng(3)
+        for t, rho in zip(rng.uniform(0.0, 10.0, 40), self.states(rng, len(fns))):
+            want = per_node_rhs(compiled, nets, policy, inflow_fn(t), rho)
+            assert np.array_equal(compiled.rhs(t, rho), want)
+
+
 class TestFlowMap:
     def test_member_flows_allocate_one_result_block(self):
         # a member's densities are a strided view of the ensemble's (records, B, m) states;
@@ -610,7 +713,7 @@ class TestFlowMap:
         # result at this many records
         sc = load_scenario(DATA / "diamond5.json")
         nets, _ = TestEnsemble.perturbed_members(sc.network, 2, seed=1)
-        compiled = dynamics._Compiled(nets, sc.policy)
+        compiled = dynamics._Compiled(nets, sc.policy, sc.inflow)
         states = np.random.default_rng(2).uniform(0.0, 5.0,
                                                   size=(10_000, 2, len(sc.topology.links)))
         member = states[:, 1]
@@ -623,6 +726,17 @@ class TestFlowMap:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * flows.nbytes
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_exponential_rows_equal_flow_calls(self, rows):
+        # parameters hoisted as (1, k) rows; densities negative as RK4 stages may be, too
+        rng = np.random.default_rng(rows)
+        fns = [ExponentialFlow(float(a), float(c)) for a, c in 10.0 ** rng.uniform(-1, 1, (5, 2))]
+        rho = TestSlopeMap.densities(rng, np.array([ff.rate for ff in fns]), rows)
+        rho[rng.random(rho.shape) < 0.2] *= -0.01
+        got = dynamics._flow_map(fns)(rho)
+        assert got.shape == (rows, len(fns))
+        assert np.array_equal(got, np.column_stack([ff(rho[:, j]) for j, ff in enumerate(fns)]))
 
 
 def _derivative_rows(flow_fns, rho):
@@ -694,11 +808,10 @@ class TestRecordWindow:
         nets, rho0s = TestEnsemble.perturbed_members(sc.network, 5, seed=4)
         config = SimulationConfig(inflow=sc.inflow, horizon=0.5, dt=default_dt(sc.network))
         full = simulate_ensemble(nets, sc.policy, config, rho0s)
-        compiled = dynamics._Compiled(nets, sc.policy)
+        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
-        deriv = lambda t, rho: compiled.rhs(rho, config.inflow)
         for first in range(len(full[0].times)):
-            (block,) = dynamics._integrate(deriv, rho0, config.dt, config.horizon,
+            (block,) = dynamics._integrate(compiled.rhs, rho0, config.dt, config.horizon,
                                            first_record=first)
             tails = dynamics._member_trajectories(compiled, block, config.inflow, full[0].dt)
             for traj, ref in zip(tails, full, strict=True):

@@ -20,7 +20,7 @@ from flownet.cli import main
 from flownet.scenario import ScenarioError
 
 from conftest import DATA
-from simulate_digests import DIGESTS, simulate_digests, simulate_runs
+from simulate_digests import DAG_DIGESTS, DIGESTS, dag_runs, simulate_digests, simulate_runs
 
 
 def run_cli(*argv, capsys=None):
@@ -721,6 +721,14 @@ class TestGoldenFiles:
     def test_simulate_outputs_match_pinned_digests(self, tmp_path):
         pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
         runs = simulate_runs(tmp_path)
+        assert sorted(runs) == sorted(pinned)
+        for name, (path, extra) in runs.items():
+            assert simulate_digests(path, extra, tmp_path) == pinned[name], name
+
+    def test_dag_simulate_outputs_match_pinned_digests(self, tmp_path):
+        # node inflows summed over up to 8 in-links, wider sums than any tests/data scenario has
+        pinned = json.loads(DAG_DIGESTS.read_text(encoding="utf-8"))
+        runs = dag_runs(tmp_path)
         assert sorted(runs) == sorted(pinned)
         for name, (path, extra) in runs.items():
             assert simulate_digests(path, extra, tmp_path) == pinned[name], name
