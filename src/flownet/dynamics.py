@@ -23,12 +23,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flows import ExponentialFlow, FlowNetwork
-from .routing import GenericPolicy, LogitPolicy, RoutingPolicy
+from .routing import (GenericPolicy, LogitPolicy, RoutingPolicy, _logit_jacobian,
+                      _logit_split)
 from .topology import NetworkTopology, topological_order
 
 __all__ = [
@@ -161,6 +163,9 @@ class _Compiled:
         network inflow.  A logit softmax is one segmented reduction over all
         B*m densities (group starts offset per member); any other policy
         gets one ``policy.route`` call per node on the state as (B, m).
+        An RK4 stage may dip below zero density before the step clamps it;
+        a ``ValueError`` such a policy raises on it is a ``SimulationError``
+        naming the node, the stage time and the lowest density.
         """
         m, flows, route = len(self.links), self.flows, policy.route
         tails = np.array([l.tail for l in self.links])
@@ -203,7 +208,15 @@ class _Compiled:
                 g = np.empty_like(rho)
                 state, splits = rho.reshape(n_members, m), g.reshape(n_members, m)
                 for v, lo, hi in groups:
-                    splits[:, lo:hi] = route(v, state[:, lo:hi])
+                    try:
+                        splits[:, lo:hi] = route(v, state[:, lo:hi])
+                    except ValueError as exc:
+                        low = state[:, lo:hi].min()
+                        if not low < 0.0:
+                            raise
+                        raise SimulationError(
+                            f"routing at node {v} failed on a Runge-Kutta stage at t={t:.6g} "
+                            f"with density {low:.6g} below zero ({exc}); reduce dt") from exc
             g *= lam.reshape(-1)
             g -= f
             return g
@@ -650,27 +663,35 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     built once per call, their parameters hoisted, and serve the first
     Newton run and every homotopy stage.
     """
-    flow_fns = list(flow_fns)
     lams = np.asarray(inflows, dtype=float).reshape(-1)
+    return _local_solve(_node_rows(list(flow_fns), route_fn, jac_fn), lams)
+
+
+def _local_solve(rows, lams):
+    """``local_limit_flow`` on R stacked rows, row r with input ``lams[r]``.
+
+    ``rows`` are the rows' maps (``_Rows`` or ``_LogitRows``), capacities
+    included, so rows of several nodes with the same out-degree solve in
+    one call; each row's result is bit-for-bit the one it gets alone.
+    """
     if not (lams >= 0).all():  # NaN included
         raise ValueError("inflow must be nonnegative")
-    f_max = np.array([ff.f_max for ff in flow_fns])
-    saturated = lams >= f_max.sum()
-    flows = np.where(saturated[:, None], f_max, 0.0)
+    saturated = lams >= rows.f_max.sum(axis=-1)
+    flows = np.where(saturated[:, None], rows.f_max, 0.0)
     errors = [None] * lams.size
     inner = np.flatnonzero((lams != 0) & ~saturated)
     if inner.size:
-        mu, slope = _flow_map(flow_fns), _slope_map(flow_fns)
-        rho, res = _newton(mu, slope, route_fn, jac_fn, lams[inner],
-                           np.zeros((inner.size, len(flow_fns))))
+        k = flows.shape[1]
+        rows = rows.take(inner)
+        rho, res = _newton(rows, lams[inner], np.zeros((inner.size, k)))
         if (res > LOCAL_TOL).any():
             stalled = np.flatnonzero(res > LOCAL_TOL)
-            rho_s = np.zeros((stalled.size, len(flow_fns)))
+            rows_s = rows.take(stalled)
+            rho_s = np.zeros((stalled.size, k))
             for frac in _HOMOTOPY:
-                rho_s, res_s = _newton(mu, slope, route_fn, jac_fn,
-                                       frac * lams[inner[stalled]], rho_s)
+                rho_s, res_s = _newton(rows_s, frac * lams[inner[stalled]], rho_s)
             rho[stalled], res[stalled] = rho_s, res_s
-        flows[inner] = mu(rho)
+        flows[inner] = rows.mu(rho)
         for i in np.flatnonzero(res > LOCAL_TOL):
             flows[inner[i]] = np.nan
             errors[inner[i]] = LocalSolverError(
@@ -679,20 +700,94 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     return flows, saturated, errors
 
 
-def _newton(mu, slope, route_fn, jac_fn, lam, rho):
+class _Rows:
+    """``_newton``'s maps on density rows (R, k) of one node, given as callables.
+
+    ``mu`` and ``slope`` give the links' flows and their slopes, ``route``
+    the splits, and ``jac(rho, g)`` the splits' Jacobians in standard
+    orientation, [r, j, e] = dG_j/drho_e, from ``g = route(rho)``;
+    ``f_max`` is the links' capacities as one (1, k) row.  The maps take
+    any rows alike, so ``take`` (the maps of some rows) returns them as
+    they are.
+    """
+
+    def __init__(self, f_max, mu, slope, route, jac):
+        self.f_max, self.mu, self.slope, self.route, self.jac = f_max, mu, slope, route, jac
+
+    def take(self, idx):
+        return self
+
+
+def _node_rows(flow_fns, route_fn, jac_fn):
+    """``_Rows`` of one node: its flow and slope maps, and the policy's splits and Jacobians."""
+    return _Rows(np.array([[ff.f_max for ff in flow_fns]]), _flow_map(flow_fns),
+                 _slope_map(flow_fns), route_fn,
+                 lambda rho, g: jac_fn(rho, split=g).transpose(0, 2, 1))
+
+
+class _LogitRows:
+    """``_newton``'s maps on stacked rows of logit nodes on exponential links.
+
+    ``params`` holds each row's node parameters, or one row that every row
+    shares: the links' ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max``
+    and logit weights, then the node's ``-eta`` and ``eta``, shape
+    (R, 5k + 2).  The maps take the IEEE operations of ``_flow_map``,
+    ``_slope_map`` and ``LogitPolicy.route``/``jacobian`` row by row, so
+    every row's result is bit-for-bit its node's.  One-link rows skip
+    routing: their split is exactly 1.0 at any finite density and its
+    derivative ±0.  The logit Jacobian is symmetric (IEEE products
+    commute), so it is already in standard orientation.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self.k = k = (params.shape[1] - 2) // 5
+        self.f_max, self.neg_rate, self.neg_f_max, self.scale, self.a = (
+            params[:, i * k:(i + 1) * k] for i in range(5))
+        self.neg_eta, self.eta = params[:, -2:-1], params[:, -1:, None]
+
+    def take(self, idx):
+        return self if len(self.params) == 1 else _LogitRows(self.params[idx])
+
+    def mu(self, rho):
+        return _exponential_flows(self.neg_rate, self.neg_f_max, rho)
+
+    def slope(self, rho):
+        return _exponential_slopes(self.neg_rate, self.scale, rho)
+
+    def route(self, rho):
+        if self.k == 1:
+            return np.ones_like(rho)
+        return _logit_split(self.neg_eta, self.a, rho)
+
+    def jac(self, rho, g):
+        if self.k == 1:
+            return np.zeros((len(rho), 1, 1))
+        return _logit_jacobian(g, self.eta, self.neg_eta)
+
+
+def _logit_params(flow_fns, eta: float, weights) -> list:
+    """One row of ``_LogitRows.params``: a logit node's parameters on exponential links."""
+    return ([ff.f_max for ff in flow_fns] + [-ff.rate for ff in flow_fns]
+            + [-ff.f_max for ff in flow_fns] + [ff.rate * ff.f_max for ff in flow_fns]
+            + list(weights) + [-eta, eta])
+
+
+def _newton(rows, lam, rho):
     """Damped Newton on ``H(rho) = lam * G(rho) - mu(rho)`` for P inputs at once.
 
-    ``lam`` has shape (P,) and the start ``rho`` (P, k).  ``mu`` and
-    ``slope`` map densities of that shape to the links' flows and to their
-    slopes, the diagonal of ``mu``'s Jacobian.  Each member stops
-    once its residual (max norm) is within ``LOCAL_TOL`` and stalls out when its
-    Jacobian is singular or its backtracking step falls below 1e-8; the
-    others step on.  Returns the final densities and residuals.
+    ``lam`` has shape (P,), the start ``rho`` (P, k), and ``rows`` maps
+    densities of that shape to the links' flows, their slopes (the
+    diagonal of ``mu``'s Jacobian), the splits and their Jacobians
+    (``_Rows``).  Each member stops once its residual (max norm) is
+    within ``LOCAL_TOL`` and stalls out when its Jacobian is singular or
+    its backtracking step falls below 1e-8; the others step on.  Returns
+    the final densities and residuals.
     """
     n, k = rho.shape
     lam = lam[:, None]
-    g = route_fn(rho)
-    r = lam * g - mu(rho)
+    g = rows.route(rho)
+    r = lam * g - rows.mu(rho)
     res = np.abs(r).max(axis=-1)
     live = np.flatnonzero(~(res <= LOCAL_TOL))
     for _ in range(LOCAL_MAX_ITER):
@@ -700,12 +795,13 @@ def _newton(mu, slope, route_fn, jac_fn, lam, rho):
             break
         whole = live.size == n  # every member live: no gathers or scatters
         if whole:
-            x, g_x, lam_x, r_x, res_x = rho, g, lam, r, res
+            x, g_x, lam_x, r_x, res_x, rows_x = rho, g, lam, r, res, rows
         else:
             x, g_x, lam_x, r_x, res_x = rho[live], g[live], lam[live], r[live], res[live]
+            rows_x = rows.take(live)
         # standard Jacobian of H: rows = components, columns = densities
-        jac = np.multiply(lam_x[:, :, None], jac_fn(x, split=g_x).transpose(0, 2, 1), order="C")
-        jac.reshape(-1, k * k)[:, ::k + 1] -= slope(x)  # the diagonal
+        jac = np.multiply(lam_x[:, :, None], rows_x.jac(x, g_x), order="C")
+        jac.reshape(-1, k * k)[:, ::k + 1] -= rows_x.slope(x)  # the diagonal
         step, singular = _solve(jac, -r_x)
         # backtracking: every member still trying at a halving shares its step size
         trial = None if singular is None else np.flatnonzero(~singular)
@@ -713,16 +809,19 @@ def _newton(mu, slope, route_fn, jac_fn, lam, rho):
         while True:
             if trial is None:
                 cand = np.maximum(x + t * step, 0.0)
-                lam_t, res_t = lam_x, res_x
+                lam_t, res_t, rows_t = lam_x, res_x, rows_x
             else:
                 cand = np.maximum(x[trial] + t * step[trial], 0.0)
-                lam_t, res_t = lam_x[trial], res_x[trial]
-            g_cand = route_fn(cand)
-            r_cand = lam_t * g_cand - mu(cand)
+                lam_t, res_t, rows_t = lam_x[trial], res_x[trial], rows_x.take(trial)
+            g_cand = rows_t.route(cand)
+            r_cand = lam_t * g_cand - rows_t.mu(cand)
             res_cand = np.abs(r_cand).max(axis=-1)
             better = res_cand < res_t
-            if whole and trial is None and better.all():
-                rho, g, r, res = cand, g_cand, r_cand, res_cand
+            if trial is None and better.all():  # every member takes its full step
+                if whole:
+                    rho, g, r, res = cand, g_cand, r_cand, res_cand
+                else:
+                    rho[live], g[live], r[live], res[live] = cand, g_cand, r_cand, res_cand
                 break
             if trial is None:
                 trial = np.arange(live.size)
@@ -771,6 +870,23 @@ def _negated_exponential(flow_fns):
     return None
 
 
+def _exponential_flows(neg_rate, neg_f_max, rho):
+    """Exponential link flows ``(-f_max) * expm1((-rate) * rho)``, filling one array in place."""
+    out = np.multiply(neg_rate, rho)
+    np.expm1(out, out=out)
+    out *= neg_f_max
+    return out
+
+
+def _exponential_slopes(neg_rate, scale, rho):
+    """Exponential link slopes ``(rate * f_max) * exp((-rate) * rho)``, ``exp`` from libm."""
+    arg = neg_rate * rho
+    out = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+    out = out.reshape(arg.shape)
+    out *= scale
+    return out
+
+
 def _flow_map(flow_fns):
     """Link flows as a map from densities (P, k) to flows of that shape.
 
@@ -785,15 +901,7 @@ def _flow_map(flow_fns):
     fns = list(flow_fns)
     negated = _negated_exponential(fns)
     if negated:
-        neg_rate, neg_f_max = (row[None] for row in negated)
-
-        def exponential(rho):
-            out = np.multiply(neg_rate, rho)
-            np.expm1(out, out=out)
-            out *= neg_f_max
-            return out
-
-        return exponential
+        return functools.partial(_exponential_flows, *(row[None] for row in negated))
 
     def mu(rho):
         out = np.empty_like(rho)
@@ -807,28 +915,19 @@ def _flow_map(flow_fns):
 def _slope_map(flow_fns):
     """Flow-function slopes as a map from densities (P, k) to slopes of that shape.
 
-    All-exponential links hoist ``-rate`` and ``rate * f_max`` once, like
-    ``_flow_map``; each call takes ``(-rate) * rho`` in numpy, maps libm's
-    ``math.exp`` over it and scales.  Those are the IEEE operations, in the
-    order, of ``ExponentialFlow.derivative``, ``(rate * f_max) *
-    math.exp((-rate) * rho)``, so every slope is bit-for-bit that call's and
-    the Newton iterates do not move.  ``np.exp`` is not used: its SIMD
-    kernels differ from libm in the last bit on some inputs.  Any other
-    family calls each flow function's ``derivative`` per element.
+    All-exponential links hoist ``-rate`` and ``rate * f_max`` once as
+    (1, k) rows, like ``_flow_map``; each call takes ``(-rate) * rho`` in
+    numpy, maps libm's ``math.exp`` over it and scales.  Those are the IEEE
+    operations, in the order, of ``ExponentialFlow.derivative``, ``(rate *
+    f_max) * math.exp((-rate) * rho)``, so every slope is bit-for-bit that
+    call's and the Newton iterates do not move.  ``np.exp`` is not used:
+    its SIMD kernels differ from libm in the last bit on some inputs.  Any
+    other family calls each flow function's ``derivative`` per element.
     """
     if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
-        # (1, k) rows: at P = 1 the products skip numpy's broadcasting setup
-        neg_rate = np.array([[-ff.rate for ff in flow_fns]])
-        scale = np.array([[ff.rate * ff.f_max for ff in flow_fns]])
-
-        def exponential(rho):
-            arg = neg_rate * rho
-            out = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
-            out = out.reshape(arg.shape)
-            out *= scale
-            return out
-
-        return exponential
+        return functools.partial(_exponential_slopes,
+                                 np.array([[-ff.rate for ff in flow_fns]]),
+                                 np.array([[ff.rate * ff.f_max for ff in flow_fns]]))
 
     def slopes(rho):
         return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
@@ -849,49 +948,144 @@ def network_limit_flow(network: FlowNetwork, policy: RoutingPolicy, inflow: floa
     return limit
 
 
-def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) -> list:
-    """Limit flows at P network inflows from one cascade through the acyclic order.
+class _CascadePlan:
+    """The layout of ``network_limit_flows`` that depends on the topology alone.
 
-    Each node solves its stationary splits for every point still in the
-    cascade with one ``local_limit_flow`` call.  Entry p is the
-    ``LimitFlow`` at ``inflows[p]`` or, when some node's split did not
-    converge at that point, the node's ``LocalSolverError``; that point
-    then drops out of every node downstream.  Every entry is bit-for-bit
-    what the point gets alone.
+    ``lids`` lists the links in cascade order (by the tail's position in
+    ``topological_order``, then by id), the row order of the cascade's
+    flows; ``out_rows[v]`` is node v's out-links' range of rows and
+    ``in_rows[v]`` its in-links' rows in cascade order.  ``pos[v]`` is v's
+    position in ``topological_order``.  ``levels`` holds per level, the
+    nodes whose longest path from the origin has that many links, a pair
+    ``(nodes, groups)``: the level's nodes and its nodes with outgoing
+    links grouped by out-degree, each in ``topological_order``.
+    """
+
+    def __init__(self, topo: NetworkTopology):
+        order = topological_order(topo)
+        self.pos = [0] * topo.num_nodes
+        level = [0] * topo.num_nodes
+        for i, v in enumerate(order):
+            self.pos[v] = i
+            for lid in topo.outgoing[v]:
+                head = topo.link(lid).head
+                level[head] = max(level[head], level[v] + 1)
+        self.lids = [lid for v in order for lid in topo.outgoing[v]]
+        row = {lid: i for i, lid in enumerate(self.lids)}
+        self.out_rows = {v: slice(row[out[0]], row[out[0]] + len(out))
+                         for v, out in topo.outgoing.items() if out}
+        self.in_rows = [sorted(row[lid] for lid in topo.incoming[v])
+                        for v in range(topo.num_nodes)]
+        self.levels = []
+        for depth in range(max(level) + 1):
+            nodes = [v for v in order if level[v] == depth]
+            groups = {}  # out-degree -> nodes
+            for v in nodes:
+                if topo.outgoing[v]:
+                    groups.setdefault(len(topo.outgoing[v]), []).append(v)
+            self.levels.append((nodes, list(groups.values())))
+
+
+# one layout per topology, a function of the immutable topology alone: perturbed
+# copies of a network share theirs, and it goes when its topology does
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _cascade_plan(topo: NetworkTopology) -> _CascadePlan:
+    plan = _PLANS.get(topo)
+    if plan is None:
+        plan = _PLANS[topo] = _CascadePlan(topo)
+    return plan
+
+
+def _solve_groups(network: FlowNetwork, policy: RoutingPolicy, group):
+    """A group's nodes in solves, as ``(nodes, rows)`` pairs: ``rows`` holds one row per node.
+
+    Under a ``LogitPolicy``, the group's nodes whose links are all
+    exponential are solved together, on ``_LogitRows``; every other node
+    is solved alone, on its own ``_Rows``.
+    """
+    logit = isinstance(policy, LogitPolicy)
+    stacked, params = [], []
+    for v in group:
+        out = network.topology.outgoing[v]
+        fns = [network.flow_functions[lid] for lid in out]
+        if logit and all(isinstance(ff, ExponentialFlow) for ff in fns):
+            stacked.append(v)
+            params.append(_logit_params(fns, policy.eta[v], [policy.weights[lid] for lid in out]))
+        else:
+            yield [v], _node_rows(fns, functools.partial(policy.route, v),
+                                  functools.partial(policy.jacobian, v))
+    if stacked:
+        yield stacked, _LogitRows(np.array(params))
+
+
+def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) -> list:
+    """Limit flows at P network inflows from one cascade through the node levels.
+
+    A node's level is the length of its longest path from the origin, so a
+    level's inflows are known once the levels below it are solved.  Per
+    level, the nodes under a ``LogitPolicy`` whose links are all
+    exponential are solved by one Newton run per out-degree k, on their
+    (node, point) rows stacked into (rows, k) densities, each row with its
+    own node's parameters; every other node (a generic policy, a custom
+    flow family) is solved alone, through the same loop.
+
+    Two orders are those of a node-by-node cascade in
+    ``topological_order``, not the level order:
+
+    - a node's inflow is summed over its in-links in cascade order (by the
+      tail's position in ``topological_order``, then by id);
+    - entry p is the ``LimitFlow`` at ``inflows[p]`` or, when some node's
+      split did not converge at that point, the ``LocalSolverError`` of
+      the first such node in ``topological_order``.  The point is still
+      solved at every node before that one, on any level, and at no node
+      of a level above once its failure is known.
+
+    So every entry is bit-for-bit what the point gets alone from the
+    node-by-node cascade.  The layout that depends only on the topology
+    (``_CascadePlan``) is built once per topology and shared by its
+    perturbed copies.
     """
     topo = network.topology
+    plan = _cascade_plan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
     node_in = np.zeros((topo.num_nodes, n_points))
     node_in[topo.origin] = lam0
-    lids = []  # links in cascade order, the row order of ``flows`` and ``flags``
-    flows = np.full((len(topo.links), n_points), np.nan)
-    flags = np.zeros((len(topo.links), n_points), dtype=bool)
+    flows = np.full((len(plan.lids), n_points), np.nan)  # rows in cascade order
+    flags = np.zeros((len(plan.lids), n_points), dtype=bool)
     errors = [None] * n_points
-    live = np.arange(n_points)
-    for v in topological_order(topo):
-        out = topo.outgoing[v]
-        if not out or not live.size:
-            continue
-        cols = slice(None) if live.size == n_points else live  # no gathers while all live
-        f, sat, errs = local_limit_flow(
-            [network.flow_functions[lid] for lid in out], functools.partial(policy.route, v),
-            functools.partial(policy.jacobian, v), node_in[v, cols])
-        for j, lid in enumerate(out):
-            flows[len(lids), cols] = f[:, j]
-            flags[len(lids), cols] = sat
-            lids.append(lid)
-            node_in[topo.link(lid).head, cols] += f[:, j]
-        failed = [i for i, err in enumerate(errs) if err is not None]
-        if failed:
-            for i in failed:
-                errors[live[i]] = errs[i]
-            live = np.delete(live, failed)
-    flows = flows[:len(lids)].T.tolist()
-    flags = flags[:len(lids)].T.tolist()
+    failed_at = np.full(n_points, topo.num_nodes)  # position of each point's first failure
+    every = np.arange(n_points)
+    for nodes, groups in plan.levels:
+        for v in nodes:
+            for i in plan.in_rows[v]:
+                node_in[v] += flows[i]
+        for group in groups:
+            for solved, rows in _solve_groups(network, policy, group):
+                points = [every[failed_at > plan.pos[v]] for v in solved]
+                counts = [p.size for p in points]
+                if not sum(counts):
+                    continue
+                rows = rows.take(np.repeat(np.arange(len(solved)), counts))  # a row per point
+                f, sat, errs = _local_solve(rows, np.concatenate(
+                    [node_in[v, p] for v, p in zip(solved, points)]))
+                lo = 0
+                for v, p, count in zip(solved, points, counts):
+                    out = plan.out_rows[v]
+                    flows[out, p] = f[lo:lo + count].T
+                    flags[out, p] = sat[lo:lo + count]
+                    for i, err in enumerate(errs[lo:lo + count]):
+                        if err is not None and plan.pos[v] < failed_at[p[i]]:
+                            failed_at[p[i]] = plan.pos[v]
+                            errors[p[i]] = err
+                    lo += count
+    flows = flows.T.tolist()
+    flags = flags.T.tolist()
     node_flows = node_in.T.tolist()
-    return [err if err is not None else LimitFlow(flows=dict(zip(lids, flows[p])),
-                                                  saturated=dict(zip(lids, flags[p])),
+    return [err if err is not None else LimitFlow(flows=dict(zip(plan.lids, flows[p])),
+                                                  saturated=dict(zip(plan.lids, flags[p])),
                                                   node_inflows=dict(enumerate(node_flows[p])))
             for p, err in enumerate(errors)]
 

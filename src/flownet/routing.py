@@ -139,19 +139,30 @@ class LogitPolicy(RoutingPolicy):
                              f"got {rho.shape[-1] if rho.ndim else 1}")
         if (rho < 0).any():
             raise ValueError("negative density")
-        ex = -self.eta[v] * rho
-        # shift for overflow/underflow safety; the split is shift-invariant
-        ex -= ex.max(axis=-1, keepdims=True)
-        w = a * np.exp(ex)
-        return w / w.sum(axis=-1, keepdims=True)
+        return _logit_split(-self.eta[v], a, rho)
 
     def jacobian(self, v: int, rho_v, split=None) -> np.ndarray:
         g = self.route(v, rho_v) if split is None else split
-        eta = self.eta[v]
-        k = g.shape[-1]
-        jac = eta * (g[..., :, None] * g[..., None, :])
-        jac.reshape(g.shape[:-1] + (k * k,))[..., ::k + 1] = -eta * g * (1.0 - g)  # the diagonal
-        return jac
+        return _logit_jacobian(g, self.eta[v], -self.eta[v])
+
+
+def _logit_split(neg_eta, a, rho):
+    """Logit splits of densities (..., k): weights ``a`` and ``neg_eta`` = -eta,
+    each a scalar or array that broadcasts against ``rho`` row by row."""
+    ex = neg_eta * rho
+    # shift for overflow/underflow safety; the split is shift-invariant
+    ex -= ex.max(axis=-1, keepdims=True)
+    w = a * np.exp(ex)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _logit_jacobian(g, eta, neg_eta):
+    """[..., e, j] = dG_j/drho_e of logit splits ``g`` (..., k); ``eta`` broadcasts
+    against the (..., k, k) result, ``neg_eta`` = -eta against ``g``."""
+    k = g.shape[-1]
+    jac = eta * (g[..., :, None] * g[..., None, :])
+    jac.reshape(g.shape[:-1] + (k * k,))[..., ::k + 1] = neg_eta * g * (1.0 - g)  # the diagonal
+    return jac
 
 
 class GenericPolicy(RoutingPolicy):

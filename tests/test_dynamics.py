@@ -464,6 +464,24 @@ class TestEnsemble:
         assert traj.max_undershoot > 0.0
         np.testing.assert_allclose(traj.rho, exp.rho, rtol=0.0, atol=1e-12)
 
+    def test_generic_route_rejecting_a_negative_stage_is_a_simulation_error(self):
+        # the same run under a GenericPolicy around LogitPolicy.route, which
+        # refuses the RK4 stage below zero density that the logit kernel takes
+        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
+        net = FlowNetwork(topo, {0: ExponentialFlow(2.214, 0.3844),
+                                 1: ExponentialFlow(10.942, 0.5013)})
+        logit = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
+        generic = GenericPolicy(topo, {0: functools.partial(logit.route, 0)})
+        config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
+        assert simulate(net, logit, config, [3.2586, 2.207]).max_undershoot > 0.0
+        with pytest.raises(SimulationError, match=r"node 0 .* stage at t=[0-9.]+ with density "
+                                                  r"-[0-9.]+ below zero .*reduce dt"):
+            simulate(net, generic, config, [3.2586, 2.207])
+        # a ValueError on a nonnegative stage is the policy's own, and stays one
+        broken = GenericPolicy(topo, {0: lambda rho: logit.route(0, rho[:1])})
+        with pytest.raises(ValueError, match="expects 2 local densities"):
+            simulate(net, broken, config)
+
     def test_generic_flows_and_policy_member_by_member(self):
         net = diamond_network()
         topo = net.topology

@@ -81,13 +81,13 @@ def test_failed_member_is_masked_downstream(monkeypatch):
     policy = LogitPolicy(topo, eta={0: -1.0, 1: 1.0}, weights={0: 0.6, 1: 6.0, 2: 1.0, 3: 2.0})
     lams = list(np.linspace(0.0, 2.0, 41))
     seen = []
-    real = dynamics.local_limit_flow
+    real = dynamics._local_solve
 
-    def spy(flow_fns, route_fn, jac_fn, inflow):
+    def spy(rows, inflow):  # the cascade's one local solve per node group
         seen.append(np.atleast_1d(inflow).shape[0])
-        return real(flow_fns, route_fn, jac_fn, inflow)
+        return real(rows, inflow)
 
-    monkeypatch.setattr(dynamics, "local_limit_flow", spy)
+    monkeypatch.setattr(dynamics, "_local_solve", spy)
     results = network_limit_flows(net, policy, lams)
     failed = [i for i, r in enumerate(results) if isinstance(r, LocalSolverError)]
     assert failed and len(failed) < len(lams)

@@ -384,18 +384,18 @@ class TestBatchedVerdicts:
             traj = simulate(net.perturbed(spec), policy, config, rho0)
             assert out == alpha_transfer_estimate(traj, alpha, tol)
 
-    @pytest.mark.parametrize("per_chunk", [1, 2])
-    def test_judged_trajectories_do_not_outlive_their_chunk(self, monkeypatch, per_chunk):
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_judged_tail_blocks_do_not_outlive_the_next_block(self, monkeypatch, size):
         net = diamond_network()
         policy = diamond_policy(net.topology)
         config, rho0 = resilience._attack_setup(
             net, policy, 1.0, SimulationConfig(inflow=1.0, horizon=200.0, dt=0.02))
         attacks = [(spec, 0.05, None)
                    for spec in sample_scaling_perturbations(net, 1.2, 6, seed=2)]
-        # 2 001 tail-window records judged in blocks of 500 or 1 000: 5 or 3 blocks
-        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", 500 * per_chunk)
+        # 2 001 tail-window records judged in blocks of 500 * size: 5 or 3 blocks
+        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", 500 * size)
         # one verdict block: (records, B, m) float64 densities of every attack
-        block = 8 * 500 * per_chunk * len(attacks) * len(net.topology.links)
+        block = 8 * 500 * size * len(attacks) * len(net.topology.links)
         tracemalloc.start()
         try:
             resilience._simulate_attacks(net, policy, config, rho0, attacks)
@@ -407,7 +407,7 @@ class TestBatchedVerdicts:
         # the tail window's densities and flows would not fit in three blocks
         assert peak <= 3 * block
 
-    def test_one_chunk_builds_one_trajectory_at_a_time(self, monkeypatch):
+    def test_verdicts_run_as_one_ensemble_and_build_no_trajectory(self, monkeypatch):
         net = diamond_network()
         policy = diamond_policy(net.topology)
         attacks = [(spec, 0.05, None)
@@ -436,8 +436,8 @@ class TestBatchedVerdicts:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # one ensemble of every attack, judged from its densities: the
-            # verdict builds fewer than one trajectory at a time, none at all
+            # one ensemble of every attack, judged from its densities block
+            # by block: no verdict builds a trajectory
             assert sizes == [len(attacks)], horizon
             # memory does not grow with the horizon
             assert peak <= 3 * block, horizon

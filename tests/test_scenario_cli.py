@@ -702,7 +702,7 @@ class TestGoldenFiles:
     # recorded when the verdicts kept whole trajectories and split these 16 members 15 + 1
     DIAMOND5_16_MEMBERS_SHA256 = "132d0b4d366d27f587a8c03f080317dd3858587b3379895efe5f225a38334542"
 
-    def test_default_horizon_verdicts_run_as_one_chunk(self, monkeypatch, capsys):
+    def test_default_horizon_verdicts_run_as_one_ensemble(self, monkeypatch, capsys):
         # two alphas' bracket audits and 12 samples at the default horizon of 200
         sizes = []
         real = dynamics._integrate
