@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,8 +105,9 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
 
 
 def default_dt(network: FlowNetwork) -> float:
@@ -176,8 +176,9 @@ class _Compiled:
         groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
         origin = next(slice(lo, hi) for v, lo, hi in groups if v == self.origin)
         columns, timed = (n_members, m, 1), callable(inflow)
-        exponential = _negated_exponential(fns)
-        neg_rate, neg_f_max = exponential or (None, None)
+        params = _exponential_params(fns)
+        exponential = params is not None
+        neg_rate, neg_f_max = params[1:3] if exponential else (None, None)
         logit = isinstance(policy, LogitPolicy)
         if logit:
             offsets = np.arange(n_members)[:, None]  # per member, over the flat state
@@ -329,94 +330,75 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
                first_record: int = 0, block_records: int | None = None):
     """Classical fixed-step RK4 on the (B, m) densities of B members.
 
-    ``deriv(t, rho)`` takes the state flattened to one vector and returns
-    d rho / dt as a fresh array of that shape, which the step then updates
-    in place.  Clamps densities at zero and tracks the worst undershoot per
-    member, an array of shape (B,).  The step is shrunk to land exactly on
-    the horizon (``_time_grid``).  Yields the records of a full run from
-    index ``first_record`` on as ``(times, states, undershoot)`` blocks of
-    at most ``block_records`` records (default: one block of them all),
-    with ``states`` of shape (records, B, m) and ``undershoot`` the worst up
-    to the block's last record.  A block's buffers are allocated before the
-    steps that fill it are taken.
+    ``deriv(t, rho)`` (a run's ``_Compiled.rhs``) maps the flat state to d
+    rho / dt as a fresh array.  A step takes the IEEE operations of ``rho +
+    sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and of its stages ``rho +
+    half * k`` in their order, only commutative operands swapped, in the
+    buffers ``deriv`` returned (the new state in k2's), then clamps
+    densities at zero and checks ``DENSITY_CEILING``.  The step is shrunk
+    to land on the horizon (``_time_grid``).  Yields the records (step 0,
+    every ``record_stride``-th and the last) from index ``first_record`` on
+    as ``(times, states, undershoot)`` blocks of at most ``block_records``
+    records (default: one block), ``states`` of shape (records, B, m) and
+    ``undershoot`` each member's worst clamp so far.  A block's buffers are
+    allocated before the steps that fill them, which write into them.
     """
     n_steps, dt = _time_grid(horizon, dt)
     shape = np.shape(rho0)
+    members = shape[:1] + (-1,)
     rho = np.array(rho0, dtype=float).reshape(-1)
     undershoot = np.zeros(shape[0])
-    n_records = _record_count(n_steps, record_stride) - first_record
-    size = n_records if block_records is None else min(block_records, n_records)
-    records = _rk4_records(deriv, rho, dt, n_steps, record_stride,
-                           _record_step(first_record, n_steps, record_stride), undershoot)
-    for lo in range(0, n_records, size):
-        rows = min(size, n_records - lo)
+    end = _record_count(n_steps, record_stride)
+    size = end - first_record if block_records is None else min(block_records, end - first_record)
+    half, sixth = 0.5 * dt, dt / 6.0
+    # 0-d arrays: an array times a Python float pays for converting the float on every call
+    half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
+    lowest, highest, ceiling = np.minimum.reduce, np.maximum.reduce, DENSITY_CEILING
+    t, step = 0.0, 0
+    for lo in range(first_record, end, size):
+        rows = min(size, end - lo)
         try:
             times = np.empty(rows)
             states = np.empty((rows, rho.size))
         except (MemoryError, ValueError) as exc:
             raise SimulationError(f"{rows} recorded states do not fit in memory; raise dt "
                                   "or record_stride, or shorten the horizon") from exc
-        for i, (t, state) in zip(range(rows), records):
+        for i in range(rows):
+            target = _record_step(lo + i, n_steps, record_stride)
+            while step < target:
+                step += 1
+                k1 = deriv(t, rho)
+                s = k1 * half_
+                s += rho
+                k2 = deriv(t + half, s)
+                s = k2 * half_
+                s += rho
+                k3 = deriv(t + half, s)
+                s = k3 * dt_
+                s += rho
+                k4 = deriv(t + dt, s)
+                k2 *= two
+                k2 += k1
+                k3 *= two
+                k2 += k3
+                k2 += k4
+                k2 *= sixth_
+                k2 += rho
+                rho = k2
+                # a NaN anywhere makes the minimum NaN: clamp every member then too
+                if not lowest(rho) >= 0.0:
+                    np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
+                               out=undershoot)
+                    np.maximum(rho, 0.0, out=rho)
+                t = step * dt
+                if not highest(rho) <= ceiling:  # also catches NaN
+                    state = rho.reshape(members)
+                    bad = state[np.argmin(state.max(axis=-1) <= ceiling)]
+                    raise SimulationError(f"integration unstable at t={t:.6g} (state={bad}); "
+                                          "reduce dt or the horizon")
             times[i] = t
-            states[i] = state
+            states[i] = rho
         yield times, states.reshape((rows,) + shape), undershoot.copy()
-
-
-def _rk4_records(deriv, rho: np.ndarray, dt: float, n_steps: int, record_stride: int,
-                 first_step: int, undershoot: np.ndarray):
-    """``_integrate``'s step loop on the flat state ``rho``: yields
-    ``(t, state)`` at step 0 (when ``first_step`` is 0), every
-    ``record_stride``-th step and the last one, from step ``first_step`` on,
-    and raises its worst undershoot per member into ``undershoot`` in place.
-
-    ``deriv`` is called as given (a run's ``_Compiled.rhs``), and the
-    reducers and ``DENSITY_CEILING`` are bound once.  A step takes the IEEE
-    operations of ``rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and of
-    its stages ``rho + half * k`` in their order, only commutative operands
-    swapped, in the buffers ``deriv`` returned: the new state is accumulated
-    in k2's.  A yielded state is never written again.
-    """
-    half, sixth = 0.5 * dt, dt / 6.0
-    # 0-d arrays: an array times a Python float pays for converting the float on every call
-    half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
-    members = undershoot.shape + (-1,)
-    lowest, highest, ceiling = np.minimum.reduce, np.maximum.reduce, DENSITY_CEILING
-    if first_step == 0:
-        yield 0.0, rho
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = deriv(t, rho)
-        s = k1 * half_
-        s += rho
-        k2 = deriv(t + half, s)
-        s = k2 * half_
-        s += rho
-        k3 = deriv(t + half, s)
-        s = k3 * dt_
-        s += rho
-        k4 = deriv(t + dt, s)
-        k2 *= two
-        k2 += k1
-        k3 *= two
-        k2 += k3
-        k2 += k4
-        k2 *= sixth_
-        k2 += rho
-        rho = k2
-        # a NaN anywhere makes the minimum NaN: clamp every member then too
-        if not lowest(rho) >= 0.0:
-            np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
-                       out=undershoot)
-            np.maximum(rho, 0.0, out=rho)
-        t = step * dt
-        if not highest(rho) <= ceiling:  # also catches NaN
-            rows = rho.reshape(members)
-            bad = rows[np.argmin(rows.max(axis=-1) <= ceiling)]
-            raise SimulationError(
-                f"integration unstable at t={t:.6g} (state={bad}); reduce dt or the horizon"
-            )
-        if step >= first_step and (step % record_stride == 0 or step == n_steps):
-            yield t, rho
 
 
 def _start_state(rho0, m: int) -> np.ndarray:
@@ -729,14 +711,14 @@ class _LogitRows:
     """``_newton``'s maps on stacked rows of logit nodes on exponential links.
 
     ``params`` holds each row's node parameters, or one row that every row
-    shares: the links' ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max``
-    and logit weights, then the node's ``-eta`` and ``eta``, shape
-    (R, 5k + 2).  The maps take the IEEE operations of ``_flow_map``,
-    ``_slope_map`` and ``LogitPolicy.route``/``jacobian`` row by row, so
-    every row's result is bit-for-bit its node's.  One-link rows skip
-    routing: their split is exactly 1.0 at any finite density and its
-    derivative ±0.  The logit Jacobian is symmetric (IEEE products
-    commute), so it is already in standard orientation.
+    shares: the node's ``_exponential_params`` raveled, its links' logit
+    weights, then its ``-eta`` and ``eta``, shape (R, 5k + 2).  The maps
+    take the IEEE operations of ``_flow_map``, ``_slope_map`` and
+    ``LogitPolicy.route``/``jacobian`` row by row, so every row's result is
+    bit-for-bit its node's.  One-link rows skip routing: their split is
+    exactly 1.0 at any finite density and its derivative ±0.  The logit
+    Jacobian is symmetric (IEEE products commute), so it is already in
+    standard orientation.
     """
 
     def __init__(self, params):
@@ -764,13 +746,6 @@ class _LogitRows:
         if self.k == 1:
             return np.zeros((len(rho), 1, 1))
         return _logit_jacobian(g, self.eta, self.neg_eta)
-
-
-def _logit_params(flow_fns, eta: float, weights) -> list:
-    """One row of ``_LogitRows.params``: a logit node's parameters on exponential links."""
-    return ([ff.f_max for ff in flow_fns] + [-ff.rate for ff in flow_fns]
-            + [-ff.f_max for ff in flow_fns] + [ff.rate * ff.f_max for ff in flow_fns]
-            + list(weights) + [-eta, eta])
 
 
 def _newton(rows, lam, rho):
@@ -863,11 +838,16 @@ def _solve(jac: np.ndarray, b: np.ndarray):
         return step, singular
 
 
-def _negated_exponential(flow_fns):
-    """``(-rate, -f_max)`` vectors of all-exponential flow functions, else None."""
-    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
-        return -np.array([ff.rate for ff in flow_fns]), -np.array([ff.f_max for ff in flow_fns])
-    return None
+def _exponential_params(flow_fns):
+    """Float64 rows ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max`` of k exponential links.
+
+    One (4, k) array, or None when some link is of another family.
+    """
+    if not all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
+        return None
+    return np.array([[ff.f_max for ff in flow_fns], [-ff.rate for ff in flow_fns],
+                     [-ff.f_max for ff in flow_fns], [ff.rate * ff.f_max for ff in flow_fns]],
+                    dtype=float)
 
 
 def _exponential_flows(neg_rate, neg_f_max, rho):
@@ -899,9 +879,9 @@ def _flow_map(flow_fns):
     function on its column, on densities of any leading shape.
     """
     fns = list(flow_fns)
-    negated = _negated_exponential(fns)
-    if negated:
-        return functools.partial(_exponential_flows, *(row[None] for row in negated))
+    params = _exponential_params(fns)
+    if params is not None:
+        return functools.partial(_exponential_flows, params[1:2], params[2:3])
 
     def mu(rho):
         out = np.empty_like(rho)
@@ -924,10 +904,9 @@ def _slope_map(flow_fns):
     its SIMD kernels differ from libm in the last bit on some inputs.  Any
     other family calls each flow function's ``derivative`` per element.
     """
-    if all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
-        return functools.partial(_exponential_slopes,
-                                 np.array([[-ff.rate for ff in flow_fns]]),
-                                 np.array([[ff.rate * ff.f_max for ff in flow_fns]]))
+    params = _exponential_params(flow_fns)
+    if params is not None:
+        return functools.partial(_exponential_slopes, params[1:2], params[3:4])
 
     def slopes(rho):
         return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
@@ -986,18 +965,6 @@ class _CascadePlan:
             self.levels.append((nodes, list(groups.values())))
 
 
-# one layout per topology, a function of the immutable topology alone: perturbed
-# copies of a network share theirs, and it goes when its topology does
-_PLANS = weakref.WeakKeyDictionary()
-
-
-def _cascade_plan(topo: NetworkTopology) -> _CascadePlan:
-    plan = _PLANS.get(topo)
-    if plan is None:
-        plan = _PLANS[topo] = _CascadePlan(topo)
-    return plan
-
-
 def _solve_groups(network: FlowNetwork, policy: RoutingPolicy, group):
     """A group's nodes in solves, as ``(nodes, rows)`` pairs: ``rows`` holds one row per node.
 
@@ -1006,18 +973,20 @@ def _solve_groups(network: FlowNetwork, policy: RoutingPolicy, group):
     is solved alone, on its own ``_Rows``.
     """
     logit = isinstance(policy, LogitPolicy)
-    stacked, params = [], []
+    stacked, rows = [], []
     for v in group:
         out = network.topology.outgoing[v]
         fns = [network.flow_functions[lid] for lid in out]
-        if logit and all(isinstance(ff, ExponentialFlow) for ff in fns):
+        params = _exponential_params(fns) if logit else None
+        if params is not None:
             stacked.append(v)
-            params.append(_logit_params(fns, policy.eta[v], [policy.weights[lid] for lid in out]))
+            rows.append(np.concatenate((params.ravel(), [policy.weights[lid] for lid in out],
+                                        [-policy.eta[v], policy.eta[v]])))
         else:
             yield [v], _node_rows(fns, functools.partial(policy.route, v),
                                   functools.partial(policy.jacobian, v))
     if stacked:
-        yield stacked, _LogitRows(np.array(params))
+        yield stacked, _LogitRows(np.array(rows))
 
 
 def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) -> list:
@@ -1044,11 +1013,10 @@ def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) ->
 
     So every entry is bit-for-bit what the point gets alone from the
     node-by-node cascade.  The layout that depends only on the topology
-    (``_CascadePlan``) is built once per topology and shared by its
-    perturbed copies.
+    (``_CascadePlan``) is built once per call, for all P points.
     """
     topo = network.topology
-    plan = _cascade_plan(topo)
+    plan = _CascadePlan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
     node_in = np.zeros((topo.num_nodes, n_points))

@@ -306,6 +306,9 @@ def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow
     raises ``RuntimeError``: the horizon is too short for the tail to reach
     the limit.  The report is deterministic for a fixed seed.
     """
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("alphas must name at least one alpha")
     require_locally_responsive(policy, network, seed=seed)
     if inflow <= 0:
         raise ValueError("resilience estimation needs a positive inflow")

@@ -150,9 +150,9 @@ class TestSimulate:
         topo, net, policy = two_route
 
         def no_step(*args, **kwargs):
-            raise AssertionError("a run from a bad start took a step")
+            raise AssertionError("a run from a bad start reached the integrator")
 
-        monkeypatch.setattr(dynamics, "_rk4_records", no_step)
+        monkeypatch.setattr(dynamics, "_integrate", no_step)
         config = SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1)
         runs = [
             lambda: simulate(net, policy, config, rho0),
@@ -371,6 +371,19 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(inflow=1.0, record_stride=0)
 
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, 3.0, True, np.True_, np.float64(2.0), "3"])
+    def test_record_stride_must_be_a_positive_integer(self, stride):
+        with pytest.raises(ValueError, match=r"^record_stride must be an integer >= 1, got "):
+            SimulationConfig(inflow=1.0, record_stride=stride)
+
+    def test_numpy_integer_record_stride_runs_as_the_int(self, two_route):
+        topo, net, policy = two_route
+        runs = [simulate(net, policy, SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1,
+                                                       record_stride=stride))
+                for stride in (3, np.int64(3), np.uint8(3))]
+        for traj in runs[1:]:
+            _assert_same_trajectory(traj, runs[0])
+
     @pytest.mark.parametrize("field", ["inflow", "dt", "horizon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
@@ -583,16 +596,9 @@ class TestFlatKernel:
         sc, nets, rho0s, config = self.coarse_run(name, 3)
         compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
-        n_steps, dt = dynamics._time_grid(config.horizon, config.dt)  # _integrate's grid
-        undershoot = np.zeros(len(nets))
-        kept, seen = [], []
-        for _, state in dynamics._rk4_records(compiled.rhs, rho0.reshape(-1).copy(), dt, n_steps,
-                                              1, 0, undershoot):
-            kept.append(state)
-            seen.append(state.copy())
-        assert len(kept) == 41 and undershoot.max() > 0.0  # clamps ran in place
-        for state, copy in zip(kept, seen):
-            assert np.array_equal(state, copy)
+        (_, whole, undershoot), = dynamics._integrate(compiled.rhs, rho0, config.dt,
+                                                      config.horizon)
+        assert len(whole) == 41 and undershoot.max() > 0.0  # clamps ran
 
         blocks, block_seen = [], []
         for times, states, under in dynamics._integrate(compiled.rhs, rho0, config.dt,
@@ -604,21 +610,21 @@ class TestFlatKernel:
             for array, array_copy in zip(block, copy):
                 assert np.array_equal(array, array_copy)
         joined = np.concatenate([states for _, states, _ in blocks])
-        assert np.array_equal(joined.reshape(41, -1), np.array(seen))
+        assert np.array_equal(joined, whole)
         assert np.array_equal(blocks[-1][2], undershoot)
 
     def test_a_nan_member_leaves_the_clamp_to_the_others(self):
         # two members of two links; member 0's first density turns NaN in the
         # step that drives its second and member 1's first below zero
         slope = np.array([np.nan, -100.0, -100.0, 0.0])
-        undershoot = np.zeros(2)
-        records = dynamics._rk4_records(lambda t, rho: slope.copy(), np.ones(4), 0.1, 1, 1, 0,
-                                        undershoot)
-        next(records)  # the start
+        blocks = dynamics._integrate(lambda t, rho: slope.copy(), np.ones((2, 2)), 0.1, 0.1,
+                                     block_records=1)
+        times, states, undershoot = next(blocks)  # the start
+        assert times.tolist() == [0.0] and np.array_equal(states, np.ones((1, 2, 2)))
+        assert undershoot.tolist() == [0.0, 0.0]
         with pytest.raises(SimulationError) as exc:
-            next(records)
-        # the finite member was clamped and its undershoot kept: 1 - 0.1 * 100
-        assert undershoot[1] == pytest.approx(9.0)
+            next(blocks)
+        # the NaN member is the one shown, with its clamped second density
         assert str(exc.value).startswith("integration unstable at t=0.1 (state=[nan  0.]);")
         assert "-" not in str(exc.value)  # no negative density is shown
 
@@ -834,6 +840,29 @@ class TestRecordWindow:
             tails = dynamics._member_trajectories(compiled, block, config.inflow, full[0].dt)
             for traj, ref in zip(tails, full, strict=True):
                 self._assert_tail_rows(traj, ref, first)
+
+    def test_blocks_of_every_size_join_to_the_one_block_run(self):
+        # members that clamp, a stride that misses the final step, and every
+        # block size up to past the record count, from the start, the tail
+        # start and the last record
+        sc, nets, rho0s, config = TestFlatKernel().coarse_run("random8", 3)
+        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
+        rho0 = np.array(rho0s)[:, compiled.to_sorted]
+        n_steps, dt = dynamics._time_grid(config.horizon, config.dt)
+        stride = 3
+        n_records = dynamics._record_count(n_steps, stride)
+        assert n_steps % stride and n_records == 15
+        for first in (0, dynamics._tail_start(n_steps, dt, stride), n_records - 1):
+            (times, states, undershoot), = dynamics._integrate(
+                compiled.rhs, rho0, config.dt, config.horizon, stride, first)
+            assert len(times) == n_records - first and undershoot.max() > 0.0
+            for size in range(1, n_records + 2):
+                blocks = list(dynamics._integrate(compiled.rhs, rho0, config.dt, config.horizon,
+                                                  stride, first, size))
+                assert len(blocks) == -(-(n_records - first) // size)
+                assert np.array_equal(np.concatenate([b[0] for b in blocks]), times)
+                assert np.array_equal(np.concatenate([b[1] for b in blocks]), states)
+                assert np.array_equal(blocks[-1][2], undershoot)
 
     @pytest.mark.parametrize("name", ["random8", "diamond5"])
     @pytest.mark.parametrize("stride", [1, 3, 7])

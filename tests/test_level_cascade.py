@@ -22,7 +22,6 @@ from flownet import (
     LocalSolverError,
     LogitPolicy,
     NetworkTopology,
-    PerturbationSpec,
     min_cut_capacity,
     network_limit_flow,
 )
@@ -75,7 +74,7 @@ def test_seeded_dags_match_the_serial_cascade():
         reference = serial_limit_flows(sc.network, sc.policy, lams)
         _assert_equal(network_limit_flows(sc.network, sc.policy, lams), reference)
         failed += sum(isinstance(r, LocalSolverError) for r in reference)
-        plan = dynamics._cascade_plan(sc.topology)
+        plan = dynamics._CascadePlan(sc.topology)
         level = {v: depth for depth, (level_nodes, _) in enumerate(plan.levels)
                  for v in level_nodes}
         straddling += sum(len({level[sc.topology.link(lid).tail] for lid in incoming}) >= 3
@@ -116,7 +115,7 @@ def _level_order_dag():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_first_failure_in_topological_order_is_reported():
     net, policy = _level_order_dag()
-    plan = dynamics._cascade_plan(net.topology)
+    plan = dynamics._CascadePlan(net.topology)
     assert [nodes for nodes, _ in plan.levels] == [[0], [1, 4], [2], [3], [5]]
     assert plan.pos[3] < plan.pos[4]
     lams = np.linspace(0.0, 4.0, 81)
@@ -177,19 +176,3 @@ def test_dag43_sweep_solves_fourteen_node_groups(monkeypatch):
     assert sum(bool(out) for out in sc.topology.outgoing.values()) == 19
     assert len(rows) == 14 and sum(rows) == 19 * SWEEP_POINTS
 
-
-def test_perturbed_copies_share_one_layout(monkeypatch):
-    sc = parse_scenario(generate_dag(3, 12, 30))
-    orders = []
-    real = dynamics.topological_order
-
-    def spy(topo):
-        orders.append(topo)
-        return real(topo)
-
-    monkeypatch.setattr(dynamics, "topological_order", spy)
-    for i in range(4):
-        spec = PerturbationSpec.scaling(sc.network, {lid: 0.5 + 0.1 * i
-                                                     for lid in sc.topology.link_ids[:3]})
-        network_limit_flow(sc.network.perturbed(spec), sc.policy, 1.0)
-    assert orders == [sc.topology]

@@ -186,6 +186,14 @@ class TestWeakResilience:
             estimate_weak_resilience(net, two_route_policy(net.topology), 1.0, config=FAST,
                                      alphas=(0.5,), n_samples=-3)
 
+    def test_empty_alphas_rejected(self, monkeypatch):
+        net = two_route_network()
+        monkeypatch.setattr(resilience, "require_locally_responsive", None)  # no work may start
+        monkeypatch.setattr(resilience, "min_cut_capacity", None)
+        with pytest.raises(ValueError, match=r"^alphas must name at least one alpha$"):
+            estimate_weak_resilience(net, two_route_policy(net.topology), 1.0, config=FAST,
+                                     alphas=(), n_samples=2)
+
     def test_diamond_policy_certified(self):
         net = diamond_network()
         require_locally_responsive(diamond_policy(net.topology), net)

@@ -1,5 +1,6 @@
 """Scenario-document parsing, end-to-end CLI commands, and output schemas."""
 
+import functools
 import hashlib
 import json
 import math
@@ -831,6 +832,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_parser_built_once_answers_every_call_alike(self, monkeypatch, capsys):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", functools.cache(counting))
+        fresh = real()
+        for _ in range(2):
+            for argv, stream in ((["--help"], "out"), (["simulate", "--help"], "out"),
+                                 (["simulate", str(DATA / "example3.json")], "err"),
+                                 (["resilience", "x", "--seed", "-1"], "err")):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                text = getattr(capsys.readouterr(), stream)
+                with pytest.raises(SystemExit) as ref_exc:
+                    fresh.parse_args(argv)
+                assert exc.value.code == ref_exc.value.code
+                assert text == getattr(capsys.readouterr(), stream)
+            code, out = run_cli("validate", str(DATA / "example3.json"), capsys=capsys)
+            assert code == 0 and json.loads(out)["ok"] is True
+        assert len(builds) == 1
 
     def test_unstable_run_prints_only_its_error(self, tmp_path):
         # the huge step overflows expm1 and matmul before the ceiling check stops the run
