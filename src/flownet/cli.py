@@ -64,6 +64,18 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _float_list(text: str) -> tuple:
+    """``--alphas``: comma-separated numbers, rejected by the parser unless each one parses.
+
+    Their values are judged later, with the rest of the run's arguments.
+    """
+    try:
+        return tuple(float(a) for a in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -249,11 +261,10 @@ def cmd_mincut(args) -> int:
 def cmd_resilience(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _build_config(scenario, args)
-    alphas = tuple(float(a) for a in args.alphas.split(","))
     seed = args.seed if args.seed is not None else scenario.seed
     report = estimate_weak_resilience(
         scenario.network, scenario.policy, scenario.inflow,
-        config=config, alphas=alphas, n_samples=args.samples, seed=seed,
+        config=config, alphas=args.alphas, n_samples=args.samples, seed=seed,
     )
     doc = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name}
     doc.update(report.to_dict())
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resilience", help="bracket the weak resilience against min-cut")
     p.add_argument("scenario")
-    p.add_argument("--alphas", default="0.5,0.2,0.1,0.05")
+    p.add_argument("--alphas", type=_float_list, default="0.5,0.2,0.1,0.05")
     p.add_argument("--samples", type=_nonnegative_int, default=50)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--horizon", type=float)

@@ -129,6 +129,10 @@ class _Compiled:
     and the flat state of all B*m densities, member after member, as a
     fresh array.  ``flows`` is the ``_flow_map`` of (P, B*m) densities and
     ``member_flows[b]`` member b's; for a single network they are one map.
+
+    ``rhs`` keeps its link flows and routed inflows in buffers of its own,
+    overwritten by every call, so an instance is not reentrant: one run
+    (one ``_integrate``) calls it at a time.  Every run builds its own.
     """
 
     def __init__(self, networks, policy: RoutingPolicy, inflow):
@@ -166,6 +170,13 @@ class _Compiled:
         An RK4 stage may dip below zero density before the step clamps it;
         a ``ValueError`` such a policy raises on it is a ``SimulationError``
         naming the node, the stage time and the lowest density.
+
+        Only the returned derivative is fresh.  Every call overwrites two
+        buffers bound here: the exponential links' flows (a flow map of
+        other links returns its own array) and the routed inflows, (B, m,
+        1), written through a flat view and a view of the origin's range
+        that are bound here too.  The IEEE operations are those of the
+        same steps on fresh arrays, in the same order.
         """
         m, flows, route = len(self.links), self.flows, policy.route
         tails = np.array([l.tail for l in self.links])
@@ -179,6 +190,10 @@ class _Compiled:
         params = _exponential_params(fns)
         exponential = params is not None
         neg_rate, neg_f_max = params[1:3] if exponential else (None, None)
+        flow_buf = np.empty(n_members * m)
+        flow_col = flow_buf.reshape(columns)
+        lam = np.empty(columns)
+        lam_flat, lam_origin = lam.reshape(-1), lam[:, origin]
         logit = isinstance(policy, LogitPolicy)
         if logit:
             offsets = np.arange(n_members)[:, None]  # per member, over the flat state
@@ -192,15 +207,16 @@ class _Compiled:
 
         def rhs(t, rho):
             if exponential:
-                f = multiply(neg_rate, rho)
+                f = multiply(neg_rate, rho, flow_buf)
                 expm1(f, f)
                 f *= neg_f_max
+                matmul(tail_head, flow_col, lam)
             else:
                 f = flows(rho)
-            lam = matmul(tail_head, f.reshape(columns))
-            lam[:, origin] = inflow(t) if timed else inflow
+                matmul(tail_head, f.reshape(columns), lam)
+            lam_origin.fill(inflow(t) if timed else inflow)
             if logit:
-                g = neg_eta * rho
+                g = multiply(neg_eta, rho)
                 g -= max_at(g, group_starts).take(group_of_link)
                 exp(g, g)
                 g *= a_pol
@@ -218,7 +234,7 @@ class _Compiled:
                         raise SimulationError(
                             f"routing at node {v} failed on a Runge-Kutta stage at t={t:.6g} "
                             f"with density {low:.6g} below zero ({exc}); reduce dt") from exc
-            g *= lam.reshape(-1)
+            g *= lam_flat
             g -= f
             return g
 
@@ -334,7 +350,8 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
     rho / dt as a fresh array.  A step takes the IEEE operations of ``rho +
     sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and of its stages ``rho +
     half * k`` in their order, only commutative operands swapped, in the
-    buffers ``deriv`` returned (the new state in k2's), then clamps
+    buffers ``deriv`` returned (the new state in k2's) and one stage buffer
+    that the run allocates once and every stage overwrites, then clamps
     densities at zero and checks ``DENSITY_CEILING``.  The step is shrunk
     to land on the horizon (``_time_grid``).  Yields the records (step 0,
     every ``record_stride``-th and the last) from index ``first_record`` on
@@ -354,6 +371,7 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
     # 0-d arrays: an array times a Python float pays for converting the float on every call
     half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
     lowest, highest, ceiling = np.minimum.reduce, np.maximum.reduce, DENSITY_CEILING
+    multiply, s = np.multiply, np.empty_like(rho)  # s: the stage state, rewritten by every stage
     t, step = 0.0, 0
     for lo in range(first_record, end, size):
         rows = min(size, end - lo)
@@ -368,13 +386,13 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
             while step < target:
                 step += 1
                 k1 = deriv(t, rho)
-                s = k1 * half_
+                multiply(k1, half_, s)
                 s += rho
                 k2 = deriv(t + half, s)
-                s = k2 * half_
+                multiply(k2, half_, s)
                 s += rho
                 k3 = deriv(t + half, s)
-                s = k3 * dt_
+                multiply(k3, dt_, s)
                 s += rho
                 k4 = deriv(t + dt, s)
                 k2 *= two

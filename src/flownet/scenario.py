@@ -241,6 +241,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if str(lid) not in w:
                 raise ScenarioError(f"{where}: missing weight for outgoing link {lid}")
             weights[lid] = _number(w[str(lid)], f"{where}.weights.{lid}")
+        stray = set(w) - {str(lid) for lid in out}
+        if stray:
+            raise ScenarioError(f"{where}.weights: weights for links not leaving node {v}: "
+                                f"{sorted(stray)}")
+    stray = set(pol_doc) - {str(v) for v in range(topo.num_nodes) if topo.outgoing[v]}
+    if stray:
+        raise ScenarioError(f"policies: entries for unknown or destination nodes {sorted(stray)}")
     try:
         policy = LogitPolicy(topo, eta, weights)
     except ValueError as exc:

@@ -3,6 +3,8 @@
 Not collected by pytest.  Prints one JSON object with the minimum over
 ``--repeats`` runs of
 
+- one right-hand-side evaluation, ``dynamics._Compiled.rhs``, at B = 1
+  (``random8``) and 6 (``diamond5``) members, the members of the RK4 rows;
 - one RK4 step of an ensemble integrated through ``dynamics._ensemble_blocks``
   (only the last state kept), at B = 1 (``random8``), 6 (``diamond5``) and
   58 (``random8``) members, each member's links scaled by its own factors;
@@ -33,6 +35,7 @@ from flownet.scenario import parse_scenario
 from cli_digests import SWEEP_POINTS, _generate_dag
 
 DATA = Path(__file__).parent / "data"
+RHS_CASES = (("random8", 1), ("diamond5", 6))
 RK4_CASES = (("random8", 1), ("diamond5", 6), ("random8", 58))
 LIMIT_FLOW_CASES = ("diamond5", "random8")
 SWEEP_SEED = 0
@@ -44,6 +47,20 @@ def members(network, size, seed=1):
     ids = network.topology.link_ids
     return [network.perturbed(PerturbationSpec.scaling(
         network, {lid: float(rng.uniform(0.4, 1.0)) for lid in ids})) for _ in range(size)]
+
+
+def rhs_us(name, size, calls, repeats):
+    sc = load_scenario(DATA / f"{name}.json")
+    compiled = dynamics._Compiled(members(sc.network, size), sc.policy, sc.inflow)
+    rho = np.random.default_rng(2).uniform(0.0, 2.0, size * len(compiled.links))
+    rhs = compiled.rhs
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            rhs(0.0, rho)
+        best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
 
 
 def rk4_us_per_step(name, size, steps, repeats):
@@ -90,10 +107,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=2000, help="RK4 steps per run")
     parser.add_argument("--calls", type=int, default=200,
-                        help="limit-flow calls (and sweeps) per run")
+                        help="right-hand-side evaluations, limit-flow calls and sweeps per run")
     parser.add_argument("--repeats", type=int, default=7, help="runs per case; the minimum counts")
     args = parser.parse_args(argv)
     result = {
+        "rhs_us": {f"{name}_B{size}": round(rhs_us(name, size, args.calls, args.repeats), 2)
+                   for name, size in RHS_CASES},
         "rk4_us_per_step": {f"{name}_B{size}": round(rk4_us_per_step(name, size, args.steps,
                                                                      args.repeats), 2)
                             for name, size in RK4_CASES},

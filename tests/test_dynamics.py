@@ -696,11 +696,10 @@ class TestTailGather:
         rho[:, ::3] *= 10.0 ** rng.uniform(-3, 1, size=rho[:, ::3].shape)
         return rho
 
-    @pytest.mark.parametrize("name", ["random8", "diamond5", "dag20-seed6"])
-    @pytest.mark.parametrize("size", [1, 3, 58])
-    @pytest.mark.parametrize("kind", ["logit", "generic"])
-    def test_matches_per_node_inflows(self, name, size, kind):
-        sc = self.scenario(name)
+    @classmethod
+    def kernel(cls, name, size, kind):
+        """``(compiled, nets, policy, inflow)`` of ``size`` perturbed members of ``name``."""
+        sc = cls.scenario(name)
         topo = sc.topology
         nets, _ = TestEnsemble.perturbed_members(sc.network, size, seed=size)
         policy = sc.policy
@@ -710,24 +709,64 @@ class TestTailGather:
             base = nets[0].flow_functions[lid]
             nets[0] = FlowNetwork(topo, {**nets[0].flow_functions,
                                          lid: CustomFlow(lambda r: base(r), base.f_max)})
-        compiled = dynamics._Compiled(nets, policy, sc.inflow)
-        for rho in self.states(np.random.default_rng(size), size * len(topo.links)):
-            want = per_node_rhs(compiled, nets, policy, sc.inflow, rho)
-            assert np.array_equal(compiled.rhs(0.0, rho), want)
+        return dynamics._Compiled(nets, policy, sc.inflow), nets, policy, sc.inflow
 
-    def test_time_varying_inflow(self):
-        # simulate_local's kernel: a node as the origin of a two-node network
+    @staticmethod
+    def timed_kernel():
+        """simulate_local's kernel: a node as the origin of a two-node network, fed by a
+        function of time.  ``(compiled, nets, policy, inflow_fn)``."""
         fns = [ExponentialFlow(1.3, 0.9), ExponentialFlow(0.5, 2.0), ExponentialFlow(2.0, 0.4)]
         topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(fns))])
         logit = LogitPolicy(topo, eta={0: 1.2}, weights={0: 1.0, 1: 0.5, 2: 2.0})
         policy = _black_box_policy(topo, logit)
         nets = [FlowNetwork(topo, dict(enumerate(fns)))]
         inflow_fn = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)
-        compiled = dynamics._Compiled(nets, policy, inflow_fn)
+        return dynamics._Compiled(nets, policy, inflow_fn), nets, policy, inflow_fn
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5", "dag20-seed6"])
+    @pytest.mark.parametrize("size", [1, 3, 58])
+    @pytest.mark.parametrize("kind", ["logit", "generic"])
+    def test_matches_per_node_inflows(self, name, size, kind):
+        compiled, nets, policy, inflow = self.kernel(name, size, kind)
+        for rho in self.states(np.random.default_rng(size), size * len(compiled.links)):
+            want = per_node_rhs(compiled, nets, policy, inflow, rho)
+            assert np.array_equal(compiled.rhs(0.0, rho), want)
+
+    def test_time_varying_inflow(self):
+        compiled, nets, policy, inflow_fn = self.timed_kernel()
         rng = np.random.default_rng(3)
-        for t, rho in zip(rng.uniform(0.0, 10.0, 40), self.states(rng, len(fns))):
+        for t, rho in zip(rng.uniform(0.0, 10.0, 40), self.states(rng, len(compiled.links))):
             want = per_node_rhs(compiled, nets, policy, inflow_fn(t), rho)
             assert np.array_equal(compiled.rhs(t, rho), want)
+
+    # The RHS overwrites its flow and inflow buffers on every call: a derivative it
+    # returned must be neither of them nor share memory with them, so that k1 to k4
+    # of one RK4 step stay what they were.  These tests keep every result until the
+    # last call has been made.
+    @pytest.mark.parametrize("size", [1, 3, 58])
+    @pytest.mark.parametrize("kind", ["logit", "generic"])
+    def test_results_outlive_later_calls(self, size, kind):
+        compiled, nets, policy, inflow = self.kernel("random8", size, kind)
+        states = self.states(np.random.default_rng(size + 1), size * len(compiled.links))
+        got = [compiled.rhs(0.0, rho) for rho in states]
+        for rho, g in zip(states, got):
+            assert np.array_equal(g, per_node_rhs(compiled, nets, policy, inflow, rho))
+
+    def test_time_varying_results_outlive_later_calls(self):
+        compiled, nets, policy, inflow_fn = self.timed_kernel()
+        rng = np.random.default_rng(4)
+        times, states = rng.uniform(0.0, 10.0, 40), self.states(rng, len(compiled.links))
+        got = [compiled.rhs(t, rho) for t, rho in zip(times, states)]
+        for t, rho, g in zip(times, states, got):
+            assert np.array_equal(g, per_node_rhs(compiled, nets, policy, inflow_fn(t), rho))
+
+    @pytest.mark.parametrize("kind", ["logit", "generic"])
+    def test_consecutive_calls_return_distinct_arrays(self, kind):
+        compiled, *_ = self.kernel("diamond5", 3, kind)
+        rho = self.states(np.random.default_rng(5), 3 * len(compiled.links))[0]
+        first, second = compiled.rhs(0.0, rho), compiled.rhs(0.0, rho)
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
 
 class TestFlowMap:

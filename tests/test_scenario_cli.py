@@ -56,6 +56,22 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="non-destination node 2"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("node", ["1", "5"])  # the destination, a node not in the graph
+    def test_policy_for_a_node_without_outgoing_links(self, node):
+        doc = json.loads((DATA / "example3.json").read_text())
+        doc["policies"][node] = {"eta": 1.0, "weights": {}}
+        message = rf"^policies: entries for unknown or destination nodes \['{node}'\]$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("lid", ["4", "7"])  # a link out of another node, no link at all
+    def test_weight_for_a_link_not_leaving_its_node(self, lid):
+        doc = json.loads((DATA / "diamond5.json").read_text())
+        doc["policies"]["1"]["weights"][lid] = 1.0
+        with pytest.raises(ScenarioError, match=rf"^policies\.1\.weights: weights for links not "
+                                                rf"leaving node 1: \['{lid}'\]$"):
+            parse_scenario(doc)
+
     def test_unknown_perturbation_link(self):
         doc = json.loads((DATA / "example3.json").read_text())
         doc["perturbation"] = {"links": {"7": {"type": "scale", "eps": 0.5}}}
@@ -244,6 +260,22 @@ class TestCmdValidate:
         (finding,) = json.loads(out)["findings"]
         assert finding["component"] == "perturbation"
         assert finding["message"].startswith("alpha 0.001 is at or below the 1e-3 transfer slack")
+
+    def test_stray_policy_entries_are_a_document_finding(self, tmp_path, capsys):
+        # a weight for a link that does not exist, entries for the destination and for
+        # a node that does not exist: each one alone makes the document malformed
+        doc = json.loads((DATA / "example3.json").read_text())
+        doc["policies"]["0"]["weights"]["7"] = 1.0
+        doc["policies"]["1"] = doc["policies"]["5"] = {"eta": 1.0, "weights": {}}
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli("validate", str(path), capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        (finding,) = report["findings"]
+        assert finding == {"component": "document", "message":
+                           "policies.0.weights: weights for links not leaving node 0: ['7']"}
 
     def test_unparseable_document_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
@@ -628,6 +660,19 @@ class TestCmdResilience:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --samples: expected a nonnegative integer, got '{samples}'" in err
+
+    @pytest.mark.parametrize("alphas", ["0.5,", "", "0.5,x", "0.5;0.2"])
+    def test_malformed_alphas_rejected_by_the_parser(self, monkeypatch, capsys, alphas):
+        def no_work(*args):
+            raise AssertionError("no scenario may be loaded")
+
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --alphas: expected comma-separated numbers, got '{alphas}'" in err
 
     def test_infinite_horizon_is_runtime_failure(self, capsys):
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
