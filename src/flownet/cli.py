@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except (SimulationError, LocalSolverError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output path that cannot be written (inputs are ScenarioErrors)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except MemoryError as exc:  # e.g. a --sweep grid larger than memory
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_RUNTIME

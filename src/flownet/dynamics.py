@@ -653,15 +653,14 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     values, warm-starting each stage; if that fails too,
     ``LocalSolverError`` carries the best residual.
 
-    ``route_fn`` maps densities of shape (P, k) to splits of that shape.
-    ``jac_fn(rho, split=g)`` gives the routing Jacobians there, shape
-    (P, k, k) with entry [p, e, j] = dG_j/drho_e, and is handed the splits
-    ``g = route_fn(rho)`` already computed: ``RoutingPolicy.jacobian`` of
-    the node takes them that way.  Every input takes its own Newton and
+    ``route_fn`` maps densities of shape (P, k) to splits of that shape,
+    and ``jac_fn(rho)`` to the routing Jacobians there, shape (P, k, k)
+    with entry [p, e, j] = dG_j/drho_e, as ``RoutingPolicy.route`` and
+    ``jacobian`` of the node do.  Every input takes its own Newton and
     line-search steps, so its result is bit-for-bit the one it gets alone.
     The links' flow map (``_flow_map``) and slope map (``_slope_map``) are
-    built once per call, their parameters hoisted, and serve the first
-    Newton run and every homotopy stage.
+    built once per call and serve the first Newton run and every homotopy
+    stage.
     """
     lams = np.asarray(inflows, dtype=float).reshape(-1)
     return _local_solve(_node_rows(list(flow_fns), route_fn, jac_fn), lams)
@@ -705,7 +704,7 @@ class _Rows:
 
     ``mu`` and ``slope`` give the links' flows and their slopes, ``route``
     the splits, and ``jac(rho, g)`` the splits' Jacobians in standard
-    orientation, [r, j, e] = dG_j/drho_e, from ``g = route(rho)``;
+    orientation, [r, j, e] = dG_j/drho_e (``g = route(rho)`` goes unused);
     ``f_max`` is the links' capacities as one (1, k) row.  The maps take
     any rows alike, so ``take`` (the maps of some rows) returns them as
     they are.
@@ -722,7 +721,7 @@ def _node_rows(flow_fns, route_fn, jac_fn):
     """``_Rows`` of one node: its flow and slope maps, and the policy's splits and Jacobians."""
     return _Rows(np.array([[ff.f_max for ff in flow_fns]]), _flow_map(flow_fns),
                  _slope_map(flow_fns), route_fn,
-                 lambda rho, g: jac_fn(rho, split=g).transpose(0, 2, 1))
+                 lambda rho, g: jac_fn(rho).transpose(0, 2, 1))
 
 
 class _LogitRows:
@@ -731,8 +730,8 @@ class _LogitRows:
     ``params`` holds each row's node parameters, or one row that every row
     shares: the node's ``_exponential_params`` raveled, its links' logit
     weights, then its ``-eta`` and ``eta``, shape (R, 5k + 2).  The maps
-    take the IEEE operations of ``_flow_map``, ``_slope_map`` and
-    ``LogitPolicy.route``/``jacobian`` row by row, so every row's result is
+    take the IEEE operations of ``_flow_map``, ``ExponentialFlow.derivative``
+    and ``LogitPolicy.route``/``jacobian`` row by row, so every row's result is
     bit-for-bit its node's.  One-link rows skip routing: their split is
     exactly 1.0 at any finite density and its derivative ±0.  The logit
     Jacobian is symmetric (IEEE products commute), so it is already in
@@ -877,7 +876,12 @@ def _exponential_flows(neg_rate, neg_f_max, rho):
 
 
 def _exponential_slopes(neg_rate, scale, rho):
-    """Exponential link slopes ``(rate * f_max) * exp((-rate) * rho)``, ``exp`` from libm."""
+    """Exponential link slopes ``(rate * f_max) * exp((-rate) * rho)``, ``exp`` from libm.
+
+    The IEEE operations, in order, of ``ExponentialFlow.derivative``, so
+    every slope is bit-for-bit that call's; ``np.exp`` is not used, its
+    SIMD kernels differ from libm in the last bit on some inputs.
+    """
     arg = neg_rate * rho
     out = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
     out = out.reshape(arg.shape)
@@ -892,9 +896,8 @@ def _flow_map(flow_fns):
     an ensemble's members one after another).  Exponential links fill one
     result array in place, their parameters hoisted and negated as (1, k)
     rows, bit-for-bit what each function's ``__call__`` gives (negation is
-    exact and IEEE products are sign-symmetric); at P = 1 the row products
-    skip numpy's broadcasting setup.  Any other family runs each flow
-    function on its column, on densities of any leading shape.
+    exact and IEEE products are sign-symmetric).  Any other family runs
+    each flow function on its column, on densities of any leading shape.
     """
     fns = list(flow_fns)
     params = _exponential_params(fns)
@@ -911,26 +914,9 @@ def _flow_map(flow_fns):
 
 
 def _slope_map(flow_fns):
-    """Flow-function slopes as a map from densities (P, k) to slopes of that shape.
-
-    All-exponential links hoist ``-rate`` and ``rate * f_max`` once as
-    (1, k) rows, like ``_flow_map``; each call takes ``(-rate) * rho`` in
-    numpy, maps libm's ``math.exp`` over it and scales.  Those are the IEEE
-    operations, in the order, of ``ExponentialFlow.derivative``, ``(rate *
-    f_max) * math.exp((-rate) * rho)``, so every slope is bit-for-bit that
-    call's and the Newton iterates do not move.  ``np.exp`` is not used:
-    its SIMD kernels differ from libm in the last bit on some inputs.  Any
-    other family calls each flow function's ``derivative`` per element.
-    """
-    params = _exponential_params(flow_fns)
-    if params is not None:
-        return functools.partial(_exponential_slopes, params[1:2], params[3:4])
-
-    def slopes(rho):
-        return np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
-                         for row in rho.tolist()])
-
-    return slopes
+    """Slopes of densities (P, k): each flow function's ``derivative`` on its column, per element."""
+    return lambda rho: np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
+                                 for row in rho.tolist()])
 
 
 def network_limit_flow(network: FlowNetwork, policy: RoutingPolicy, inflow: float) -> LimitFlow:

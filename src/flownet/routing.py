@@ -95,13 +95,11 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def jacobian(self, v: int, rho_v, split=None) -> np.ndarray:
+    def jacobian(self, v: int, rho_v) -> np.ndarray:
         """Matrix [e, j] = d G_j / d rho_e (rows sum to 0 on the simplex).
 
-        Density vectors of shape (..., k) give Jacobians of shape (..., k, k).
-        ``split`` may pass ``route(v, rho_v)`` when the caller holds it; a
-        policy whose Jacobian is a function of its split then skips routing
-        again.  Central differences, the default, ignore it.
+        Density vectors of shape (..., k) give Jacobians of shape (..., k, k),
+        by central differences unless a policy knows its own.
         """
         return finite_difference_jacobian(lambda x: self.route(v, x), rho_v)
 
@@ -141,9 +139,8 @@ class LogitPolicy(RoutingPolicy):
             raise ValueError("negative density")
         return _logit_split(-self.eta[v], a, rho)
 
-    def jacobian(self, v: int, rho_v, split=None) -> np.ndarray:
-        g = self.route(v, rho_v) if split is None else split
-        return _logit_jacobian(g, self.eta[v], -self.eta[v])
+    def jacobian(self, v: int, rho_v) -> np.ndarray:
+        return _logit_jacobian(self.route(v, rho_v), self.eta[v], -self.eta[v])
 
 
 def _logit_split(neg_eta, a, rho):
@@ -248,20 +245,24 @@ def check_property_b(policy: RoutingPolicy, v: int, subset) -> PropertyReport:
 
 
 def responsiveness_findings(policy: RoutingPolicy, seed: int = 0) -> list:
-    """Where sampled checks contradict the locally responsive properties.
+    """Where sampled checks contradict the locally responsive properties or
+    the strictly positive splits the resilience guarantee assumes.
 
     Every non-destination node gets property (a) on ``POLICY_SAMPLES``
     densities drawn from ``seed`` (the same draws at every node) and, with
     two or more outgoing links, property (b) with its first link as the
-    surviving subset.  Returns ``(node, message)`` pairs in node order,
-    (a) before (b) at a node; an empty list means every check passed.
+    surviving subset.  Then every such node, in node order, routes 32
+    log-uniform density vectors over [1e-2, 1e2] drawn from one generator
+    seeded with ``seed``, and every share must be above 0.  Returns
+    ``(node, message)`` pairs: the property findings in node order ((a)
+    before (b) at a node), then the positivity findings in node order; an
+    empty list means every check passed.
     """
     topo = policy.topology
     findings = []
-    for v in range(topo.num_nodes):
+    senders = [v for v in range(topo.num_nodes) if topo.outgoing[v]]
+    for v in senders:
         out = topo.outgoing[v]
-        if not out:
-            continue
         rep = check_property_a(policy, v, n_samples=POLICY_SAMPLES, rng=seed)
         if not rep.passed:
             findings.append((v, "cross-partial property (a) violated: inflow share may rise "
@@ -271,6 +272,11 @@ def responsiveness_findings(policy: RoutingPolicy, seed: int = 0) -> list:
             if not rep_b.passed:
                 findings.append((v, "limit property (b) violated: congested links keep "
                                     f"{rep_b.detail['off_subset_mass']:.3e} of the split"))
+    rng = np.random.default_rng(seed)
+    for v in senders:
+        probe = 10.0 ** rng.uniform(-2, 2, size=(32, len(topo.outgoing[v])))
+        if policy.route(v, probe).min() <= 0.0:
+            findings.append((v, "routing split is not strictly positive"))
     return findings
 
 

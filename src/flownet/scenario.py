@@ -83,6 +83,13 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _known(body: dict, keys, where: str) -> None:
+    """Refuse fields of ``body`` outside ``keys``: a misspelt field would otherwise go unread."""
+    stray = set(body) - set(keys)
+    if stray:
+        raise ScenarioError(f"{where}: unknown fields {sorted(stray)}")
+
+
 def _kind(value) -> str:
     """What ``value`` is in JSON terms, for error messages."""
     names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
@@ -161,9 +168,13 @@ def _perturbation_section(raw, topo: NetworkTopology):
         raise ScenarioError("perturbation: expected a 'links' map or a 'cut_attack' section")
     if len(forms) > 1:
         raise ScenarioError("perturbation: holds both a 'links' map and a 'cut_attack' section")
+    _known(raw, ("links", "cut_attack"), "perturbation")
     if "cut_attack" in raw:
         where = "perturbation.cut_attack"
-        return _number(_need(_object(raw["cut_attack"], where), "alpha", where), f"{where}.alpha"), None
+        body = _object(raw["cut_attack"], where)
+        alpha = _number(_need(body, "alpha", where), f"{where}.alpha")
+        _known(body, ("alpha",), where)
+        return alpha, None
     links = _object(raw["links"], "perturbation.links")
     stray = set(links) - {str(lid) for lid in topo.link_ids}
     if stray:
@@ -175,11 +186,22 @@ def _perturbation_section(raw, topo: NetworkTopology):
         if body.get("type", "scale") != "scale":
             raise ScenarioError(f"{where}: unknown type {body.get('type')!r}")
         scalings[int(key)] = _number(_need(body, "eps", where), f"{where}.eps")
+        _known(body, ("type", "eps"), where)
     return None, scalings
 
 
+# The fields of a scenario document; any other is refused
+DOCUMENT_FIELDS = ("name", "nodes", "links", "flow_functions", "policies", "inflow", "seed",
+                   "perturbation", "simulation")
+
+
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    """Build a Scenario from a decoded JSON object, checking cross-references."""
+    """Build a Scenario from a decoded JSON object, checking cross-references.
+
+    Every fixed-field object (the document, a link, a flow function, a
+    policy, the perturbation and its parts) refuses fields it does not
+    know, after its own checks.
+    """
     doc = _object(doc, "scenario document")
     name = str(doc.get("name", name))
     nodes = _number(_need(doc, "nodes", "scenario"), "nodes", integer=True)
@@ -196,6 +218,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         raw = _object(raw, where)
         lid, tail, head = (_number(_need(raw, key, where), f"{where}.{key}", integer=True)
                            for key in ("id", "tail", "head"))
+        _known(raw, ("id", "tail", "head"), where)
         links.append(Link(lid, tail, head))
     try:
         topo = NetworkTopology(nodes, links)
@@ -215,6 +238,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"{where}: unknown family {family!r}")
         rate = _number(_need(body, "a", where), f"{where}.a")
         f_max = _number(_need(body, "f_max", where), f"{where}.f_max")
+        _known(body, ("family", "a", "f_max"), where)
         try:
             fns[lid] = ExponentialFlow(rate, f_max)
         except ValueError as exc:
@@ -245,6 +269,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if stray:
             raise ScenarioError(f"{where}.weights: weights for links not leaving node {v}: "
                                 f"{sorted(stray)}")
+        _known(body, ("eta", "weights"), where)
     stray = set(pol_doc) - {str(v) for v in range(topo.num_nodes) if topo.outgoing[v]}
     if stray:
         raise ScenarioError(f"policies: entries for unknown or destination nodes {sorted(stray)}")
@@ -267,6 +292,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if pert is not None and initial_density is not None:
         raise ScenarioError("simulation.initial_density: a run with a perturbation starts from "
                             "the unperturbed limit flow; drop one of the two")
+    _known(doc, DOCUMENT_FIELDS, "scenario")
 
     return Scenario(
         name=name,
@@ -283,12 +309,27 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read, decode and parse the scenario file at ``path``.
+
+    A file that cannot be read, is not UTF-8 or is not JSON that Python
+    can decode (nested past the recursion limit, an integer literal past
+    the digit limit) is a ``ScenarioError`` naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to decode") from exc
+    except ValueError as exc:  # e.g. an integer literal past sys.get_int_max_str_digits()
+        raise ScenarioError(f"{path}: cannot decode the JSON: {exc}") from exc
     return parse_scenario(doc, name=str(path))
 
 

@@ -1,0 +1,65 @@
+"""Run one default-settings CLI command and check its recorded digests and peak RSS.
+
+Usage::
+
+    PYTHONPATH=src python tests/ci_default_runs.py <name>
+
+``<name>`` is a row of ``RUNS``: the command runs once in a child process,
+its outputs are hashed with SHA-256, and the script exits nonzero unless
+every digest matches and the child's peak RSS stays at or below the row's
+bound.  One line reports the digests, the peak RSS and the wall time.  The
+runs take seconds each, so pytest does not collect this file.
+"""
+
+import hashlib
+import pathlib
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+# name -> (CLI arguments, the outputs' SHA-256 digests, peak RSS bound in MB).
+# An output is stdout ("stdout") or the file at the ``--out`` prefix plus a
+# suffix ("csv", "summary.json"); "{out}" in the arguments is that prefix.
+RUNS = {
+    "diamond5-resilience": (
+        ["resilience", "tests/data/diamond5.json"],
+        {"stdout": "e628f33f720913111aea9c5dff41ef6f69aa733724a0744651e10a08ef3eabb3"},
+        80),
+    "random8-resilience": (
+        ["resilience", "tests/data/random8.json"],
+        {"stdout": "898d665670965c4b4beabe91248e9dcccc467b3fdb11715c510a4245700edf24"},
+        140),
+    "random8-simulate": (
+        ["simulate", "tests/data/random8.json", "--out", "{out}"],
+        {"csv": "2dcf760e8268ce5044989c7ff591dd4b7d88bfd0729f69f14a643235b8dfabbc",
+         "summary.json": "a44870ede2df937c86385fabde4ce69b71a6ec9204cfbba9f36ec159b9e64053"},
+        90),
+}
+
+
+def run(name: str) -> bool:
+    """Run ``RUNS[name]``, print its report line, and say whether it passed."""
+    args, want, bound_mb = RUNS[name]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = pathlib.Path(tmp) / name.split("-")[0]
+        stdout = subprocess.run([sys.executable, "-m", "flownet.cli"]
+                                + [a.format(out=prefix) for a in args],
+                                stdout=subprocess.PIPE, check=True).stdout
+        got = {out: hashlib.sha256(stdout if out == "stdout"
+                                   else pathlib.Path(f"{prefix}.{out}").read_bytes()).hexdigest()
+               for out in want}
+    wall_s = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    digests = ", ".join(("" if out == "stdout" else f"{out.split('.')[0]} ") + f"sha256 {digest}"
+                        for out, digest in got.items())
+    print(f"{digests}, peak RSS {peak_mb:.1f} MB, wall {wall_s:.1f} s")
+    return got == want and peak_mb <= bound_mb
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in RUNS:
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(RUNS)}}}")
+    sys.exit(not run(sys.argv[1]))

@@ -206,7 +206,7 @@ class TestLocalLimitFlow:
         topo, net, policy = two_route
         (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
                                            lambda r: policy.route(0, r),
-                                           lambda r, split: policy.jacobian(0, r, split), [0.0])
+                                           lambda r: policy.jacobian(0, r), [0.0])
         assert not sat
         np.testing.assert_array_equal(f, [0.0, 0.0])
 
@@ -215,7 +215,7 @@ class TestLocalLimitFlow:
         for lam in (0.25, 0.7, 1.0, 1.45):
             (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
                                                lambda r: policy.route(0, r),
-                                               lambda r, split: policy.jacobian(0, r, split), [lam])
+                                               lambda r: policy.jacobian(0, r), [lam])
             assert not sat
             np.testing.assert_allclose(f, two_route_fixed_point_oracle(lam), atol=1e-9)
             assert f.sum() == pytest.approx(lam, abs=1e-9)  # conservation
@@ -225,7 +225,7 @@ class TestLocalLimitFlow:
         for lam in (1.5, 2.0):
             (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
                                                lambda r: policy.route(0, r),
-                                               lambda r, split: policy.jacobian(0, r, split), [lam])
+                                               lambda r: policy.jacobian(0, r), [lam])
             assert sat
             np.testing.assert_array_equal(f, [0.75, 0.75])
 
@@ -237,7 +237,7 @@ class TestLocalLimitFlow:
         step = grid[1] - grid[0]
         for lam in grid:
             (f,), _, _ = local_limit_flow(fns, lambda r: policy.route(0, r),
-                                          lambda r, split: policy.jacobian(0, r, split), [lam])
+                                          lambda r: policy.jacobian(0, r), [lam])
             assert f.sum() == pytest.approx(min(lam, 1.5), abs=1e-8)
             if prev is not None:
                 assert np.abs(f - prev).max() < 12.0 * step  # continuity, O(grid step)
@@ -250,7 +250,7 @@ class TestLocalLimitFlow:
         with pytest.raises(ValueError, match="inflow must be nonnegative"):
             local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
                              lambda r: policy.route(0, r),
-                             lambda r, split: policy.jacobian(0, r, split), [0.5, lam])
+                             lambda r: policy.jacobian(0, r), [0.5, lam])
 
 
 class TestNetworkLimitFlow:
@@ -827,7 +827,8 @@ class TestSlopeMap:
                 fns = [ExponentialFlow(float(a), float(c))
                        for a, c in zip(rates, 10.0 ** rng.uniform(-1, 1, size=k))]
                 rho = self.densities(rng, rates, n)
-                got = dynamics._slope_map(fns)(rho)
+                params = dynamics._exponential_params(fns)
+                got = dynamics._exponential_slopes(params[1:2], params[3:4], rho)
                 assert got.shape == (n, k)
                 assert np.array_equal(got, _derivative_rows(fns, rho)), (n, k)
                 subnormal += int(((got > 0) & (got < tiny)).sum())

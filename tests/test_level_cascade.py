@@ -8,6 +8,7 @@ the first failing node.
 """
 
 import functools
+import json
 import random
 
 import numpy as np
@@ -25,11 +26,11 @@ from flownet import (
     min_cut_capacity,
     network_limit_flow,
 )
-from flownet import dynamics
+from flownet import cli, dynamics
 from flownet.dynamics import network_limit_flows
 from flownet.scenario import parse_scenario
 
-from cli_digests import SWEEP_POINTS, _generate_dag
+from cli_digests import DATA, SWEEP_POINTS, _generate_dag
 from serial_cascade import serial_limit_flows
 
 generate_dag = _generate_dag()
@@ -130,7 +131,7 @@ def test_first_failure_in_topological_order_is_reported():
         out = net.topology.outgoing[v]
         _, _, (err,) = dynamics.local_limit_flow(
             [net.flow_functions[lid] for lid in out], lambda r: policy.route(v, r),
-            lambda r, split=None: policy.jacobian(v, r, split=split), [inflow])
+            lambda r: policy.jacobian(v, r), [inflow])
         return err
 
     both = 0
@@ -176,3 +177,25 @@ def test_dag43_sweep_solves_fourteen_node_groups(monkeypatch):
     assert sum(bool(out) for out in sc.topology.outgoing.values()) == 19
     assert len(rows) == 14 and sum(rows) == 19 * SWEEP_POINTS
 
+
+
+def test_no_command_reaches_the_per_node_rows(monkeypatch, tmp_path, capsys):
+    # a scenario document holds logit policies on exponential links only, so every
+    # node of every command solves on ``_LogitRows``; ``_node_rows`` serves only
+    # generic policies and custom flows, which no document can name
+    def refuse(*args):
+        raise AssertionError("a command solved a node on the per-node rows")
+
+    monkeypatch.setattr(dynamics, "_node_rows", refuse)
+    dag = tmp_path / "dag20-seed3.json"
+    dag.write_text(json.dumps(generate_dag(3)), encoding="utf-8")
+    valid = [DATA / f"{name}.json" for name in ("example3", "example3_cutattack", "diamond5",
+                                                "random8", "chain21")] + [dag]
+    for path in valid:
+        for argv in (["validate", str(path)], ["mincut", str(path)],
+                     ["limitflow", str(path), "--sweep", "0:3:41"],
+                     ["simulate", str(path), "--horizon", "5", "--out", str(tmp_path / "run")],
+                     ["resilience", str(path), "--alphas", "0.5", "--samples", "1",
+                      "--horizon", "40"]):
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv

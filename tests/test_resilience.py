@@ -175,7 +175,7 @@ class TestWeakResilience:
         from flownet import LogitPolicy
         anti = LogitPolicy(net.topology, eta={0: -1.0}, weights={0: 0.6, 1: 6.0})
         with pytest.raises(ValueError):
-            require_locally_responsive(anti, net)
+            require_locally_responsive(anti)
         with pytest.raises(ValueError):
             estimate_weak_resilience(net, anti, 1.0, config=FAST, alphas=(0.5,), n_samples=2)
 
@@ -196,8 +196,8 @@ class TestWeakResilience:
 
     def test_diamond_policy_certified(self):
         net = diamond_network()
-        require_locally_responsive(diamond_policy(net.topology), net)
-        require_locally_responsive(uniform_logit_policy(net.topology), net)
+        require_locally_responsive(diamond_policy(net.topology))
+        require_locally_responsive(uniform_logit_policy(net.topology))
 
 
 class TestBatchedVerdicts:

@@ -18,7 +18,8 @@ from flownet import (
     cooperative_gap,
     simulate,
 )
-from flownet.routing import _sample_densities, finite_difference_jacobian
+from flownet.routing import (_sample_densities, finite_difference_jacobian,
+                             responsiveness_findings)
 
 from conftest import two_route_policy, two_route_topology
 
@@ -247,3 +248,19 @@ class TestCooperativeGap:
             for _ in range(200)
         ]
         assert max(gaps) > 1e-3
+
+
+class TestResponsivenessFindings:
+    def test_positivity_finding_follows_the_property_findings(self):
+        # eta = -50 seeks congestion so hard that a probed share underflows to 0
+        policy = LogitPolicy(two_route_topology(), eta={0: -50.0}, weights={0: 0.6, 1: 6.0})
+        findings = responsiveness_findings(policy)
+        assert [message.split(" ")[0] for _, message in findings] == \
+            ["cross-partial", "limit", "routing"]
+        assert findings[-1] == (0, "routing split is not strictly positive")
+
+    def test_steep_responsive_split_is_not_strictly_positive(self):
+        # eta = 50 passes properties (a) and (b), but exp(-50 * rho) underflows
+        policy = LogitPolicy(two_route_topology(), eta={0: 50.0}, weights={0: 0.6, 1: 6.0})
+        assert responsiveness_findings(policy) == [(0, "routing split is not strictly positive")]
+        assert responsiveness_findings(two_route_policy(two_route_topology())) == []

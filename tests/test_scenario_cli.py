@@ -196,6 +196,109 @@ class TestMalformedNumbers:
         assert report["findings"][0]["message"].startswith("inflow: ")
 
 
+class TestUnknownFields:
+    """A field no fixed-field object knows is a document error, not silently unread."""
+
+    CASES = {
+        "document": (lambda doc: doc.update(perturbaton={"cut_attack": {"alpha": 0.25}}),
+                     "scenario", "perturbaton"),
+        "link": (lambda doc: doc["links"][0].update(capacity=1.0), "links.0", "capacity"),
+        "flow-function": (lambda doc: doc["flow_functions"]["1"].update(rate=2.0),
+                          "flow_functions.1", "rate"),
+        "policy": (lambda doc: doc["policies"]["0"].update(etta=2.0), "policies.0", "etta"),
+        "perturbation": (lambda doc: doc.update(perturbation={"cut_attack": {"alpha": 0.25},
+                                                              "scale": 0.5}),
+                         "perturbation", "scale"),
+        "cut-attack": (lambda doc: doc.update(perturbation={"cut_attack": {"alpha": 0.25,
+                                                                           "alpah": 0.5}}),
+                       "perturbation.cut_attack", "alpah"),
+        "perturbed-link": (lambda doc: doc.update(perturbation={"links": {"0": {
+            "type": "scale", "eps": 0.5, "epsilon": 0.5}}}), "perturbation.links.0", "epsilon"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_by_parse_and_validate(self, tmp_path, capsys, case):
+        mutate, where, field = self.CASES[case]
+        doc = json.loads((DATA / "example3.json").read_text())
+        mutate(doc)
+        message = f"{where}: unknown fields ['{field}']"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli("validate", str(path), capsys=capsys)
+        assert code == 1
+        assert json.loads(out)["findings"] == [{"component": "document", "message": message}]
+
+    def test_misspelt_perturbation_form_keeps_its_message(self):
+        doc = json.loads((DATA / "example3.json").read_text())
+        doc["perturbation"] = {"cut_atack": {"alpha": 0.25}}
+        with pytest.raises(ScenarioError, match=r"^perturbation: expected a 'links' map or a "
+                                                r"'cut_attack' section$"):
+            parse_scenario(doc)
+
+
+class TestUnreadableFiles:
+    """An input that cannot be read or decoded exits 1 and an output that cannot be
+    written exits 2, each with one ``error:`` line (``validate``: its report) and no
+    traceback."""
+
+    INPUTS = {
+        "missing": None,
+        "directory": "dir",
+        "not-utf-8": b'{"name": "caf\xe9"}',
+        "nested-past-the-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+        "integer-of-5000-digits": b'{"nodes": ' + b"9" * 5000 + b"}",
+    }
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "mincut", "limitflow",
+                                         "resilience"])
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    def test_unreadable_input_exits_one(self, tmp_path, capsys, command, case):
+        path = tmp_path / "scenario.json"
+        content = self.INPUTS[case]
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        extra = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+        code, captured = self.run([command, str(path)] + extra, capsys)
+        assert code == 1
+        if command == "validate":
+            report = json.loads(captured.out)
+            assert report["ok"] is False
+            (finding,) = report["findings"]
+            assert finding["component"] == "document"
+            assert finding["message"].startswith(f"{path}: ")
+        else:
+            assert captured.err.startswith(f"error: {path}: ")
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["mincut", str(DATA / "example3.json"), "--out", "{file}/x"],
+        ["simulate", str(DATA / "example3.json"), "--horizon", "1", "--out", "{file}/x"],
+        ["limitflow", str(DATA / "example3.json"), "--out", "{file}/x"],
+        ["validate", str(DATA / "example3.json"), "--report", "{dir}"],
+    ], ids=["mincut-out-under-a-file", "simulate-out-under-a-file",
+            "limitflow-out-under-a-file", "validate-report-a-directory"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
+        code, captured = self.run(argv, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestNodeCount:
     """A node count beyond what the links can join is a document error, found before
     any per-node table is built."""
@@ -717,6 +820,22 @@ class TestCmdResilience:
                      "--alphas", "0.1", "--samples", "2", "--seed", "0"]) == 2
         node = first["component"][len("policy["):-1]
         assert capsys.readouterr().err == f"error: node {node}: {first['message']}\n"
+
+
+    def test_non_positive_split_is_validates_first_finding(self, tmp_path, capsys):
+        # eta = 10 passes properties (a) and (b) on diamond5, but a probed split underflows
+        doc = json.loads((DATA / "diamond5.json").read_text())
+        for body in doc["policies"].values():
+            body["eta"] = 10.0
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli("validate", str(path), capsys=capsys)
+        assert code == 1
+        assert json.loads(out)["findings"] == [
+            {"component": "policy[1]", "message": "routing split is not strictly positive"}]
+        assert main(["resilience", str(path), "--alphas", "0.5", "--samples", "1",
+                     "--horizon", "30"]) == 2
+        assert capsys.readouterr().err == "error: node 1: routing split is not strictly positive\n"
 
 
 class TestGoldenFiles:
