@@ -4,6 +4,13 @@ Every command is a pure function of (scenario file, flags, seed): rerunning
 with the same inputs produces byte-identical outputs.  Relative output
 paths resolve against $FLOWNET_OUTDIR when it is set.
 
+Each ``cmd_*`` returns its exit code, its stdout text and its output files
+as ``{path: text}``; ``main`` writes the files in order, then stdout, so a
+run whose outputs cannot be written prints nothing there.  ``simulate``'s
+CSV is the one file a command writes itself, streamed as it integrates.
+A manifest records the arguments ``main`` parsed and the SHA-256 of the
+scenario bytes the run read.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
 
@@ -12,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +70,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    """``--out`` and ``--report``: a path, refused by the parser when empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a nonempty path")
+    return text
+
+
 def _float_list(text: str) -> tuple:
     """``--alphas``: comma-separated numbers, rejected by the parser unless each one parses.
 
@@ -80,19 +93,21 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(prefix: Path, args_list, scenario_path, seed, outputs):
-    digest = hashlib.sha256(Path(scenario_path).read_bytes()).hexdigest()
+def _manifest(prefix: Path, argv, scenario: Scenario, seed, outputs) -> dict:
+    """The run's manifest, ``<prefix>.manifest.json``, as one more output file.
+
+    It records ``argv`` as ``main`` parsed it and the digest of the scenario
+    bytes the run was parsed from, not of the file as it is afterwards.
+    """
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "command": args_list,
-        "scenario_sha256": digest,
+        "command": argv,
+        "scenario_sha256": scenario.sha256,
         "seed": seed,
         "tool_version": __version__,
         "outputs": [str(o) for o in outputs],
     }
-    path = prefix.parent / (prefix.name + ".manifest.json")
-    path.write_text(_dump_json(manifest), encoding="utf-8")
-    return path
+    return {prefix.parent / (prefix.name + ".manifest.json"): _dump_json(manifest)}
 
 
 def _build_config(scenario: Scenario, args) -> SimulationConfig:
@@ -158,22 +173,20 @@ def _encoder_error(encoder) -> RuntimeError:
                         + (f": {lines[-1]}" if lines else ""))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, argv):
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         report = {"ok": False, "scenario": str(args.scenario),
                   "findings": [{"component": "document", "message": str(exc)}]}
-        sys.stdout.write(_dump_json(report))
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, _dump_json(report), {}
     report = validate_scenario(scenario)
-    sys.stdout.write(_dump_json(report))
-    if args.report:
-        _resolve_out(args.report).write_text(_dump_json(report), encoding="utf-8")
-    return EXIT_OK if report["ok"] else EXIT_VALIDATION
+    text = _dump_json(report)
+    return (EXIT_OK if report["ok"] else EXIT_VALIDATION, text,
+            {_resolve_out(args.report): text} if args.report else {})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, argv):
     scenario = load_scenario(args.scenario)
     config = _build_config(scenario, args)
     spec = scenario.perturbation_spec()
@@ -233,14 +246,12 @@ def cmd_simulate(args) -> int:
             summary["attack"]["defeated"] = not transfer.transferring
 
     summary_path = out.parent / (out.name + ".summary.json")
-    summary_path.write_text(_dump_json(summary), encoding="utf-8")
-    manifest = _write_manifest(out, sys.argv[1:], args.scenario, scenario.seed,
-                               [csv_path, summary_path])
-    sys.stdout.write(_dump_json({"outputs": [str(csv_path), str(summary_path), str(manifest)]}))
-    return EXIT_OK
+    files = {summary_path: _dump_json(summary),
+             **_manifest(out, argv, scenario, scenario.seed, [csv_path, summary_path])}
+    return EXIT_OK, _dump_json({"outputs": [str(p) for p in (csv_path, *files)]}), files
 
 
-def cmd_mincut(args) -> int:
+def cmd_mincut(args, argv):
     scenario = load_scenario(args.scenario)
     caps = scenario.network.capacities()
     # the cut comes certified against the max-flow value of the same run
@@ -252,13 +263,11 @@ def cmd_mincut(args) -> int:
         "max_flow": cut.flow_value,
         "cut": {"origin_side": sorted(cut.origin_side), "links": sorted(cut.cut_links)},
     }
-    sys.stdout.write(_dump_json(doc))
-    if args.out:
-        _resolve_out(args.out).write_text(_dump_json(doc), encoding="utf-8")
-    return EXIT_OK
+    text = _dump_json(doc)
+    return EXIT_OK, text, {_resolve_out(args.out): text} if args.out else {}
 
 
-def cmd_resilience(args) -> int:
+def cmd_resilience(args, argv):
     scenario = load_scenario(args.scenario)
     config = _build_config(scenario, args)
     seed = args.seed if args.seed is not None else scenario.seed
@@ -268,19 +277,18 @@ def cmd_resilience(args) -> int:
     )
     doc = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name}
     doc.update(report.to_dict())
-    sys.stdout.write(_dump_json(doc))
-    if args.out:
-        out = _resolve_out(args.out)
-        out.write_text(_dump_json(doc), encoding="utf-8")
-        _write_manifest(out, sys.argv[1:], args.scenario, seed, [out])
-    return EXIT_OK
+    text = _dump_json(doc)
+    if not args.out:
+        return EXIT_OK, text, {}
+    out = _resolve_out(args.out)
+    return EXIT_OK, text, {out: text, **_manifest(out, argv, scenario, seed, [out])}
 
 
 # Sweep points solved per ``network_limit_flows`` call by ``limitflow``.
 _SWEEP_CHUNK = 1024
 
 
-def cmd_limitflow(args) -> int:
+def cmd_limitflow(args, argv):
     scenario = load_scenario(args.scenario)
     if args.sweep:
         try:
@@ -317,15 +325,11 @@ def cmd_limitflow(args) -> int:
                     + ["ok"]
                 ))
         blocks.append("\n".join(lines) + "\n")
-    if args.out:
-        out = _resolve_out(args.out)
-        with out.open("w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
-        _write_manifest(out, sys.argv[1:], args.scenario, scenario.seed, [out])
-        sys.stdout.write(_dump_json({"outputs": [str(out)]}))
-    else:
-        sys.stdout.writelines(blocks)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, blocks, {}
+    out = _resolve_out(args.out)
+    return (EXIT_OK, _dump_json({"outputs": [str(out)]}),
+            {out: blocks, **_manifest(out, argv, scenario, scenario.seed, [out])})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,19 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario document end to end")
     p.add_argument("scenario")
-    p.add_argument("--report", help="also write the JSON report here")
+    p.add_argument("--report", type=_output_path, help="also write the JSON report here")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("simulate", help="integrate the dynamics, write CSV + summary")
     p.add_argument("scenario")
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)
-    p.add_argument("--out", required=True, help="output prefix (.csv / .summary.json)")
+    p.add_argument("--out", type=_output_path, required=True,
+                   help="output prefix (.csv / .summary.json)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("mincut", help="min-cut capacity and witness cut")
     p.add_argument("scenario")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_path)
     p.set_defaults(fn=cmd_mincut)
 
     p = sub.add_parser("resilience", help="bracket the weak resilience against min-cut")
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: verdicts run as in-process ensembles")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_path)
     p.set_defaults(fn=cmd_resilience)
 
     p = sub.add_parser("limitflow", help="asymptotic flows, optionally swept over inflow")
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="inflow grid as start:stop:num")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the sweep runs as one batched cascade")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_path)
     p.set_defaults(fn=cmd_limitflow)
     return parser
 
@@ -379,12 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _write(stream, text) -> None:
+    """Write a returned text: one string, or ``limitflow``'s list of per-chunk blocks."""
+    stream.writelines([text] if isinstance(text, str) else text)
+
+
 def main(argv=None) -> int:
+    """Run one command: write the files it returns in order, then its stdout."""
+    argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(argv)
     try:
         # an unstable run overflows before its clean error: no numpy warnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args)
+            code, stdout, files = args.fn(args, argv)
+        for path, text in files.items():
+            with path.open("w", encoding="utf-8") as fh:
+                _write(fh, text)
+        _write(sys.stdout, stdout)
+        return code
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

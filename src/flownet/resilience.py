@@ -252,13 +252,17 @@ def _bisect_scaling(defeated, eps_lo: float, capacity: float, delta_tol: float):
     """The smallest defeating uniform cut scaling, to within ``delta_tol`` in magnitude.
 
     ``defeated(eps)`` is the verdict on scaling the cut by eps.  ``eps_lo``
-    (the provably fatal scaling) is confirmed first, then bisected against
-    the identity.  Returns ``(eps_lo, eps_hi, evaluations)``: the final
-    defeating and preserved scalings and the number of verdicts taken.
+    (the cut argument's scaling) is confirmed first and halved until it
+    defeats, then bisected against the identity.  Halving is needed for
+    alpha in (1e-3, 2e-3]: there the cut's bound on the outflow,
+    alpha * inflow / 2, is not below the verdict threshold
+    alpha * inflow - 1e-3 * inflow.  Returns
+    ``(eps_lo, eps_hi, evaluations)``: the final defeating and preserved
+    scalings and the number of verdicts taken.
     """
     evaluations = 1
     while not defeated(eps_lo):
-        eps_lo *= 0.5  # should not happen; keep the bracket honest
+        eps_lo *= 0.5  # the cut bound is not below the threshold
         if eps_lo < 1e-12:
             raise RuntimeError("failed to find a defeating attack below min-cut scale")
         evaluations += 1

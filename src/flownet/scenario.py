@@ -26,6 +26,7 @@ A per-link perturbation instead looks like
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
@@ -52,7 +53,9 @@ class Scenario:
     order (None: empty), and its perturbation is a cut attack at level
     ``attack_alpha`` or the per-link factors ``scalings`` (both None without one).
     A perturbed run starts from the unperturbed limit flow, so a scenario
-    with a perturbation has no ``initial_density``.
+    with a perturbation has no ``initial_density``.  ``sha256`` is the
+    digest of the file bytes ``load_scenario`` parsed (None for a parsed
+    document).
     """
 
     name: str
@@ -65,6 +68,7 @@ class Scenario:
     initial_density: np.ndarray | None = None
     attack_alpha: float | None = None
     scalings: dict | None = None
+    sha256: str | None = None
 
     def perturbation_spec(self) -> PerturbationSpec | None:
         """Materialize the perturbation, if any; a cut attack at a level whose
@@ -311,13 +315,17 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read, decode and parse the scenario file at ``path``.
 
-    A file that cannot be read, is not UTF-8 or is not JSON that Python
-    can decode (nested past the recursion limit, an integer literal past
-    the digit limit) is a ``ScenarioError`` naming the path.
+    The file is read once: the returned ``Scenario`` keeps the SHA-256 of
+    the bytes it was parsed from.  A file that cannot be read, is not UTF-8
+    or is not JSON that Python can decode (nested past the recursion limit,
+    an integer literal past the digit limit) is a ``ScenarioError`` naming
+    the path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # newlines as text mode reads them, so JSON error positions count lines alike
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read the file: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -330,7 +338,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: JSON nested too deeply to decode") from exc
     except ValueError as exc:  # e.g. an integer literal past sys.get_int_max_str_digits()
         raise ScenarioError(f"{path}: cannot decode the JSON: {exc}") from exc
-    return parse_scenario(doc, name=str(path))
+    scenario = parse_scenario(doc, name=str(path))
+    scenario.sha256 = hashlib.sha256(data).hexdigest()
+    return scenario
 
 
 def validate_scenario(scenario: Scenario) -> dict:

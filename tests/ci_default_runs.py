@@ -7,11 +7,15 @@ Usage::
 ``<name>`` is a row of ``RUNS``: the command runs once in a child process,
 its outputs are hashed with SHA-256, and the script exits nonzero unless
 every digest matches and the child's peak RSS stays at or below the row's
-bound.  One line reports the digests, the peak RSS and the wall time.  The
-runs take seconds each, so pytest does not collect this file.
+bound.  A run with an ``--out`` prefix must also leave
+``<prefix>.manifest.json`` naming the child's own arguments and the
+SHA-256 of its scenario file.  One line reports the digests, the
+manifest's verdict, the peak RSS and the wall time.  The runs take seconds
+each, so pytest does not collect this file.
 """
 
 import hashlib
+import json
 import pathlib
 import resource
 import subprocess
@@ -45,18 +49,28 @@ def run(name: str) -> bool:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         prefix = pathlib.Path(tmp) / name.split("-")[0]
-        stdout = subprocess.run([sys.executable, "-m", "flownet.cli"]
-                                + [a.format(out=prefix) for a in args],
+        argv = [a.format(out=prefix) for a in args]
+        stdout = subprocess.run([sys.executable, "-m", "flownet.cli"] + argv,
                                 stdout=subprocess.PIPE, check=True).stdout
         got = {out: hashlib.sha256(stdout if out == "stdout"
                                    else pathlib.Path(f"{prefix}.{out}").read_bytes()).hexdigest()
                for out in want}
+        manifest_ok = "{out}" not in args or _manifest_ok(prefix, argv)
     wall_s = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     digests = ", ".join(("" if out == "stdout" else f"{out.split('.')[0]} ") + f"sha256 {digest}"
                         for out, digest in got.items())
-    print(f"{digests}, peak RSS {peak_mb:.1f} MB, wall {wall_s:.1f} s")
-    return got == want and peak_mb <= bound_mb
+    manifest = "" if "{out}" not in args else f", manifest {'ok' if manifest_ok else 'MISMATCH'}"
+    print(f"{digests}{manifest}, peak RSS {peak_mb:.1f} MB, wall {wall_s:.1f} s")
+    return got == want and manifest_ok and peak_mb <= bound_mb
+
+
+def _manifest_ok(prefix: pathlib.Path, argv) -> bool:
+    """Whether ``<prefix>.manifest.json`` records ``argv``, the arguments the
+    child got, and the SHA-256 of the scenario file ``argv[1]``."""
+    manifest = json.loads(pathlib.Path(f"{prefix}.manifest.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(pathlib.Path(argv[1]).read_bytes()).hexdigest()
+    return manifest["command"] == argv and manifest["scenario_sha256"] == digest
 
 
 if __name__ == "__main__":

@@ -287,16 +287,39 @@ class TestUnreadableFiles:
         ["simulate", str(DATA / "example3.json"), "--horizon", "1", "--out", "{file}/x"],
         ["limitflow", str(DATA / "example3.json"), "--out", "{file}/x"],
         ["validate", str(DATA / "example3.json"), "--report", "{dir}"],
+        ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5", "--samples", "1",
+         "--horizon", "40", "--out", "{file}/x"],
     ], ids=["mincut-out-under-a-file", "simulate-out-under-a-file",
-            "limitflow-out-under-a-file", "validate-report-a-directory"])
+            "limitflow-out-under-a-file", "validate-report-a-directory",
+            "resilience-out-under-a-file"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        # stdout comes after every output file: a failed write leaves it empty
         (tmp_path / "file").write_text("", encoding="utf-8")
         (tmp_path / "dir").mkdir()
         argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
         code, captured = self.run(argv, capsys)
         assert code == 2
+        assert captured.out == ""
         assert captured.err.startswith("error: cannot write output: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,flag", [
+        ("validate", "--report"), ("simulate", "--out"), ("mincut", "--out"),
+        ("resilience", "--out"), ("limitflow", "--out")])
+    def test_empty_output_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                command, flag):
+        def no_work(*args):
+            raise AssertionError("no scenario may be loaded")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(DATA / "diamond5.json"), flag, ""])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: expected a nonempty path" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNodeCount:
@@ -638,6 +661,14 @@ class TestCmdLimitflow:
         assert captured.out == ""
         assert "--sweep grid must be finite" in captured.err
 
+    @pytest.mark.parametrize("sweep", ["0:1", "a:1:3", "0:1:2.5", "0:1:x"])
+    def test_malformed_sweep_exit_one(self, capsys, sweep):
+        code = main(["limitflow", str(DATA / "diamond5.json"), f"--sweep={sweep}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --sweep expects start:stop:num, got {sweep!r}\n"
+
     def test_negative_sweep_point_exit_one(self, capsys):
         code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep=-1:1:3"])
         captured = capsys.readouterr()
@@ -777,6 +808,16 @@ class TestCmdResilience:
         assert err.startswith("usage: ")
         assert f"argument --alphas: expected comma-separated numbers, got '{alphas}'" in err
 
+    def test_cut_bound_at_the_threshold_halves_the_scaling(self, capsys):
+        # alpha in (1e-3, 2e-3]: the cut argument's outflow bound alpha * inflow / 2
+        # is not below the threshold alpha * inflow - 1e-3 * inflow, so the
+        # scaling alpha * inflow / (2 C) is halved before the bisection
+        code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.0015",
+                            "--samples", "1", "--horizon", "60", capsys=capsys)
+        assert code == 0
+        (point,) = json.loads(out)["alpha_sweep"]
+        assert point["defeating_eps"] == pytest.approx(0.5 * 0.0015 / (2 * 1.6), rel=1e-12)
+
     def test_infinite_horizon_is_runtime_failure(self, capsys):
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                      "--samples", "2", "--horizon", "inf"])
@@ -836,6 +877,92 @@ class TestCmdResilience:
         assert main(["resilience", str(path), "--alphas", "0.5", "--samples", "1",
                      "--horizon", "30"]) == 2
         assert capsys.readouterr().err == "error: node 1: routing split is not strictly positive\n"
+
+
+class TestPerLinkPerturbation:
+    """A ``{"perturbation": {"links": ...}}`` document: its factors are judged by
+    ``validate`` and applied by ``simulate``, which reports no cut-attack verdict."""
+
+    @staticmethod
+    def document(tmp_path, eps0):
+        links = {"0": {"type": "scale", "eps": eps0}, "3": {"type": "scale", "eps": 0.25}}
+        return write_mutated(tmp_path, ("perturbation",), {"links": links}, source="diamond5.json")
+
+    def test_validated_and_simulated(self, tmp_path, capsys):
+        doc = self.document(tmp_path, 0.5)
+        code, out = run_cli("validate", str(doc), capsys=capsys)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, _ = run_cli("simulate", str(doc), "--horizon", "5",
+                          "--out", str(tmp_path / "run"), capsys=capsys)
+        assert code == 0
+        attack = json.loads((tmp_path / "run.summary.json").read_text())["attack"]
+        assert sorted(attack) == ["alpha", "magnitude", "stretching"]  # no "defeated"
+        assert attack["alpha"] is None
+        # link 0 loses 0.5 of its 1.0 capacity, link 3 0.75 of its 0.8
+        assert attack["magnitude"] == pytest.approx(1.1, abs=1e-12)
+
+    def test_factor_above_one(self, tmp_path, capsys):
+        doc = self.document(tmp_path, 1.5)
+        message = "scaling factor must be in (0, 1], got 1.5"
+        code, out = run_cli("validate", str(doc), capsys=capsys)
+        assert code == 1
+        assert json.loads(out)["findings"] == [{"component": "perturbation", "message": message}]
+        code = main(["simulate", str(doc), "--horizon", "5", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mutated.json"]
+
+
+class TestManifests:
+    """A manifest records the arguments ``main`` parsed and the digest of the
+    scenario bytes the run read; relative outputs land under ``$FLOWNET_OUTDIR`` once."""
+
+    RESILIENCE = ("resilience", "--alphas", "0.5", "--samples", "1", "--horizon", "40")
+
+    def test_command_is_the_parsed_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["flownet", "--some-host-flag"])
+        argv = ["limitflow", str(DATA / "diamond5.json"), "--out", str(tmp_path / "lf.csv")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "lf.csv.manifest.json").read_text())
+        assert manifest["command"] == argv
+
+    def test_digest_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "diamond5.json"
+        original = (DATA / "diamond5.json").read_bytes()
+        scenario.write_bytes(original)
+
+        def rewriting(*args, **kwargs):  # the file changes while the run is in progress
+            scenario.write_bytes(original.replace(b'"inflow": 1.0', b'"inflow": 0.5'))
+            return resilience.estimate_weak_resilience(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_weak_resilience", rewriting)
+        command, *flags = self.RESILIENCE
+        out = tmp_path / "res.json"
+        assert main([command, str(scenario), *flags, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["min_cut"] == pytest.approx(1.6)
+        assert scenario.read_bytes() != original
+        manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
+        assert manifest["scenario_sha256"] == hashlib.sha256(original).hexdigest()
+
+    def test_relative_outdir_applies_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FLOWNET_OUTDIR", "sandbox")
+        scenario = str(DATA / "diamond5.json")
+        assert main(["simulate", scenario, "--horizon", "2", "--out", "rel/run"]) == 0
+        simulated = json.loads(capsys.readouterr().out)["outputs"]
+        command, *flags = self.RESILIENCE
+        assert main([command, scenario, *flags, "--out", "rel/res.json"]) == 0
+        run = ["sandbox/rel/run.csv", "sandbox/rel/run.summary.json",
+               "sandbox/rel/run.manifest.json"]
+        assert simulated == run
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted(run + ["sandbox/rel/res.json",
+                                        "sandbox/rel/res.json.manifest.json"])
+        for manifest, outputs in (("run.manifest.json", run[:2]),
+                                  ("res.json.manifest.json", ["sandbox/rel/res.json"])):
+            assert json.loads((tmp_path / "sandbox" / "rel" / manifest).read_text())[
+                "outputs"] == outputs
 
 
 class TestGoldenFiles:
