@@ -18,18 +18,14 @@ from .topology import (
     validate_topology,
 )
 from .flows import (
-    CustomFlow,
     ExponentialFlow,
-    FlowFunction,
     FlowNetwork,
     InadmissiblePerturbation,
     PerturbationSpec,
     scale_perturbation,
 )
 from .routing import (
-    GenericPolicy,
     LogitPolicy,
-    RoutingPolicy,
     check_property_a,
     check_property_b,
     cooperative_gap,

@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flows import ExponentialFlow, FlowNetwork
-from .routing import (GenericPolicy, LogitPolicy, RoutingPolicy, _logit_jacobian,
-                      _logit_split)
+from .flows import FlowNetwork
+from .routing import LogitPolicy, _logit_jacobian, _logit_split
 from .topology import NetworkTopology, topological_order
 
 __all__ = [
@@ -123,11 +122,11 @@ class _Compiled:
     contiguous; ``arr_sorted[to_topo]`` converts back to the topology's
     id order and ``arr_topo[to_sorted]`` the other way.
 
-    One instance serves an ensemble of B networks that share one topology
-    under one policy, fed at the origin by ``inflow``, a constant or a
-    function of time.  ``rhs(t, rho)`` (``_rhs``) is d rho / dt at time t
-    and the flat state of all B*m densities, member after member, as a
-    fresh array.  ``flows`` is the ``_flow_map`` of (P, B*m) densities and
+    One instance serves an ensemble of B networks of exponential links that
+    share one topology under one logit policy, fed at the origin by
+    ``inflow``, a constant or a function of time.  ``rhs(t, rho)``
+    (``_rhs``) is d rho / dt at time t and the flat state of all B*m
+    densities, member after member, as a fresh array.  ``flows`` is the ``_flow_map`` of (P, B*m) densities and
     ``member_flows[b]`` member b's; for a single network they are one map.
 
     ``rhs`` keeps its link flows and routed inflows in buffers of its own,
@@ -135,7 +134,7 @@ class _Compiled:
     (one ``_integrate``) calls it at a time.  Every run builds its own.
     """
 
-    def __init__(self, networks, policy: RoutingPolicy, inflow):
+    def __init__(self, networks, policy: LogitPolicy, inflow):
         topo = networks[0].topology
         if any((net.topology.num_nodes, net.topology.links) != (topo.num_nodes, topo.links)
                for net in networks):
@@ -164,76 +163,51 @@ class _Compiled:
         tail(e)'s row of the head incidence, so link e sums that node's
         in-links in a per-node product's order, which the pinned outputs
         depend on.  The origin's links, one contiguous range, take the
-        network inflow.  A logit softmax is one segmented reduction over all
-        B*m densities (group starts offset per member); any other policy
-        gets one ``policy.route`` call per node on the state as (B, m).
-        An RK4 stage may dip below zero density before the step clamps it;
-        a ``ValueError`` such a policy raises on it is a ``SimulationError``
-        naming the node, the stage time and the lowest density.
+        network inflow.  The logit softmax is one segmented reduction over
+        all B*m densities (group starts offset per member).  It takes the
+        densities below zero that an RK4 stage may reach before the step
+        clamps them, as the exponential flows do.
 
         Only the returned derivative is fresh.  Every call overwrites two
-        buffers bound here: the exponential links' flows (a flow map of
-        other links returns its own array) and the routed inflows, (B, m,
+        buffers bound here: the links' flows and the routed inflows, (B, m,
         1), written through a flat view and a view of the origin's range
         that are bound here too.  The IEEE operations are those of the
         same steps on fresh arrays, in the same order.
         """
-        m, flows, route = len(self.links), self.flows, policy.route
+        m = len(self.links)
         tails = np.array([l.tail for l in self.links])
         incidence = np.zeros((self.n_nodes, m))  # [v, j]: link j enters node v
         incidence[self.heads, np.arange(m)] = 1.0
         tail_head = incidence[tails]
         starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
-        groups = [(int(tails[lo]), lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
-        origin = next(slice(lo, hi) for v, lo, hi in groups if v == self.origin)
+        origin = next(slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])
+                      if tails[lo] == self.origin)
         columns, timed = (n_members, m, 1), callable(inflow)
-        params = _exponential_params(fns)
-        exponential = params is not None
-        neg_rate, neg_f_max = params[1:3] if exponential else (None, None)
+        _, neg_rate, neg_f_max, _ = _exponential_params(fns)
         flow_buf = np.empty(n_members * m)
         flow_col = flow_buf.reshape(columns)
         lam = np.empty(columns)
         lam_flat, lam_origin = lam.reshape(-1), lam[:, origin]
-        logit = isinstance(policy, LogitPolicy)
-        if logit:
-            offsets = np.arange(n_members)[:, None]  # per member, over the flat state
-            group_starts = (np.array(starts) + m * offsets).ravel()
-            group_of_link = (np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
-                             + len(starts) * offsets).ravel()
-            a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
-            neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
+        offsets = np.arange(n_members)[:, None]  # per member, over the flat state
+        group_starts = (np.array(starts) + m * offsets).ravel()
+        group_of_link = (np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
+                         + len(starts) * offsets).ravel()
+        a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
+        neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
         multiply, expm1, matmul, exp = np.multiply, np.expm1, np.matmul, np.exp
         max_at, add_at = np.maximum.reduceat, np.add.reduceat
 
         def rhs(t, rho):
-            if exponential:
-                f = multiply(neg_rate, rho, flow_buf)
-                expm1(f, f)
-                f *= neg_f_max
-                matmul(tail_head, flow_col, lam)
-            else:
-                f = flows(rho)
-                matmul(tail_head, f.reshape(columns), lam)
+            f = multiply(neg_rate, rho, flow_buf)
+            expm1(f, f)
+            f *= neg_f_max
+            matmul(tail_head, flow_col, lam)
             lam_origin.fill(inflow(t) if timed else inflow)
-            if logit:
-                g = multiply(neg_eta, rho)
-                g -= max_at(g, group_starts).take(group_of_link)
-                exp(g, g)
-                g *= a_pol
-                g /= add_at(g, group_starts).take(group_of_link)
-            else:
-                g = np.empty_like(rho)
-                state, splits = rho.reshape(n_members, m), g.reshape(n_members, m)
-                for v, lo, hi in groups:
-                    try:
-                        splits[:, lo:hi] = route(v, state[:, lo:hi])
-                    except ValueError as exc:
-                        low = state[:, lo:hi].min()
-                        if not low < 0.0:
-                            raise
-                        raise SimulationError(
-                            f"routing at node {v} failed on a Runge-Kutta stage at t={t:.6g} "
-                            f"with density {low:.6g} below zero ({exc}); reduce dt") from exc
+            g = multiply(neg_eta, rho)
+            g -= max_at(g, group_starts).take(group_of_link)
+            exp(g, g)
+            g *= a_pol
+            g /= add_at(g, group_starts).take(group_of_link)
             g *= lam_flat
             g -= f
             return g
@@ -438,7 +412,7 @@ def _ensemble_dt(networks, config: SimulationConfig) -> float:
     return dts.pop()
 
 
-def simulate(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
+def simulate(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig,
              rho0=None) -> Trajectory:
     """Integrate the network dynamics over [0, horizon].
 
@@ -449,7 +423,7 @@ def simulate(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConf
     return simulate_ensemble([network], policy, config, [rho0])[0]
 
 
-def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
+def simulate_ensemble(networks, policy: LogitPolicy, config: SimulationConfig,
                       rho0s=None) -> list:
     """Integrate networks that share one topology under one policy, in lockstep.
 
@@ -468,7 +442,7 @@ def simulate_ensemble(networks, policy: RoutingPolicy, config: SimulationConfig,
     return list(_member_trajectories(compiled, next(blocks), config.inflow, dt))
 
 
-def _ensemble_blocks(networks, policy: RoutingPolicy, config: SimulationConfig, rho0s,
+def _ensemble_blocks(networks, policy: LogitPolicy, config: SimulationConfig, rho0s,
                      records: str = "all"):
     """Check an ensemble run once, before any step, and return its kernel and record blocks.
 
@@ -538,23 +512,28 @@ def _member_trajectories(compiled: _Compiled, block, inflow: float, dt: float):
         )
 
 
-def simulate_local(flow_fns, route_fn, inflow_fn, rho0, dt: float,
-                   horizon: float) -> LocalTrajectory:
-    """Single-node dynamics driven by a (possibly time-varying) input.
+def simulate_local(network: FlowNetwork, policy: LogitPolicy, v: int, inflow_fn, rho0,
+                   dt: float, horizon: float) -> LocalTrajectory:
+    """Node v's local dynamics driven by a (possibly time-varying) input.
 
-    The node is the origin of a two-node network with one parallel link per
-    flow function, integrated by the network kernel as an ensemble of one
-    with ``inflow_fn(t)`` in place of the constant inflow.  The start
-    densities are checked as every run's are (``_start_state``), before
-    any step.  ``inflow_fn`` is evaluated at the Runge-Kutta stage times,
-    so it should be continuous.
+    Node v's out-links, in id order, become the parallel links of a
+    two-node network with v's flow functions, routed by a ``LogitPolicy``
+    with v's ``eta`` and weights; the network kernel integrates it as an
+    ensemble of one with ``inflow_fn(t)`` in place of the constant inflow.
+    ``rho0`` and the returned densities and flows follow the out-links'
+    order.  The start densities are checked as every run's are
+    (``_start_state``), before any step.  ``inflow_fn`` is evaluated at the
+    Runge-Kutta stage times, so it should be continuous.
     """
-    flow_fns = list(flow_fns)
-    topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(flow_fns))])
-    rho0 = _start_state(rho0, len(flow_fns))
-    # every link leaves node 0 in id order, so the kernel's order is the caller's
-    compiled = _Compiled([FlowNetwork(topo, dict(enumerate(flow_fns)))],
-                         GenericPolicy(topo, {0: route_fn}), inflow_fn)
+    out = policy.outgoing_links(v)
+    topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(out))])
+    rho0 = _start_state(rho0, len(out))
+    local = LogitPolicy(topo, eta={0: policy.eta[v]},
+                        weights={i: policy.weights[lid] for i, lid in enumerate(out)})
+    # every link leaves node 0 in id order, so the kernel's order is the out-links'
+    compiled = _Compiled([FlowNetwork(topo, {i: network.flow_functions[lid]
+                                             for i, lid in enumerate(out)})],
+                         local, inflow_fn)
     times, states, undershoot = next(_integrate(compiled.rhs, rho0[None], dt, horizon))
     return LocalTrajectory(times, states[:, 0], compiled.flows(states[:, 0]), float(undershoot[0]))
 
@@ -632,8 +611,8 @@ LOCAL_MAX_ITER = 200
 CONVERGENCE_TOL = 1e-3
 
 
-def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
-    """Stationary splits of P constant inputs over one node's outgoing links.
+def local_limit_flow(network: FlowNetwork, policy: LogitPolicy, v: int, inflows):
+    """Stationary splits of P constant inputs over node v's outgoing links.
 
     ``inflows`` holds the P inputs, all solved together.  Returns
     ``(flows, saturated, errors)``: flows of shape (P, k), flags of shape
@@ -653,25 +632,23 @@ def local_limit_flow(flow_fns, route_fn, jac_fn, inflows):
     values, warm-starting each stage; if that fails too,
     ``LocalSolverError`` carries the best residual.
 
-    ``route_fn`` maps densities of shape (P, k) to splits of that shape,
-    and ``jac_fn(rho)`` to the routing Jacobians there, shape (P, k, k)
-    with entry [p, e, j] = dG_j/drho_e, as ``RoutingPolicy.route`` and
-    ``jacobian`` of the node do.  Every input takes its own Newton and
-    line-search steps, so its result is bit-for-bit the one it gets alone.
-    The links' flow map (``_flow_map``) and slope map (``_slope_map``) are
-    built once per call and serve the first Newton run and every homotopy
-    stage.
+    The node solves on the ``_LogitRows`` that the cascade builds for it
+    (``_group_rows``), so a node's result here is bit-for-bit the one
+    ``network_limit_flows`` gets at the same inflow.  Every input takes its
+    own Newton and line-search steps, so its result is bit-for-bit the one
+    it gets alone.
     """
+    policy.outgoing_links(v)  # the destination has no split to solve
     lams = np.asarray(inflows, dtype=float).reshape(-1)
-    return _local_solve(_node_rows(list(flow_fns), route_fn, jac_fn), lams)
+    return _local_solve(_group_rows(network, policy, [v]), lams)
 
 
 def _local_solve(rows, lams):
     """``local_limit_flow`` on R stacked rows, row r with input ``lams[r]``.
 
-    ``rows`` are the rows' maps (``_Rows`` or ``_LogitRows``), capacities
-    included, so rows of several nodes with the same out-degree solve in
-    one call; each row's result is bit-for-bit the one it gets alone.
+    ``rows`` are the rows' maps (``_LogitRows``), capacities included, so
+    rows of several nodes with the same out-degree solve in one call; each
+    row's result is bit-for-bit the one it gets alone.
     """
     if not (lams >= 0).all():  # NaN included
         raise ValueError("inflow must be nonnegative")
@@ -699,43 +676,22 @@ def _local_solve(rows, lams):
     return flows, saturated, errors
 
 
-class _Rows:
-    """``_newton``'s maps on density rows (R, k) of one node, given as callables.
-
-    ``mu`` and ``slope`` give the links' flows and their slopes, ``route``
-    the splits, and ``jac(rho, g)`` the splits' Jacobians in standard
-    orientation, [r, j, e] = dG_j/drho_e (``g = route(rho)`` goes unused);
-    ``f_max`` is the links' capacities as one (1, k) row.  The maps take
-    any rows alike, so ``take`` (the maps of some rows) returns them as
-    they are.
-    """
-
-    def __init__(self, f_max, mu, slope, route, jac):
-        self.f_max, self.mu, self.slope, self.route, self.jac = f_max, mu, slope, route, jac
-
-    def take(self, idx):
-        return self
-
-
-def _node_rows(flow_fns, route_fn, jac_fn):
-    """``_Rows`` of one node: its flow and slope maps, and the policy's splits and Jacobians."""
-    return _Rows(np.array([[ff.f_max for ff in flow_fns]]), _flow_map(flow_fns),
-                 _slope_map(flow_fns), route_fn,
-                 lambda rho, g: jac_fn(rho).transpose(0, 2, 1))
-
-
 class _LogitRows:
-    """``_newton``'s maps on stacked rows of logit nodes on exponential links.
+    """``_newton``'s maps on stacked density rows (R, k) of logit nodes.
 
     ``params`` holds each row's node parameters, or one row that every row
     shares: the node's ``_exponential_params`` raveled, its links' logit
-    weights, then its ``-eta`` and ``eta``, shape (R, 5k + 2).  The maps
-    take the IEEE operations of ``_flow_map``, ``ExponentialFlow.derivative``
-    and ``LogitPolicy.route``/``jacobian`` row by row, so every row's result is
-    bit-for-bit its node's.  One-link rows skip routing: their split is
-    exactly 1.0 at any finite density and its derivative ±0.  The logit
-    Jacobian is symmetric (IEEE products commute), so it is already in
-    standard orientation.
+    weights, then its ``-eta`` and ``eta``, shape (R, 5k + 2).  ``mu`` and
+    ``slope`` give the links' flows and their slopes, ``route`` the splits
+    and ``jac(rho, g)`` their Jacobians on the splits ``g = route(rho)``,
+    [r, j, e] = dG_j/drho_e; ``f_max`` is the links' capacities.  The maps
+    take the IEEE operations of ``ExponentialFlow.__call__``,
+    ``ExponentialFlow.derivative`` and ``LogitPolicy.route``/``jacobian``
+    row by row, so every row's result is bit-for-bit its node's.  One-link
+    rows skip routing: their split is exactly 1.0 at any finite density
+    and its derivative ±0.  The logit Jacobian is symmetric (IEEE products
+    commute), so it is already in standard orientation.  ``take`` gives the
+    maps of some rows.
     """
 
     def __init__(self, params):
@@ -771,7 +727,7 @@ def _newton(rows, lam, rho):
     ``lam`` has shape (P,), the start ``rho`` (P, k), and ``rows`` maps
     densities of that shape to the links' flows, their slopes (the
     diagonal of ``mu``'s Jacobian), the splits and their Jacobians
-    (``_Rows``).  Each member stops once its residual (max norm) is
+    (``_LogitRows``).  Each member stops once its residual (max norm) is
     within ``LOCAL_TOL`` and stalls out when its Jacobian is singular or
     its backtracking step falls below 1e-8; the others step on.  Returns
     the final densities and residuals.
@@ -856,12 +812,8 @@ def _solve(jac: np.ndarray, b: np.ndarray):
 
 
 def _exponential_params(flow_fns):
-    """Float64 rows ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max`` of k exponential links.
-
-    One (4, k) array, or None when some link is of another family.
-    """
-    if not all(isinstance(ff, ExponentialFlow) for ff in flow_fns):
-        return None
+    """Float64 rows ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max`` of k links,
+    as one (4, k) array."""
     return np.array([[ff.f_max for ff in flow_fns], [-ff.rate for ff in flow_fns],
                      [-ff.f_max for ff in flow_fns], [ff.rate * ff.f_max for ff in flow_fns]],
                     dtype=float)
@@ -893,33 +845,16 @@ def _flow_map(flow_fns):
     """Link flows as a map from densities (P, k) to flows of that shape.
 
     ``flow_fns`` is a sequence of k flow functions (one member's links, or
-    an ensemble's members one after another).  Exponential links fill one
-    result array in place, their parameters hoisted and negated as (1, k)
-    rows, bit-for-bit what each function's ``__call__`` gives (negation is
-    exact and IEEE products are sign-symmetric).  Any other family runs
-    each flow function on its column, on densities of any leading shape.
+    an ensemble's members one after another).  The map fills one result
+    array in place, the parameters hoisted and negated as (1, k) rows,
+    bit-for-bit what each function's ``__call__`` gives (negation is exact
+    and IEEE products are sign-symmetric).
     """
-    fns = list(flow_fns)
-    params = _exponential_params(fns)
-    if params is not None:
-        return functools.partial(_exponential_flows, params[1:2], params[2:3])
-
-    def mu(rho):
-        out = np.empty_like(rho)
-        for j, ff in enumerate(fns):
-            out[..., j] = ff(rho[..., j])
-        return out
-
-    return mu
+    params = _exponential_params(flow_fns)
+    return functools.partial(_exponential_flows, params[1:2], params[2:3])
 
 
-def _slope_map(flow_fns):
-    """Slopes of densities (P, k): each flow function's ``derivative`` on its column, per element."""
-    return lambda rho: np.array([[ff.derivative(x) for ff, x in zip(flow_fns, row)]
-                                 for row in rho.tolist()])
-
-
-def network_limit_flow(network: FlowNetwork, policy: RoutingPolicy, inflow: float) -> LimitFlow:
+def network_limit_flow(network: FlowNetwork, policy: LogitPolicy, inflow: float) -> LimitFlow:
     """Cascade the local stationary splits through the acyclic node order.
 
     The one-point case of ``network_limit_flows``; a node whose split does
@@ -969,40 +904,29 @@ class _CascadePlan:
             self.levels.append((nodes, list(groups.values())))
 
 
-def _solve_groups(network: FlowNetwork, policy: RoutingPolicy, group):
-    """A group's nodes in solves, as ``(nodes, rows)`` pairs: ``rows`` holds one row per node.
+def _group_rows(network: FlowNetwork, policy: LogitPolicy, group) -> _LogitRows:
+    """The ``_LogitRows`` of a group's nodes, one row per node in group order.
 
-    Under a ``LogitPolicy``, the group's nodes whose links are all
-    exponential are solved together, on ``_LogitRows``; every other node
-    is solved alone, on its own ``_Rows``.
+    The nodes share one out-degree; each row holds its node's exponential
+    parameters, logit weights and ``eta``.
     """
-    logit = isinstance(policy, LogitPolicy)
-    stacked, rows = [], []
+    rows = []
     for v in group:
         out = network.topology.outgoing[v]
-        fns = [network.flow_functions[lid] for lid in out]
-        params = _exponential_params(fns) if logit else None
-        if params is not None:
-            stacked.append(v)
-            rows.append(np.concatenate((params.ravel(), [policy.weights[lid] for lid in out],
-                                        [-policy.eta[v], policy.eta[v]])))
-        else:
-            yield [v], _node_rows(fns, functools.partial(policy.route, v),
-                                  functools.partial(policy.jacobian, v))
-    if stacked:
-        yield stacked, _LogitRows(np.array(rows))
+        params = _exponential_params([network.flow_functions[lid] for lid in out])
+        rows.append(np.concatenate((params.ravel(), [policy.weights[lid] for lid in out],
+                                    [-policy.eta[v], policy.eta[v]])))
+    return _LogitRows(np.array(rows))
 
 
-def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) -> list:
+def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows) -> list:
     """Limit flows at P network inflows from one cascade through the node levels.
 
     A node's level is the length of its longest path from the origin, so a
     level's inflows are known once the levels below it are solved.  Per
-    level, the nodes under a ``LogitPolicy`` whose links are all
-    exponential are solved by one Newton run per out-degree k, on their
-    (node, point) rows stacked into (rows, k) densities, each row with its
-    own node's parameters; every other node (a generic policy, a custom
-    flow family) is solved alone, through the same loop.
+    level, the nodes are solved by one Newton run per out-degree k, on
+    their (node, point) rows stacked into (rows, k) densities, each row
+    with its own node's parameters (``_group_rows``).
 
     Two orders are those of a node-by-node cascade in
     ``topological_order``, not the level order:
@@ -1035,24 +959,24 @@ def network_limit_flows(network: FlowNetwork, policy: RoutingPolicy, inflows) ->
             for i in plan.in_rows[v]:
                 node_in[v] += flows[i]
         for group in groups:
-            for solved, rows in _solve_groups(network, policy, group):
-                points = [every[failed_at > plan.pos[v]] for v in solved]
-                counts = [p.size for p in points]
-                if not sum(counts):
-                    continue
-                rows = rows.take(np.repeat(np.arange(len(solved)), counts))  # a row per point
-                f, sat, errs = _local_solve(rows, np.concatenate(
-                    [node_in[v, p] for v, p in zip(solved, points)]))
-                lo = 0
-                for v, p, count in zip(solved, points, counts):
-                    out = plan.out_rows[v]
-                    flows[out, p] = f[lo:lo + count].T
-                    flags[out, p] = sat[lo:lo + count]
-                    for i, err in enumerate(errs[lo:lo + count]):
-                        if err is not None and plan.pos[v] < failed_at[p[i]]:
-                            failed_at[p[i]] = plan.pos[v]
-                            errors[p[i]] = err
-                    lo += count
+            points = [every[failed_at > plan.pos[v]] for v in group]
+            counts = [p.size for p in points]
+            if not sum(counts):
+                continue
+            rows = _group_rows(network, policy, group).take(
+                np.repeat(np.arange(len(group)), counts))  # a row per point
+            f, sat, errs = _local_solve(rows, np.concatenate(
+                [node_in[v, p] for v, p in zip(group, points)]))
+            lo = 0
+            for v, p, count in zip(group, points, counts):
+                out = plan.out_rows[v]
+                flows[out, p] = f[lo:lo + count].T
+                flags[out, p] = sat[lo:lo + count]
+                for i, err in enumerate(errs[lo:lo + count]):
+                    if err is not None and plan.pos[v] < failed_at[p[i]]:
+                        failed_at[p[i]] = plan.pos[v]
+                        errors[p[i]] = err
+                lo += count
     flows = flows.T.tolist()
     flags = flags.T.tolist()
     node_flows = node_in.T.tolist()
@@ -1071,7 +995,7 @@ class ConvergenceReport:
     passed: bool
 
 
-def convergence_check(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
+def convergence_check(network: FlowNetwork, policy: LogitPolicy, inflow: float,
                       n_initial: int = 10, config: SimulationConfig | None = None,
                       seed: int = 0) -> ConvergenceReport:
     """Simulate from random initial conditions and compare terminal flows.

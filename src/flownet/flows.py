@@ -1,11 +1,10 @@
-"""Density-to-flow functions, their derived quantities, and perturbations.
+"""Exponential density-to-flow functions, their derived quantities, and perturbations.
 
 A flow function maps link density to link flow: zero at zero density,
 strictly increasing, continuously differentiable with bounded derivative,
-and saturating at a finite capacity.  The built-in family is the
-saturating exponential ``capacity * (1 - exp(-rate * rho))``; arbitrary
-callables are accepted through :class:`CustomFlow` but must pass sampled
-certification before use.
+and saturating at a finite capacity.  The one family is the saturating
+exponential ``capacity * (1 - exp(-rate * rho))``, with a finite positive
+rate and capacity.
 
 A perturbation replaces flow functions with pointwise-smaller ones.  Its
 magnitude is the sum over links of the sup-norm reductions, and its
@@ -23,9 +22,7 @@ import numpy as np
 from .topology import NetworkTopology, TopologyError
 
 __all__ = [
-    "FlowFunction",
     "ExponentialFlow",
-    "CustomFlow",
     "FlowNetwork",
     "PerturbationSpec",
     "InadmissiblePerturbation",
@@ -34,7 +31,7 @@ __all__ = [
 ]
 
 CERTIFICATION_GRID_POINTS = 10_000
-# Density samples behind ``FlowFunction.certify``.
+# Density samples behind ``ExponentialFlow.certify``.
 SELF_CERTIFICATION_POINTS = 512
 SUP_GRID_POINTS = 4_096
 SUP_STABLE_TOL = 1e-6
@@ -44,13 +41,22 @@ class InadmissiblePerturbation(ValueError):
     """Perturbed flow function is not admissible (exceeds the original somewhere)."""
 
 
-class FlowFunction:
-    """Base class; subclasses provide ``__call__`` (vectorized) and ``f_max``."""
+@dataclass(frozen=True)
+class ExponentialFlow:
+    """``f_max * (1 - exp(-rate * rho))``: the saturating exponential flow function."""
 
+    rate: float
     f_max: float
 
+    def __post_init__(self):
+        if not (self.rate > 0 and self.f_max > 0):
+            raise ValueError("rate and capacity must be positive")
+        if not (math.isfinite(self.rate) and math.isfinite(self.f_max)):
+            raise ValueError(f"rate and capacity must be finite, got rate {self.rate!r} "
+                             f"and capacity {self.f_max!r}")
+
     def __call__(self, rho):
-        raise NotImplementedError
+        return self.f_max * -np.expm1(-self.rate * np.asarray(rho, dtype=float))
 
     def eval(self, rho: float) -> float:
         """Flow at a single nonnegative density."""
@@ -62,101 +68,38 @@ class FlowFunction:
         """Density at which the flow equals ``f``; requires 0 <= f < f_max."""
         if not 0 <= f < self.f_max:
             raise ValueError(f"flow {f} outside [0, f_max={self.f_max}); no finite preimage")
-        if f == 0:
-            return 0.0
-        # imported here: only families without a closed-form inverse need it,
-        # and scipy.optimize costs about 50 MB and most of the package's import time
-        from scipy.optimize import brentq
-
-        hi = 1.0
-        while self.eval(hi) < f:
-            hi *= 2.0
-            if hi > 1e12:
-                raise ValueError(f"no density found with flow {f}")
-        return brentq(lambda r: self.eval(r) - f, 0.0, hi, xtol=1e-14, rtol=1e-15)
-
-    def median_density(self) -> float:
-        """The unique density carrying half the capacity."""
-        return self.inverse(self.f_max / 2.0)
-
-    def derivative(self, rho: float) -> float:
-        h = 1e-6 * max(1.0, abs(rho))
-        lo = max(rho - h, 0.0)
-        return (self.eval(rho + h) - self.eval(lo)) / (rho + h - lo)
-
-    def rate_scale(self) -> float:
-        """Fastest local relaxation rate: the derivative at zero density."""
-        return self.derivative(0.0)
-
-    def certify(self) -> list:
-        """Sampled Assumption-style checks; returns violation messages."""
-        violations = []
-        if self.eval(0.0) != 0.0:
-            violations.append("flow at zero density is not zero")
-        if not self.f_max > 0 or not math.isfinite(self.f_max):
-            violations.append("capacity must be finite and positive")
-            return violations
-        try:
-            hi = 50.0 * self.median_density()
-        except ValueError as exc:
-            violations.append(f"median density undefined: {exc}")
-            return violations
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, hi, SELF_CERTIFICATION_POINTS)])
-        vals = np.asarray(self(grid), dtype=float)
-        if np.any(np.diff(vals) <= 0):
-            violations.append("not strictly increasing on the certification grid")
-        if np.any(vals > self.f_max):
-            violations.append("exceeds its capacity at finite density")
-        if vals[-1] < 0.999 * self.f_max:
-            violations.append("does not approach its capacity (saturation check failed)")
-        return violations
-
-
-@dataclass(frozen=True)
-class ExponentialFlow(FlowFunction):
-    """``f_max * (1 - exp(-rate * rho))``: the canonical saturating family."""
-
-    rate: float
-    f_max: float
-
-    def __post_init__(self):
-        if not (self.rate > 0 and self.f_max > 0):
-            raise ValueError("rate and capacity must be positive")
-
-    def __call__(self, rho):
-        return self.f_max * -np.expm1(-self.rate * np.asarray(rho, dtype=float))
-
-    def inverse(self, f: float) -> float:
-        if not 0 <= f < self.f_max:
-            raise ValueError(f"flow {f} outside [0, f_max={self.f_max}); no finite preimage")
         return -math.log1p(-f / self.f_max) / self.rate
 
     def median_density(self) -> float:
+        """The unique density carrying half the capacity."""
         return math.log(2.0) / self.rate
 
     def derivative(self, rho: float) -> float:
         return self.rate * self.f_max * math.exp(-self.rate * rho)
 
     def rate_scale(self) -> float:
+        """Fastest local relaxation rate: the derivative at zero density."""
         return self.rate * self.f_max
 
+    def certify(self) -> list:
+        """Sampled Assumption-style checks in floating point; returns violation messages.
 
-class CustomFlow(FlowFunction):
-    """Black-box flow function; ``certify()`` must pass before it is trusted."""
+        The flow is evaluated on a geometric grid up to 50 median densities:
+        it must rise strictly from one sample to the next and end within
+        0.1 % of its capacity.
+        """
+        violations = []
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, 50.0 * self.median_density(),
+                                                   SELF_CERTIFICATION_POINTS)])
+        vals = self(grid)
+        if np.any(np.diff(vals) <= 0):
+            violations.append("not strictly increasing on the certification grid")
+        if vals[-1] < 0.999 * self.f_max:
+            violations.append("does not approach its capacity (saturation check failed)")
+        return violations
 
-    def __init__(self, fn, f_max: float, name: str = "custom"):
-        self.fn = fn
-        self.f_max = float(f_max)
-        self.name = name
 
-    def __call__(self, rho):
-        return self.fn(np.asarray(rho, dtype=float))
-
-    def __repr__(self):
-        return f"CustomFlow({self.name}, f_max={self.f_max})"
-
-
-def scale_perturbation(ff: FlowFunction, eps: float) -> FlowFunction:
+def scale_perturbation(ff: ExponentialFlow, eps: float) -> ExponentialFlow:
     """The uniformly scaled function ``eps * ff``.
 
     Scaling preserves the exponential family (only the capacity shrinks, the
@@ -166,13 +109,10 @@ def scale_perturbation(ff: FlowFunction, eps: float) -> FlowFunction:
     """
     if not 0 < eps <= 1:
         raise ValueError(f"scaling factor must be in (0, 1], got {eps}")
-    if isinstance(ff, ExponentialFlow):
-        return ExponentialFlow(ff.rate, eps * ff.f_max)
-    return CustomFlow(lambda rho, _f=ff, _e=eps: _e * np.asarray(_f(rho)), eps * ff.f_max,
-                      name=f"scaled({eps})")
+    return ExponentialFlow(ff.rate, eps * ff.f_max)
 
 
-def supremum_gap(base: FlowFunction, pert: FlowFunction) -> float:
+def supremum_gap(base: ExponentialFlow, pert: ExponentialFlow) -> float:
     """sup over densities of ``base - pert``.
 
     Same-rate exponential pairs have the analytic value ``f_max - f_max~``.
@@ -180,11 +120,7 @@ def supremum_gap(base: FlowFunction, pert: FlowFunction) -> float:
     median density, with the reach doubled until the value is stable to
     1e-6 (sound because both functions saturate).
     """
-    if (
-        isinstance(base, ExponentialFlow)
-        and isinstance(pert, ExponentialFlow)
-        and base.rate == pert.rate
-    ):
+    if base.rate == pert.rate:
         return base.f_max - pert.f_max
     hi = 50.0 * max(base.median_density(), pert.median_density())
     prev = -math.inf
@@ -198,14 +134,10 @@ def supremum_gap(base: FlowFunction, pert: FlowFunction) -> float:
     raise RuntimeError("supremum grid did not stabilize")
 
 
-def _certify_admissible(base: FlowFunction, pert: FlowFunction, link_id: int):
-    """pert <= base everywhere, checked on a dense grid (analytic cases skip it)."""
-    if (
-        isinstance(base, ExponentialFlow)
-        and isinstance(pert, ExponentialFlow)
-        and pert.rate <= base.rate
-        and pert.f_max <= base.f_max
-    ):
+def _certify_admissible(base: ExponentialFlow, pert: ExponentialFlow, link_id: int):
+    """pert <= base everywhere, checked on a dense grid unless a slower rate and a
+    lower capacity settle it analytically."""
+    if pert.rate <= base.rate and pert.f_max <= base.f_max:
         return
     hi = 50.0 * max(base.median_density(), pert.median_density())
     grid = np.concatenate([[0.0], np.geomspace(1e-6, hi, CERTIFICATION_GRID_POINTS)])

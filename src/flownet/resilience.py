@@ -26,7 +26,7 @@ from .dynamics import (
     network_limit_flow,
 )
 from .flows import FlowNetwork, PerturbationSpec
-from .routing import RoutingPolicy, responsiveness_findings
+from .routing import LogitPolicy, responsiveness_findings
 from .topology import min_cut_capacity
 
 __all__ = [
@@ -130,7 +130,7 @@ def _initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
     return np.array(rho0)
 
 
-def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
+def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
                   config: SimulationConfig | None):
     """The run settings every attack on ``network`` shares: the config with
     the time step of the unperturbed rates, and the start densities, which
@@ -150,7 +150,7 @@ def _attack_setup(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
     return config, _initial_densities(network, base_limit.flow_vector(network.topology))
 
 
-def evaluate_attacks(network: FlowNetwork, policy: RoutingPolicy, inflow: float, attacks,
+def evaluate_attacks(network: FlowNetwork, policy: LogitPolicy, inflow: float, attacks,
                      config: SimulationConfig | None = None) -> list:
     """Simulate each attack on ``network`` and judge alpha-transfer on its tail.
 
@@ -171,7 +171,7 @@ def evaluate_attacks(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
     return _simulate_attacks(network, policy, config, rho0, attacks)
 
 
-def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: SimulationConfig,
+def _simulate_attacks(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig,
                       rho0, attacks) -> list:
     """``evaluate_attacks`` from the ``config`` and ``rho0`` of ``_attack_setup``.
 
@@ -197,7 +197,7 @@ def _simulate_attacks(network: FlowNetwork, policy: RoutingPolicy, config: Simul
             for tail_min, tail_max, (_, alpha, transfer_tol) in zip(lo, hi, attacks)]
 
 
-def require_locally_responsive(policy: RoutingPolicy, seed: int = 0):
+def require_locally_responsive(policy: LogitPolicy, seed: int = 0):
     """Raise unless sampled checks support the locally responsive properties
     and strictly positive splits that the resilience guarantee assumes.
 
@@ -277,7 +277,7 @@ def _bisect_scaling(defeated, eps_lo: float, capacity: float, delta_tol: float):
     return eps_lo, eps_hi, evaluations
 
 
-def estimate_weak_resilience(network: FlowNetwork, policy: RoutingPolicy, inflow: float,
+def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: float,
                              config: SimulationConfig | None = None,
                              alphas=(0.5, 0.2, 0.1, 0.05), n_samples: int = 50,
                              seed: int = 0) -> ResilienceReport:

@@ -1,10 +1,9 @@
-"""Distributed routing policies: per-node maps from local densities to flow splits.
+"""The logit routing policy: per-node maps from local densities to flow splits.
 
-A policy assigns every non-destination node a differentiable map from the
-densities on its outgoing links to a probability vector over those links.
-The built-in family is the logit split
-``G_e = a_e exp(-eta * rho_e) / sum_j a_j exp(-eta * rho_j)``,
-which shifts flow away from congested links.
+The policy assigns every non-destination node a map from the densities on
+its outgoing links to a probability vector over those links, the logit
+split ``G_e = a_e exp(-eta * rho_e) / sum_j a_j exp(-eta * rho_j)``, which
+shifts flow away from congested links when ``eta > 0``.
 
 The module also houses the checkable "locally responsive" properties:
 
@@ -25,9 +24,7 @@ import numpy as np
 from .topology import NetworkTopology
 
 __all__ = [
-    "RoutingPolicy",
     "LogitPolicy",
-    "GenericPolicy",
     "PropertyReport",
     "finite_difference_jacobian",
     "check_property_a",
@@ -49,14 +46,9 @@ LIMIT_CAUCHY_TOL = 1e-5
 
 
 def finite_difference_jacobian(fn, x) -> np.ndarray:
-    """Central differences; entry [e, j] approximates d fn_j / d x_e.
-
-    ``x`` of shape (..., k) gives one (k, k) matrix per row, ``fn`` being
-    called on one row at a time.
-    """
+    """Central differences at one density vector ``x`` (k,); entry [e, j]
+    approximates d fn_j / d x_e."""
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        return _row_by_row(lambda row: finite_difference_jacobian(fn, row), x, 2)
     k = x.size
     out = np.empty((k, k))
     for e in range(k):
@@ -68,18 +60,29 @@ def finite_difference_jacobian(fn, x) -> np.ndarray:
     return out
 
 
-def _row_by_row(fn, x: np.ndarray, out_ndim: int) -> np.ndarray:
-    """``fn`` on every row of ``x`` (shape (..., k)); each result has ``out_ndim`` axes of k."""
-    k = x.shape[-1]
-    rows = [fn(row) for row in x.reshape(-1, k)]
-    return np.array(rows, dtype=float).reshape(x.shape[:-1] + (k,) * out_ndim)
+class LogitPolicy:
+    """Logit split with per-link weights a_e > 0 and per-node sensitivity eta.
 
+    eta > 0 is the locally responsive regime.  eta = 0 (a constant split)
+    and eta < 0 (a congestion-seeking split) are accepted so that the
+    property checks have something to reject; they fail property (b),
+    respectively property (a).
+    """
 
-class RoutingPolicy:
-    """Base class; concrete policies fill in ``route``."""
-
-    def __init__(self, topology: NetworkTopology):
+    def __init__(self, topology: NetworkTopology, eta: dict, weights: dict):
+        for v in range(topology.num_nodes):
+            if topology.outgoing[v] and v not in eta:
+                raise ValueError(f"missing eta for non-destination node {v}")
+        for lid in topology.link_ids:
+            if lid not in weights:
+                raise ValueError(f"missing logit weight for link {lid}")
+            if not weights[lid] > 0:
+                raise ValueError(f"logit weight of link {lid} must be positive")
         self.topology = topology
+        self.eta = dict(eta)
+        self.weights = dict(weights)
+        self._a = {v: np.array([weights[lid] for lid in topology.outgoing[v]])
+                   for v in range(topology.num_nodes) if topology.outgoing[v]}
 
     def outgoing_links(self, v: int):
         links = self.topology.outgoing[v]
@@ -93,42 +96,6 @@ class RoutingPolicy:
         ``rho_v`` has shape (k,) or (..., k), one density vector per row;
         the splits come back in the same shape.
         """
-        raise NotImplementedError
-
-    def jacobian(self, v: int, rho_v) -> np.ndarray:
-        """Matrix [e, j] = d G_j / d rho_e (rows sum to 0 on the simplex).
-
-        Density vectors of shape (..., k) give Jacobians of shape (..., k, k),
-        by central differences unless a policy knows its own.
-        """
-        return finite_difference_jacobian(lambda x: self.route(v, x), rho_v)
-
-
-class LogitPolicy(RoutingPolicy):
-    """Logit split with per-link weights a_e > 0 and per-node sensitivity eta.
-
-    eta > 0 is the locally responsive regime.  eta = 0 (a constant split)
-    and eta < 0 (a congestion-seeking split) are accepted so that the
-    property checks have something to reject; they fail property (b),
-    respectively property (a).
-    """
-
-    def __init__(self, topology: NetworkTopology, eta: dict, weights: dict):
-        super().__init__(topology)
-        for v in range(topology.num_nodes):
-            if topology.outgoing[v] and v not in eta:
-                raise ValueError(f"missing eta for non-destination node {v}")
-        for lid in topology.link_ids:
-            if lid not in weights:
-                raise ValueError(f"missing logit weight for link {lid}")
-            if not weights[lid] > 0:
-                raise ValueError(f"logit weight of link {lid} must be positive")
-        self.eta = dict(eta)
-        self.weights = dict(weights)
-        self._a = {v: np.array([weights[lid] for lid in topology.outgoing[v]])
-                   for v in range(topology.num_nodes) if topology.outgoing[v]}
-
-    def route(self, v: int, rho_v) -> np.ndarray:
         self.outgoing_links(v)
         a = self._a[v]
         rho = np.asarray(rho_v, dtype=float)
@@ -140,6 +107,9 @@ class LogitPolicy(RoutingPolicy):
         return _logit_split(-self.eta[v], a, rho)
 
     def jacobian(self, v: int, rho_v) -> np.ndarray:
+        """Matrix [e, j] = d G_j / d rho_e (rows sum to 0 on the simplex), in
+        closed form on the split ``route`` gives; density vectors of shape
+        (..., k) give Jacobians of shape (..., k, k)."""
         return _logit_jacobian(self.route(v, rho_v), self.eta[v], -self.eta[v])
 
 
@@ -162,22 +132,6 @@ def _logit_jacobian(g, eta, neg_eta):
     return jac
 
 
-class GenericPolicy(RoutingPolicy):
-    """Wraps arbitrary per-node callables ``rho_v -> simplex vector``."""
-
-    def __init__(self, topology: NetworkTopology, route_fns: dict):
-        super().__init__(topology)
-        self.route_fns = dict(route_fns)
-
-    def route(self, v: int, rho_v) -> np.ndarray:
-        """The node's callable on each density vector; (..., k) input goes row by row."""
-        self.outgoing_links(v)
-        rho = np.asarray(rho_v, dtype=float)
-        if rho.ndim > 1:
-            return _row_by_row(self.route_fns[v], rho, 1)
-        return np.asarray(self.route_fns[v](rho), dtype=float)
-
-
 @dataclass
 class PropertyReport:
     passed: bool
@@ -191,7 +145,7 @@ def _sample_densities(k: int, n_samples: int, rng) -> np.ndarray:
     return rho
 
 
-def check_property_a(policy: RoutingPolicy, v: int, n_samples: int = 1000,
+def check_property_a(policy: LogitPolicy, v: int, n_samples: int = 1000,
                      rng=None) -> PropertyReport:
     """Sample local densities and require all cross-partials >= -``CROSS_PARTIAL_TOL``.
 
@@ -214,13 +168,13 @@ def check_property_a(policy: RoutingPolicy, v: int, n_samples: int = 1000,
     return PropertyReport(not violations, {"min_cross_partial": worst, "violations": violations})
 
 
-def check_property_b(policy: RoutingPolicy, v: int, subset) -> PropertyReport:
+def check_property_b(policy: LogitPolicy, v: int, subset) -> PropertyReport:
     """Drive densities outside ``subset`` to 10^2..10^6 (inside: 0) and watch the split.
 
     The share outside the subset must decay below ``LIMIT_MASS_TOL`` and the
     share inside must settle (successive escalations Cauchy within
     ``LIMIT_CAUCHY_TOL``).  The limit split itself is reported but not compared
-    against anything: for a generic policy only its existence is claimed.
+    against anything: property (b) claims only its existence.
     """
     links = policy.outgoing_links(v)
     subset = tuple(subset)
@@ -244,7 +198,7 @@ def check_property_b(policy: RoutingPolicy, v: int, subset) -> PropertyReport:
     })
 
 
-def responsiveness_findings(policy: RoutingPolicy, seed: int = 0) -> list:
+def responsiveness_findings(policy: LogitPolicy, seed: int = 0) -> list:
     """Where sampled checks contradict the locally responsive properties or
     the strictly positive splits the resilience guarantee assumes.
 
@@ -280,7 +234,7 @@ def responsiveness_findings(policy: RoutingPolicy, seed: int = 0) -> list:
     return findings
 
 
-def cooperative_gap(policy: RoutingPolicy, v: int, sigma, varsigma) -> float:
+def cooperative_gap(policy: LogitPolicy, v: int, sigma, varsigma) -> float:
     """sum_e sgn(sigma_e - zeta_e) (G_e(sigma) - G_e(zeta)); sgn(0) = 0.
 
     Nonpositive for every policy with nonnegative cross-partials.

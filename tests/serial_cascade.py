@@ -7,8 +7,6 @@ the order the cascade reaches them, and a point whose split fails at a node
 drops out of every later node, reporting that node's error.
 """
 
-import functools
-
 import numpy as np
 
 from flownet import LimitFlow, local_limit_flow
@@ -29,9 +27,7 @@ def serial_limit_flows(network, policy, inflows) -> list:
         out = topo.outgoing[v]
         if not out or not live.size:
             continue
-        f, sat, errs = local_limit_flow([network.flow_functions[lid] for lid in out],
-                                        functools.partial(policy.route, v),
-                                        functools.partial(policy.jacobian, v), node_in[v, live])
+        f, sat, errs = local_limit_flow(network, policy, v, node_in[v, live])
         for j, lid in enumerate(out):
             flows.setdefault(lid, np.full(lams.size, np.nan))[live] = f[:, j]
             saturated.setdefault(lid, np.zeros(lams.size, dtype=bool))[live] = sat

@@ -251,11 +251,9 @@ def test_criterion_08_cooperativity():
 def test_criterion_09_local_monotonicity():
     net = two_route_network()
     policy = two_route_policy(net.topology)
-    fns = [net.flow_functions[0], net.flow_functions[1]]
-    route = lambda r: policy.route(0, r)
     rho0 = np.array([0.3, 0.3])
-    lo = simulate_local(fns, route, lambda t: 0.5, rho0, dt=0.01, horizon=60.0)
-    hi = simulate_local(fns, route, lambda t: 0.5 + 0.3 * (1 + math.sin(t)) / 2.0,
+    lo = simulate_local(net, policy, 0, lambda t: 0.5, rho0, dt=0.01, horizon=60.0)
+    hi = simulate_local(net, policy, 0, lambda t: 0.5 + 0.3 * (1 + math.sin(t)) / 2.0,
                         rho0, dt=0.01, horizon=60.0)
     margin = float((hi.rho - lo.rho).min())
     ok = bool(np.all(lo.rho <= hi.rho + 1e-9))

@@ -1,6 +1,5 @@
 """Integration, limit flows, transfer estimation, and the cooperative-system laws."""
 
-import functools
 import math
 import tracemalloc
 
@@ -9,10 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from flownet import (
-    CustomFlow,
     ExponentialFlow,
     FlowNetwork,
-    GenericPolicy,
     LogitPolicy,
     NetworkTopology,
     PerturbationSpec,
@@ -157,9 +154,7 @@ class TestSimulate:
         runs = [
             lambda: simulate(net, policy, config, rho0),
             lambda: simulate_ensemble([net, net], policy, config, [None, rho0]),
-            lambda: simulate_local([net.flow_functions[0], net.flow_functions[1]],
-                                   lambda r: policy.route(0, r), lambda t: 1.0, rho0,
-                                   dt=0.1, horizon=1.0),
+            lambda: simulate_local(net, policy, 0, lambda t: 1.0, rho0, dt=0.1, horizon=1.0),
         ]
         for run in runs:
             with pytest.raises(ValueError, match=message):
@@ -204,18 +199,14 @@ class TestAlphaTransfer:
 class TestLocalLimitFlow:
     def test_zero_inflow(self, two_route):
         topo, net, policy = two_route
-        (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                           lambda r: policy.route(0, r),
-                                           lambda r: policy.jacobian(0, r), [0.0])
+        (f,), (sat,), _ = local_limit_flow(net, policy, 0, [0.0])
         assert not sat
         np.testing.assert_array_equal(f, [0.0, 0.0])
 
     def test_interior_fixed_point_matches_scalar_oracle(self, two_route):
         topo, net, policy = two_route
         for lam in (0.25, 0.7, 1.0, 1.45):
-            (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                               lambda r: policy.route(0, r),
-                                               lambda r: policy.jacobian(0, r), [lam])
+            (f,), (sat,), _ = local_limit_flow(net, policy, 0, [lam])
             assert not sat
             np.testing.assert_allclose(f, two_route_fixed_point_oracle(lam), atol=1e-9)
             assert f.sum() == pytest.approx(lam, abs=1e-9)  # conservation
@@ -223,21 +214,17 @@ class TestLocalLimitFlow:
     def test_saturation_at_and_above_total_capacity(self, two_route):
         topo, net, policy = two_route
         for lam in (1.5, 2.0):
-            (f,), (sat,), _ = local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                                               lambda r: policy.route(0, r),
-                                               lambda r: policy.jacobian(0, r), [lam])
+            (f,), (sat,), _ = local_limit_flow(net, policy, 0, [lam])
             assert sat
             np.testing.assert_array_equal(f, [0.75, 0.75])
 
     def test_continuity_and_conservation_sweep(self, two_route):
         topo, net, policy = two_route
-        fns = [net.flow_functions[0], net.flow_functions[1]]
         grid = np.linspace(0.0, 1.5 * 1.5, 121)
         prev = None
         step = grid[1] - grid[0]
         for lam in grid:
-            (f,), _, _ = local_limit_flow(fns, lambda r: policy.route(0, r),
-                                          lambda r: policy.jacobian(0, r), [lam])
+            (f,), _, _ = local_limit_flow(net, policy, 0, [lam])
             assert f.sum() == pytest.approx(min(lam, 1.5), abs=1e-8)
             if prev is not None:
                 assert np.abs(f - prev).max() < 12.0 * step  # continuity, O(grid step)
@@ -248,9 +235,12 @@ class TestLocalLimitFlow:
     def test_negative_or_nan_inflow_refused(self, two_route, lam):
         topo, net, policy = two_route
         with pytest.raises(ValueError, match="inflow must be nonnegative"):
-            local_limit_flow([net.flow_functions[0], net.flow_functions[1]],
-                             lambda r: policy.route(0, r),
-                             lambda r: policy.jacobian(0, r), [0.5, lam])
+            local_limit_flow(net, policy, 0, [0.5, lam])
+
+    def test_destination_refused(self, diamond):
+        topo, net, policy = diamond
+        with pytest.raises(ValueError, match="is the destination"):
+            local_limit_flow(net, policy, topo.destination, [0.5])
 
 
 class TestNetworkLimitFlow:
@@ -313,27 +303,22 @@ class TestConvergence:
 class TestLocalSystemLaws:
     def _node_fixture(self):
         net = two_route_network()
-        policy = two_route_policy(net.topology)
-        fns = [net.flow_functions[0], net.flow_functions[1]]
-        return fns, (lambda r: policy.route(0, r))
+        return net, two_route_policy(net.topology)
 
     def test_monotone_in_the_input_signal(self):
-        fns, route = self._node_fixture()
+        net, policy = self._node_fixture()
         lam_lo = lambda t: 0.5
         lam_hi = lambda t: 0.5 + 0.3 * (1.0 + math.sin(t)) / 2.0
         rho0 = np.array([0.2, 0.2])
-        lo = simulate_local(fns, route, lam_lo, rho0, dt=0.01, horizon=40.0)
-        hi = simulate_local(fns, route, lam_hi, rho0, dt=0.01, horizon=40.0)
+        lo = simulate_local(net, policy, 0, lam_lo, rho0, dt=0.01, horizon=40.0)
+        hi = simulate_local(net, policy, 0, lam_hi, rho0, dt=0.01, horizon=40.0)
         assert np.all(lo.rho <= hi.rho + 1e-9)
 
     def test_constant_input_equals_network_simulation(self):
         # the local system is the network kernel on one origin with parallel links
-        fns, route = self._node_fixture()
-        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
-        net = FlowNetwork(topo, {0: fns[0], 1: fns[1]})
-        policy = GenericPolicy(topo, {0: route})
+        net, policy = self._node_fixture()
         rho0 = np.array([0.3, 0.1])
-        local = simulate_local(fns, route, lambda t: 0.9, rho0, dt=0.01, horizon=20.0)
+        local = simulate_local(net, policy, 0, lambda t: 0.9, rho0, dt=0.01, horizon=20.0)
         traj = simulate(net, policy, SimulationConfig(inflow=0.9, dt=0.01, horizon=20.0), rho0)
         assert np.array_equal(local.times, traj.times)
         assert np.array_equal(local.rho, traj.rho)
@@ -341,12 +326,30 @@ class TestLocalSystemLaws:
         assert local.max_undershoot == traj.max_undershoot
 
     def test_attractivity_under_convergent_input(self):
-        fns, route = self._node_fixture()
+        net, policy = self._node_fixture()
         lam = 0.8
         decaying = lambda t: lam + 0.5 * math.exp(-t)
-        traj = simulate_local(fns, route, decaying, np.array([1.0, 0.1]), dt=0.01, horizon=100.0)
+        traj = simulate_local(net, policy, 0, decaying, np.array([1.0, 0.1]), dt=0.01,
+                              horizon=100.0)
         target = two_route_fixed_point_oracle(lam)
         np.testing.assert_allclose(traj.flows[-1], target, atol=1e-4)
+
+    @pytest.mark.parametrize("v", [0, 1, 2])
+    def test_node_of_a_network_settles_at_its_local_limit_flow(self, diamond, v):
+        # nodes 1 and 2 route over links whose ids are not 0..k-1, with their own
+        # weights and capacities; node 2 has a single out-link
+        topo, net, policy = diamond
+        rho0 = np.zeros(len(topo.outgoing[v]))
+        traj = simulate_local(net, policy, v, lambda t: 0.6, rho0, dt=0.01, horizon=60.0)
+        (f,), (sat,), _ = local_limit_flow(net, policy, v, [0.6])
+        assert not sat
+        np.testing.assert_allclose(traj.flows[-1], f, atol=1e-8)
+
+    def test_destination_refused(self, diamond):
+        topo, net, policy = diamond
+        with pytest.raises(ValueError, match="is the destination"):
+            simulate_local(net, policy, topo.destination, lambda t: 0.5, [], dt=0.1,
+                           horizon=1.0)
 
 
 class TestIntegratorOrder:
@@ -462,54 +465,6 @@ class TestEnsemble:
         assert serial[1].max_undershoot == 0.0
         for traj, ref in zip(ensemble, serial):
             _assert_same_trajectory(traj, ref)
-
-    def test_custom_flows_clamp_negative_stages_like_exponential_ones(self):
-        # the unperturbed member above with each link behind a black-box
-        # CustomFlow: an RK4 stage goes below zero density, which the flows
-        # take as they are and the step then clamps, as on exponential links
-        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
-        fns = {0: ExponentialFlow(2.214, 0.3844), 1: ExponentialFlow(10.942, 0.5013)}
-        policy = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
-        config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
-        custom = {lid: CustomFlow(ff, ff.f_max) for lid, ff in fns.items()}
-        exp = simulate(FlowNetwork(topo, fns), policy, config, [3.2586, 2.207])
-        traj = simulate(FlowNetwork(topo, custom), policy, config, [3.2586, 2.207])
-        assert traj.max_undershoot > 0.0
-        np.testing.assert_allclose(traj.rho, exp.rho, rtol=0.0, atol=1e-12)
-
-    def test_generic_route_rejecting_a_negative_stage_is_a_simulation_error(self):
-        # the same run under a GenericPolicy around LogitPolicy.route, which
-        # refuses the RK4 stage below zero density that the logit kernel takes
-        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
-        net = FlowNetwork(topo, {0: ExponentialFlow(2.214, 0.3844),
-                                 1: ExponentialFlow(10.942, 0.5013)})
-        logit = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
-        generic = GenericPolicy(topo, {0: functools.partial(logit.route, 0)})
-        config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
-        assert simulate(net, logit, config, [3.2586, 2.207]).max_undershoot > 0.0
-        with pytest.raises(SimulationError, match=r"node 0 .* stage at t=[0-9.]+ with density "
-                                                  r"-[0-9.]+ below zero .*reduce dt"):
-            simulate(net, generic, config, [3.2586, 2.207])
-        # a ValueError on a nonnegative stage is the policy's own, and stays one
-        broken = GenericPolicy(topo, {0: lambda rho: logit.route(0, rho[:1])})
-        with pytest.raises(ValueError, match="expects 2 local densities"):
-            simulate(net, broken, config)
-
-    def test_generic_flows_and_policy_member_by_member(self):
-        net = diamond_network()
-        topo = net.topology
-        logit = diamond_policy(topo)
-        generic = GenericPolicy(topo, {v: (lambda rho, _v=v: logit.route(_v, rho))
-                                       for v in range(topo.num_nodes) if topo.outgoing[v]})
-        custom = CustomFlow(lambda rho: 1.2 * np.tanh(rho), 1.2, name="tanh")
-        nets = [FlowNetwork(topo, {**net.flow_functions, 4: custom}),
-                net.perturbed(PerturbationSpec.scaling(net, {5: 0.5})),
-                net]
-        rho0s = [np.full(6, 0.3), np.linspace(0.1, 1.0, 6), None]
-        config = SimulationConfig(inflow=1.0, horizon=2.0, dt=0.01, record_stride=7)
-        ensemble = simulate_ensemble(nets, generic, config, rho0s)
-        for n, r, traj in zip(nets, rho0s, ensemble):
-            _assert_same_trajectory(traj, simulate(n, generic, config, r))
 
     def test_member_blow_up_raises(self, monkeypatch):
         net = two_route_network()
@@ -647,37 +602,17 @@ def per_node_rhs(compiled, networks, policy, inflow, rho):
     lam = np.matmul(head_mat, f.reshape(n_members, m, 1))
     lam[:, compiled.origin] = inflow
     offsets = np.arange(n_members)[:, None]
-    if isinstance(policy, LogitPolicy):
-        new_group = np.r_[True, tails[1:] != tails[:-1]]
-        starts = (np.flatnonzero(new_group) + m * offsets).ravel()
-        group_of_link = (np.cumsum(new_group) - 1 + new_group.sum() * offsets).ravel()
-        g = -np.tile([policy.eta[link.tail] for link in links], n_members) * rho
-        g -= np.maximum.reduceat(g, starts).take(group_of_link)
-        np.exp(g, out=g)
-        g *= np.tile([policy.weights[link.id] for link in links], n_members)
-        g /= np.add.reduceat(g, starts).take(group_of_link)
-    else:
-        g = np.empty_like(rho)
-        state, splits = rho.reshape(n_members, m), g.reshape(n_members, m)
-        for v in np.unique(tails):
-            lo, hi = np.searchsorted(tails, [v, v + 1])
-            splits[:, lo:hi] = policy.route(int(v), state[:, lo:hi])
+    new_group = np.r_[True, tails[1:] != tails[:-1]]
+    starts = (np.flatnonzero(new_group) + m * offsets).ravel()
+    group_of_link = (np.cumsum(new_group) - 1 + new_group.sum() * offsets).ravel()
+    g = -np.tile([policy.eta[link.tail] for link in links], n_members) * rho
+    g -= np.maximum.reduceat(g, starts).take(group_of_link)
+    np.exp(g, out=g)
+    g *= np.tile([policy.weights[link.id] for link in links], n_members)
+    g /= np.add.reduceat(g, starts).take(group_of_link)
     g *= lam.take((tails + n_nodes * offsets).ravel())
     g -= f
     return g
-
-
-def _softmax_route(weights, eta, rho):
-    """A logit split that, unlike ``LogitPolicy.route``, takes negative densities."""
-    w = weights * np.exp(-eta * (rho - rho.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
-
-
-def _black_box_policy(topo, logit):
-    return GenericPolicy(topo, {
-        v: functools.partial(_softmax_route, np.array([logit.weights[lid] for lid in out]),
-                             logit.eta[v])
-        for v, out in topo.outgoing.items() if out})
 
 
 class TestTailGather:
@@ -697,19 +632,11 @@ class TestTailGather:
         return rho
 
     @classmethod
-    def kernel(cls, name, size, kind):
+    def kernel(cls, name, size):
         """``(compiled, nets, policy, inflow)`` of ``size`` perturbed members of ``name``."""
         sc = cls.scenario(name)
-        topo = sc.topology
         nets, _ = TestEnsemble.perturbed_members(sc.network, size, seed=size)
-        policy = sc.policy
-        if kind == "generic":  # black-box splits, and one black-box flow
-            policy = _black_box_policy(topo, sc.policy)
-            lid = topo.link_ids[-1]
-            base = nets[0].flow_functions[lid]
-            nets[0] = FlowNetwork(topo, {**nets[0].flow_functions,
-                                         lid: CustomFlow(lambda r: base(r), base.f_max)})
-        return dynamics._Compiled(nets, policy, sc.inflow), nets, policy, sc.inflow
+        return dynamics._Compiled(nets, sc.policy, sc.inflow), nets, sc.policy, sc.inflow
 
     @staticmethod
     def timed_kernel():
@@ -717,17 +644,15 @@ class TestTailGather:
         function of time.  ``(compiled, nets, policy, inflow_fn)``."""
         fns = [ExponentialFlow(1.3, 0.9), ExponentialFlow(0.5, 2.0), ExponentialFlow(2.0, 0.4)]
         topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(fns))])
-        logit = LogitPolicy(topo, eta={0: 1.2}, weights={0: 1.0, 1: 0.5, 2: 2.0})
-        policy = _black_box_policy(topo, logit)
+        policy = LogitPolicy(topo, eta={0: 1.2}, weights={0: 1.0, 1: 0.5, 2: 2.0})
         nets = [FlowNetwork(topo, dict(enumerate(fns)))]
         inflow_fn = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)
         return dynamics._Compiled(nets, policy, inflow_fn), nets, policy, inflow_fn
 
     @pytest.mark.parametrize("name", ["random8", "diamond5", "dag20-seed6"])
     @pytest.mark.parametrize("size", [1, 3, 58])
-    @pytest.mark.parametrize("kind", ["logit", "generic"])
-    def test_matches_per_node_inflows(self, name, size, kind):
-        compiled, nets, policy, inflow = self.kernel(name, size, kind)
+    def test_matches_per_node_inflows(self, name, size):
+        compiled, nets, policy, inflow = self.kernel(name, size)
         for rho in self.states(np.random.default_rng(size), size * len(compiled.links)):
             want = per_node_rhs(compiled, nets, policy, inflow, rho)
             assert np.array_equal(compiled.rhs(0.0, rho), want)
@@ -744,9 +669,8 @@ class TestTailGather:
     # of one RK4 step stay what they were.  These tests keep every result until the
     # last call has been made.
     @pytest.mark.parametrize("size", [1, 3, 58])
-    @pytest.mark.parametrize("kind", ["logit", "generic"])
-    def test_results_outlive_later_calls(self, size, kind):
-        compiled, nets, policy, inflow = self.kernel("random8", size, kind)
+    def test_results_outlive_later_calls(self, size):
+        compiled, nets, policy, inflow = self.kernel("random8", size)
         states = self.states(np.random.default_rng(size + 1), size * len(compiled.links))
         got = [compiled.rhs(0.0, rho) for rho in states]
         for rho, g in zip(states, got):
@@ -760,9 +684,8 @@ class TestTailGather:
         for t, rho, g in zip(times, states, got):
             assert np.array_equal(g, per_node_rhs(compiled, nets, policy, inflow_fn(t), rho))
 
-    @pytest.mark.parametrize("kind", ["logit", "generic"])
-    def test_consecutive_calls_return_distinct_arrays(self, kind):
-        compiled, *_ = self.kernel("diamond5", 3, kind)
+    def test_consecutive_calls_return_distinct_arrays(self):
+        compiled, *_ = self.kernel("diamond5", 3)
         rho = self.states(np.random.default_rng(5), 3 * len(compiled.links))[0]
         first, second = compiled.rhs(0.0, rho), compiled.rhs(0.0, rho)
         assert first is not second and not np.shares_memory(first, second)
@@ -835,24 +758,46 @@ class TestSlopeMap:
                 underflow += int((got == 0).sum())
         assert subnormal and underflow  # the exp tail was exercised
 
-    def test_mixed_node_takes_the_per_element_path(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        base = ExponentialFlow(0.8, 1.5)
-        fns = [ExponentialFlow(1.3, 0.9), CustomFlow(lambda r: base(r), base.f_max),
-               ExponentialFlow(0.5, 2.0)]
-        rho = self.densities(rng, np.array([1.3, 0.8, 0.5]), 40)
-        want = _derivative_rows(fns, rho)
-        calls = []
-        real = ExponentialFlow.derivative
 
-        def counting(self, x):
-            calls.append(x)
-            return real(self, x)
+class TestLogitRows:
+    """``_LogitRows``' maps on rows stacked from several nodes are bit for bit the
+    nodes' own flow functions and policy, row by row."""
 
-        monkeypatch.setattr(ExponentialFlow, "derivative", counting)
-        got = dynamics._slope_map(fns)(rho)
-        assert np.array_equal(got, want)
-        assert len(calls) == 2 * len(rho)  # one call per exponential element
+    POINTS = 24
+
+    @pytest.mark.parametrize("name", ["random8", "dag20-seed6"])
+    def test_maps_equal_the_nodes_calls(self, name):
+        sc = TestTailGather.scenario(name)
+        topo, net, policy = sc.topology, sc.network, sc.policy
+        rng = np.random.default_rng(12)
+        by_degree = {}
+        for v, out in topo.outgoing.items():
+            if out:
+                by_degree.setdefault(len(out), []).append(v)
+        assert 1 in by_degree and len(by_degree) >= 2
+        n = self.POINTS
+        for k, nodes in by_degree.items():
+            fns = {v: [net.flow_functions[lid] for lid in topo.outgoing[v]] for v in nodes}
+            rows = dynamics._group_rows(net, policy, nodes).take(
+                np.repeat(np.arange(len(nodes)), n))
+            rho = np.concatenate([TestSlopeMap.densities(rng, np.array([ff.rate for ff in fns[v]]), n)
+                                  for v in nodes])
+            stage = rho.copy()  # an RK4 stage's densities, some below zero
+            stage[rng.random(stage.shape) < 0.2] *= -0.01
+            assert (stage < 0).any()
+            mu, slope, g = rows.mu(stage), rows.slope(rho), rows.route(rho)
+            jac = rows.jac(rho, g)
+            for i, v in enumerate(nodes):
+                block = slice(i * n, (i + 1) * n)
+                assert np.array_equal(mu[block], np.column_stack(
+                    [ff(stage[block, j]) for j, ff in enumerate(fns[v])]))
+                assert np.array_equal(slope[block], _derivative_rows(fns[v], rho[block]))
+                if k == 1:
+                    assert np.array_equal(g[block], np.ones((n, 1)))  # exactly 1.0
+                    assert np.array_equal(jac[block], np.zeros((n, 1, 1)))
+                else:
+                    assert np.array_equal(g[block], policy.route(v, rho[block]))
+                    assert np.array_equal(jac[block], policy.jacobian(v, rho[block]))
 
 
 class TestRecordWindow:

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from flownet import (
-    CustomFlow,
     ExponentialFlow,
     FlowNetwork,
-    GenericPolicy,
     LocalSolverError,
     LogitPolicy,
     NetworkTopology,
@@ -37,7 +35,7 @@ def test_cli_output_matches_the_serial_cascade(tmp_path, pinned):
 
 
 def test_exponential_sweeps_make_no_scalar_derivative_calls(tmp_path, monkeypatch):
-    # every slope of an all-exponential node comes from the node's slope map
+    # every slope comes from ``_LogitRows.slope``, never a scalar call per element
     dag = scenario_paths(tmp_path)["dag20-seed0.json"]
     networks = [load_scenario(DATA / "diamond5.json"), load_scenario(dag)]
 
@@ -124,23 +122,6 @@ def test_batch_equals_one_point_calls_on_random8():
     lams = np.linspace(0.0, 3.0, 17)
     for lam, res in zip(lams, network_limit_flows(sc.network, sc.policy, lams)):
         _assert_same(res, network_limit_flows(sc.network, sc.policy, [lam])[0])
-
-
-def test_generic_policy_and_custom_flows_take_the_row_fallback(diamond):
-    _, net, logit = diamond
-    generic = GenericPolicy(net.topology, {v: (lambda r, _v=v: logit.route(_v, r))
-                                           for v in range(4)})
-    custom = FlowNetwork(net.topology, {
-        lid: CustomFlow(lambda r, _f=ff: _f(r), ff.f_max, name=f"exp{lid}")
-        for lid, ff in net.flow_functions.items()})
-    lams = [0.0, 0.4, 1.1, 1.7]
-    for network, policy in ((net, generic), (custom, logit), (custom, generic)):
-        for lam, res in zip(lams, network_limit_flows(network, policy, lams)):
-            _assert_same(res, network_limit_flow(network, policy, lam))
-            # and the all-logit, all-exponential network agrees to solver tolerance
-            np.testing.assert_allclose(res.flow_vector(net.topology),
-                                       network_limit_flow(net, logit, lam).flow_vector(net.topology),
-                                       atol=1e-8)
 
 
 def test_batched_logit_route_and_jacobian_equal_row_calls():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from flownet import (
     ExponentialFlow,
     FlowNetwork,
-    GenericPolicy,
     LogitPolicy,
     NetworkTopology,
     SimulationConfig,
@@ -126,13 +125,6 @@ class TestJacobian:
             scale = max(float(np.abs(analytic).max()), 1e-12)
             assert float(np.abs(analytic - numeric).max()) / scale < 1e-5
 
-    def test_generic_policy_uses_finite_differences(self):
-        topo = two_route_topology()
-        softmax = GenericPolicy(topo, {0: lambda r: np.exp(-r) / np.exp(-r).sum()})
-        jac = softmax.jacobian(0, np.array([0.5, 1.0]))
-        assert jac[0, 1] > 0 and jac[1, 0] > 0
-        np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-8)
-
 
 class TestPropertyA:
     def test_logit_passes(self):
@@ -172,8 +164,6 @@ class TestPropertyABatched:
         lambda: three_link_node()[1],
         lambda: anti_cooperative_policy(two_route_topology()),
         lambda: constant_policy(two_route_topology()),
-        lambda: GenericPolicy(two_route_topology(),
-                              {0: lambda r: np.exp(r) / np.exp(r).sum()}),
         lambda: LogitPolicy(NetworkTopology(2, [(0, 0, 1)]), eta={0: 1.0}, weights={0: 1.0}),
     ])
     def test_equals_one_sample_at_a_time(self, make):

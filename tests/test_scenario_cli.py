@@ -1163,17 +1163,27 @@ class TestEntryPoint:
         assert "Warning" not in proc.stderr
 
 
-def test_loading_scenarios_leaves_scipy_optimize_unimported():
-    # ``FlowFunction.inverse`` imports it on first use: about 50 MB and most of
-    # the package's import time that no scenario load needs.  The test process
-    # has imported it already, so the check runs in a fresh interpreter.
-    code = ("import pathlib, sys\n"
+def test_loading_scenarios_and_every_command_leave_scipy_unimported(tmp_path):
+    # No module of the package imports scipy, which the tests alone need (about
+    # 50 MB and most of a cold start's import time).  The test process has
+    # imported it already, so the check runs in a fresh interpreter.
+    code = ("import contextlib, io, pathlib, sys\n"
             "import flownet\n"
-            "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+            "from flownet import cli\n"
+            "data, out = pathlib.Path(sys.argv[1]), sys.argv[2]\n"
+            "for path in sorted(data.glob('*.json')):\n"
             "    flownet.load_scenario(path)\n"
-            "print('scipy.optimize' in sys.modules)\n")
+            "doc = str(data / 'diamond5.json')\n"
+            "for argv in (['validate', doc], ['mincut', doc],\n"
+            "             ['limitflow', doc, '--sweep', '0:3:5'],\n"
+            "             ['simulate', doc, '--horizon', '1', '--out', out],\n"
+            "             ['resilience', doc, '--alphas', '0.5', '--samples', '1',\n"
+            "              '--horizon', '20']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     src = str(Path(flownet.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, str(DATA)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.run([sys.executable, "-c", code, str(DATA), str(tmp_path / "run")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
