@@ -205,7 +205,8 @@ def cmd_simulate(args, argv):
         summary["attack"] = {
             "alpha": scenario.attack_alpha,
             "magnitude": spec.magnitude,
-            "stretching": spec.stretching,
+            # a scaling keeps every median density, so none is stretched
+            "stretching": 1.0,
         }
 
     # checked here, integrated block by block as the encoder takes the rows

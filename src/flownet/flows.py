@@ -6,10 +6,10 @@ and saturating at a finite capacity.  The one family is the saturating
 exponential ``capacity * (1 - exp(-rate * rho))``, with a finite positive
 rate and capacity.
 
-A perturbation replaces flow functions with pointwise-smaller ones.  Its
-magnitude is the sum over links of the sup-norm reductions, and its
-stretching coefficient is the worst-case inflation of the half-capacity
-("median") density.
+A perturbation scales the capacities of some links by factors in (0, 1].
+A scaled exponential lies below the original at every density and keeps
+its half-capacity ("median") density; its sup-norm reduction is the lost
+capacity, and the perturbation's magnitude is the sum of these over links.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ __all__ = [
     "PerturbationSpec",
     "InadmissiblePerturbation",
     "scale_perturbation",
-    "supremum_gap",
 ]
 
-CERTIFICATION_GRID_POINTS = 10_000
 # Density samples behind ``ExponentialFlow.certify``.
 SELF_CERTIFICATION_POINTS = 512
-SUP_GRID_POINTS = 4_096
-SUP_STABLE_TOL = 1e-6
 
 
 class InadmissiblePerturbation(ValueError):
-    """Perturbed flow function is not admissible (exceeds the original somewhere)."""
+    """A scaled flow function fails ``certify`` (say, a subnormal capacity)."""
 
 
 @dataclass(frozen=True)
@@ -84,17 +80,18 @@ class ExponentialFlow:
     def certify(self) -> list:
         """Sampled Assumption-style checks in floating point; returns violation messages.
 
-        The flow is evaluated on a geometric grid up to 50 median densities:
-        it must rise strictly from one sample to the next and end within
-        0.1 % of its capacity.
+        The flow is evaluated on a geometric grid from 1e-6 to 50 median
+        densities: it must rise strictly from one sample to the next and end
+        within 0.1 % of its capacity.  A NaN sample fails both checks.
         """
         violations = []
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, 50.0 * self.median_density(),
+        median = self.median_density()
+        grid = np.concatenate([[0.0], np.geomspace(1e-6 * median, 50.0 * median,
                                                    SELF_CERTIFICATION_POINTS)])
         vals = self(grid)
-        if np.any(np.diff(vals) <= 0):
+        if not (np.diff(vals) > 0).all():
             violations.append("not strictly increasing on the certification grid")
-        if vals[-1] < 0.999 * self.f_max:
+        if not vals[-1] >= 0.999 * self.f_max:
             violations.append("does not approach its capacity (saturation check failed)")
         return violations
 
@@ -110,43 +107,6 @@ def scale_perturbation(ff: ExponentialFlow, eps: float) -> ExponentialFlow:
     if not 0 < eps <= 1:
         raise ValueError(f"scaling factor must be in (0, 1], got {eps}")
     return ExponentialFlow(ff.rate, eps * ff.f_max)
-
-
-def supremum_gap(base: ExponentialFlow, pert: ExponentialFlow) -> float:
-    """sup over densities of ``base - pert``.
-
-    Same-rate exponential pairs have the analytic value ``f_max - f_max~``.
-    Otherwise the sup is taken on a geometric grid reaching 50x the larger
-    median density, with the reach doubled until the value is stable to
-    1e-6 (sound because both functions saturate).
-    """
-    if base.rate == pert.rate:
-        return base.f_max - pert.f_max
-    hi = 50.0 * max(base.median_density(), pert.median_density())
-    prev = -math.inf
-    for _ in range(40):
-        grid = np.concatenate([[0.0], np.geomspace(1e-4, hi, SUP_GRID_POINTS)])
-        sup = float(np.max(np.asarray(base(grid)) - np.asarray(pert(grid))))
-        if abs(sup - prev) < SUP_STABLE_TOL:
-            return sup
-        prev = sup
-        hi *= 2.0
-    raise RuntimeError("supremum grid did not stabilize")
-
-
-def _certify_admissible(base: ExponentialFlow, pert: ExponentialFlow, link_id: int):
-    """pert <= base everywhere, checked on a dense grid unless a slower rate and a
-    lower capacity settle it analytically."""
-    if pert.rate <= base.rate and pert.f_max <= base.f_max:
-        return
-    hi = 50.0 * max(base.median_density(), pert.median_density())
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, hi, CERTIFICATION_GRID_POINTS)])
-    excess = np.asarray(pert(grid)) - np.asarray(base(grid))
-    worst = float(np.max(excess))
-    if worst > 1e-12 or pert.f_max > base.f_max + 1e-12:
-        raise InadmissiblePerturbation(
-            f"link {link_id}: perturbed flow exceeds the original (worst excess {worst:.3e})"
-        )
 
 
 class FlowNetwork:
@@ -170,32 +130,20 @@ class FlowNetwork:
 
 
 class PerturbationSpec:
-    """Per-link replacement flow functions, certified admissible at build time.
+    """Per-link capacity scalings ``{link_id: eps}``, each eps in (0, 1].
 
-    Exposes the per-link gaps, the total magnitude (their sum), and the
-    stretching coefficient (worst ratio of perturbed to original median
-    density over all links; untouched links contribute 1).
+    ``replacements`` maps each named link to its scaled flow function, each
+    certified at build time; ``magnitude`` is the summed capacity reduction.
     """
 
-    def __init__(self, network: FlowNetwork, replacements: dict):
-        unknown = set(replacements) - set(network.topology.link_ids)
+    def __init__(self, network: FlowNetwork, factors: dict):
+        unknown = set(factors) - set(network.topology.link_ids)
         if unknown:
             raise TopologyError(f"perturbation names unknown links {sorted(unknown)}")
-        self.replacements = dict(replacements)
-        self.gaps = {}
-        worst_stretch = 1.0 if len(replacements) < len(network.topology.link_ids) else 0.0
+        fns = network.flow_functions
+        self.replacements = {lid: scale_perturbation(fns[lid], eps) for lid, eps in factors.items()}
         for lid, pert in sorted(self.replacements.items()):
-            base = network.flow_functions[lid]
             bad = pert.certify()
             if bad:
                 raise InadmissiblePerturbation(f"link {lid}: replacement fails certification: {bad}")
-            _certify_admissible(base, pert, lid)
-            self.gaps[lid] = supremum_gap(base, pert)
-            worst_stretch = max(worst_stretch, pert.median_density() / base.median_density())
-        self.magnitude = math.fsum(self.gaps.values())
-        self.stretching = worst_stretch
-
-    @classmethod
-    def scaling(cls, network: FlowNetwork, factors: dict) -> "PerturbationSpec":
-        """Build from per-link scaling factors ``{link_id: eps}``."""
-        return cls(network, {lid: scale_perturbation(network.flow_functions[lid], e) for lid, e in factors.items()})
+        self.magnitude = math.fsum(fns[lid].f_max - pert.f_max for lid, pert in self.replacements.items())

@@ -85,9 +85,8 @@ class ResilienceReport:
 def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> PerturbationSpec:
     """Scale every link of a minimal cut by alpha * inflow / (2 C).
 
-    The resulting magnitude is C - alpha * inflow / 2 and, on exponential
-    links, the attack does not move any median density (stretching 1).
-    By the cut argument the perturbed network cannot alpha-transfer.
+    The resulting magnitude is C - alpha * inflow / 2, and no median density
+    moves.  By the cut argument the perturbed network cannot alpha-transfer.
     """
     if inflow <= 0:
         raise ValueError("cut_attack needs a positive inflow")
@@ -97,7 +96,7 @@ def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> Perturbatio
     eps = alpha * inflow / (2.0 * capacity)
     if eps >= 1:
         raise ValueError("alpha * inflow >= 2 * min-cut: scaling attack degenerates")
-    return PerturbationSpec.scaling(network, {lid: eps for lid in sorted(cut.cut_links)})
+    return PerturbationSpec(network, {lid: eps for lid in sorted(cut.cut_links)})
 
 
 def _require_positive_threshold(alpha: float, inflow: float, tol: float | None = None):
@@ -244,7 +243,7 @@ def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: 
             weights *= target / weights.sum()
             factors = {lid: max(1.0 - reduction / caps[lid], 1e-3)
                        for lid, reduction in zip(chosen, weights)}
-        specs.append(PerturbationSpec.scaling(network, factors))
+        specs.append(PerturbationSpec(network, factors))
     return specs
 
 
@@ -318,7 +317,7 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
     config, rho0 = _attack_setup(network, policy, inflow, config)
 
     def cut_spec(eps: float) -> PerturbationSpec:
-        return PerturbationSpec.scaling(network, {lid: eps for lid in cut_links})
+        return PerturbationSpec(network, {lid: eps for lid in cut_links})
 
     def oracle_outflow(eps: float) -> float:
         limit = network_limit_flow(network.perturbed(cut_spec(eps)), policy, inflow)

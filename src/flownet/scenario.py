@@ -77,7 +77,7 @@ class Scenario:
             _require_positive_threshold(self.attack_alpha, self.inflow)
             return cut_attack(self.network, self.attack_alpha, self.inflow)
         if self.scalings is not None:
-            return PerturbationSpec.scaling(self.network, self.scalings)
+            return PerturbationSpec(self.network, self.scalings)
         return None
 
 

@@ -45,7 +45,7 @@ def members(network, size, seed=1):
     """``size`` copies of ``network``, each link scaled by a factor in [0.4, 1)."""
     rng = np.random.default_rng(seed)
     ids = network.topology.link_ids
-    return [network.perturbed(PerturbationSpec.scaling(
+    return [network.perturbed(PerturbationSpec(
         network, {lid: float(rng.uniform(0.4, 1.0)) for lid in ids})) for _ in range(size)]
 
 

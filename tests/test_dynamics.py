@@ -178,7 +178,7 @@ class TestAlphaTransfer:
 
     def test_strangled_origin_not_transferring(self, two_route):
         topo, net, policy = two_route
-        spec = PerturbationSpec.scaling(net, {0: 0.01, 1: 0.01})
+        spec = PerturbationSpec(net, {0: 0.01, 1: 0.01})
         traj = simulate(net.perturbed(spec), policy, SimulationConfig(inflow=1.0, horizon=200.0, dt=0.02))
         est = alpha_transfer_estimate(traj, 0.5)
         assert not est.transferring
@@ -186,7 +186,7 @@ class TestAlphaTransfer:
 
     def test_alpha_zero_always_transfers(self, two_route):
         topo, net, policy = two_route
-        spec = PerturbationSpec.scaling(net, {0: 0.01, 1: 0.01})
+        spec = PerturbationSpec(net, {0: 0.01, 1: 0.01})
         traj = simulate(net.perturbed(spec), policy, SimulationConfig(inflow=1.0, horizon=120.0, dt=0.02))
         assert alpha_transfer_estimate(traj, 0.0).transferring
 
@@ -433,7 +433,7 @@ class TestEnsemble:
         nets, rho0s = [], []
         for _ in range(size):
             factors = {lid: float(rng.uniform(0.4, 1.0)) for lid in ids if rng.random() < 0.5}
-            nets.append(net.perturbed(PerturbationSpec.scaling(net, factors)))
+            nets.append(net.perturbed(PerturbationSpec(net, factors)))
             rho0s.append(rng.uniform(0.0, 2.0, size=len(ids)))
         return nets, rho0s
 
@@ -457,7 +457,7 @@ class TestEnsemble:
                                  1: ExponentialFlow(10.942, 0.5013)})
         policy = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
         config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
-        nets = [net.perturbed(PerturbationSpec.scaling(net, {0: eps})) for eps in (1.0, 0.9, 0.7)]
+        nets = [net.perturbed(PerturbationSpec(net, {0: eps})) for eps in (1.0, 0.9, 0.7)]
         rho0s = [[3.2586, 2.207]] * 3
         ensemble = simulate_ensemble(nets, policy, config, rho0s)
         serial = [simulate(n, policy, config, r) for n, r in zip(nets, rho0s)]
@@ -469,7 +469,7 @@ class TestEnsemble:
     def test_member_blow_up_raises(self, monkeypatch):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        strangled = net.perturbed(PerturbationSpec.scaling(net, {0: 0.3, 1: 0.3}))
+        strangled = net.perturbed(PerturbationSpec(net, {0: 0.3, 1: 0.3}))
         monkeypatch.setattr(dynamics, "DENSITY_CEILING", 50.0)
         config = SimulationConfig(inflow=1.0, horizon=200.0, dt=0.05)
         simulate(net, policy, config)  # the healthy member alone is fine
@@ -515,7 +515,7 @@ class TestFlatKernel:
         nets, rho0s = [], []
         for _ in range(size):
             factors = {lid: float(rng.uniform(0.3, 1.0)) for lid in ids}
-            nets.append(net.perturbed(PerturbationSpec.scaling(net, factors)))
+            nets.append(net.perturbed(PerturbationSpec(net, factors)))
             rho0 = rng.uniform(0.0, 3.0, size=len(ids))
             rho0[rng.random(len(ids)) < 0.3] = 0.0
             rho0s.append(rho0)

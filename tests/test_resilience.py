@@ -48,7 +48,8 @@ class TestCutAttack:
         for lid in (0, 1):
             assert spec.replacements[lid].f_max == pytest.approx(0.75 / 6.0, rel=1e-12)
         assert spec.magnitude == pytest.approx(1.25, abs=1e-12)  # C - alpha*lam/2
-        assert spec.stretching == 1.0
+        for lid, pert in spec.replacements.items():
+            assert pert.median_density() == net.flow_functions[lid].median_density()
 
     def test_magnitude_formula_to_machine_precision(self):
         for net, lam, alpha, C in [
@@ -81,7 +82,7 @@ class TestEvaluateAttack:
     def test_identity_perturbation_not_defeated(self):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        spec = PerturbationSpec.scaling(net, {})
+        spec = PerturbationSpec(net, {})
         out = evaluate_attacks(net, policy, 1.0, [(spec, 0.1, None)], FAST)[0]
         assert out.transferring
         assert out.tail_min == pytest.approx(1.0, abs=1e-3)
@@ -98,14 +99,14 @@ class TestEvaluateAttack:
     def test_tiny_off_cut_scaling_harmless(self):
         net = diamond_network()
         policy = diamond_policy(net.topology)
-        spec = PerturbationSpec.scaling(net, {0: 0.99})  # link 0 is off the min cut {5}
+        spec = PerturbationSpec(net, {0: 0.99})  # link 0 is off the min cut {5}
         out = evaluate_attacks(net, policy, 1.0, [(spec, 0.5, None)], FAST)[0]
         assert out.transferring
 
     def test_saturated_baseline_rejected(self):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        spec = PerturbationSpec.scaling(net, {})
+        spec = PerturbationSpec(net, {})
         with pytest.raises(ValueError):
             evaluate_attacks(net, policy, 2.0, [(spec, 0.5, None)],
                              SimulationConfig(inflow=2.0, horizon=50.0, dt=0.02))
@@ -117,7 +118,7 @@ class TestEvaluateAttack:
         policy = two_route_policy(net.topology)
         monkeypatch.setattr(dynamics, "_integrate", None)  # any simulation fails
         attacks = [(cut_attack(net, 0.5, 1.0), 0.5, None),
-                   (PerturbationSpec.scaling(net, {}), alpha, None)]
+                   (PerturbationSpec(net, {}), alpha, None)]
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
             evaluate_attacks(net, policy, 1.0, attacks, FAST)
 
@@ -242,7 +243,7 @@ class TestBatchedVerdicts:
 
         def judge(eps, alpha):
             """Whether scaling the cut by eps defeats alpha, and the attack's magnitude."""
-            spec = PerturbationSpec.scaling(net, {lid: eps for lid in sorted(cut.cut_links)})
+            spec = PerturbationSpec(net, {lid: eps for lid in sorted(cut.cut_links)})
             out = evaluate_attacks(net, policy, 1.0, [(spec, alpha, None)], config)[0]
             return not out.transferring, spec.magnitude
 
@@ -357,7 +358,7 @@ class TestBatchedVerdicts:
         config, rho0 = resilience._attack_setup(net, policy, 1.0, config)
         specs = sample_scaling_perturbations(net, 1.3, 5, seed=6)
         # a cut attack, and origin links scaled down: the outflow still falls at the horizon
-        specs += [cut_attack(net, 0.05, 1.0), PerturbationSpec.scaling(net, {0: 0.1, 1: 0.1})]
+        specs += [cut_attack(net, 0.05, 1.0), PerturbationSpec(net, {0: 0.1, 1: 0.1})]
         attacks = [(spec, alpha, tol)
                    for spec in specs for alpha, tol in ((0.5, None), (0.05, 0.0))]
         outcomes = evaluate_attacks(net, policy, 1.0, attacks, config)

@@ -356,6 +356,14 @@ class TestCmdValidate:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_fast_exponential_validates(self, tmp_path, capsys):
+        # rate 1e8: 50 median densities lie below 1e-6, where an absolute
+        # lower end would have run the certification grid downward
+        doc = write_mutated(tmp_path, ("flow_functions", "1", "a"), 1e8, source="chain21.json")
+        code, out = run_cli("validate", str(doc), capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_cycle_named_in_report(self, capsys):
         code, out = run_cli("validate", str(DATA / "bad_cycle.json"), capsys=capsys)
         assert code == 1
