@@ -29,7 +29,7 @@ import numpy as np
 
 from .flows import FlowNetwork
 from .routing import LogitPolicy, _logit_jacobian, _logit_split
-from .topology import NetworkTopology, topological_order
+from .topology import NetworkTopology, TopologyError, topological_order
 
 __all__ = [
     "SimulationConfig",
@@ -698,11 +698,27 @@ class _LogitRows:
         self.params = params
         self.k = k = (params.shape[1] - 2) // 5
         self.f_max, self.neg_rate, self.neg_f_max, self.scale, self.a = (
-            params[:, i * k:(i + 1) * k] for i in range(5))
+            params[:, :k], params[:, k:2 * k], params[:, 2 * k:3 * k], params[:, 3 * k:4 * k],
+            params[:, 4 * k:5 * k])
         self.neg_eta, self.eta = params[:, -2:-1], params[:, -1:, None]
 
     def take(self, idx):
         return self if len(self.params) == 1 else _LogitRows(self.params[idx])
+
+    def scaled(self, idx, eps):
+        """Rows ``idx`` of these rows, row r's capacities scaled by ``eps[r]`` (R, k).
+
+        Each row's exponential parameters become those ``_exponential_params``
+        gives the functions ``scale_perturbation`` makes: capacity ``eps *
+        f_max``, its negation, and ``rate * (eps * f_max)``; rates, weights
+        and ``eta`` stay.  A factor of 1.0 leaves a row's bits unchanged.
+        """
+        k, params = self.k, self.params[idx]
+        f_max = params[:, :k]
+        f_max *= eps
+        np.negative(f_max, out=params[:, 2 * k:3 * k])
+        np.multiply(np.negative(params[:, k:2 * k]), f_max, out=params[:, 3 * k:4 * k])
+        return _LogitRows(params)
 
     def mu(self, rho):
         return _exponential_flows(self.neg_rate, self.neg_f_max, rho)
@@ -919,14 +935,48 @@ def _group_rows(network: FlowNetwork, policy: LogitPolicy, group) -> _LogitRows:
     return _LogitRows(np.array(rows))
 
 
-def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows) -> list:
+def _capacity_factors(plan: _CascadePlan, scalings, n_points: int) -> np.ndarray:
+    """The (links, P) capacity factors of ``scalings``, rows in cascade order.
+
+    Entry [i, p] is ``scalings[p]``'s factor for link ``plan.lids[i]``, 1.0
+    where the map names no factor; an unknown link raises ``TopologyError``
+    and a factor outside (0, 1] ``ValueError``, as ``PerturbationSpec`` does.
+    """
+    scalings = list(scalings)
+    if len(scalings) != n_points:
+        raise ValueError(f"need one factor map per inflow ({n_points}), got {len(scalings)}")
+    row = {lid: i for i, lid in enumerate(plan.lids)}
+    eps = np.ones((len(plan.lids), n_points))
+    for p, factors in enumerate(scalings):
+        unknown = set(factors) - set(row)
+        if unknown:
+            raise TopologyError(f"perturbation names unknown links {sorted(unknown)}")
+        for lid, factor in factors.items():
+            if not 0 < factor <= 1:  # NaN included
+                raise ValueError(f"scaling factor must be in (0, 1], got {factor}")
+            eps[row[lid], p] = factor
+    return eps
+
+
+def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
+                        scalings=None) -> list:
     """Limit flows at P network inflows from one cascade through the node levels.
+
+    ``scalings``, when given, holds one ``{link_id: eps}`` map of capacity
+    factors per point (``PerturbationSpec``'s), and point p is solved on
+    ``network`` with those links' capacities scaled: entry p is bit-for-bit
+    ``network_limit_flow(network.perturbed(PerturbationSpec(network,
+    scalings[p])), policy, inflows[p])``.  The factors are checked as
+    ``PerturbationSpec`` checks them, but the scaled functions are not
+    certified.  Without ``scalings`` every factor is 1.0, which leaves a
+    capacity's bits unchanged: the network's own limit flows.
 
     A node's level is the length of its longest path from the origin, so a
     level's inflows are known once the levels below it are solved.  Per
     level, the nodes are solved by one Newton run per out-degree k, on
     their (node, point) rows stacked into (rows, k) densities, each row
-    with its own node's parameters (``_group_rows``).
+    with its own node's parameters (``_group_rows``) and its own point's
+    capacities (``_LogitRows.scaled``).
 
     Two orders are those of a node-by-node cascade in
     ``topological_order``, not the level order:
@@ -947,6 +997,7 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows) -> l
     plan = _CascadePlan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
+    eps = _capacity_factors(plan, [{}] * n_points if scalings is None else scalings, n_points)
     node_in = np.zeros((topo.num_nodes, n_points))
     node_in[topo.origin] = lam0
     flows = np.full((len(plan.lids), n_points), np.nan)  # rows in cascade order
@@ -963,8 +1014,9 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows) -> l
             counts = [p.size for p in points]
             if not sum(counts):
                 continue
-            rows = _group_rows(network, policy, group).take(
-                np.repeat(np.arange(len(group)), counts))  # a row per point
+            rows = _group_rows(network, policy, group).scaled(  # a row per point
+                np.repeat(np.arange(len(group)), counts),
+                np.concatenate([eps[plan.out_rows[v]][:, p].T for v, p in zip(group, points)]))
             f, sat, errs = _local_solve(rows, np.concatenate(
                 [node_in[v, p] for v, p in zip(group, points)]))
             lo = 0

@@ -18,12 +18,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    LimitFlow,
+    LocalSolverError,
     SimulationConfig,
     _ensemble_blocks,
     _transfer_estimate,
     _transfer_threshold,
     default_dt,
     network_limit_flow,
+    network_limit_flows,
 )
 from .flows import FlowNetwork, PerturbationSpec
 from .routing import LogitPolicy, responsiveness_findings
@@ -43,8 +46,10 @@ __all__ = [
 MARGIN = 0.1
 # ... and each must keep its tail outflow at or above ALPHA_FLOOR * inflow.
 ALPHA_FLOOR = 1e-3
-# Upper side: cut-scaling bisections stop within this fraction of C.
+# Upper side: cut-scaling bisections stop within this fraction of C ...
 BISECT_TOL_FRAC = 0.01
+# ... and halve a start scaling that does not defeat down to this floor.
+HALVING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,24 +134,38 @@ def _initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
     return np.array(rho0)
 
 
-def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
-                  config: SimulationConfig | None):
-    """The run settings every attack on ``network`` shares: the config with
-    the time step of the unperturbed rates, and the start densities, which
-    realize the unperturbed limit flow."""
+def _attack_config(network: FlowNetwork, inflow: float,
+                   config: SimulationConfig | None) -> SimulationConfig:
+    """The config every attack on ``network`` shares: ``config`` at ``inflow``,
+    with the time step of the unperturbed rates unless it sets one."""
     if config is None:
         config = SimulationConfig(inflow=inflow)
     elif config.inflow != inflow:
         config = replace(config, inflow=inflow)
     if config.dt is None:
         config = replace(config, dt=default_dt(network))
-    base_limit = network_limit_flow(network, policy, inflow)
+    return config
+
+
+def _start_densities(network: FlowNetwork, base_limit) -> np.ndarray:
+    """Every attack run's start densities: those realizing ``base_limit``, the
+    unperturbed limit flow (its ``LocalSolverError`` is raised)."""
+    if isinstance(base_limit, LocalSolverError):
+        raise base_limit
     if any(base_limit.saturated.values()):
         raise ValueError(
             "inflow saturates the unperturbed network; an attack run needs an "
             "interior start flow (inflow < C)"
         )
-    return config, _initial_densities(network, base_limit.flow_vector(network.topology))
+    return _initial_densities(network, base_limit.flow_vector(network.topology))
+
+
+def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
+                  config: SimulationConfig | None):
+    """The run settings every attack on ``network`` shares: ``_attack_config``
+    and the ``_start_densities`` of the unperturbed limit flow."""
+    config = _attack_config(network, inflow, config)
+    return config, _start_densities(network, network_limit_flow(network, policy, inflow))
 
 
 def evaluate_attacks(network: FlowNetwork, policy: LogitPolicy, inflow: float, attacks,
@@ -247,33 +266,142 @@ def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: 
     return specs
 
 
+def _halved(eps_lo: float):
+    """The start scaling ``_bisect_scaling`` judges once ``eps_lo`` has not
+    defeated: ``eps_lo / 2``, or None below ``HALVING_FLOOR``."""
+    eps_lo *= 0.5
+    return eps_lo if eps_lo >= HALVING_FLOOR else None
+
+
+def _midpoint(lo: float, hi: float, capacity: float, delta_tol: float):
+    """The scaling ``_bisect_scaling`` judges in the bracket (lo, hi), or None
+    once the bracket's magnitude is within ``delta_tol``."""
+    return 0.5 * (lo + hi) if (hi - lo) * capacity > delta_tol else None
+
+
 def _bisect_scaling(defeated, eps_lo: float, capacity: float, delta_tol: float):
     """The smallest defeating uniform cut scaling, to within ``delta_tol`` in magnitude.
 
     ``defeated(eps)`` is the verdict on scaling the cut by eps.  ``eps_lo``
     (the cut argument's scaling) is confirmed first and halved until it
-    defeats, then bisected against the identity.  Halving is needed for
-    alpha in (1e-3, 2e-3]: there the cut's bound on the outflow,
-    alpha * inflow / 2, is not below the verdict threshold
-    alpha * inflow - 1e-3 * inflow.  Returns
+    defeats (``_halved``), then bisected against the identity
+    (``_midpoint``).  Halving is needed for alpha in (1e-3, 2e-3]: there
+    the cut's bound on the outflow, alpha * inflow / 2, is not below the
+    verdict threshold alpha * inflow - 1e-3 * inflow.  Returns
     ``(eps_lo, eps_hi, evaluations)``: the final defeating and preserved
     scalings and the number of verdicts taken.
     """
     evaluations = 1
     while not defeated(eps_lo):
-        eps_lo *= 0.5  # the cut bound is not below the threshold
-        if eps_lo < 1e-12:
+        eps_lo = _halved(eps_lo)  # the cut bound is not below the threshold
+        if eps_lo is None:
             raise RuntimeError("failed to find a defeating attack below min-cut scale")
         evaluations += 1
     eps_hi = 1.0  # identity: magnitude 0, trivially preserved
-    while (eps_hi - eps_lo) * capacity > delta_tol:
-        mid = 0.5 * (eps_lo + eps_hi)
+    while (mid := _midpoint(eps_lo, eps_hi, capacity, delta_tol)) is not None:
         evaluations += 1
         if defeated(mid):
             eps_lo = mid
         else:
             eps_hi = mid
     return eps_lo, eps_hi, evaluations
+
+
+def _halvings(eps_lo: float) -> list:
+    """Every start scaling ``_bisect_scaling`` judges after ``eps_lo`` while none defeats."""
+    chain = []
+    while (eps_lo := _halved(eps_lo)) is not None:
+        chain.append(eps_lo)
+    return chain
+
+
+def _bisection_tree(eps_lo: float, capacity: float, delta_tol: float) -> list:
+    """Every midpoint ``_bisect_scaling`` can judge once ``eps_lo`` has defeated,
+    whatever its verdicts: 2**d - 1 of them for d halvings of the bracket
+    down to ``delta_tol`` (127 at ``BISECT_TOL_FRAC``)."""
+    points, brackets = [], [(eps_lo, 1.0)]
+    while brackets:
+        lo, hi = brackets.pop()
+        if (mid := _midpoint(lo, hi, capacity, delta_tol)) is not None:
+            points.append(mid)
+            brackets += [(lo, mid), (mid, hi)]
+    return points
+
+
+def _cut_spec(network: FlowNetwork, cut_links, eps: float) -> PerturbationSpec:
+    """The cut ``cut_links`` scaled by eps, certified."""
+    return PerturbationSpec(network, {lid: eps for lid in cut_links})
+
+
+def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float, alphas,
+                       capacity: float, cut_links):
+    """Every alpha's ``_bisect_scaling`` on the cut ``cut_links``, judged on the limit-flow oracle.
+
+    The verdicts do not depend on each other, so the scalings a bisection
+    can judge are solved before any is read, in two ``network_limit_flows``
+    cascades.  The first holds the unperturbed network (the cut scaled by
+    1.0) and each alpha's start scaling eps_lo with, when the cut bound
+    eps_lo * capacity is below the alpha's threshold so eps_lo defeats,
+    its ``_bisection_tree``; otherwise its ``_halvings``.  The second
+    holds the tree of each alpha's first start that the judged verdicts
+    show defeating, where it is not yet solved.  The loops then walk
+    their paths through these limit flows and report the midpoints,
+    brackets and verdict counts a one-point oracle would; a scaling a path
+    reaches that neither cascade holds is solved when read.  A scaling on
+    a path is certified as ``PerturbationSpec`` certifies it, and it or
+    its failed cascade raises at the verdict that reads it; a scaling off
+    every path raises nothing.
+
+    Returns ``(rho0, brackets, outflow)``: the attack runs' start densities
+    (``_start_densities``, checked before any verdict), one ``(alpha,
+    eps_lo, eps_hi, evaluations)`` per alpha, largest alpha first, and the
+    judged outflow at any scaling of a path or at 1.0.
+    """
+    delta_tol = BISECT_TOL_FRAC * capacity
+    order = sorted(alphas, reverse=True)
+    starts = [alpha * inflow / (2.0 * capacity) for alpha in order]
+    thresholds = [_transfer_threshold(alpha, inflow) for alpha in order]
+    destination = network.topology.destination
+    limits = {}  # cut scaling -> its limit flow or LocalSolverError
+
+    def judge(points):
+        """Add the limit flows of the cut scaled by each of ``points`` to ``limits``,
+        in one cascade; a scaling outside (0, 1] is left to ``_cut_spec`` to refuse."""
+        points = [eps for eps in dict.fromkeys(points) if 0 < eps <= 1 and eps not in limits]
+        if points:
+            limits.update(zip(points, network_limit_flows(
+                network, policy, [inflow] * len(points),
+                [dict.fromkeys(cut_links, eps) for eps in points])))
+
+    def preserved(eps: float, threshold: float) -> bool:
+        """Whether the judged limit flow at ``eps`` keeps the outflow at ``threshold``."""
+        limit = limits.get(eps)
+        return isinstance(limit, LimitFlow) and limit.node_inflows[destination] >= threshold
+
+    def outflow(eps: float) -> float:
+        _cut_spec(network, cut_links, eps)
+        judge([eps])
+        limit = limits[eps]
+        if isinstance(limit, LocalSolverError):
+            raise limit
+        return limit.node_inflows[destination]
+
+    judge([1.0] + [eps for eps_lo, threshold in zip(starts, thresholds)
+                   for eps in [eps_lo] + (_bisection_tree(eps_lo, capacity, delta_tol)
+                                          if eps_lo * capacity < threshold
+                                          else _halvings(eps_lo))])
+    rho0 = _start_densities(network, limits[1.0])
+    trees = []
+    for eps_lo, threshold in zip(starts, thresholds):
+        while eps_lo is not None and preserved(eps_lo, threshold):
+            eps_lo = _halved(eps_lo)
+        if isinstance(limits.get(eps_lo), LimitFlow):  # a judged defeating start
+            trees += _bisection_tree(eps_lo, capacity, delta_tol)
+    judge(trees)
+    brackets = [(alpha, *_bisect_scaling(lambda eps: not outflow(eps) >= threshold,
+                                         eps_lo, capacity, delta_tol))
+                for alpha, eps_lo, threshold in zip(order, starts, thresholds)]
+    return rho0, brackets, outflow
 
 
 def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: float,
@@ -293,12 +421,17 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
     The bisection is judged on the limit-flow oracle: the perturbed flow
     converges to its unique limit flow, whose destination inflow is the
     asymptotic outflow, so an attack defeats alpha when that inflow falls
-    below the threshold simulated verdicts use.  One simulated ensemble
-    then holds the samples and, as audits, every alpha's final defeating
-    and preserved scalings.  An audit whose simulated verdict differs from
-    the oracle's, or whose tail still varies by more than 5% of the inflow,
-    raises ``RuntimeError``: the horizon is too short for the tail to reach
-    the limit.  The report is deterministic for a fixed seed.
+    below the threshold simulated verdicts use.  The verdicts depend only
+    on their scalings, so every alpha's are judged together in batched
+    cascades, two at most when the cut bound predicts which start
+    scalings defeat (``_oracle_bisections``); the midpoints, verdict
+    counts and brackets are those of one oracle call per verdict.  One
+    simulated ensemble then holds the samples and, as audits, every
+    alpha's final defeating and preserved scalings.  An audit whose
+    simulated verdict differs from the oracle's, or whose tail still
+    varies by more than 5% of the inflow, raises ``RuntimeError``: the
+    horizon is too short for the tail to reach the limit.  The report is
+    deterministic for a fixed seed.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -314,25 +447,13 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
         _require_positive_threshold(alpha, inflow)
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
-    config, rho0 = _attack_setup(network, policy, inflow, config)
-
-    def cut_spec(eps: float) -> PerturbationSpec:
-        return PerturbationSpec(network, {lid: eps for lid in cut_links})
-
-    def oracle_outflow(eps: float) -> float:
-        limit = network_limit_flow(network.perturbed(cut_spec(eps)), policy, inflow)
-        return limit.node_inflows[network.topology.destination]
-
-    brackets = []  # (alpha, eps_lo, eps_hi, evaluations)
-    for alpha in sorted(alphas, reverse=True):
-        threshold = _transfer_threshold(alpha, inflow)
-        brackets.append((alpha, *_bisect_scaling(
-            lambda eps: not oracle_outflow(eps) >= threshold,
-            alpha * inflow / (2.0 * capacity), capacity, BISECT_TOL_FRAC * capacity)))
+    config = _attack_config(network, inflow, config)
+    rho0, brackets, oracle_outflow = _oracle_bisections(network, policy, inflow, alphas,
+                                                        capacity, cut_links)
 
     audits = [(alpha, eps, defeated) for alpha, eps_lo, eps_hi, _ in brackets
               for eps, defeated in ((eps_lo, True), (eps_hi, False))]
-    audit_specs = [cut_spec(eps) for _, eps, _ in audits]
+    audit_specs = [_cut_spec(network, cut_links, eps) for _, eps, _ in audits]
     specs = _sample_scalings(network, (1.0 - MARGIN) * capacity, n_samples, seed, capacity,
                              cut_links)
     outcomes = _simulate_attacks(

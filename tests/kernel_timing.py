@@ -1,4 +1,4 @@
-"""Per-layer kernel timings: microseconds per RK4 step, per limit flow and per sweep.
+"""Per-layer kernel timings: microseconds per RK4 step, per limit flow, per sweep and per bisection.
 
 Not collected by pytest.  Prints one JSON object with the minimum over
 ``--repeats`` runs of
@@ -12,7 +12,11 @@ Not collected by pytest.  Prints one JSON object with the minimum over
   ``diamond5`` and ``random8``;
 - one 41-point ``network_limit_flows`` sweep from 0 to twice the min-cut
   capacity on the benchmark's seeded 20-node DAG ``generate_dag(0)``, the
-  level cascade's case.
+  level cascade's case;
+- one alpha's (0.05) oracle bracket, ``resilience._oracle_bisections``, on
+  ``diamond5`` and ``random8`` at the scenario inflow: the attack
+  evaluation layer of ``resilience``, every verdict of its cut-scaling
+  bisection judged on the limit-flow oracle.
 
 Run from the repository root::
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from flownet import (PerturbationSpec, SimulationConfig, load_scenario, min_cut_capacity,
                      network_limit_flow, network_limit_flows)
-from flownet import dynamics
+from flownet import dynamics, resilience
 from flownet.scenario import parse_scenario
 
 from cli_digests import SWEEP_POINTS, _generate_dag
@@ -38,6 +42,8 @@ DATA = Path(__file__).parent / "data"
 RHS_CASES = (("random8", 1), ("diamond5", 6))
 RK4_CASES = (("random8", 1), ("diamond5", 6), ("random8", 58))
 LIMIT_FLOW_CASES = ("diamond5", "random8")
+BISECTION_CASES = ("diamond5", "random8")
+BISECTION_ALPHA = 0.05
 SWEEP_SEED = 0
 
 
@@ -103,11 +109,26 @@ def limit_flow_sweep_us(seed, calls, repeats):
     return best / calls * 1e6
 
 
+def bisection_us(name, calls, repeats):
+    sc = load_scenario(DATA / f"{name}.json")
+    capacity, cut = min_cut_capacity(sc.topology, sc.network.capacities())
+    cut_links = sorted(cut.cut_links)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            resilience._oracle_bisections(sc.network, sc.policy, sc.inflow, (BISECTION_ALPHA,),
+                                          capacity, cut_links)
+        best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=2000, help="RK4 steps per run")
     parser.add_argument("--calls", type=int, default=200,
-                        help="right-hand-side evaluations, limit-flow calls and sweeps per run")
+                        help="right-hand-side evaluations, limit-flow calls, sweeps and "
+                             "bisections per run")
     parser.add_argument("--repeats", type=int, default=7, help="runs per case; the minimum counts")
     args = parser.parse_args(argv)
     result = {
@@ -120,6 +141,8 @@ def main(argv=None):
                           for name in LIMIT_FLOW_CASES},
         "limit_flow_sweep_us": {f"dag20_seed{SWEEP_SEED}": round(
             limit_flow_sweep_us(SWEEP_SEED, args.calls, args.repeats), 2)},
+        "bisection_us": {name: round(bisection_us(name, args.calls, args.repeats), 2)
+                         for name in BISECTION_CASES},
         "settings": {"steps": args.steps, "calls": args.calls, "repeats": args.repeats},
     }
     print(json.dumps(result))

@@ -11,14 +11,17 @@ from flownet import (
     LocalSolverError,
     LogitPolicy,
     NetworkTopology,
+    PerturbationSpec,
+    TopologyError,
     load_scenario,
     min_cut_capacity,
     network_limit_flow,
 )
 from flownet import cli, dynamics
 from flownet.dynamics import network_limit_flows
+from flownet.scenario import parse_scenario
 
-from cli_digests import DIGESTS, cli_digests, scenario_paths
+from cli_digests import DIGESTS, _generate_dag, cli_digests, scenario_paths
 from conftest import DATA
 
 
@@ -138,3 +141,68 @@ def test_batched_logit_route_and_jacobian_equal_row_calls():
         assert g.shape == (64, k) and jac.shape == (64, k, k)
         assert np.array_equal(g, np.array([sc.policy.route(v, r) for r in rho]))
         assert np.array_equal(jac, np.array([sc.policy.jacobian(v, r) for r in rho]))
+
+
+def _scaled_points(scenario, n_points, seed):
+    """Inflows in [0, 1.5 C] and one factor map per point: each link scaled with
+    chance 1/2, by 1.0 one time in four and else by a factor in [0.05, 1)."""
+    rng = np.random.default_rng(seed)
+    cap, _ = min_cut_capacity(scenario.topology, scenario.network.capacities())
+    ids = scenario.topology.link_ids
+    scalings = [{lid: 1.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.0))
+                 for lid in ids if rng.random() < 0.5} for _ in range(n_points)]
+    return rng.uniform(0.0, 1.5 * cap, n_points), scalings
+
+
+@pytest.mark.parametrize("name", ["diamond5", "random8", "example3", "chain21",
+                                  "dag20-seed0", "dag20-seed1", "dag20-seed2"])
+def test_scaled_points_equal_their_perturbed_cascades(name):
+    if name.startswith("dag20-"):
+        sc = parse_scenario(_generate_dag()(int(name[len("dag20-seed"):])))
+    else:
+        sc = load_scenario(DATA / f"{name}.json")
+    lams, scalings = _scaled_points(sc, 40, seed=len(name))
+    batch = network_limit_flows(sc.network, sc.policy, lams, scalings)
+    for lam, factors, res in zip(lams, scalings, batch, strict=True):
+        perturbed = sc.network.perturbed(PerturbationSpec(sc.network, factors))
+        _assert_same(res, network_limit_flow(perturbed, sc.policy, lam))
+    # the points cover saturating and interior limit flows, and unit factors
+    assert {any(res.saturated.values()) for res in batch} == {True, False}
+    assert any(1.0 in factors.values() for factors in scalings)
+
+
+def test_failed_scaled_points_keep_their_first_error():
+    sc = load_scenario(DATA / "anti_cooperative.json")
+    lams, scalings = _scaled_points(sc, 40, seed=3)
+    failed = 0
+    for lam, factors, res in zip(lams, scalings,
+                                 network_limit_flows(sc.network, sc.policy, lams, scalings)):
+        perturbed = sc.network.perturbed(PerturbationSpec(sc.network, factors))
+        try:
+            one = network_limit_flow(perturbed, sc.policy, lam)
+        except LocalSolverError as exc:
+            failed += 1
+            assert isinstance(res, LocalSolverError)
+            assert (str(res), res.residual) == (str(exc), exc.residual)
+        else:
+            _assert_same(res, one)
+    assert 0 < failed < len(lams)
+
+
+def test_unscaled_points_are_the_all_ones_case(diamond):
+    _, net, policy = diamond
+    lams = [0.0, 0.7, 1.6, 2.5]
+    for scalings in ([{}] * 4, [dict.fromkeys(net.topology.link_ids, 1.0)] * 4):
+        for res, one in zip(network_limit_flows(net, policy, lams, scalings),
+                            network_limit_flows(net, policy, lams), strict=True):
+            _assert_same(res, one)
+
+
+@pytest.mark.parametrize("scalings, error", [
+    ([{5: 0.0}], ValueError), ([{5: 1.5}], ValueError), ([{5: float("nan")}], ValueError),
+    ([{9: 0.5}], TopologyError), ([{5: 0.5}, {5: 0.5}], ValueError),
+])
+def test_bad_factor_maps_are_refused(diamond, scalings, error):
+    _, net, policy = diamond
+    with pytest.raises(error):
+        network_limit_flows(net, policy, [1.0], scalings)

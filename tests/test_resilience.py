@@ -4,10 +4,14 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from flownet import dynamics, resilience
 from flownet import (
+    ExponentialFlow,
+    InadmissiblePerturbation,
+    LocalSolverError,
     PerturbationSpec,
     SimulationConfig,
     alpha_transfer_estimate,
@@ -15,17 +19,20 @@ from flownet import (
     estimate_weak_resilience,
     evaluate_attacks,
     load_scenario,
+    network_limit_flow,
     simulate,
 )
 from flownet.cli import main
 from flownet.dynamics import _transfer_threshold
 from flownet.resilience import (
+    BISECT_TOL_FRAC,
     AlphaSweepPoint,
     require_locally_responsive,
     sample_scaling_perturbations,
 )
 from flownet.topology import min_cut_capacity
 
+from serial_bisection import serial_alpha_sweep
 from conftest import (
     DATA,
     chain_network,
@@ -201,6 +208,131 @@ class TestWeakResilience:
         require_locally_responsive(uniform_logit_policy(net.topology))
 
 
+def _judge_audits_on_limit_flows(monkeypatch):
+    """Let each audit's limit flow stand in for its simulation: the bisection runs alone."""
+    def judged(network, policy, config, rho0, attacks):
+        outcomes = []
+        for spec, alpha, tol in attacks:
+            limit = network_limit_flow(network.perturbed(spec), policy, config.inflow)
+            out = limit.node_inflows[network.topology.destination]
+            outcomes.append(dynamics._transfer_estimate(out, out, config.inflow, alpha, tol))
+        return outcomes
+
+    monkeypatch.setattr(resilience, "_simulate_attacks", judged)
+
+
+class TestOracleBisection:
+    """Every verdict of every alpha's bisection comes from at most two batched
+    cascades; the sweep, and any error a judged scaling raises, are those of
+    the serial one-point bisection (``tests/serial_bisection.py``)."""
+
+    @pytest.mark.parametrize("alphas", [(0.5, 0.2, 0.1, 0.05), (0.0015,)],
+                             ids=["four-alphas", "halving"])
+    @pytest.mark.parametrize("name", ["diamond5", "random8", "example3"])
+    def test_sweep_equals_the_serial_bisection(self, monkeypatch, name, alphas):
+        sc = load_scenario(DATA / f"{name}.json")
+        _judge_audits_on_limit_flows(monkeypatch)
+        report = estimate_weak_resilience(sc.network, sc.policy, sc.inflow, alphas=alphas,
+                                          n_samples=0)
+        reference = serial_alpha_sweep(sc.network, sc.policy, sc.inflow, alphas)
+        assert report.alpha_sweep == reference
+        if alphas == (0.0015,):  # the cut argument's scaling was halved
+            capacity, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+            assert reference[0].defeating_eps < 0.0015 * sc.inflow / (2.0 * capacity)
+
+    def test_every_bisection_takes_at_most_two_cascades(self, monkeypatch):
+        sc = load_scenario(DATA / "diamond5.json")
+        _judge_audits_on_limit_flows(monkeypatch)
+        calls = []
+        real = resilience.network_limit_flows
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(resilience, "network_limit_flows", counting)
+        for alphas, cascades in (((0.05,), 1), ((0.5, 0.2, 0.1, 0.05), 1),
+                                 ((0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.0018, 0.0015), 2)):
+            calls.clear()
+            estimate_weak_resilience(sc.network, sc.policy, sc.inflow, alphas=alphas,
+                                     n_samples=0)
+            assert len(calls) == cascades, alphas
+
+    def test_a_halving_alpha_adds_its_halvings_and_one_tree(self, monkeypatch):
+        """alpha 0.0015's cut bound does not clear its threshold: the first cascade
+        holds its start's halvings, the second the tree of the one that defeats."""
+        sc = load_scenario(DATA / "diamond5.json")
+        _judge_audits_on_limit_flows(monkeypatch)
+        sizes = []
+        real = resilience.network_limit_flows
+
+        def counting(network, policy, inflows, scalings):
+            sizes.append(len(inflows))
+            return real(network, policy, inflows, scalings)
+
+        monkeypatch.setattr(resilience, "network_limit_flows", counting)
+        estimate_weak_resilience(sc.network, sc.policy, sc.inflow, alphas=(0.0015,),
+                                 n_samples=0)
+        capacity, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+        halvings = resilience._halvings(0.0015 * sc.inflow / (2.0 * capacity))
+        # the unperturbed network, the start and its 28 halvings; then 2**7 - 1 midpoints
+        assert len(halvings) == 28
+        assert sizes == [2 + len(halvings), 127]
+
+    @pytest.mark.parametrize("on_path", [True, False], ids=["on-path", "off-path"])
+    @pytest.mark.parametrize("failure", ["solver", "certification"])
+    def test_a_failing_scaling_raises_only_on_the_path(self, monkeypatch, failure, on_path):
+        sc = load_scenario(DATA / "diamond5.json")
+        net, policy, inflow = sc.network, sc.policy, sc.inflow
+        capacity, cut = min_cut_capacity(net.topology, net.capacities())
+        (cut_link,) = cut.cut_links
+        judged = []
+        serial_alpha_sweep(net, policy, inflow, (0.05,), judged)
+        spare = [eps for eps in resilience._bisection_tree(
+            judged[0], capacity, BISECT_TOL_FRAC * capacity) if eps not in judged]
+        # the cut link's capacity at a midpoint the bisection judges, or at one it never does
+        bad = (judged[3] if on_path else spare[0]) * net.flow_functions[cut_link].f_max
+        assert bad not in net.capacities().values()
+        hits = []
+        if failure == "solver":
+            real = dynamics._local_solve
+
+            def solve(rows, lams):
+                f, sat, errs = real(rows, lams)
+                for i in np.flatnonzero((np.broadcast_to(rows.f_max, f.shape) == bad).any(axis=1)):
+                    hits.append(None)
+                    f[i] = np.nan
+                    errs[i] = LocalSolverError(f"no split at capacity {bad!r}", bad)
+                return f, sat, errs
+
+            monkeypatch.setattr(dynamics, "_local_solve", solve)
+            error = LocalSolverError
+        else:
+            real = ExponentialFlow.certify
+
+            def certify(ff):
+                if ff.f_max == bad:
+                    hits.append(None)
+                    return ["refused for the test"]
+                return real(ff)
+
+            monkeypatch.setattr(ExponentialFlow, "certify", certify)
+            error = InadmissiblePerturbation
+        _judge_audits_on_limit_flows(monkeypatch)
+        if on_path:
+            with pytest.raises(error) as want:
+                serial_alpha_sweep(net, policy, inflow, (0.05,))
+            with pytest.raises(error) as got:
+                estimate_weak_resilience(net, policy, inflow, alphas=(0.05,), n_samples=0)
+            assert str(got.value) == str(want.value)
+            assert getattr(got.value, "residual", None) == getattr(want.value, "residual", None)
+        else:
+            report = estimate_weak_resilience(net, policy, inflow, alphas=(0.05,), n_samples=0)
+            # the cascade solved the point off the path, and nothing certified it
+            assert bool(hits) == (failure == "solver")
+            assert report.alpha_sweep == serial_alpha_sweep(net, policy, inflow, (0.05,))
+
+
 class TestBatchedVerdicts:
     def test_min_cut_computed_once_per_estimate(self, monkeypatch):
         net = diamond_network()
@@ -270,24 +402,26 @@ class TestBatchedVerdicts:
     def test_audit_disagreement_exits_two(self, monkeypatch, capsys):
         argv = ["resilience", str(DATA / "diamond5.json"), "--alphas", "0.5",
                 "--samples", "2", "--horizon", "10", "--seed", "3"]
-        real = resilience.network_limit_flow
-        calls = []
+        real = resilience.network_limit_flows
 
-        def oracle(network, policy, inflow):
-            limit = real(network, policy, inflow)
-            calls.append(None)
-            if len(calls) == flip_at:
-                # reflect the outflow across the threshold: the verdict flips
-                dest = network.topology.destination
-                limit.node_inflows[dest] = (2.0 * _transfer_threshold(0.5, inflow)
-                                            - limit.node_inflows[dest])
-            return limit
+        def oracle(network, policy, inflows, scalings):
+            limits = real(network, policy, inflows, scalings)
+            for inflow, factors, limit in zip(inflows, scalings, limits):
+                if flip_at in factors.values():
+                    # reflect the outflow across the threshold: the verdict flips
+                    dest = network.topology.destination
+                    limit.node_inflows[dest] = (2.0 * _transfer_threshold(0.5, inflow)
+                                                - limit.node_inflows[dest])
+            return limits
 
-        monkeypatch.setattr(resilience, "network_limit_flow", oracle)
+        monkeypatch.setattr(resilience, "network_limit_flows", oracle)
         flip_at = None
         assert main(argv) == 0
-        # the last oracle call is the last bisection verdict, a final endpoint
-        flip_at, calls[:] = len(calls), []
+        # the last scaling judged is the last bisection verdict, a final endpoint
+        judged = []
+        sc = load_scenario(DATA / "diamond5.json")
+        serial_alpha_sweep(sc.network, sc.policy, sc.inflow, (0.5,), judged)
+        flip_at = judged[-1]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -839,6 +839,7 @@ class TestCmdResilience:
             raise AssertionError("no limit flow may be computed")
 
         monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
+        monkeypatch.setattr(resilience, "network_limit_flows", no_oracle)
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
         err = capsys.readouterr().err
         assert code == 2
@@ -851,6 +852,7 @@ class TestCmdResilience:
             raise AssertionError("no limit flow may be computed")
 
         monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
+        monkeypatch.setattr(resilience, "network_limit_flows", no_oracle)
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
         assert code == 2
         assert capsys.readouterr().err == \
