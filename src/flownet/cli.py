@@ -33,11 +33,11 @@ from .dynamics import (
     SimulationConfig,
     LocalSolverError,
     SimulationError,
+    _cascade_arrays,
     _ensemble_blocks,
     _member_trajectories,
     _transfer_estimate,
     limit_flow_estimate,
-    network_limit_flows,
 )
 from .resilience import _attack_setup, estimate_weak_resilience
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -229,7 +229,7 @@ def cmd_simulate(args, argv):
         # the last block holds the run's terminal flows, settings and undershoot
         est, flags = limit_flow_estimate(block, network)
         transfer = _transfer_estimate(float(lo), float(hi), block.inflow,
-                                      scenario.attack_alpha or 0.0)
+                                      scenario.attack_alpha or 0.0, undershoot=block.max_undershoot)
         summary.update({
             "dt": block.dt,
             "horizon": float(block.times[-1]),
@@ -285,7 +285,7 @@ def cmd_resilience(args, argv):
     return EXIT_OK, text, {out: text, **_manifest(out, argv, scenario, seed, [out])}
 
 
-# Sweep points solved per ``network_limit_flows`` call by ``limitflow``.
+# Sweep points solved per cascade by ``limitflow``.
 _SWEEP_CHUNK = 1024
 
 
@@ -307,25 +307,25 @@ def cmd_limitflow(args, argv):
 
     lids = scenario.topology.link_ids
     cols = ["lambda0"] + [f"f_{lid}" for lid in lids] + [f"sat_{lid}" for lid in lids] + ["status"]
-    # one text block per chunk of points: a chunk's limit flows are dropped
-    # once formatted, and each point is bit for bit its own cascade
+    width = 2 * len(lids) + 3  # an ok row's tail ",s_1,...,s_L,ok" of 0/1 flags
+    failed = "," * (2 * len(lids) + 1) + "solver failed: residual "  # after a failed row's inflow
+    # one text block per chunk of points, written from the cascade's arrays
+    # and dropped once formatted; each point is bit for bit its own cascade
     blocks = [",".join(cols) + "\n"]
     for lo in range(0, len(lams), _SWEEP_CHUNK):
         chunk = lams[lo:lo + _SWEEP_CHUNK]
-        lines = []
-        for lam, lf in zip(chunk.tolist(),
-                           network_limit_flows(scenario.network, scenario.policy, chunk)):
-            if isinstance(lf, LocalSolverError):
-                lines.append(",".join([repr(lam)] + [""] * (2 * len(lids))
-                                      + [f"solver failed: residual {lf.residual:.3e}"]))
-            else:
-                lines.append(",".join(
-                    [repr(lam)]
-                    + [repr(lf.flows[lid]) for lid in lids]
-                    + [str(int(lf.saturated[lid])) for lid in lids]
-                    + ["ok"]
-                ))
-        blocks.append("\n".join(lines) + "\n")
+        order, flows, flags, _, errors = _cascade_arrays(scenario.network, scenario.policy, chunk)
+        row = {lid: i for i, lid in enumerate(order)}
+        rows = [row[lid] for lid in lids]  # the cascade's rows in link id order
+        values = np.vstack((chunk, flows[rows])).T.tolist()
+        tails = np.full((len(chunk), width), ord(","), dtype=np.uint8)
+        tails[:, 1:-2:2] = flags[rows].T + ord("0")
+        tails[:, -2:] = (ord("o"), ord("k"))
+        tails = tails.tobytes().decode("ascii")
+        blocks.append("".join([
+            f"{point[0]!r}{failed}{err.residual:.3e}\n" if err is not None
+            else ",".join(map(repr, point)) + tails[p * width:(p + 1) * width] + "\n"
+            for p, (point, err) in enumerate(zip(values, errors))]))
     if not args.out:
         return EXIT_OK, blocks, {}
     out = _resolve_out(args.out)

@@ -69,10 +69,13 @@ class LocalSolverError(RuntimeError):
 # grows without bound) or before it takes more than MAX_STEPS RK4 steps; a
 # link is saturated once its terminal flow reaches SAT_THRESHOLD of capacity,
 # and a transfer verdict reads the trailing TAIL_FRACTION of a run's horizon.
+# A run whose RK4 steps clamped a density from more than UNDERSHOOT_TOL below
+# zero integrated another system than the dynamics: its verdict is inconclusive.
 DENSITY_CEILING = 1e9
 MAX_STEPS = 10**7
 SAT_THRESHOLD = 0.999
 TAIL_FRACTION = 0.2
+UNDERSHOOT_TOL = 1e-9
 # Records per block of a run read in blocks: a streamed trajectory or a verdict's tail.
 _BLOCK_RECORDS = 1024
 
@@ -550,12 +553,16 @@ def _transfer_threshold(alpha: float, inflow: float, tol: float | None = None) -
 
 @dataclass(frozen=True)
 class TransferEstimate:
-    """Tail-window verdict on whether the outflow clears alpha * inflow."""
+    """Tail-window verdict on whether the outflow clears alpha * inflow.
+
+    ``max_undershoot`` is the run's worst density clamp (``Trajectory``'s).
+    """
 
     transferring: bool
     tail_min: float
     tail_variation: float
     inconclusive: bool
+    max_undershoot: float = 0.0
 
 
 def alpha_transfer_estimate(traj: Trajectory, alpha: float,
@@ -566,21 +573,26 @@ def alpha_transfer_estimate(traj: Trajectory, alpha: float,
     ``TAIL_FRACTION`` of run time against ``alpha * inflow - tol``, with the
     run's inflow (default tol: 1e-3 * inflow), so a trajectory that kept
     only that window is judged as the full one.  A tail still varying by
-    more than 5% of the inflow is flagged inconclusive rather than trusted.
+    more than 5% of the inflow, or a run that clamped a density from more
+    than ``UNDERSHOOT_TOL`` below zero (a step too coarse for the
+    dynamics), is flagged inconclusive rather than trusted.
     """
     tail = traj.outflow[traj.tail_slice()]
-    return _transfer_estimate(float(tail.min()), float(tail.max()), traj.inflow, alpha, tol)
+    return _transfer_estimate(float(tail.min()), float(tail.max()), traj.inflow, alpha, tol,
+                              traj.max_undershoot)
 
 
 def _transfer_estimate(tail_min: float, tail_max: float, inflow: float, alpha: float,
-                       tol: float | None = None) -> TransferEstimate:
-    """``alpha_transfer_estimate``'s verdict from the tail window's outflow extremes alone."""
+                       tol: float | None = None, undershoot: float = 0.0) -> TransferEstimate:
+    """``alpha_transfer_estimate``'s verdict from the tail window's outflow
+    extremes and the run's worst clamp alone."""
     variation = tail_max - tail_min
     return TransferEstimate(
         transferring=bool(tail_min >= _transfer_threshold(alpha, inflow, tol)),
         tail_min=tail_min,
         tail_variation=variation,
-        inconclusive=variation > 0.05 * inflow if inflow > 0 else False,
+        inconclusive=(inflow > 0 and variation > 0.05 * inflow) or undershoot > UNDERSHOOT_TOL,
+        max_undershoot=undershoot,
     )
 
 
@@ -991,7 +1003,29 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
 
     So every entry is bit-for-bit what the point gets alone from the
     node-by-node cascade.  The layout that depends only on the topology
-    (``_CascadePlan``) is built once per call, for all P points.
+    (``_CascadePlan``) is built once per call, for all P points.  The
+    cascade itself is ``_cascade_arrays``; this wrapper only turns its
+    columns into ``LimitFlow``s, so callers that read the arrays (the
+    ``limitflow`` CLI) get the same numbers.
+    """
+    lids, flows, flags, node_in, errors = _cascade_arrays(network, policy, inflows, scalings)
+    flows = flows.T.tolist()
+    flags = flags.T.tolist()
+    node_flows = node_in.T.tolist()
+    return [err if err is not None else LimitFlow(flows=dict(zip(lids, flows[p])),
+                                                  saturated=dict(zip(lids, flags[p])),
+                                                  node_inflows=dict(enumerate(node_flows[p])))
+            for p, err in enumerate(errors)]
+
+
+def _cascade_arrays(network: FlowNetwork, policy: LogitPolicy, inflows, scalings=None):
+    """``network_limit_flows``' cascade, its results as arrays.
+
+    Returns ``(lids, flows, saturated, node_inflows, errors)``: the link ids
+    in cascade order, the (links, P) flows and saturation flags with rows in
+    that order, the (nodes, P) node inflows, and per point None or its
+    ``LocalSolverError``.  A failed point's flows are NaN at every node it
+    was not solved at or did not converge at.
     """
     topo = network.topology
     plan = _CascadePlan(topo)
@@ -1029,13 +1063,7 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
                         failed_at[p[i]] = plan.pos[v]
                         errors[p[i]] = err
                 lo += count
-    flows = flows.T.tolist()
-    flags = flags.T.tolist()
-    node_flows = node_in.T.tolist()
-    return [err if err is not None else LimitFlow(flows=dict(zip(plan.lids, flows[p])),
-                                                  saturated=dict(zip(plan.lids, flags[p])),
-                                                  node_inflows=dict(enumerate(node_flows[p])))
-            for p, err in enumerate(errors)]
+    return plan.lids, flows, flags, node_in, errors
 
 
 @dataclass

@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import (
     LimitFlow,
     LocalSolverError,
+    UNDERSHOOT_TOL,
     SimulationConfig,
     _ensemble_blocks,
     _transfer_estimate,
@@ -197,7 +198,8 @@ def _simulate_attacks(network: FlowNetwork, policy: LogitPolicy, config: Simulat
     the ``TAIL_FRACTION`` window the verdict reads, in blocks of
     ``dynamics._BLOCK_RECORDS`` records; each block's outflows are folded
     into every member's running minimum and maximum and dropped, so memory
-    does not grow with the horizon.
+    does not grow with the horizon.  The last block carries every member's
+    worst clamp over the run.
     """
     for _, alpha, transfer_tol in attacks:
         if not 0 < alpha <= 1:
@@ -207,12 +209,13 @@ def _simulate_attacks(network: FlowNetwork, policy: LogitPolicy, config: Simulat
         [network.perturbed(spec) for spec, _, _ in attacks], policy, config,
         [rho0] * len(attacks), "tail")
     lo, hi = np.inf, -np.inf  # every member's running outflow extremes
-    for _, states, _ in blocks:
+    for _, states, undershoot in blocks:
         outflow = compiled.outflow(states)
         lo, hi = np.minimum(lo, outflow.min(axis=0)), np.maximum(hi, outflow.max(axis=0))
     return [_transfer_estimate(float(tail_min), float(tail_max), config.inflow, alpha,
-                               transfer_tol)
-            for tail_min, tail_max, (_, alpha, transfer_tol) in zip(lo, hi, attacks)]
+                               transfer_tol, float(clamp))
+            for tail_min, tail_max, clamp, (_, alpha, transfer_tol)
+            in zip(lo, hi, undershoot, attacks)]
 
 
 def require_locally_responsive(policy: LogitPolicy, seed: int = 0):
@@ -404,6 +407,14 @@ def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     return rho0, brackets, outflow
 
 
+def _not_converged(out) -> str:
+    """Why an inconclusive simulated verdict is not trusted, and what to change."""
+    if out.max_undershoot > UNDERSHOOT_TOL:
+        return (f"the run clamped a density from {out.max_undershoot!r} below zero, a step "
+                "too coarse for the dynamics; try a smaller --dt")
+    return "the run has not converged, try a longer --horizon"
+
+
 def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: float,
                              config: SimulationConfig | None = None,
                              alphas=(0.5, 0.2, 0.1, 0.05), n_samples: int = 50,
@@ -430,8 +441,10 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
     alpha's final defeating and preserved scalings.  An audit whose
     simulated verdict differs from the oracle's, or whose tail still
     varies by more than 5% of the inflow, raises ``RuntimeError``: the
-    horizon is too short for the tail to reach the limit.  The report is
-    deterministic for a fixed seed.
+    horizon is too short for the tail to reach the limit.  A sample or
+    audit whose run clamped a density from more than ``UNDERSHOOT_TOL``
+    below zero raises too: its step is too coarse for the dynamics.  The
+    report is deterministic for a fixed seed.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -465,8 +478,8 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
             raise RuntimeError(
                 f"alpha {alpha!r}, cut scaling eps {eps!r}: limit-flow oracle outflow "
                 f"{oracle_outflow(eps)!r} ({'defeated' if defeated else 'preserved'}), simulated "
-                f"tail_min {out.tail_min!r}, tail variation {out.tail_variation!r}; the run has "
-                f"not converged, try a longer --horizon")
+                f"tail_min {out.tail_min!r}, tail variation {out.tail_variation!r}; "
+                + _not_converged(out))
 
     sweep = [AlphaSweepPoint(alpha=alpha, defeating_delta=lo_spec.magnitude, defeating_eps=eps_lo,
                              preserved_delta=(1.0 - eps_hi) * capacity, evaluations=evaluations)
@@ -474,6 +487,10 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
     samples = []
     preserved_max = 0.0
     for spec, out in zip(specs, outcomes[len(audits):]):
+        if out.max_undershoot > UNDERSHOOT_TOL:
+            raise RuntimeError(
+                f"sample of magnitude delta {spec.magnitude!r}: simulated tail_min "
+                f"{out.tail_min!r}, tail variation {out.tail_variation!r}; " + _not_converged(out))
         if out.inconclusive:
             raise RuntimeError(
                 f"sample of magnitude delta {spec.magnitude!r}: simulated tail_min "

@@ -40,6 +40,13 @@ RUNS = {
         {"csv": "2dcf760e8268ce5044989c7ff591dd4b7d88bfd0729f69f14a643235b8dfabbc",
          "summary.json": "a44870ede2df937c86385fabde4ce69b71a6ec9204cfbba9f36ec159b9e64053"},
         90),
+    # 20 001 points in 20 cascades of cli._SWEEP_CHUNK points; digest and peak
+    # RSS (45.6 MB, 7.3 MB of it the returned text) recorded when each row was
+    # built from its point's LimitFlow
+    "random8-sweep": (
+        ["limitflow", "tests/data/random8.json", "--sweep", "0:1.2:20001"],
+        {"stdout": "78eddbce991f5803b5bfd9578875df38b0d341c58a59822a212614baffef2c0b"},
+        60),
 }
 
 

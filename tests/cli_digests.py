@@ -3,9 +3,13 @@ scenario and on ten seeded 20-node DAGs from the benchmark's ``generate_dag``.
 
 ``tests/data/digests/cli_sha256.json`` holds them as recorded with the serial
 one-point-at-a-time limit-flow cascade; ``test_limitflow_batch`` checks the
-current code against it.  Regenerate only for an intended output change::
+current code against it.  ``tests/data/digests/cli_long_sweep_sha256.json``
+holds the ``LONG_SWEEPS``, sweeps longer than one ``cli._SWEEP_CHUNK``
+chunk, as recorded when each row was built from its point's ``LimitFlow``.
+Regenerate only for an intended output change::
 
     PYTHONPATH=src python tests/cli_digests.py > tests/data/digests/cli_sha256.json
+    PYTHONPATH=src python tests/cli_digests.py long > tests/data/digests/cli_long_sweep_sha256.json
 """
 
 import contextlib
@@ -20,8 +24,17 @@ from flownet import cli
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "digests" / "cli_sha256.json"
+LONG_DIGESTS = DATA / "digests" / "cli_long_sweep_sha256.json"
 DAG_SEEDS = range(10)
 SWEEP_POINTS = 41
+# scenario -> the --sweep of a run longer than one 1 024-point chunk; "C" is
+# the scenario's min-cut capacity.  anti_cooperative's failed rows lie on
+# both sides of the chunk boundary.
+LONG_SWEEPS = {
+    "diamond5.json": "0:3.2:2500",
+    "anti_cooperative.json": "0:1.55:1100",
+    "dag20-seed0.json": "0:2C:1025",
+}
 
 
 def _generate_dag():
@@ -51,22 +64,53 @@ def _run(argv) -> str:
     return f"{rc}\n{out.getvalue()}{err.getvalue()}"
 
 
+def _digest(run: str) -> str:
+    return hashlib.sha256(run.encode()).hexdigest()
+
+
+def _capacity(mincut_run: str):
+    """The min-cut capacity in a ``mincut`` run's output; None when it failed."""
+    try:
+        return json.loads(mincut_run.split("\n", 1)[1])["capacity"]
+    except (json.JSONDecodeError, KeyError):
+        return None
+
+
 def cli_digests(path: Path) -> dict:
     """SHA-256 of exit code, stdout and stderr of ``mincut``, ``limitflow`` and
     ``limitflow --sweep 0:2C:41`` (C from ``mincut``; 2 when it fails)."""
     runs = {"mincut": _run(["mincut", str(path)])}
-    try:
-        stop = 2.0 * json.loads(runs["mincut"].split("\n", 1)[1])["capacity"]
-    except (json.JSONDecodeError, KeyError):
-        stop = 2.0
+    capacity = _capacity(runs["mincut"])
+    stop = 2.0 if capacity is None else 2.0 * capacity
     runs["limitflow"] = _run(["limitflow", str(path)])
     runs["sweep"] = _run(["limitflow", str(path), "--sweep", f"0:{stop!r}:{SWEEP_POINTS}"])
-    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in runs.items()}
+    return {k: _digest(v) for k, v in runs.items()}
+
+
+def long_sweep_argv(paths: dict) -> dict:
+    """Each ``LONG_SWEEPS`` scenario's ``limitflow --sweep`` arguments, "C" resolved."""
+    argv = {}
+    for name, sweep in LONG_SWEEPS.items():
+        start, stop, num = sweep.split(":")
+        if stop.endswith("C"):
+            capacity = _capacity(_run(["mincut", str(paths[name])]))
+            stop = repr(float(stop[:-1]) * capacity)
+        argv[name] = ["limitflow", str(paths[name]), "--sweep", f"{start}:{stop}:{num}"]
+    return argv
+
+
+def long_sweep_digests(paths: dict) -> dict:
+    """SHA-256 of exit code, stdout and stderr of each ``LONG_SWEEPS`` run."""
+    return {name: _digest(_run(argv)) for name, argv in long_sweep_argv(paths).items()}
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {name: cli_digests(path) for name, path in scenario_paths(Path(tmp)).items()}
+        paths = scenario_paths(Path(tmp))
+        if sys.argv[1:] == ["long"]:
+            doc = long_sweep_digests(paths)
+        else:
+            doc = {name: cli_digests(path) for name, path in paths.items()}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

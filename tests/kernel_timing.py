@@ -13,6 +13,9 @@ Not collected by pytest.  Prints one JSON object with the minimum over
 - one 41-point ``network_limit_flows`` sweep from 0 to twice the min-cut
   capacity on the benchmark's seeded 20-node DAG ``generate_dag(0)``, the
   level cascade's case;
+- one in-process ``limitflow --sweep 0:2C:N`` command, ``cli.main``, on
+  the same DAG for N = 41 and 401 (C its min-cut capacity): the cascade
+  plus the CSV rows written from its arrays;
 - one alpha's (0.05) oracle bracket, ``resilience._oracle_bisections``, on
   ``diamond5`` and ``random8`` at the scenario inflow: the attack
   evaluation layer of ``resilience``, every verdict of its cut-scaling
@@ -25,7 +28,10 @@ Run from the repository root::
 """
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from flownet import (PerturbationSpec, SimulationConfig, load_scenario, min_cut_capacity,
                      network_limit_flow, network_limit_flows)
-from flownet import dynamics, resilience
+from flownet import cli, dynamics, resilience
 from flownet.scenario import parse_scenario
 
 from cli_digests import SWEEP_POINTS, _generate_dag
@@ -45,6 +51,7 @@ LIMIT_FLOW_CASES = ("diamond5", "random8")
 BISECTION_CASES = ("diamond5", "random8")
 BISECTION_ALPHA = 0.05
 SWEEP_SEED = 0
+SWEEP_CLI_POINTS = (SWEEP_POINTS, 401)
 
 
 def members(network, size, seed=1):
@@ -109,6 +116,25 @@ def limit_flow_sweep_us(seed, calls, repeats):
     return best / calls * 1e6
 
 
+def sweep_cli_us(seed, points, calls, repeats):
+    doc = _generate_dag()(seed)
+    sc = parse_scenario(doc)
+    cap, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+    best = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"dag20-seed{seed}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["limitflow", str(path), "--sweep", f"0:{2.0 * cap!r}:{points}"]
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(calls):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"flownet {' '.join(argv)} failed")
+            best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
+
+
 def bisection_us(name, calls, repeats):
     sc = load_scenario(DATA / f"{name}.json")
     capacity, cut = min_cut_capacity(sc.topology, sc.network.capacities())
@@ -127,8 +153,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=2000, help="RK4 steps per run")
     parser.add_argument("--calls", type=int, default=200,
-                        help="right-hand-side evaluations, limit-flow calls, sweeps and "
-                             "bisections per run")
+                        help="right-hand-side evaluations, limit-flow calls, sweeps, sweep "
+                             "commands and bisections per run")
     parser.add_argument("--repeats", type=int, default=7, help="runs per case; the minimum counts")
     args = parser.parse_args(argv)
     result = {
@@ -141,6 +167,9 @@ def main(argv=None):
                           for name in LIMIT_FLOW_CASES},
         "limit_flow_sweep_us": {f"dag20_seed{SWEEP_SEED}": round(
             limit_flow_sweep_us(SWEEP_SEED, args.calls, args.repeats), 2)},
+        "sweep_cli_us": {f"dag20_seed{SWEEP_SEED}_N{points}": round(
+            sweep_cli_us(SWEEP_SEED, points, args.calls, args.repeats), 2)
+            for points in SWEEP_CLI_POINTS},
         "bisection_us": {name: round(bisection_us(name, args.calls, args.repeats), 2)
                          for name in BISECTION_CASES},
         "settings": {"steps": args.steps, "calls": args.calls, "repeats": args.repeats},

@@ -195,6 +195,30 @@ class TestAlphaTransfer:
         traj = simulate(net, policy, SimulationConfig(inflow=1.0, horizon=2.0))
         assert alpha_transfer_estimate(traj, 1.0).inconclusive
 
+    def test_clamped_run_flagged_inconclusive(self):
+        # the coarse step of TestEnsemble.test_undershoot_recorded_per_member:
+        # the member that clamps is not trusted however flat its tail
+        topo = NetworkTopology(2, [(0, 0, 1), (1, 0, 1)])
+        net = FlowNetwork(topo, {0: ExponentialFlow(2.214, 0.3844),
+                                 1: ExponentialFlow(10.942, 0.5013)})
+        policy = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
+        config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
+        clamped, clean = (simulate(net.perturbed(PerturbationSpec(net, {0: eps})), policy,
+                                   config, [3.2586, 2.207]) for eps in (1.0, 0.9))
+        assert clamped.max_undershoot > dynamics.UNDERSHOOT_TOL
+        assert clean.max_undershoot == 0.0
+        for traj, inconclusive in ((clamped, True), (clean, False)):
+            est = alpha_transfer_estimate(traj, 0.5)
+            assert est.max_undershoot == traj.max_undershoot
+            assert est.inconclusive is inconclusive
+            assert est.tail_variation <= 0.05 * config.inflow
+
+    def test_undershoot_tolerance_is_the_boundary(self):
+        tol = dynamics.UNDERSHOOT_TOL
+        assert not dynamics._transfer_estimate(1.0, 1.0, 1.0, 0.5, None, tol).inconclusive
+        assert dynamics._transfer_estimate(1.0, 1.0, 1.0, 0.5, None, 2 * tol).inconclusive
+        assert dynamics._transfer_estimate(0.0, 0.0, 0.0, 0.5, None, 2 * tol).inconclusive
+
 
 class TestLocalLimitFlow:
     def test_zero_inflow(self, two_route):

@@ -21,7 +21,8 @@ from flownet import cli, dynamics
 from flownet.dynamics import network_limit_flows
 from flownet.scenario import parse_scenario
 
-from cli_digests import DIGESTS, _generate_dag, cli_digests, scenario_paths
+from cli_digests import (DIGESTS, LONG_DIGESTS, _generate_dag, cli_digests, long_sweep_argv,
+                         long_sweep_digests, scenario_paths)
 from conftest import DATA
 
 
@@ -35,6 +36,41 @@ def test_cli_output_matches_the_serial_cascade(tmp_path, pinned):
     assert sorted(paths) == sorted(pinned)
     for name, path in paths.items():
         assert cli_digests(path) == pinned[name], name
+
+
+def test_sweeps_longer_than_a_chunk_match_their_recorded_digests(tmp_path):
+    pinned = json.loads(LONG_DIGESTS.read_text(encoding="utf-8"))
+    assert long_sweep_digests(scenario_paths(tmp_path)) == pinned
+
+
+def _expected_row(lam, limit, lids) -> str:
+    """The row of one sweep point, built field by field from its ``LimitFlow``."""
+    if isinstance(limit, LocalSolverError):
+        return ",".join([repr(lam)] + [""] * (2 * len(lids))
+                        + [f"solver failed: residual {limit.residual:.3e}"])
+    return ",".join([repr(lam)] + [repr(limit.flows[lid]) for lid in lids]
+                    + [str(int(limit.saturated[lid])) for lid in lids] + ["ok"])
+
+
+@pytest.mark.parametrize("name", ["diamond5.json", "anti_cooperative.json", "dag20-seed0.json"])
+def test_long_sweep_rows_equal_their_limit_flows(tmp_path, capsys, name):
+    paths = scenario_paths(tmp_path)
+    argv = long_sweep_argv(paths)[name]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sc = load_scenario(paths[name])
+    start, stop, num = argv[-1].split(":")
+    lams = np.linspace(float(start), float(stop), int(num))
+    lids = sc.topology.link_ids
+    assert len(lams) > cli._SWEEP_CHUNK and len(lines) == len(lams) + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # as ``cli.main`` runs it
+        limits = network_limit_flows(sc.network, sc.policy, lams)
+    for lam, limit, line in zip(lams.tolist(), limits, lines[1:], strict=True):
+        assert line == _expected_row(lam, limit, lids)
+    if name == "anti_cooperative.json":
+        # failed and ok rows on both sides of the first chunk boundary
+        for side in (limits[:cli._SWEEP_CHUNK], limits[cli._SWEEP_CHUNK:]):
+            assert {isinstance(lf, LocalSolverError) for lf in side} == {True, False}
 
 
 def test_exponential_sweeps_make_no_scalar_derivative_calls(tmp_path, monkeypatch):

@@ -449,6 +449,21 @@ class TestCmdSimulate:
         assert abs(summary["terminal_flow"]["0"]) < 1e-6
         assert abs(summary["terminal_flow"]["1"]) < 1e-6
 
+    # a step too coarse for diamond5: RK4 clamps densities from far below
+    # zero and settles on a wrong flow (at dt 5, an outflow of 1.6 from an
+    # inflow of 1.0), so the tail alone would read as converged
+    @pytest.mark.parametrize("dt, tail_min", [("5", 1.5999999999438903),
+                                              ("3", 0.9015445950079508)])
+    def test_clamping_step_is_not_converged(self, tmp_path, capsys, dt, tail_min):
+        code, _ = run_cli("simulate", str(DATA / "diamond5.json"), "--dt", dt,
+                          "--horizon", "200", "--out", str(tmp_path / "run"), capsys=capsys)
+        assert code == 0
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        assert summary["tail_min_outflow"] == tail_min
+        assert summary["tail_variation"] <= 0.05
+        assert summary["max_undershoot"] > dynamics.UNDERSHOOT_TOL
+        assert summary["converged"] is False
+
     def test_cut_attack_scenario_defeated(self, tmp_path, capsys):
         code, _ = run_cli("simulate", str(DATA / "example3_cutattack.json"),
                           "--out", str(tmp_path / "atk"), capsys=capsys)
@@ -733,9 +748,9 @@ class TestCmdLimitflow:
             calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("cascade failed")
-            return dynamics.network_limit_flows(*args)
+            return dynamics._cascade_arrays(*args)
 
-        monkeypatch.setattr(cli, "network_limit_flows", failing)
+        monkeypatch.setattr(cli, "_cascade_arrays", failing)
         out = tmp_path / "sweep.csv"
         code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:9",
                      "--out", str(out)])
@@ -753,6 +768,22 @@ class TestCmdLimitflow:
 
 
 class TestCmdResilience:
+    # at dt 5 the second sample settles on an outflow of 1.6 from an inflow
+    # of 1.0 after clamping, and is not counted as preserved; at dt 7 the
+    # defeating audit clamps, though its tail lands on the oracle's outflow
+    @pytest.mark.parametrize("dt, samples, head", [
+        ("5", "2", "sample of magnitude delta 1.074057380820026: simulated tail_min 1.6, "),
+        ("7", "0", "alpha 0.5, cut scaling eps 0.307861328125: limit-flow oracle outflow "),
+    ])
+    def test_clamping_verdict_exits_two(self, capsys, dt, samples, head):
+        code = main(["resilience", str(DATA / "diamond5.json"), "--dt", dt,
+                     "--samples", samples, "--alphas", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: " + head)
+        assert captured.err.endswith(
+            "below zero, a step too coarse for the dynamics; try a smaller --dt\n")
+
     def test_report_written_and_deterministic(self, tmp_path, capsys):
         args = ("resilience", str(DATA / "example3.json"),
                 "--alphas", "0.1", "--samples", "4", "--seed", "5",
