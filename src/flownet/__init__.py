@@ -32,6 +32,7 @@ from .routing import (
 )
 from .dynamics import (
     LimitFlow,
+    LimitFlows,
     LocalSolverError,
     SimulationConfig,
     SimulationError,

@@ -33,11 +33,11 @@ from .dynamics import (
     SimulationConfig,
     LocalSolverError,
     SimulationError,
-    _cascade_arrays,
     _ensemble_blocks,
     _member_trajectories,
     _transfer_estimate,
     limit_flow_estimate,
+    network_limit_flows,
 )
 from .resilience import _attack_setup, estimate_weak_resilience
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -314,18 +314,16 @@ def cmd_limitflow(args, argv):
     blocks = [",".join(cols) + "\n"]
     for lo in range(0, len(lams), _SWEEP_CHUNK):
         chunk = lams[lo:lo + _SWEEP_CHUNK]
-        order, flows, flags, _, errors = _cascade_arrays(scenario.network, scenario.policy, chunk)
-        row = {lid: i for i, lid in enumerate(order)}
-        rows = [row[lid] for lid in lids]  # the cascade's rows in link id order
-        values = np.vstack((chunk, flows[rows])).T.tolist()
+        limits = network_limit_flows(scenario.network, scenario.policy, chunk)
+        values = np.column_stack((chunk, limits.flows)).tolist()
         tails = np.full((len(chunk), width), ord(","), dtype=np.uint8)
-        tails[:, 1:-2:2] = flags[rows].T + ord("0")
+        tails[:, 1:-2:2] = limits.saturated + ord("0")
         tails[:, -2:] = (ord("o"), ord("k"))
         tails = tails.tobytes().decode("ascii")
         blocks.append("".join([
             f"{point[0]!r}{failed}{err.residual:.3e}\n" if err is not None
             else ",".join(map(repr, point)) + tails[p * width:(p + 1) * width] + "\n"
-            for p, (point, err) in enumerate(zip(values, errors))]))
+            for p, (point, err) in enumerate(zip(values, limits.errors))]))
     if not args.out:
         return EXIT_OK, blocks, {}
     out = _resolve_out(args.out)

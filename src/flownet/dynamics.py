@@ -37,6 +37,7 @@ __all__ = [
     "LocalTrajectory",
     "TransferEstimate",
     "LimitFlow",
+    "LimitFlows",
     "ConvergenceReport",
     "SimulationError",
     "LocalSolverError",
@@ -608,8 +609,24 @@ class LimitFlow:
     saturated: dict
     node_inflows: dict
 
-    def flow_vector(self, topo) -> np.ndarray:
-        return np.array([self.flows[lid] for lid in topo.link_ids])
+
+@dataclass(frozen=True, eq=False)
+class LimitFlows:
+    """Limit flows at P points, from one ``network_limit_flows`` cascade.
+
+    ``flows`` and ``saturated`` have shape (P, m), their columns in
+    ``link_ids`` order (the topology's); ``node_inflows`` has shape (P, n).
+    ``errors[p]`` is None, or the ``LocalSolverError`` of the first node in
+    ``topological_order`` whose split did not converge at point p; that
+    point's flows are NaN on the out-links of every node it was not solved
+    at or did not converge at.
+    """
+
+    link_ids: tuple
+    flows: np.ndarray
+    saturated: np.ndarray
+    node_inflows: np.ndarray
+    errors: tuple
 
 
 # Input fractions of the homotopy a stalled Newton solve falls back on.
@@ -655,12 +672,15 @@ def local_limit_flow(network: FlowNetwork, policy: LogitPolicy, v: int, inflows)
     return _local_solve(_group_rows(network, policy, [v]), lams)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _local_solve(rows, lams):
     """``local_limit_flow`` on R stacked rows, row r with input ``lams[r]``.
 
     ``rows`` are the rows' maps (``_LogitRows``), capacities included, so
     rows of several nodes with the same out-degree solve in one call; each
-    row's result is bit-for-bit the one it gets alone.
+    row's result is bit-for-bit the one it gets alone.  A split that does
+    not converge can leave the finite range on the way; its NaN row and
+    ``LocalSolverError`` report it, not a numpy warning.
     """
     if not (lams >= 0).all():  # NaN included
         raise ValueError("inflow must be nonnegative")
@@ -885,26 +905,30 @@ def _flow_map(flow_fns):
 def network_limit_flow(network: FlowNetwork, policy: LogitPolicy, inflow: float) -> LimitFlow:
     """Cascade the local stationary splits through the acyclic node order.
 
-    The one-point case of ``network_limit_flows``; a node whose split does
-    not converge raises its ``LocalSolverError``.
+    The one-point case of ``network_limit_flows``, its row 0 as dicts keyed
+    by link id and by node; a node whose split does not converge raises
+    its ``LocalSolverError``.
     """
-    (limit,) = network_limit_flows(network, policy, [inflow])
-    if isinstance(limit, LocalSolverError):
-        raise limit
-    return limit
+    limits = network_limit_flows(network, policy, [inflow])
+    (error,) = limits.errors
+    if error is not None:
+        raise error
+    return LimitFlow(flows=dict(zip(limits.link_ids, limits.flows[0].tolist())),
+                     saturated=dict(zip(limits.link_ids, limits.saturated[0].tolist())),
+                     node_inflows=dict(enumerate(limits.node_inflows[0].tolist())))
 
 
 class _CascadePlan:
     """The layout of ``network_limit_flows`` that depends on the topology alone.
 
-    ``lids`` lists the links in cascade order (by the tail's position in
-    ``topological_order``, then by id), the row order of the cascade's
-    flows; ``out_rows[v]`` is node v's out-links' range of rows and
-    ``in_rows[v]`` its in-links' rows in cascade order.  ``pos[v]`` is v's
-    position in ``topological_order``.  ``levels`` holds per level, the
-    nodes whose longest path from the origin has that many links, a pair
-    ``(nodes, groups)``: the level's nodes and its nodes with outgoing
-    links grouped by out-degree, each in ``topological_order``.
+    Links are columns in ``topology.link_ids`` order, link ``lid`` in
+    column ``col[lid]``: ``out_cols[v]`` are node v's out-links' columns,
+    and ``in_cols[v]`` its in-links' columns in cascade order (by the
+    tail's position in ``topological_order``, then by id).  ``pos[v]`` is
+    v's position in ``topological_order``.  ``levels`` holds per level,
+    the nodes whose longest path from the origin has that many links, a
+    pair ``(nodes, groups)``: the level's nodes and its nodes with
+    outgoing links grouped by out-degree, each in ``topological_order``.
     """
 
     def __init__(self, topo: NetworkTopology):
@@ -916,12 +940,11 @@ class _CascadePlan:
             for lid in topo.outgoing[v]:
                 head = topo.link(lid).head
                 level[head] = max(level[head], level[v] + 1)
-        self.lids = [lid for v in order for lid in topo.outgoing[v]]
-        row = {lid: i for i, lid in enumerate(self.lids)}
-        self.out_rows = {v: slice(row[out[0]], row[out[0]] + len(out))
-                         for v, out in topo.outgoing.items() if out}
-        self.in_rows = [sorted(row[lid] for lid in topo.incoming[v])
-                        for v in range(topo.num_nodes)]
+        self.col = col = {lid: i for i, lid in enumerate(topo.link_ids)}
+        self.out_cols = {v: [col[lid] for lid in out] for v, out in topo.outgoing.items() if out}
+        self.in_cols = [[col[lid] for lid in sorted(
+            topo.incoming[v], key=lambda lid: (self.pos[topo.link(lid).tail], lid))]
+            for v in range(topo.num_nodes)]
         self.levels = []
         for depth in range(max(level) + 1):
             nodes = [v for v in order if level[v] == depth]
@@ -947,36 +970,42 @@ def _group_rows(network: FlowNetwork, policy: LogitPolicy, group) -> _LogitRows:
     return _LogitRows(np.array(rows))
 
 
-def _capacity_factors(plan: _CascadePlan, scalings, n_points: int) -> np.ndarray:
-    """The (links, P) capacity factors of ``scalings``, rows in cascade order.
+def _capacity_factors(col, scalings, n_points: int) -> np.ndarray:
+    """The (P, links) capacity factors of ``scalings``, link ``lid`` in column ``col[lid]``.
 
-    Entry [i, p] is ``scalings[p]``'s factor for link ``plan.lids[i]``, 1.0
+    Entry [p, col[lid]] is ``scalings[p]``'s factor for link ``lid``, 1.0
     where the map names no factor; an unknown link raises ``TopologyError``
     and a factor outside (0, 1] ``ValueError``, as ``PerturbationSpec`` does.
     """
     scalings = list(scalings)
     if len(scalings) != n_points:
         raise ValueError(f"need one factor map per inflow ({n_points}), got {len(scalings)}")
-    row = {lid: i for i, lid in enumerate(plan.lids)}
-    eps = np.ones((len(plan.lids), n_points))
+    eps = np.ones((n_points, len(col)))
     for p, factors in enumerate(scalings):
-        unknown = set(factors) - set(row)
+        unknown = set(factors) - set(col)
         if unknown:
             raise TopologyError(f"perturbation names unknown links {sorted(unknown)}")
         for lid, factor in factors.items():
             if not 0 < factor <= 1:  # NaN included
                 raise ValueError(f"scaling factor must be in (0, 1], got {factor}")
-            eps[row[lid], p] = factor
+            eps[p, col[lid]] = factor
     return eps
 
 
 def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
-                        scalings=None) -> list:
+                        scalings=None) -> LimitFlows:
     """Limit flows at P network inflows from one cascade through the node levels.
+
+    Returns a ``LimitFlows``: row p of its arrays is the limit flow at
+    ``inflows[p]``, its columns in link-id order, and ``errors[p]`` is
+    None or the ``LocalSolverError`` of the first node in
+    ``topological_order`` whose split did not converge at that point.  The
+    point is still solved at every node before that one, on any level, and
+    at no node of a level above once its failure is known.
 
     ``scalings``, when given, holds one ``{link_id: eps}`` map of capacity
     factors per point (``PerturbationSpec``'s), and point p is solved on
-    ``network`` with those links' capacities scaled: entry p is bit-for-bit
+    ``network`` with those links' capacities scaled: row p is bit-for-bit
     ``network_limit_flow(network.perturbed(PerturbationSpec(network,
     scalings[p])), policy, inflows[p])``.  The factors are checked as
     ``PerturbationSpec`` checks them, but the scaled functions are not
@@ -988,82 +1017,51 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
     level, the nodes are solved by one Newton run per out-degree k, on
     their (node, point) rows stacked into (rows, k) densities, each row
     with its own node's parameters (``_group_rows``) and its own point's
-    capacities (``_LogitRows.scaled``).
-
-    Two orders are those of a node-by-node cascade in
-    ``topological_order``, not the level order:
-
-    - a node's inflow is summed over its in-links in cascade order (by the
-      tail's position in ``topological_order``, then by id);
-    - entry p is the ``LimitFlow`` at ``inflows[p]`` or, when some node's
-      split did not converge at that point, the ``LocalSolverError`` of
-      the first such node in ``topological_order``.  The point is still
-      solved at every node before that one, on any level, and at no node
-      of a level above once its failure is known.
-
-    So every entry is bit-for-bit what the point gets alone from the
-    node-by-node cascade.  The layout that depends only on the topology
-    (``_CascadePlan``) is built once per call, for all P points.  The
-    cascade itself is ``_cascade_arrays``; this wrapper only turns its
-    columns into ``LimitFlow``s, so callers that read the arrays (the
-    ``limitflow`` CLI) get the same numbers.
-    """
-    lids, flows, flags, node_in, errors = _cascade_arrays(network, policy, inflows, scalings)
-    flows = flows.T.tolist()
-    flags = flags.T.tolist()
-    node_flows = node_in.T.tolist()
-    return [err if err is not None else LimitFlow(flows=dict(zip(lids, flows[p])),
-                                                  saturated=dict(zip(lids, flags[p])),
-                                                  node_inflows=dict(enumerate(node_flows[p])))
-            for p, err in enumerate(errors)]
-
-
-def _cascade_arrays(network: FlowNetwork, policy: LogitPolicy, inflows, scalings=None):
-    """``network_limit_flows``' cascade, its results as arrays.
-
-    Returns ``(lids, flows, saturated, node_inflows, errors)``: the link ids
-    in cascade order, the (links, P) flows and saturation flags with rows in
-    that order, the (nodes, P) node inflows, and per point None or its
-    ``LocalSolverError``.  A failed point's flows are NaN at every node it
-    was not solved at or did not converge at.
+    capacities (``_LogitRows.scaled``).  A node's inflow is summed over its
+    in-links in cascade order (by the tail's position in
+    ``topological_order``, then by id), as a node-by-node cascade in
+    ``topological_order`` sums it.  So every row is bit-for-bit what the
+    point gets alone from the node-by-node cascade.  The layout that
+    depends only on the topology (``_CascadePlan``) is built once per call,
+    for all P points.
     """
     topo = network.topology
     plan = _CascadePlan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
-    eps = _capacity_factors(plan, [{}] * n_points if scalings is None else scalings, n_points)
-    node_in = np.zeros((topo.num_nodes, n_points))
-    node_in[topo.origin] = lam0
-    flows = np.full((len(plan.lids), n_points), np.nan)  # rows in cascade order
-    flags = np.zeros((len(plan.lids), n_points), dtype=bool)
+    eps = _capacity_factors(plan.col, [{}] * n_points if scalings is None else scalings, n_points)
+    node_in = np.zeros((n_points, topo.num_nodes))
+    node_in[:, topo.origin] = lam0
+    flows = np.full((n_points, len(topo.link_ids)), np.nan)
+    flags = np.zeros((n_points, len(topo.link_ids)), dtype=bool)
     errors = [None] * n_points
     failed_at = np.full(n_points, topo.num_nodes)  # position of each point's first failure
     every = np.arange(n_points)
     for nodes, groups in plan.levels:
         for v in nodes:
-            for i in plan.in_rows[v]:
-                node_in[v] += flows[i]
+            for j in plan.in_cols[v]:
+                node_in[:, v] += flows[:, j]
         for group in groups:
             points = [every[failed_at > plan.pos[v]] for v in group]
             counts = [p.size for p in points]
             if not sum(counts):
                 continue
+            cells = [np.ix_(p, plan.out_cols[v]) for v, p in zip(group, points)]
             rows = _group_rows(network, policy, group).scaled(  # a row per point
-                np.repeat(np.arange(len(group)), counts),
-                np.concatenate([eps[plan.out_rows[v]][:, p].T for v, p in zip(group, points)]))
+                np.repeat(np.arange(len(group)), counts), np.concatenate([eps[c] for c in cells]))
             f, sat, errs = _local_solve(rows, np.concatenate(
-                [node_in[v, p] for v, p in zip(group, points)]))
+                [node_in[p, v] for v, p in zip(group, points)]))
             lo = 0
-            for v, p, count in zip(group, points, counts):
-                out = plan.out_rows[v]
-                flows[out, p] = f[lo:lo + count].T
-                flags[out, p] = sat[lo:lo + count]
+            for v, p, count, cell in zip(group, points, counts, cells):
+                flows[cell] = f[lo:lo + count]
+                flags[cell] = sat[lo:lo + count, None]
                 for i, err in enumerate(errs[lo:lo + count]):
                     if err is not None and plan.pos[v] < failed_at[p[i]]:
                         failed_at[p[i]] = plan.pos[v]
                         errors[p[i]] = err
                 lo += count
-    return plan.lids, flows, flags, node_in, errors
+    return LimitFlows(link_ids=topo.link_ids, flows=flows, saturated=flags,
+                      node_inflows=node_in, errors=tuple(errors))
 
 
 @dataclass
@@ -1096,8 +1094,10 @@ def convergence_check(network: FlowNetwork, policy: LogitPolicy, inflow: float,
         config = replace(config, inflow=inflow)
     rng = np.random.default_rng(seed)
     medians = np.array([network.flow_functions[lid].median_density() for lid in topo.link_ids])
-    reference = network_limit_flow(network, policy, inflow)
-    ref_vec = reference.flow_vector(topo)
+    reference = network_limit_flows(network, policy, [inflow])
+    if reference.errors[0] is not None:
+        raise reference.errors[0]
+    ref_vec = reference.flows[0]
     rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
     compiled, dt, _, blocks = _ensemble_blocks([network] * n_initial, policy, config, rho0s,
                                                "last")

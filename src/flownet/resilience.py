@@ -18,15 +18,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    LimitFlow,
-    LocalSolverError,
     UNDERSHOOT_TOL,
+    LimitFlows,
     SimulationConfig,
     _ensemble_blocks,
     _transfer_estimate,
     _transfer_threshold,
     default_dt,
-    network_limit_flow,
     network_limit_flows,
 )
 from .flows import FlowNetwork, PerturbationSpec
@@ -116,25 +114,6 @@ def _require_positive_threshold(alpha: float, inflow: float, tol: float | None =
                          f"needs is not positive, so no attack can defeat it")
 
 
-def _initial_densities(network: FlowNetwork, f_init) -> np.ndarray:
-    """Densities realizing the pre-attack flow under the unperturbed functions.
-
-    The attack changes flow functions, not the mass already on the links,
-    so the perturbed run starts from the unperturbed preimage of f_init.
-    """
-    topo = network.topology
-    rho0 = []
-    for i, lid in enumerate(topo.link_ids):
-        ff = network.flow_functions[lid]
-        f = float(f_init[i])
-        if f >= ff.f_max:
-            raise ValueError(
-                f"initial flow on link {lid} sits at capacity; no finite initial density"
-            )
-        rho0.append(ff.inverse(f))
-    return np.array(rho0)
-
-
 def _attack_config(network: FlowNetwork, inflow: float,
                    config: SimulationConfig | None) -> SimulationConfig:
     """The config every attack on ``network`` shares: ``config`` at ``inflow``,
@@ -148,17 +127,29 @@ def _attack_config(network: FlowNetwork, inflow: float,
     return config
 
 
-def _start_densities(network: FlowNetwork, base_limit) -> np.ndarray:
-    """Every attack run's start densities: those realizing ``base_limit``, the
-    unperturbed limit flow (its ``LocalSolverError`` is raised)."""
-    if isinstance(base_limit, LocalSolverError):
-        raise base_limit
-    if any(base_limit.saturated.values()):
+def _start_densities(network: FlowNetwork, limits: LimitFlows) -> np.ndarray:
+    """Every attack run's start densities: those realizing row 0 of ``limits``,
+    the unperturbed limit flow (its ``LocalSolverError`` is raised).
+
+    The attack changes flow functions, not the mass already on the links,
+    so the perturbed run starts from the unperturbed preimage of that flow.
+    """
+    if limits.errors[0] is not None:
+        raise limits.errors[0]
+    if limits.saturated[0].any():
         raise ValueError(
             "inflow saturates the unperturbed network; an attack run needs an "
             "interior start flow (inflow < C)"
         )
-    return _initial_densities(network, base_limit.flow_vector(network.topology))
+    rho0 = []
+    for lid, f in zip(limits.link_ids, limits.flows[0].tolist()):
+        ff = network.flow_functions[lid]
+        if f >= ff.f_max:
+            raise ValueError(
+                f"initial flow on link {lid} sits at capacity; no finite initial density"
+            )
+        rho0.append(ff.inverse(f))
+    return np.array(rho0)
 
 
 def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
@@ -166,7 +157,7 @@ def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     """The run settings every attack on ``network`` shares: ``_attack_config``
     and the ``_start_densities`` of the unperturbed limit flow."""
     config = _attack_config(network, inflow, config)
-    return config, _start_densities(network, network_limit_flow(network, policy, inflow))
+    return config, _start_densities(network, network_limit_flows(network, policy, [inflow]))
 
 
 def evaluate_attacks(network: FlowNetwork, policy: LogitPolicy, inflow: float, attacks,
@@ -365,40 +356,44 @@ def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     starts = [alpha * inflow / (2.0 * capacity) for alpha in order]
     thresholds = [_transfer_threshold(alpha, inflow) for alpha in order]
     destination = network.topology.destination
-    limits = {}  # cut scaling -> its limit flow or LocalSolverError
+    judged = {}  # cut scaling -> (its outflow, None or its LocalSolverError)
 
-    def judge(points):
-        """Add the limit flows of the cut scaled by each of ``points`` to ``limits``,
-        in one cascade; a scaling outside (0, 1] is left to ``_cut_spec`` to refuse."""
-        points = [eps for eps in dict.fromkeys(points) if 0 < eps <= 1 and eps not in limits]
-        if points:
-            limits.update(zip(points, network_limit_flows(
-                network, policy, [inflow] * len(points),
-                [dict.fromkeys(cut_links, eps) for eps in points])))
+    def judge(points) -> LimitFlows | None:
+        """Add the outflows of the cut scaled by each new one of ``points`` to
+        ``judged`` in one cascade, and return it, its rows those points in
+        order (None when no point is new); a scaling outside (0, 1] is left
+        to ``_cut_spec`` to refuse."""
+        points = [eps for eps in dict.fromkeys(points) if 0 < eps <= 1 and eps not in judged]
+        if not points:
+            return None
+        limits = network_limit_flows(network, policy, [inflow] * len(points),
+                                     [dict.fromkeys(cut_links, eps) for eps in points])
+        judged.update(zip(points, zip(limits.node_inflows[:, destination].tolist(),
+                                      limits.errors)))
+        return limits
 
-    def preserved(eps: float, threshold: float) -> bool:
-        """Whether the judged limit flow at ``eps`` keeps the outflow at ``threshold``."""
-        limit = limits.get(eps)
-        return isinstance(limit, LimitFlow) and limit.node_inflows[destination] >= threshold
+    def solved(eps: float) -> bool:
+        """Whether the limit flow at ``eps`` is judged and converged."""
+        return eps in judged and judged[eps][1] is None
 
     def outflow(eps: float) -> float:
         _cut_spec(network, cut_links, eps)
         judge([eps])
-        limit = limits[eps]
-        if isinstance(limit, LocalSolverError):
-            raise limit
-        return limit.node_inflows[destination]
+        value, error = judged[eps]
+        if error is not None:
+            raise error
+        return value
 
-    judge([1.0] + [eps for eps_lo, threshold in zip(starts, thresholds)
-                   for eps in [eps_lo] + (_bisection_tree(eps_lo, capacity, delta_tol)
-                                          if eps_lo * capacity < threshold
-                                          else _halvings(eps_lo))])
-    rho0 = _start_densities(network, limits[1.0])
+    rho0 = _start_densities(network, judge(  # row 0: the unperturbed network
+        [1.0] + [eps for eps_lo, threshold in zip(starts, thresholds)
+                 for eps in [eps_lo] + (_bisection_tree(eps_lo, capacity, delta_tol)
+                                        if eps_lo * capacity < threshold
+                                        else _halvings(eps_lo))]))
     trees = []
     for eps_lo, threshold in zip(starts, thresholds):
-        while eps_lo is not None and preserved(eps_lo, threshold):
+        while eps_lo is not None and solved(eps_lo) and judged[eps_lo][0] >= threshold:
             eps_lo = _halved(eps_lo)
-        if isinstance(limits.get(eps_lo), LimitFlow):  # a judged defeating start
+        if solved(eps_lo):  # a judged defeating start
             trees += _bisection_tree(eps_lo, capacity, delta_tol)
     judge(trees)
     brackets = [(alpha, *_bisect_scaling(lambda eps: not outflow(eps) >= threshold,

@@ -10,8 +10,10 @@ every digest matches and the child's peak RSS stays at or below the row's
 bound.  A run with an ``--out`` prefix must also leave
 ``<prefix>.manifest.json`` naming the child's own arguments and the
 SHA-256 of its scenario file.  One line reports the digests, the
-manifest's verdict, the peak RSS and the wall time.  The runs take seconds
-each, so pytest does not collect this file.
+manifest's verdict, the peak RSS and the wall time; a digest mismatch adds
+a line naming this host's class and the class the digests were recorded on
+(``host_class.py``).  The runs take seconds each, so pytest does not collect
+this file.
 """
 
 import hashlib
@@ -22,6 +24,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+from host_class import mismatch
 
 # name -> (CLI arguments, the outputs' SHA-256 digests, peak RSS bound in MB).
 # An output is stdout ("stdout") or the file at the ``--out`` prefix plus a
@@ -69,6 +73,8 @@ def run(name: str) -> bool:
                         for out, digest in got.items())
     manifest = "" if "{out}" not in args else f", manifest {'ok' if manifest_ok else 'MISMATCH'}"
     print(f"{digests}{manifest}, peak RSS {peak_mb:.1f} MB, wall {wall_s:.1f} s")
+    if got != want:
+        print(mismatch(f"{name} output"))
     return got == want and manifest_ok and peak_mb <= bound_mb
 
 

@@ -9,35 +9,35 @@ drops out of every later node, reporting that node's error.
 
 import numpy as np
 
-from flownet import LimitFlow, local_limit_flow
+from flownet import LimitFlows, local_limit_flow
 from flownet.topology import topological_order
 
 
-def serial_limit_flows(network, policy, inflows) -> list:
-    """Entry p: the ``LimitFlow`` at ``inflows[p]``, or the ``LocalSolverError``
-    of the first node in ``topological_order`` whose split fails there."""
+def serial_limit_flows(network, policy, inflows) -> LimitFlows:
+    """Row p: the limit flow at ``inflows[p]``; ``errors[p]`` is the
+    ``LocalSolverError`` of the first node in ``topological_order`` whose
+    split fails there, or None."""
     topo = network.topology
     lams = np.asarray(inflows, dtype=float).reshape(-1)
-    node_in = np.zeros((topo.num_nodes, lams.size))
-    node_in[topo.origin] = lams
-    flows, saturated = {}, {}
+    col = {lid: j for j, lid in enumerate(topo.link_ids)}
+    node_in = np.zeros((lams.size, topo.num_nodes))
+    node_in[:, topo.origin] = lams
+    flows = np.full((lams.size, len(col)), np.nan)
+    saturated = np.zeros((lams.size, len(col)), dtype=bool)
     errors = [None] * lams.size
     live = np.arange(lams.size)
     for v in topological_order(topo):
         out = topo.outgoing[v]
         if not out or not live.size:
             continue
-        f, sat, errs = local_limit_flow(network, policy, v, node_in[v, live])
+        f, sat, errs = local_limit_flow(network, policy, v, node_in[live, v])
         for j, lid in enumerate(out):
-            flows.setdefault(lid, np.full(lams.size, np.nan))[live] = f[:, j]
-            saturated.setdefault(lid, np.zeros(lams.size, dtype=bool))[live] = sat
-            node_in[topo.link(lid).head, live] += f[:, j]
+            flows[live, col[lid]] = f[:, j]
+            saturated[live, col[lid]] = sat
+            node_in[live, topo.link(lid).head] += f[:, j]
         failed = [i for i, err in enumerate(errs) if err is not None]
         for i in failed:
             errors[live[i]] = errs[i]
         live = np.delete(live, failed)
-    return [err if err is not None else
-            LimitFlow(flows={lid: float(col[p]) for lid, col in flows.items()},
-                      saturated={lid: bool(col[p]) for lid, col in saturated.items()},
-                      node_inflows={v: float(x) for v, x in enumerate(node_in[:, p])})
-            for p, err in enumerate(errors)]
+    return LimitFlows(link_ids=topo.link_ids, flows=flows, saturated=saturated,
+                      node_inflows=node_in, errors=tuple(errors))

@@ -21,6 +21,7 @@ from flownet import (
     estimate_weak_resilience,
     min_cut_capacity,
     network_limit_flow,
+    network_limit_flows,
     simulate,
     simulate_local,
 )
@@ -82,7 +83,7 @@ def test_criterion_01_closed_form_limit_flow():
     for lam, horizon in ((0.25, 200.0), (0.5, 200.0), (1.0, 200.0), (1.4, 600.0)):
         target = closed_form_split(lam)
         assert np.abs(target - independent_split_oracle(lam)).max() < 1e-10
-        lf = network_limit_flow(net, policy, lam).flow_vector(net.topology)
+        lf = network_limit_flows(net, policy, [lam]).flows[0]
         traj = simulate(net, policy,
                         SimulationConfig(inflow=lam, horizon=horizon, record_stride=10))
         tail = traj.outflow[traj.tail_slice()]

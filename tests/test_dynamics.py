@@ -276,8 +276,8 @@ class TestNetworkLimitFlow:
     def test_two_route_values(self, two_route):
         topo, net, policy = two_route
         lf = network_limit_flow(net, policy, 1.0)
-        np.testing.assert_allclose(lf.flow_vector(topo), two_route_fixed_point_oracle(1.0),
-                                   atol=1e-9)
+        np.testing.assert_allclose([lf.flows[lid] for lid in topo.link_ids],
+                                   two_route_fixed_point_oracle(1.0), atol=1e-9)
         assert not any(lf.saturated.values())
 
     def test_chain_saturating_middle_pins_its_links(self, chain):
@@ -292,7 +292,8 @@ class TestNetworkLimitFlow:
         topo, net, policy = diamond
         lf = network_limit_flow(net, policy, 1.0)
         traj = simulate(net, policy, SimulationConfig(inflow=1.0, horizon=150.0, dt=0.02))
-        np.testing.assert_allclose(traj.terminal_flow(), lf.flow_vector(topo), atol=1e-6)
+        np.testing.assert_allclose(traj.terminal_flow(), [lf.flows[lid] for lid in topo.link_ids],
+                                   atol=1e-6)
 
     def test_unsaturated_conservation_at_every_node(self, diamond):
         topo, net, policy = diamond

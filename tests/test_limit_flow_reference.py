@@ -34,18 +34,20 @@ def _compare(sc, lams):
     bound = cascade_bound(topo, LOCAL_TOL)
     flows, saturated, node_in = reference_limit_flows(sc.network, sc.policy, lams)
     knife_edges = []
-    for p, limit in enumerate(network_limit_flows(sc.network, sc.policy, lams)):
-        assert not isinstance(limit, LocalSolverError), (lams[p], limit)
-        gap = max(abs(limit.flows[lid] - flows[lid][p]) for lid in topo.link_ids)
+    limits = network_limit_flows(sc.network, sc.policy, lams)
+    col = {lid: j for j, lid in enumerate(limits.link_ids)}
+    for p, error in enumerate(limits.errors):
+        assert not isinstance(error, LocalSolverError), (lams[p], error)
+        gap = max(abs(limits.flows[p, col[lid]] - flows[lid][p]) for lid in topo.link_ids)
         assert gap <= bound, (lams[p], gap, bound)
         for v, out in topo.outgoing.items():
             if not out:
                 continue
             capacity = sum(sc.network.flow_functions[lid].f_max for lid in out)
-            if abs(limit.node_inflows[v] - capacity) <= bound:
+            if abs(limits.node_inflows[p, v] - capacity) <= bound:
                 knife_edges.append((p, v))
             else:
-                assert limit.saturated[out[0]] == saturated[out[0]][p], (lams[p], v)
+                assert limits.saturated[p, col[out[0]]] == saturated[out[0]][p], (lams[p], v)
     return knife_edges
 
 

@@ -406,12 +406,12 @@ class TestBatchedVerdicts:
 
         def oracle(network, policy, inflows, scalings):
             limits = real(network, policy, inflows, scalings)
-            for inflow, factors, limit in zip(inflows, scalings, limits):
+            for p, (inflow, factors) in enumerate(zip(inflows, scalings)):
                 if flip_at in factors.values():
                     # reflect the outflow across the threshold: the verdict flips
                     dest = network.topology.destination
-                    limit.node_inflows[dest] = (2.0 * _transfer_threshold(0.5, inflow)
-                                                - limit.node_inflows[dest])
+                    limits.node_inflows[p, dest] = (2.0 * _transfer_threshold(0.5, inflow)
+                                                    - limits.node_inflows[p, dest])
             return limits
 
         monkeypatch.setattr(resilience, "network_limit_flows", oracle)

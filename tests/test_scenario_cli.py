@@ -21,6 +21,7 @@ from flownet.cli import main
 from flownet.scenario import ScenarioError
 
 from conftest import DATA
+from host_class import mismatch
 from simulate_digests import DAG_DIGESTS, DIGESTS, dag_runs, simulate_digests, simulate_runs
 
 
@@ -727,7 +728,7 @@ class TestCmdLimitflow:
 
     def test_sweep_memory_follows_its_text(self, tmp_path, monkeypatch):
         # each chunk's limit flows go once formatted: what stays is the
-        # grid and the row text, not a LimitFlow of three dicts per point
+        # grid and the row text, not a dict per point
         monkeypatch.setattr(cli, "_SWEEP_CHUNK", 64)
         out = tmp_path / "sweep.csv"
         argv = ["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:3000", "--out", str(out)]
@@ -748,9 +749,9 @@ class TestCmdLimitflow:
             calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("cascade failed")
-            return dynamics._cascade_arrays(*args)
+            return dynamics.network_limit_flows(*args)
 
-        monkeypatch.setattr(cli, "_cascade_arrays", failing)
+        monkeypatch.setattr(cli, "network_limit_flows", failing)
         out = tmp_path / "sweep.csv"
         code = main(["limitflow", str(DATA / "diamond5.json"), "--sweep", "0:2:9",
                      "--out", str(out)])
@@ -869,7 +870,6 @@ class TestCmdResilience:
         def no_oracle(*args):
             raise AssertionError("no limit flow may be computed")
 
-        monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
         monkeypatch.setattr(resilience, "network_limit_flows", no_oracle)
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
         err = capsys.readouterr().err
@@ -882,7 +882,6 @@ class TestCmdResilience:
         def no_oracle(*args):
             raise AssertionError("no limit flow may be computed")
 
-        monkeypatch.setattr(resilience, "network_limit_flow", no_oracle)
         monkeypatch.setattr(resilience, "network_limit_flows", no_oracle)
         code = main(["resilience", str(DATA / "diamond5.json"), "--alphas", alphas])
         assert code == 2
@@ -1015,22 +1014,24 @@ class TestGoldenFiles:
         run_cli("simulate", str(DATA / "chain21.json"), "--horizon", "0.5", "--dt", "0.25",
                 "--out", str(tmp_path / "chain_tiny"), capsys=capsys)
         assert (tmp_path / "chain_tiny.csv").read_bytes() == \
-            (self.GOLDEN / "chain_tiny.csv").read_bytes()
+            (self.GOLDEN / "chain_tiny.csv").read_bytes(), mismatch("chain_tiny.csv")
         assert (tmp_path / "chain_tiny.summary.json").read_bytes() == \
-            (self.GOLDEN / "chain_tiny.summary.json").read_bytes()
+            (self.GOLDEN / "chain_tiny.summary.json").read_bytes(), \
+            mismatch("chain_tiny.summary.json")
 
     def test_mincut_json(self, tmp_path, capsys):
         run_cli("mincut", str(DATA / "chain21.json"),
                 "--out", str(tmp_path / "mc.json"), capsys=capsys)
         assert (tmp_path / "mc.json").read_bytes() == \
-            (self.GOLDEN / "chain_mincut.json").read_bytes()
+            (self.GOLDEN / "chain_mincut.json").read_bytes(), mismatch("chain_mincut.json")
 
     def test_resilience_report_json(self, capsys):
         # two alphas: both bisect on the oracle, then one ensemble audits their brackets
         code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
                             "--samples", "4", "--horizon", "10", "--seed", "3", capsys=capsys)
         assert code == 0
-        assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes()
+        assert out.encode() == (self.GOLDEN / "diamond5_resilience.json").read_bytes(), \
+            mismatch("diamond5_resilience.json")
 
     # recorded when the verdicts kept whole trajectories and split these 16 members 15 + 1
     DIAMOND5_16_MEMBERS_SHA256 = "132d0b4d366d27f587a8c03f080317dd3858587b3379895efe5f225a38334542"
@@ -1048,7 +1049,8 @@ class TestGoldenFiles:
         code, out = run_cli("resilience", str(DATA / "diamond5.json"), "--alphas", "0.5,0.05",
                             "--samples", "12", "--seed", "3", capsys=capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIAMOND5_16_MEMBERS_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIAMOND5_16_MEMBERS_SHA256, \
+            mismatch("diamond5 16-member resilience digest")
         assert sizes == [16]
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path):
@@ -1056,7 +1058,8 @@ class TestGoldenFiles:
         runs = simulate_runs(tmp_path)
         assert sorted(runs) == sorted(pinned)
         for name, (path, extra) in runs.items():
-            assert simulate_digests(path, extra, tmp_path) == pinned[name], name
+            assert simulate_digests(path, extra, tmp_path) == pinned[name], \
+                mismatch(f"{name} simulate digests")
 
     def test_dag_simulate_outputs_match_pinned_digests(self, tmp_path):
         # node inflows summed over up to 8 in-links, wider sums than any tests/data scenario has
@@ -1064,7 +1067,8 @@ class TestGoldenFiles:
         runs = dag_runs(tmp_path)
         assert sorted(runs) == sorted(pinned)
         for name, (path, extra) in runs.items():
-            assert simulate_digests(path, extra, tmp_path) == pinned[name], name
+            assert simulate_digests(path, extra, tmp_path) == pinned[name], \
+                mismatch(f"{name} simulate digests")
 
     @pytest.mark.parametrize("block_rows", [1, 7])
     def test_block_size_keeps_pinned_digests(self, tmp_path, monkeypatch, block_rows):
@@ -1079,15 +1083,17 @@ class TestGoldenFiles:
                           "--out", str(tmp_path / "example3_cutattack"), capsys=capsys)
         assert code == 0
         csv = (tmp_path / "example3_cutattack.csv").read_bytes()
-        assert hashlib.sha256(csv).hexdigest() == self.CUTATTACK_CSV_SHA256
+        assert hashlib.sha256(csv).hexdigest() == self.CUTATTACK_CSV_SHA256, \
+            mismatch("example3_cutattack.csv digest")
         assert (tmp_path / "example3_cutattack.summary.json").read_bytes() == \
-            (self.GOLDEN / "example3_cutattack.summary.json").read_bytes()
+            (self.GOLDEN / "example3_cutattack.summary.json").read_bytes(), \
+            mismatch("example3_cutattack.summary.json")
 
     def test_limitflow_sweep_csv(self, tmp_path, capsys):
         run_cli("limitflow", str(DATA / "chain21.json"), "--sweep", "0:1.2:4",
                 "--out", str(tmp_path / "sweep.csv"), capsys=capsys)
         assert (tmp_path / "sweep.csv").read_bytes() == \
-            (self.GOLDEN / "chain_sweep.csv").read_bytes()
+            (self.GOLDEN / "chain_sweep.csv").read_bytes(), mismatch("chain_sweep.csv")
 
 
 def _one_string_csv(traj) -> str:
