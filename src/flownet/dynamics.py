@@ -21,7 +21,6 @@ checked against.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -130,8 +129,9 @@ class _Compiled:
     share one topology under one logit policy, fed at the origin by
     ``inflow``, a constant or a function of time.  ``rhs(t, rho)``
     (``_rhs``) is d rho / dt at time t and the flat state of all B*m
-    densities, member after member, as a fresh array.  ``flows`` is the ``_flow_map`` of (P, B*m) densities and
-    ``member_flows[b]`` member b's; for a single network they are one map.
+    densities, member after member, as a fresh array.  The links'
+    exponential parameters are built once, as two (1, B*m) rows
+    ``neg_rate`` and ``neg_f_max`` that the RHS and ``flows`` read.
 
     ``rhs`` keeps its link flows and routed inflows in buffers of its own,
     overwritten by every call, so an instance is not reentrant: one run
@@ -153,13 +153,19 @@ class _Compiled:
         self.destination = topo.destination
         self.n_nodes = topo.num_nodes
         self.link_ids = topo.link_ids
-        ffs = [[net.flow_functions[l.id] for l in self.links] for net in networks]
-        self.member_flows = [_flow_map(member) for member in ffs]
-        fns = [ff for member in ffs for ff in member]
-        self.flows = self.member_flows[0] if len(networks) == 1 else _flow_map(fns)
-        self.rhs = self._rhs(policy, inflow, len(networks), fns)
+        fns = [net.flow_functions[l.id] for net in networks for l in self.links]
+        _, self.neg_rate, self.neg_f_max, _ = _exponential_params(fns)[:, None]
+        self.rhs = self._rhs(policy, inflow, len(networks))
 
-    def _rhs(self, policy, inflow, n_members, fns):
+    def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
+        """Link flows of (P, B*m) densities or, with ``member``, of that member's (P, m)
+        from its column slice of the rows, as a fresh array: bit-for-bit each
+        ``ExponentialFlow.__call__`` (negation is exact, IEEE products sign-symmetric)."""
+        m = len(self.links)
+        cols = slice(None) if member is None else slice(member * m, (member + 1) * m)
+        return _exponential_flows(self.neg_rate[:, cols], self.neg_f_max[:, cols], rho)
+
+    def _rhs(self, policy, inflow, n_members):
         """``rhs(t, rho)``, built once with every array it reads bound as a local.
 
         Each link's routed inflow is its tail node's, gathered by one
@@ -187,7 +193,7 @@ class _Compiled:
         origin = next(slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])
                       if tails[lo] == self.origin)
         columns, timed = (n_members, m, 1), callable(inflow)
-        _, neg_rate, neg_f_max, _ = _exponential_params(fns)
+        neg_rate, neg_f_max = self.neg_rate[0], self.neg_f_max[0]
         flow_buf = np.empty(n_members * m)
         flow_col = flow_buf.reshape(columns)
         lam = np.empty(columns)
@@ -497,8 +503,8 @@ def _member_trajectories(compiled: _Compiled, block, inflow: float, dt: float):
     record.  One member's trajectory is built at a time.
     """
     times, states, undershoot = block
-    for b, member_flows in enumerate(compiled.member_flows):
-        flows_sorted = member_flows(states[:, b])
+    for b in range(states.shape[1]):
+        flows_sorted = compiled.flows(states[:, b], b)
         lam = np.zeros((len(times), compiled.n_nodes))
         for j, head in enumerate(compiled.heads):
             lam[:, head] += flows_sorted[:, j]
@@ -887,19 +893,6 @@ def _exponential_slopes(neg_rate, scale, rho):
     out = out.reshape(arg.shape)
     out *= scale
     return out
-
-
-def _flow_map(flow_fns):
-    """Link flows as a map from densities (P, k) to flows of that shape.
-
-    ``flow_fns`` is a sequence of k flow functions (one member's links, or
-    an ensemble's members one after another).  The map fills one result
-    array in place, the parameters hoisted and negated as (1, k) rows,
-    bit-for-bit what each function's ``__call__`` gives (negation is exact
-    and IEEE products are sign-symmetric).
-    """
-    params = _exponential_params(flow_fns)
-    return functools.partial(_exponential_flows, params[1:2], params[2:3])
 
 
 def network_limit_flow(network: FlowNetwork, policy: LogitPolicy, inflow: float) -> LimitFlow:

@@ -87,11 +87,12 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _known(body: dict, keys, where: str) -> None:
-    """Refuse fields of ``body`` outside ``keys``: a misspelt field would otherwise go unread."""
+def _known(body: dict, keys, where: str, _what: str = "unknown fields") -> None:
+    """Refuse keys of ``body`` outside ``keys`` as ``"{where}: {_what} [keys]"``: a
+    misspelt key would otherwise go unread."""
     stray = set(body) - set(keys)
     if stray:
-        raise ScenarioError(f"{where}: unknown fields {sorted(stray)}")
+        raise ScenarioError(f"{where}: {_what} {sorted(stray)}")
 
 
 def _kind(value) -> str:
@@ -141,9 +142,7 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
     """
     sim = dict(_object(raw, "simulation"))
     density = sim.pop("initial_density", None)
-    stray = set(sim) - set(SIMULATION_SETTINGS)
-    if stray:
-        raise ScenarioError(f"simulation: unknown settings {sorted(stray)}")
+    _known(sim, SIMULATION_SETTINGS, "simulation", "unknown settings")
     settings = {key: _number(value, f"simulation.{key}", integer=key == "record_stride")
                 for key, value in sim.items()
                 if value is not None or key != "dt"}
@@ -154,9 +153,7 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
     if density is None:
         return config, None
     where = "simulation.initial_density"
-    stray = set(_object(density, where)) - {str(lid) for lid in topo.link_ids}
-    if stray:
-        raise ScenarioError(f"{where}: unknown links {sorted(stray)}")
+    _known(_object(density, where), map(str, topo.link_ids), where, "unknown links")
     rho = [_number(density.get(str(lid), 0.0), f"{where}.{lid}") for lid in topo.link_ids]
     for lid, value in zip(topo.link_ids, rho):
         if value < 0:
@@ -180,9 +177,7 @@ def _perturbation_section(raw, topo: NetworkTopology):
         _known(body, ("alpha",), where)
         return alpha, None
     links = _object(raw["links"], "perturbation.links")
-    stray = set(links) - {str(lid) for lid in topo.link_ids}
-    if stray:
-        raise ScenarioError(f"perturbation.links: unknown links {sorted(stray)}")
+    _known(links, map(str, topo.link_ids), "perturbation.links", "unknown links")
     scalings = {}
     for key, body in links.items():
         where = f"perturbation.links.{key}"
@@ -247,9 +242,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             fns[lid] = ExponentialFlow(rate, f_max)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
-    stray = set(ff_doc) - {str(lid) for lid in topo.link_ids}
-    if stray:
-        raise ScenarioError(f"flow_functions: entries for unknown links {sorted(stray)}")
+    _known(ff_doc, map(str, topo.link_ids), "flow_functions", "entries for unknown links")
     network = FlowNetwork(topo, fns)
 
     pol_doc = _object(_need(doc, "policies", "scenario"), "policies")
@@ -269,14 +262,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if str(lid) not in w:
                 raise ScenarioError(f"{where}: missing weight for outgoing link {lid}")
             weights[lid] = _number(w[str(lid)], f"{where}.weights.{lid}")
-        stray = set(w) - {str(lid) for lid in out}
-        if stray:
-            raise ScenarioError(f"{where}.weights: weights for links not leaving node {v}: "
-                                f"{sorted(stray)}")
+        _known(w, map(str, out), f"{where}.weights", f"weights for links not leaving node {v}:")
         _known(body, ("eta", "weights"), where)
-    stray = set(pol_doc) - {str(v) for v in range(topo.num_nodes) if topo.outgoing[v]}
-    if stray:
-        raise ScenarioError(f"policies: entries for unknown or destination nodes {sorted(stray)}")
+    _known(pol_doc, map(str, eta), "policies", "entries for unknown or destination nodes")
     try:
         policy = LogitPolicy(topo, eta, weights)
     except ValueError as exc:

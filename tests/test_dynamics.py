@@ -729,10 +729,10 @@ class TestFlowMap:
                                                   size=(10_000, 2, len(sc.topology.links)))
         member = states[:, 1]
         assert not member.flags.c_contiguous
-        compiled.member_flows[1](member)  # warm up before measuring
+        compiled.flows(member, 1)  # warm up before measuring
         tracemalloc.start()
         try:
-            flows = compiled.member_flows[1](member)
+            flows = compiled.flows(member, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -745,9 +745,25 @@ class TestFlowMap:
         fns = [ExponentialFlow(float(a), float(c)) for a, c in 10.0 ** rng.uniform(-1, 1, (5, 2))]
         rho = TestSlopeMap.densities(rng, np.array([ff.rate for ff in fns]), rows)
         rho[rng.random(rho.shape) < 0.2] *= -0.01
-        got = dynamics._flow_map(fns)(rho)
+        got = dynamics._exponential_flows(*dynamics._exponential_params(fns)[1:3, None], rho)
         assert got.shape == (rows, len(fns))
         assert np.array_equal(got, np.column_stack([ff(rho[:, j]) for j, ff in enumerate(fns)]))
+
+    def test_member_columns_equal_stacked_map_and_flow_calls(self):
+        # each member's flows read its columns of the kernel's one pair of parameter rows
+        sc = load_scenario(DATA / "diamond5.json")
+        nets, _ = TestEnsemble.perturbed_members(sc.network, 3, seed=3)
+        compiled = dynamics._Compiled(nets, sc.policy, sc.inflow)
+        m = len(compiled.links)
+        rho = np.random.default_rng(3).uniform(-0.5, 5.0, size=(50, 3 * m))
+        stacked = compiled.flows(rho)
+        for b, net in enumerate(nets):
+            member = rho[:, b * m:(b + 1) * m]
+            got = compiled.flows(member, b)
+            assert np.array_equal(got, stacked[:, b * m:(b + 1) * m])
+            fns = [net.flow_functions[link.id] for link in compiled.links]
+            assert np.array_equal(got, np.column_stack([ff(member[:, j])
+                                                        for j, ff in enumerate(fns)]))
 
 
 def _derivative_rows(flow_fns, rho):

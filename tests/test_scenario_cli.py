@@ -232,6 +232,28 @@ class TestUnknownFields:
         assert code == 1
         assert json.loads(out)["findings"] == [{"component": "document", "message": message}]
 
+    # the key maps' refusals not pinned word for word elsewhere in this file: unknown
+    # fields above, weights off their node and policies of nodes without out-links below
+    STRAY_KEYS = {
+        "simulation-setting": (lambda doc: doc.update(simulation={"horizon": 5.0, "step": 0.1}),
+                               "simulation: unknown settings ['step']"),
+        "initial-density": (lambda doc: doc.update(simulation={"initial_density": {
+            "0": 0.1, "9": 0.2}}), "simulation.initial_density: unknown links ['9']"),
+        "perturbed-link": (lambda doc: doc.update(perturbation={"links": {"7": {
+            "type": "scale", "eps": 0.5}}}), "perturbation.links: unknown links ['7']"),
+        "flow-function": (lambda doc: doc["flow_functions"].update({"8": {"a": 1.0, "f_max": 1.0}}),
+                          "flow_functions: entries for unknown links ['8']"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+    def test_stray_map_keys_refused_with_their_message(self, case):
+        mutate, message = self.STRAY_KEYS[case]
+        doc = json.loads((DATA / "example3.json").read_text())
+        mutate(doc)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+
     def test_misspelt_perturbation_form_keeps_its_message(self):
         doc = json.loads((DATA / "example3.json").read_text())
         doc["perturbation"] = {"cut_atack": {"alpha": 0.25}}
