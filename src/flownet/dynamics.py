@@ -28,7 +28,7 @@ import numpy as np
 
 from .flows import FlowNetwork
 from .routing import LogitPolicy, _logit_jacobian, _logit_split
-from .topology import NetworkTopology, TopologyError, topological_order
+from .topology import NetworkTopology, topological_order
 
 __all__ = [
     "SimulationConfig",
@@ -404,12 +404,16 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
 
 
 def _start_state(rho0, m: int) -> np.ndarray:
-    """A member's start densities: ``m`` finite, nonnegative entries (zeros for None)."""
+    """A member's start densities: ``m`` finite, nonnegative entries at most
+    ``DENSITY_CEILING`` (zeros for None)."""
     rho0 = np.zeros(m) if rho0 is None else np.asarray(rho0, dtype=float)
     if rho0.shape != (m,):
         raise ValueError(f"rho0 must have one entry per link ({m})")
     if not (np.isfinite(rho0) & (rho0 >= 0)).all():
         raise ValueError("initial densities must be finite and nonnegative")
+    if not (rho0 <= DENSITY_CEILING).all():
+        raise ValueError("initial densities must be at most the density ceiling "
+                         f"{DENSITY_CEILING:g}")
     return rho0
 
 
@@ -914,14 +918,14 @@ def network_limit_flow(network: FlowNetwork, policy: LogitPolicy, inflow: float)
 class _CascadePlan:
     """The layout of ``network_limit_flows`` that depends on the topology alone.
 
-    Links are columns in ``topology.link_ids`` order, link ``lid`` in
-    column ``col[lid]``: ``out_cols[v]`` are node v's out-links' columns,
-    and ``in_cols[v]`` its in-links' columns in cascade order (by the
-    tail's position in ``topological_order``, then by id).  ``pos[v]`` is
-    v's position in ``topological_order``.  ``levels`` holds per level,
-    the nodes whose longest path from the origin has that many links, a
-    pair ``(nodes, groups)``: the level's nodes and its nodes with
-    outgoing links grouped by out-degree, each in ``topological_order``.
+    Links are columns in ``topology.link_ids`` order: ``out_cols[v]`` are
+    node v's out-links' columns, and ``in_cols[v]`` its in-links' columns
+    in cascade order (by the tail's position in ``topological_order``,
+    then by id).  ``pos[v]`` is v's position in ``topological_order``.
+    ``levels`` holds per level, the nodes whose longest path from the
+    origin has that many links, a pair ``(nodes, groups)``: the level's
+    nodes and its nodes with outgoing links grouped by out-degree, each in
+    ``topological_order``.
     """
 
     def __init__(self, topo: NetworkTopology):
@@ -933,7 +937,7 @@ class _CascadePlan:
             for lid in topo.outgoing[v]:
                 head = topo.link(lid).head
                 level[head] = max(level[head], level[v] + 1)
-        self.col = col = {lid: i for i, lid in enumerate(topo.link_ids)}
+        col = {lid: i for i, lid in enumerate(topo.link_ids)}
         self.out_cols = {v: [col[lid] for lid in out] for v, out in topo.outgoing.items() if out}
         self.in_cols = [[col[lid] for lid in sorted(
             topo.incoming[v], key=lambda lid: (self.pos[topo.link(lid).tail], lid))]
@@ -963,28 +967,6 @@ def _group_rows(network: FlowNetwork, policy: LogitPolicy, group) -> _LogitRows:
     return _LogitRows(np.array(rows))
 
 
-def _capacity_factors(col, scalings, n_points: int) -> np.ndarray:
-    """The (P, links) capacity factors of ``scalings``, link ``lid`` in column ``col[lid]``.
-
-    Entry [p, col[lid]] is ``scalings[p]``'s factor for link ``lid``, 1.0
-    where the map names no factor; an unknown link raises ``TopologyError``
-    and a factor outside (0, 1] ``ValueError``, as ``PerturbationSpec`` does.
-    """
-    scalings = list(scalings)
-    if len(scalings) != n_points:
-        raise ValueError(f"need one factor map per inflow ({n_points}), got {len(scalings)}")
-    eps = np.ones((n_points, len(col)))
-    for p, factors in enumerate(scalings):
-        unknown = set(factors) - set(col)
-        if unknown:
-            raise TopologyError(f"perturbation names unknown links {sorted(unknown)}")
-        for lid, factor in factors.items():
-            if not 0 < factor <= 1:  # NaN included
-                raise ValueError(f"scaling factor must be in (0, 1], got {factor}")
-            eps[p, col[lid]] = factor
-    return eps
-
-
 def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
                         scalings=None) -> LimitFlows:
     """Limit flows at P network inflows from one cascade through the node levels.
@@ -996,14 +978,15 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
     point is still solved at every node before that one, on any level, and
     at no node of a level above once its failure is known.
 
-    ``scalings``, when given, holds one ``{link_id: eps}`` map of capacity
-    factors per point (``PerturbationSpec``'s), and point p is solved on
-    ``network`` with those links' capacities scaled: row p is bit-for-bit
-    ``network_limit_flow(network.perturbed(PerturbationSpec(network,
-    scalings[p])), policy, inflows[p])``.  The factors are checked as
-    ``PerturbationSpec`` checks them, but the scaled functions are not
-    certified.  Without ``scalings`` every factor is 1.0, which leaves a
-    capacity's bits unchanged: the network's own limit flows.
+    ``scalings``, when given, is a (P, m) array of capacity factors in
+    (0, 1], its columns in link-id order as those of ``flows``, and point p
+    is solved on ``network`` with each link's capacity scaled by its
+    factor: row p is bit-for-bit ``network_limit_flow(network.perturbed(
+    PerturbationSpec(network, dict(zip(topology.link_ids, scalings[p])))),
+    policy, inflows[p])``.  A wrong shape or a factor outside (0, 1], NaN
+    included, raises ``ValueError`` before any node is solved; the scaled
+    functions are not certified.  Without ``scalings`` every factor is 1.0, which
+    leaves a capacity's bits unchanged: the network's own limit flows.
 
     A node's level is the length of its longest path from the origin, so a
     level's inflows are known once the levels below it are solved.  Per
@@ -1022,11 +1005,18 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
     plan = _CascadePlan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
-    eps = _capacity_factors(plan.col, [{}] * n_points if scalings is None else scalings, n_points)
+    shape = (n_points, len(topo.link_ids))
+    eps = np.ones(shape) if scalings is None else np.asarray(scalings, dtype=float)
+    if eps.shape != shape:
+        raise ValueError(f"scalings must have shape {shape}, a row per inflow and a column "
+                         f"per link, got {eps.shape}")
+    outside = ~((eps > 0) & (eps <= 1))  # NaN included
+    if outside.any():
+        raise ValueError(f"scaling factor must be in (0, 1], got {eps[outside][0]}")
     node_in = np.zeros((n_points, topo.num_nodes))
     node_in[:, topo.origin] = lam0
-    flows = np.full((n_points, len(topo.link_ids)), np.nan)
-    flags = np.zeros((n_points, len(topo.link_ids)), dtype=bool)
+    flows = np.full(shape, np.nan)
+    flags = np.zeros(shape, dtype=bool)
     errors = [None] * n_points
     failed_at = np.full(n_points, topo.num_nodes)  # position of each point's first failure
     every = np.arange(n_points)

@@ -356,6 +356,7 @@ def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     starts = [alpha * inflow / (2.0 * capacity) for alpha in order]
     thresholds = [_transfer_threshold(alpha, inflow) for alpha in order]
     destination = network.topology.destination
+    cut_cols = [network.topology.link_ids.index(lid) for lid in cut_links]
     judged = {}  # cut scaling -> (its outflow, None or its LocalSolverError)
 
     def judge(points) -> LimitFlows | None:
@@ -366,8 +367,9 @@ def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float,
         points = [eps for eps in dict.fromkeys(points) if 0 < eps <= 1 and eps not in judged]
         if not points:
             return None
-        limits = network_limit_flows(network, policy, [inflow] * len(points),
-                                     [dict.fromkeys(cut_links, eps) for eps in points])
+        eps = np.ones((len(points), len(network.topology.link_ids)))
+        eps[:, cut_cols] = np.array(points)[:, None]
+        limits = network_limit_flows(network, policy, [inflow] * len(points), eps)
         judged.update(zip(points, zip(limits.node_inflows[:, destination].tolist(),
                                       limits.errors)))
         return limits

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import SimulationConfig
+from .dynamics import DENSITY_CEILING, SimulationConfig
 from .flows import ExponentialFlow, FlowNetwork, PerturbationSpec
 from .resilience import _require_positive_threshold, cut_attack
 from .routing import LogitPolicy, responsiveness_findings
@@ -137,8 +137,9 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
     the start densities in ``topo.link_ids`` order (None to start empty).
 
     ``dt`` and ``initial_density`` may be null for their defaults;
-    ``initial_density`` maps link ids to nonnegative densities (links it
-    leaves out start empty).  A setting out of range is a ``ScenarioError``.
+    ``initial_density`` maps link ids to nonnegative densities at most
+    ``DENSITY_CEILING`` (links it leaves out start empty).  A setting out
+    of range is a ``ScenarioError``.
     """
     sim = dict(_object(raw, "simulation"))
     density = sim.pop("initial_density", None)
@@ -158,6 +159,9 @@ def _simulation_section(raw, topo: NetworkTopology, inflow: float):
     for lid, value in zip(topo.link_ids, rho):
         if value < 0:
             raise ScenarioError(f"{where}.{lid}: must be nonnegative, got {value!r}")
+        if value > DENSITY_CEILING:
+            raise ScenarioError(f"{where}.{lid}: must be at most the density ceiling "
+                                f"{DENSITY_CEILING:g}, got {value!r}")
     return config, np.array(rho)
 
 

@@ -142,6 +142,7 @@ class TestSimulate:
     @pytest.mark.parametrize("rho0, message", [
         ([-1.0, 0.2], "nonnegative"), ([np.nan, 0.2], "finite"), ([0.2, np.inf], "finite"),
         ([-np.inf, 0.2], "finite"), ([0.2], "one entry per link"),
+        ([2e9, 0.2], "at most the density ceiling 1e\\+09"),
     ])
     def test_bad_start_refused_before_any_step(self, two_route, monkeypatch, rho0, message):
         topo, net, policy = two_route

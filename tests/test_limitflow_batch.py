@@ -13,7 +13,6 @@ from flownet import (
     LogitPolicy,
     NetworkTopology,
     PerturbationSpec,
-    TopologyError,
     load_scenario,
     local_limit_flow,
     min_cut_capacity,
@@ -189,15 +188,22 @@ def test_batched_logit_route_and_jacobian_equal_row_calls():
         assert np.array_equal(jac, np.array([sc.policy.jacobian(v, r) for r in rho]))
 
 
+def _spec(network, row):
+    """The ``PerturbationSpec`` of one row of capacity factors, columns in link-id order."""
+    return PerturbationSpec(network, dict(zip(network.topology.link_ids, row.tolist())))
+
+
 def _scaled_points(scenario, n_points, seed):
-    """Inflows in [0, 1.5 C] and one factor map per point: each link scaled with
-    chance 1/2, by 1.0 one time in four and else by a factor in [0.05, 1)."""
+    """Inflows in [0, 1.5 C] and one row of capacity factors per point, columns in
+    link-id order: each link scaled with chance 1/2, by 1.0 one time in four and
+    else by a factor in [0.05, 1); an unscaled link's factor is 1.0."""
     rng = np.random.default_rng(seed)
     cap, _ = min_cut_capacity(scenario.topology, scenario.network.capacities())
     ids = scenario.topology.link_ids
     scalings = [{lid: 1.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.0))
                  for lid in ids if rng.random() < 0.5} for _ in range(n_points)]
-    return rng.uniform(0.0, 1.5 * cap, n_points), scalings
+    rows = np.array([[factors.get(lid, 1.0) for lid in ids] for factors in scalings])
+    return rng.uniform(0.0, 1.5 * cap, n_points), rows
 
 
 @pytest.mark.parametrize("name", ["diamond5", "random8", "example3", "chain21",
@@ -209,12 +215,12 @@ def test_scaled_points_equal_their_perturbed_cascades(name):
         sc = load_scenario(DATA / f"{name}.json")
     lams, scalings = _scaled_points(sc, 40, seed=len(name))
     batch = network_limit_flows(sc.network, sc.policy, lams, scalings)
-    for p, (lam, factors) in enumerate(zip(lams, scalings, strict=True)):
-        perturbed = sc.network.perturbed(PerturbationSpec(sc.network, factors))
+    for p, (lam, row) in enumerate(zip(lams, scalings, strict=True)):
+        perturbed = sc.network.perturbed(_spec(sc.network, row))
         _assert_same(batch, p, network_limit_flow(perturbed, sc.policy, lam))
     # the points cover saturating and interior limit flows, and unit factors
     assert set(batch.saturated.any(axis=1).tolist()) == {True, False}
-    assert any(1.0 in factors.values() for factors in scalings)
+    assert (scalings == 1.0).any() and (scalings < 1.0).any()
 
 
 def test_failed_scaled_points_keep_their_first_error():
@@ -222,8 +228,8 @@ def test_failed_scaled_points_keep_their_first_error():
     lams, scalings = _scaled_points(sc, 40, seed=3)
     failed = 0
     batch = network_limit_flows(sc.network, sc.policy, lams, scalings)
-    for p, (lam, factors, res) in enumerate(zip(lams, scalings, batch.errors)):
-        perturbed = sc.network.perturbed(PerturbationSpec(sc.network, factors))
+    for p, (lam, row, res) in enumerate(zip(lams, scalings, batch.errors)):
+        perturbed = sc.network.perturbed(_spec(sc.network, row))
         try:
             one = network_limit_flow(perturbed, sc.policy, lam)
         except LocalSolverError as exc:
@@ -238,19 +244,25 @@ def test_failed_scaled_points_keep_their_first_error():
 def test_unscaled_points_are_the_all_ones_case(diamond):
     _, net, policy = diamond
     lams = [0.0, 0.7, 1.6, 2.5]
-    for scalings in ([{}] * 4, [dict.fromkeys(net.topology.link_ids, 1.0)] * 4):
+    m = len(net.topology.link_ids)
+    for scalings in (np.ones((4, m)), [[1.0] * m] * 4):
         res = network_limit_flows(net, policy, lams, scalings)
         one = network_limit_flows(net, policy, lams)
         assert [_row(res, p) for p in range(4)] == [_row(one, p) for p in range(4)]
 
 
-@pytest.mark.parametrize("scalings, error", [
-    ([{5: 0.0}], ValueError), ([{5: 1.5}], ValueError), ([{5: float("nan")}], ValueError),
-    ([{9: 0.5}], TopologyError), ([{5: 0.5}, {5: 0.5}], ValueError),
+@pytest.mark.parametrize("factor, shape", [
+    (0.0, (1, 6)), (1.5, (1, 6)), (float("nan"), (1, 6)), (0.5, (1, 7)), (0.5, (2, 6)),
 ])
-def test_bad_factor_maps_are_refused(diamond, scalings, error):
+def test_bad_factor_maps_are_refused(diamond, monkeypatch, factor, shape):
+    # link 5's factor in the last column; a wrong shape or factor is refused
+    # before any node is solved
     _, net, policy = diamond
-    with pytest.raises(error):
+    assert net.topology.link_ids == (0, 1, 2, 3, 4, 5)
+    scalings = np.ones(shape)
+    scalings[:, 5] = factor
+    monkeypatch.setattr(dynamics, "_local_solve", None)
+    with pytest.raises(ValueError):
         network_limit_flows(net, policy, [1.0], scalings)
 
 
@@ -306,13 +318,15 @@ class TestLimitFlowsContract:
     def test_scaled_points_keep_their_own_capacities(self, diamond):
         topo, net, policy = diamond
         origin_links = topo.outgoing[topo.origin]
-        scalings = [{}, dict.fromkeys(origin_links, 0.5), {origin_links[0]: 0.25}]
+        cols = [topo.link_ids.index(lid) for lid in origin_links]
+        scalings = np.ones((3, len(topo.link_ids)))
+        scalings[1, cols] = 0.5
+        scalings[2, cols[0]] = 0.25
         limits = network_limit_flows(net, policy, [5.0] * 3, scalings)
         for p, factors in enumerate(scalings):
-            for lid in origin_links:
-                j = topo.link_ids.index(lid)
+            for lid, j in zip(origin_links, cols):
                 assert limits.saturated[p, j]
-                assert limits.flows[p, j] == factors.get(lid, 1.0) * net.flow_functions[lid].f_max
+                assert limits.flows[p, j] == factors[j] * net.flow_functions[lid].f_max
         assert len({row.tobytes() for row in limits.flows}) == 3
 
     @pytest.mark.parametrize("lam", [0.0, 0.45, 1.0, 1.55, 2.0])

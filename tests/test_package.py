@@ -72,3 +72,31 @@ def test_every_all_entry_is_defined(path):
     exported = _dunder_all(tree) or []
     missing = set(exported) - _top_level_names(tree)
     assert not missing, f"{path.name}: __all__ lists names it never defines: {sorted(missing)}"
+
+
+# Each ``from .module import _name`` between the package's modules, as
+# (importing module, imported module, name).  A new reach into another
+# module's private name shows up as an edit here; so does one that goes,
+# since a listed import that no longer exists fails too.
+PRIVATE_IMPORTS = {
+    ("cli", "dynamics", "_ensemble_blocks"),
+    ("cli", "dynamics", "_member_trajectories"),
+    ("cli", "dynamics", "_transfer_estimate"),
+    ("cli", "resilience", "_attack_setup"),
+    ("dynamics", "routing", "_logit_jacobian"),
+    ("dynamics", "routing", "_logit_split"),
+    ("resilience", "dynamics", "_ensemble_blocks"),
+    ("resilience", "dynamics", "_transfer_estimate"),
+    ("resilience", "dynamics", "_transfer_threshold"),
+    ("scenario", "resilience", "_require_positive_threshold"),
+}
+
+
+def test_private_imports_between_modules_are_the_recorded_ones():
+    found = {(path.stem, node.module, alias.name)
+             for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.ImportFrom) and node.level and node.module
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.startswith("__")}
+    assert not found - PRIVATE_IMPORTS, f"new private imports: {sorted(found - PRIVATE_IMPORTS)}"
+    assert not PRIVATE_IMPORTS - found, f"gone, drop them: {sorted(PRIVATE_IMPORTS - found)}"

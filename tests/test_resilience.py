@@ -23,15 +23,19 @@ from flownet import (
     simulate,
 )
 from flownet.cli import main
-from flownet.dynamics import _transfer_threshold
+from flownet.dynamics import _transfer_threshold, network_limit_flows
+from flownet.scenario import parse_scenario
 from flownet.resilience import (
+    ALPHA_FLOOR,
     BISECT_TOL_FRAC,
+    MARGIN,
     AlphaSweepPoint,
     require_locally_responsive,
     sample_scaling_perturbations,
 )
 from flownet.topology import min_cut_capacity
 
+from cli_digests import _generate_dag
 from serial_bisection import serial_alpha_sweep
 from conftest import (
     DATA,
@@ -407,7 +411,7 @@ class TestBatchedVerdicts:
         def oracle(network, policy, inflows, scalings):
             limits = real(network, policy, inflows, scalings)
             for p, (inflow, factors) in enumerate(zip(inflows, scalings)):
-                if flip_at in factors.values():
+                if flip_at in factors:
                     # reflect the outflow across the threshold: the verdict flips
                     dest = network.topology.destination
                     limits.node_inflows[p, dest] = (2.0 * _transfer_threshold(0.5, inflow)
@@ -584,3 +588,69 @@ class TestBatchedVerdicts:
             assert sizes == [len(attacks)], horizon
             # memory does not grow with the horizon
             assert peak <= 3 * block, horizon
+
+
+def _adversarial_scenario(name):
+    if name.startswith("dag20-seed"):
+        return parse_scenario(_generate_dag()(int(name[len("dag20-seed"):])))
+    return load_scenario(DATA / f"{name}.json")
+
+
+def _worst_scalings(sc, n_points=1000, rounds=3, keep=20, seed=0):
+    """A seeded search for the capacity scalings of magnitude (1 - MARGIN) C that
+    lower the limit-flow outflow most, scored one ``network_limit_flows`` call per
+    round.  The first round spreads each point's budget over random links, half of
+    the points biased onto the min cut; each later round draws log-normal moves of
+    the ``keep`` worst points so far.  Returns the (P, m) factors of every point
+    scored, their outflows and errors, and the worst point's factor row."""
+    topo, net = sc.topology, sc.network
+    cap, cut = min_cut_capacity(topo, net.capacities())
+    caps = np.array([net.flow_functions[lid].f_max for lid in topo.link_ids])
+    cut_cols = [topo.link_ids.index(lid) for lid in sorted(cut.cut_links)]
+    budget = (1.0 - MARGIN) * cap
+    rng = np.random.default_rng(seed)
+    m = caps.size
+    factors, outflows, errors = [], [], []
+    for k in range(rounds):
+        if k == 0:
+            w = rng.uniform(0.05, 1.0, (n_points, m)) * (rng.random((n_points, m)) < 0.5) + 1e-3
+            w[:n_points // 2, cut_cols] += rng.uniform(1.0, 4.0, (n_points // 2, len(cut_cols)))
+        else:
+            scored = np.concatenate(factors)
+            worst = scored[np.argsort(np.concatenate(outflows))[:keep]]
+            w = (1.0 - worst[rng.integers(keep, size=n_points)]) * caps
+            w = w * np.exp(rng.normal(0.0, 0.3, (n_points, m))) + 1e-3 * rng.random((n_points, m))
+        reductions = np.minimum(w / w.sum(axis=1, keepdims=True) * budget, 0.999 * caps)
+        eps = 1.0 - reductions / caps
+        limits = network_limit_flows(net, sc.policy, np.full(n_points, sc.inflow), eps)
+        factors.append(eps)
+        outflows.append(limits.node_inflows[:, topo.destination])
+        errors += limits.errors
+    factors, outflows = np.concatenate(factors), np.concatenate(outflows)
+    assert (((1.0 - factors) * caps).sum(axis=1) <= budget * (1.0 + 1e-12)).all()
+    return factors, outflows, errors, factors[np.argmin(outflows)]
+
+
+class TestAdversarialLowerSide:
+    """No scaling attack of magnitude at most (1 - MARGIN) C found by a seeded
+    worst-case search drives the limit-flow outflow below ALPHA_FLOOR * inflow."""
+
+    @pytest.mark.parametrize("name", ["diamond5", "random8", "example3", "chain21",
+                                      "dag20-seed0", "dag20-seed1", "dag20-seed2",
+                                      "dag20-seed3"])
+    def test_searched_scalings_keep_the_floor(self, name):
+        sc = _adversarial_scenario(name)
+        factors, outflows, errors, _ = _worst_scalings(sc)
+        assert ((factors > 0) & (factors <= 1)).all()
+        assert errors == [None] * len(factors)
+        assert outflows.min() >= ALPHA_FLOOR * sc.inflow, (name, outflows.min())
+
+    def test_worst_diamond_point_transfers_in_simulation(self):
+        sc = _adversarial_scenario("diamond5")
+        _, _, _, worst = _worst_scalings(sc)
+        spec = PerturbationSpec(sc.network, dict(zip(sc.topology.link_ids, worst.tolist())))
+        capacity, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+        assert spec.magnitude <= (1.0 - MARGIN) * capacity * (1.0 + 1e-12)
+        (est,) = evaluate_attacks(sc.network, sc.policy, sc.inflow,
+                                  [(spec, ALPHA_FLOOR, 0.0)])
+        assert est.transferring and not est.inconclusive, est

@@ -136,6 +136,8 @@ class TestMalformedNumbers:
         "simulation-initial-density-unknown-link": (("simulation", "initial_density"), {"99": 1.0}),
         "simulation-initial-density-non-id": (("simulation", "initial_density"), {"abc": 1.0}),
         "simulation-initial-density-negative": (("simulation", "initial_density"), {"0": -1.0}),
+        "simulation-initial-density-past-ceiling": (("simulation", "initial_density"),
+                                                    {"0": 2e9}),
         "simulation-unknown-setting": (("simulation", "step"), 0.1),
         "simulation-tail-fraction-above-one": (("simulation", "tail_fraction"), 2),
         # the verdict window is the constant TAIL_FRACTION, so even its value is unknown
