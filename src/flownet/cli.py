@@ -294,7 +294,8 @@ def cmd_limitflow(args, argv):
     if args.sweep:
         try:
             start, stop, num = args.sweep.split(":")
-            lams = np.linspace(float(start), float(stop), int(num))  # non-finite: fails below
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite: refused below
+                lams = np.linspace(float(start), float(stop), int(num))
         except ValueError as exc:
             raise ScenarioError(f"--sweep expects start:stop:num, got {args.sweep!r}") from exc
         if not np.isfinite(lams).all():
@@ -393,9 +394,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(argv)
     try:
-        # an unstable run overflows before its clean error: no numpy warnings on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, stdout, files = args.fn(args, argv)
+        code, stdout, files = args.fn(args, argv)
         for path, text in files.items():
             with path.open("w", encoding="utf-8") as fh:
                 _write(fh, text)

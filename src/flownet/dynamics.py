@@ -154,7 +154,8 @@ class _Compiled:
         self.n_nodes = topo.num_nodes
         self.link_ids = topo.link_ids
         fns = [net.flow_functions[l.id] for net in networks for l in self.links]
-        _, self.neg_rate, self.neg_f_max, _ = _exponential_params(fns)[:, None]
+        f_max, self.neg_rate = _exponential_params(fns)[:, None]
+        self.neg_f_max = -f_max
         self.rhs = self._rhs(policy, inflow, len(networks))
 
     def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
@@ -342,7 +343,9 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
     as ``(times, states, undershoot)`` blocks of at most ``block_records``
     records (default: one block), ``states`` of shape (records, B, m) and
     ``undershoot`` each member's worst clamp so far.  A block's buffers are
-    allocated before the steps that fill them, which write into them.
+    allocated before the steps that fill them, which write into them.  An
+    unstable step overflows before its ``SimulationError``: a block's steps
+    run with numpy's overflow and invalid warnings off, left before its yield.
     """
     n_steps, dt = _time_grid(horizon, dt)
     shape = np.shape(rho0)
@@ -365,41 +368,42 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
         except (MemoryError, ValueError) as exc:
             raise SimulationError(f"{rows} recorded states do not fit in memory; raise dt "
                                   "or record_stride, or shorten the horizon") from exc
-        for i in range(rows):
-            target = _record_step(lo + i, n_steps, record_stride)
-            while step < target:
-                step += 1
-                k1 = deriv(t, rho)
-                multiply(k1, half_, s)
-                s += rho
-                k2 = deriv(t + half, s)
-                multiply(k2, half_, s)
-                s += rho
-                k3 = deriv(t + half, s)
-                multiply(k3, dt_, s)
-                s += rho
-                k4 = deriv(t + dt, s)
-                k2 *= two
-                k2 += k1
-                k3 *= two
-                k2 += k3
-                k2 += k4
-                k2 *= sixth_
-                k2 += rho
-                rho = k2
-                # a NaN anywhere makes the minimum NaN: clamp every member then too
-                if not lowest(rho) >= 0.0:
-                    np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
-                               out=undershoot)
-                    np.maximum(rho, 0.0, out=rho)
-                t = step * dt
-                if not highest(rho) <= ceiling:  # also catches NaN
-                    state = rho.reshape(members)
-                    bad = state[np.argmin(state.max(axis=-1) <= ceiling)]
-                    raise SimulationError(f"integration unstable at t={t:.6g} (state={bad}); "
-                                          "reduce dt or the horizon")
-            times[i] = t
-            states[i] = rho
+        with np.errstate(over="ignore", invalid="ignore"):  # left before the yield
+            for i in range(rows):
+                target = _record_step(lo + i, n_steps, record_stride)
+                while step < target:
+                    step += 1
+                    k1 = deriv(t, rho)
+                    multiply(k1, half_, s)
+                    s += rho
+                    k2 = deriv(t + half, s)
+                    multiply(k2, half_, s)
+                    s += rho
+                    k3 = deriv(t + half, s)
+                    multiply(k3, dt_, s)
+                    s += rho
+                    k4 = deriv(t + dt, s)
+                    k2 *= two
+                    k2 += k1
+                    k3 *= two
+                    k2 += k3
+                    k2 += k4
+                    k2 *= sixth_
+                    k2 += rho
+                    rho = k2
+                    # a NaN anywhere makes the minimum NaN: clamp every member then too
+                    if not lowest(rho) >= 0.0:
+                        np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
+                                   out=undershoot)
+                        np.maximum(rho, 0.0, out=rho)
+                    t = step * dt
+                    if not highest(rho) <= ceiling:  # also catches NaN
+                        state = rho.reshape(members)
+                        bad = state[np.argmin(state.max(axis=-1) <= ceiling)]
+                        raise SimulationError(f"integration unstable at t={t:.6g} (state={bad}); "
+                                              "reduce dt or the horizon")
+                times[i] = t
+                states[i] = rho
         yield times, states.reshape((rows,) + shape), undershoot.copy()
 
 
@@ -672,14 +676,15 @@ def local_limit_flow(network: FlowNetwork, policy: LogitPolicy, v: int, inflows)
     ``LocalSolverError`` carries the best residual.
 
     The node solves on the ``_LogitRows`` that the cascade builds for it
-    (``_group_rows``), so a node's result here is bit-for-bit the one
-    ``network_limit_flows`` gets at the same inflow.  Every input takes its
-    own Newton and line-search steps, so its result is bit-for-bit the one
-    it gets alone.
+    (``_group_rows``, one row per input at factor 1.0), so a node's result
+    here is bit-for-bit the one ``network_limit_flows`` gets at the same
+    inflow.  Every input takes its own Newton and line-search steps, so its
+    result is bit-for-bit the one it gets alone.
     """
-    policy.outgoing_links(v)  # the destination has no split to solve
+    k = len(policy.outgoing_links(v))  # the destination has no split to solve
     lams = np.asarray(inflows, dtype=float).reshape(-1)
-    return _local_solve(_group_rows(network, policy, [v]), lams)
+    return _local_solve(_group_rows(network, policy, [v], [lams.size], np.ones((lams.size, k))),
+                        lams)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -690,7 +695,7 @@ def _local_solve(rows, lams):
     rows of several nodes with the same out-degree solve in one call; each
     row's result is bit-for-bit the one it gets alone.  A split that does
     not converge can leave the finite range on the way; its NaN row and
-    ``LocalSolverError`` report it, not a numpy warning.
+    ``LocalSolverError`` report it, not a numpy warning; so does a NaN residual.
     """
     if not (lams >= 0).all():  # NaN included
         raise ValueError("inflow must be nonnegative")
@@ -702,15 +707,15 @@ def _local_solve(rows, lams):
         k = flows.shape[1]
         rows = rows.take(inner)
         rho, res = _newton(rows, lams[inner], np.zeros((inner.size, k)))
-        if (res > LOCAL_TOL).any():
-            stalled = np.flatnonzero(res > LOCAL_TOL)
+        stalled = np.flatnonzero(~(res <= LOCAL_TOL))  # NaN included
+        if stalled.size:
             rows_s = rows.take(stalled)
             rho_s = np.zeros((stalled.size, k))
             for frac in _HOMOTOPY:
                 rho_s, res_s = _newton(rows_s, frac * lams[inner[stalled]], rho_s)
             rho[stalled], res[stalled] = rho_s, res_s
         flows[inner] = rows.mu(rho)
-        for i in np.flatnonzero(res > LOCAL_TOL):
+        for i in np.flatnonzero(~(res <= LOCAL_TOL)):
             flows[inner[i]] = np.nan
             errors[inner[i]] = LocalSolverError(
                 f"stationary split did not converge (best residual {res[i]:.3e})", float(res[i])
@@ -721,13 +726,13 @@ def _local_solve(rows, lams):
 class _LogitRows:
     """``_newton``'s maps on stacked density rows (R, k) of logit nodes.
 
-    ``params`` holds each row's node parameters, or one row that every row
-    shares: the node's ``_exponential_params`` raveled, its links' logit
-    weights, then its ``-eta`` and ``eta``, shape (R, 5k + 2).  ``mu`` and
-    ``slope`` give the links' flows and their slopes, ``route`` the splits
-    and ``jac(rho, g)`` their Jacobians on the splits ``g = route(rho)``,
-    [r, j, e] = dG_j/drho_e; ``f_max`` is the links' capacities.  The maps
-    take the IEEE operations of ``ExponentialFlow.__call__``,
+    ``params`` holds per row (``_group_rows``) its links' ``f_max``,
+    ``-rate``, ``-f_max``, ``rate * f_max`` and logit weights, then its
+    node's ``-eta`` and ``eta``, shape (R, 5k + 2).  ``mu`` and ``slope``
+    give the links' flows and their slopes, ``route`` the splits and
+    ``jac(rho, g)`` their Jacobians on the splits ``g = route(rho)``, [r,
+    j, e] = dG_j/drho_e; ``f_max`` is the links' capacities.  The maps take
+    the IEEE operations of ``ExponentialFlow.__call__``,
     ``ExponentialFlow.derivative`` and ``LogitPolicy.route``/``jacobian``
     row by row, so every row's result is bit-for-bit its node's.  One-link
     rows skip routing: their split is exactly 1.0 at any finite density
@@ -745,22 +750,7 @@ class _LogitRows:
         self.neg_eta, self.eta = params[:, -2:-1], params[:, -1:, None]
 
     def take(self, idx):
-        return self if len(self.params) == 1 else _LogitRows(self.params[idx])
-
-    def scaled(self, idx, eps):
-        """Rows ``idx`` of these rows, row r's capacities scaled by ``eps[r]`` (R, k).
-
-        Each row's exponential parameters become those ``_exponential_params``
-        gives the functions ``scale_perturbation`` makes: capacity ``eps *
-        f_max``, its negation, and ``rate * (eps * f_max)``; rates, weights
-        and ``eta`` stay.  A factor of 1.0 leaves a row's bits unchanged.
-        """
-        k, params = self.k, self.params[idx]
-        f_max = params[:, :k]
-        f_max *= eps
-        np.negative(f_max, out=params[:, 2 * k:3 * k])
-        np.multiply(np.negative(params[:, k:2 * k]), f_max, out=params[:, 3 * k:4 * k])
-        return _LogitRows(params)
+        return _LogitRows(self.params[idx])
 
     def mu(self, rho):
         return _exponential_flows(self.neg_rate, self.neg_f_max, rho)
@@ -870,11 +860,8 @@ def _solve(jac: np.ndarray, b: np.ndarray):
 
 
 def _exponential_params(flow_fns):
-    """Float64 rows ``f_max``, ``-rate``, ``-f_max``, ``rate * f_max`` of k links,
-    as one (4, k) array."""
-    return np.array([[ff.f_max for ff in flow_fns], [-ff.rate for ff in flow_fns],
-                     [-ff.f_max for ff in flow_fns], [ff.rate * ff.f_max for ff in flow_fns]],
-                    dtype=float)
+    """Float64 rows ``f_max`` and ``-rate`` of k links, as one (2, k) array."""
+    return np.array([[ff.f_max for ff in flow_fns], [-ff.rate for ff in flow_fns]], dtype=float)
 
 
 def _exponential_flows(neg_rate, neg_f_max, rho):
@@ -952,19 +939,27 @@ class _CascadePlan:
             self.levels.append((nodes, list(groups.values())))
 
 
-def _group_rows(network: FlowNetwork, policy: LogitPolicy, group) -> _LogitRows:
-    """The ``_LogitRows`` of a group's nodes, one row per node in group order.
+def _group_rows(network: FlowNetwork, policy: LogitPolicy, group, counts, eps) -> _LogitRows:
+    """The ``_LogitRows`` of a group's solved inputs: ``counts[i]`` rows of node
+    ``group[i]``, in group order, row r's capacities scaled by ``eps[r]`` (R, k).
 
-    The nodes share one out-degree; each row holds its node's exponential
-    parameters, logit weights and ``eta``.
+    The nodes share one out-degree k.  A row holds the exponential
+    parameters of the functions ``scale_perturbation`` makes (capacities
+    ``eps * f_max``, their negations, the rates and ``rate * (eps * f_max)``)
+    and its node's logit weights and ``eta``; a factor of 1.0 leaves its bits.
     """
-    rows = []
+    nodes = []
     for v in group:
         out = network.topology.outgoing[v]
-        params = _exponential_params([network.flow_functions[lid] for lid in out])
-        rows.append(np.concatenate((params.ravel(), [policy.weights[lid] for lid in out],
-                                    [-policy.eta[v], policy.eta[v]])))
-    return _LogitRows(np.array(rows))
+        nodes.append(np.concatenate((
+            _exponential_params([network.flow_functions[lid] for lid in out]).ravel(),
+            [policy.weights[lid] for lid in out], [-policy.eta[v], policy.eta[v]])))
+    k = eps.shape[1]
+    node = np.repeat(np.array(nodes), counts, axis=0)
+    f_max, neg_rate = node[:, :k], node[:, k:2 * k]
+    f_max *= eps
+    return _LogitRows(np.concatenate((f_max, neg_rate, np.negative(f_max),
+                                      np.negative(neg_rate) * f_max, node[:, 2 * k:]), axis=1))
 
 
 def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
@@ -992,8 +987,8 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
     level's inflows are known once the levels below it are solved.  Per
     level, the nodes are solved by one Newton run per out-degree k, on
     their (node, point) rows stacked into (rows, k) densities, each row
-    with its own node's parameters (``_group_rows``) and its own point's
-    capacities (``_LogitRows.scaled``).  A node's inflow is summed over its
+    with its own node's parameters and its own point's capacities, built
+    once (``_group_rows``).  A node's inflow is summed over its
     in-links in cascade order (by the tail's position in
     ``topological_order``, then by id), as a node-by-node cascade in
     ``topological_order`` sums it.  So every row is bit-for-bit what the
@@ -1030,8 +1025,8 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
             if not sum(counts):
                 continue
             cells = [np.ix_(p, plan.out_cols[v]) for v, p in zip(group, points)]
-            rows = _group_rows(network, policy, group).scaled(  # a row per point
-                np.repeat(np.arange(len(group)), counts), np.concatenate([eps[c] for c in cells]))
+            rows = _group_rows(network, policy, group, counts,  # a row per point
+                               np.concatenate([eps[c] for c in cells]))
             f, sat, errs = _local_solve(rows, np.concatenate(
                 [node_in[p, v] for v, p in zip(group, points)]))
             lo = 0

@@ -61,7 +61,7 @@ def finite_difference_jacobian(fn, x) -> np.ndarray:
 
 
 class LogitPolicy:
-    """Logit split with per-link weights a_e > 0 and per-node sensitivity eta.
+    """Logit split with finite per-link weights a_e > 0 and finite per-node sensitivity eta.
 
     eta > 0 is the locally responsive regime.  eta = 0 (a constant split)
     and eta < 0 (a congestion-seeking split) are accepted so that the
@@ -73,11 +73,15 @@ class LogitPolicy:
         for v in range(topology.num_nodes):
             if topology.outgoing[v] and v not in eta:
                 raise ValueError(f"missing eta for non-destination node {v}")
+            if topology.outgoing[v] and not np.isfinite(eta[v]):
+                raise ValueError(f"eta of node {v} must be finite, got {eta[v]}")
         for lid in topology.link_ids:
             if lid not in weights:
                 raise ValueError(f"missing logit weight for link {lid}")
             if not weights[lid] > 0:
                 raise ValueError(f"logit weight of link {lid} must be positive")
+            if not np.isfinite(weights[lid]):
+                raise ValueError(f"logit weight of link {lid} must be finite, got {weights[lid]}")
         self.topology = topology
         self.eta = dict(eta)
         self.weights = dict(weights)

@@ -4,8 +4,9 @@ Usage::
 
     PYTHONPATH=src python tests/ci_default_runs.py <name>
 
-``<name>`` is a row of ``RUNS``: the command runs once in a child process,
-its outputs are hashed with SHA-256, and the script exits nonzero unless
+``<name>`` is a row of ``RUNS``: the command runs once in a child process
+with ``-W error::RuntimeWarning``, so a numpy warning fails the run, its
+outputs are hashed with SHA-256, and the script exits nonzero unless
 every digest matches and the child's peak RSS stays at or below the row's
 bound.  A run with an ``--out`` prefix must also leave
 ``<prefix>.manifest.json`` naming the child's own arguments and the
@@ -61,7 +62,8 @@ def run(name: str) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         prefix = pathlib.Path(tmp) / name.split("-")[0]
         argv = [a.format(out=prefix) for a in args]
-        stdout = subprocess.run([sys.executable, "-m", "flownet.cli"] + argv,
+        stdout = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                                 "-m", "flownet.cli"] + argv,
                                 stdout=subprocess.PIPE, check=True).stdout
         got = {out: hashlib.sha256(stdout if out == "stdout"
                                    else pathlib.Path(f"{prefix}.{out}").read_bytes()).hexdigest()

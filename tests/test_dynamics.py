@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from flownet import (
     ExponentialFlow,
     FlowNetwork,
+    LocalSolverError,
     LogitPolicy,
     NetworkTopology,
     PerturbationSpec,
@@ -17,6 +18,7 @@ from flownet import (
     SimulationError,
     alpha_transfer_estimate,
     convergence_check,
+    evaluate_attacks,
     local_limit_flow,
     network_limit_flow,
     load_scenario,
@@ -266,6 +268,33 @@ class TestLocalLimitFlow:
         topo, net, policy = diamond
         with pytest.raises(ValueError, match="is the destination"):
             local_limit_flow(net, policy, topo.destination, [0.5])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, key, value", [
+        ("eta", 0, math.nan), ("eta", 0, math.inf), ("weights", 0, math.inf)])
+    def test_nan_residual_is_a_solver_error(self, two_route, field, key, value):
+        # a policy mutated past its constructor's checks splits into NaN
+        topo, net, policy = two_route
+        getattr(policy, field)[key] = value
+        f, sat, (err,) = local_limit_flow(net, policy, 0, [1.0])
+        assert isinstance(err, LocalSolverError) and math.isnan(err.residual)
+        assert np.isnan(f).all() and not sat.any()
+        limits = dynamics.network_limit_flows(net, policy, [1.0])
+        (error,) = limits.errors
+        assert isinstance(error, LocalSolverError) and math.isnan(error.residual)
+        assert np.isnan(limits.flows).all()
+        assert np.isnan(limits.node_inflows[0, topo.destination])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_row_is_its_own_solver_error(self, two_route):
+        topo, net, policy = two_route
+        rows = dynamics._group_rows(net, policy, [0], [2], np.ones((2, 2)))
+        rows.params[1, -2:] = math.nan  # row 1's -eta and eta
+        f, sat, errors = dynamics._local_solve(rows, np.array([1.0, 1.0]))
+        assert errors[0] is None
+        np.testing.assert_allclose(f[0], two_route_fixed_point_oracle(1.0), atol=1e-9)
+        assert isinstance(errors[1], LocalSolverError) and math.isnan(errors[1].residual)
+        assert np.isnan(f[1]).all() and not sat.any()
 
 
 class TestNetworkLimitFlow:
@@ -610,6 +639,45 @@ class TestFlatKernel:
         assert "-" not in str(exc.value)  # no negative density is shown
 
 
+class TestFloatingPointFaults:
+    """An unstable run's overflow ends in its ``SimulationError``, not a numpy
+    warning, and the caller's numpy error settings hold outside the RK4 steps."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("run", ["simulate", "evaluate_attacks", "simulate_local"])
+    def test_too_coarse_a_step_raises_simulation_error(self, run):
+        sc = load_scenario(DATA / "diamond5.json")
+        net, policy, inflow = sc.network, sc.policy, sc.inflow
+        config = SimulationConfig(inflow=inflow, dt=50.0, horizon=2000.0)
+        attack = (PerturbationSpec(net, {sc.topology.link_ids[0]: 0.5}), 0.5, None)
+        calls = {
+            "simulate": lambda: simulate(net, policy, config),
+            "evaluate_attacks": lambda: evaluate_attacks(net, policy, inflow, [attack], config),
+            "simulate_local": lambda: simulate_local(net, policy, 0, lambda t: inflow, None,
+                                                     1e9, 1e10),
+        }
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            with pytest.raises(SimulationError, match="integration unstable"):
+                calls[run]()
+            assert np.geterr() == caller
+
+    def test_steps_are_guarded_and_blocks_yielded_under_the_callers_settings(self):
+        inside = []
+
+        def deriv(t, rho):
+            inside.append(np.geterr())
+            return -rho
+
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            blocks = dynamics._integrate(deriv, np.ones((1, 2)), 0.1, 0.5, block_records=2)
+            for _ in blocks:
+                assert np.geterr() == caller
+        assert len(inside) == 5 * 4  # every stage of every step
+        assert all((e["over"], e["invalid"]) == ("ignore", "ignore") for e in inside)
+
+
 def per_node_rhs(compiled, networks, policy, inflow, rho):
     """d rho / dt at the flat state ``rho`` with node inflows built per node.
 
@@ -746,7 +814,8 @@ class TestFlowMap:
         fns = [ExponentialFlow(float(a), float(c)) for a, c in 10.0 ** rng.uniform(-1, 1, (5, 2))]
         rho = TestSlopeMap.densities(rng, np.array([ff.rate for ff in fns]), rows)
         rho[rng.random(rho.shape) < 0.2] *= -0.01
-        got = dynamics._exponential_flows(*dynamics._exponential_params(fns)[1:3, None], rho)
+        f_max, neg_rate = dynamics._exponential_params(fns)[:, None]
+        got = dynamics._exponential_flows(neg_rate, -f_max, rho)
         assert got.shape == (rows, len(fns))
         assert np.array_equal(got, np.column_stack([ff(rho[:, j]) for j, ff in enumerate(fns)]))
 
@@ -792,8 +861,8 @@ class TestSlopeMap:
                 fns = [ExponentialFlow(float(a), float(c))
                        for a, c in zip(rates, 10.0 ** rng.uniform(-1, 1, size=k))]
                 rho = self.densities(rng, rates, n)
-                params = dynamics._exponential_params(fns)
-                got = dynamics._exponential_slopes(params[1:2], params[3:4], rho)
+                f_max, neg_rate = dynamics._exponential_params(fns)[:, None]
+                got = dynamics._exponential_slopes(neg_rate, -neg_rate * f_max, rho)
                 assert got.shape == (n, k)
                 assert np.array_equal(got, _derivative_rows(fns, rho)), (n, k)
                 subnormal += int(((got > 0) & (got < tiny)).sum())
@@ -820,8 +889,8 @@ class TestLogitRows:
         n = self.POINTS
         for k, nodes in by_degree.items():
             fns = {v: [net.flow_functions[lid] for lid in topo.outgoing[v]] for v in nodes}
-            rows = dynamics._group_rows(net, policy, nodes).take(
-                np.repeat(np.arange(len(nodes)), n))
+            rows = dynamics._group_rows(net, policy, nodes, [n] * len(nodes),
+                                        np.ones((len(nodes) * n, k)))
             rho = np.concatenate([TestSlopeMap.densities(rng, np.array([ff.rate for ff in fns[v]]), n)
                                   for v in nodes])
             stage = rho.copy()  # an RK4 stage's densities, some below zero

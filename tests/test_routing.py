@@ -55,6 +55,20 @@ class TestRoute:
             assert g[0] < 1e-4 or rho < 60
             assert g[0] == pytest.approx(0.0, abs=math.exp(-min(rho, 700) + 3))
 
+    @pytest.mark.parametrize("eta, weights, message", [
+        (math.nan, {0: 0.6, 1: 6.0}, "eta of node 0 must be finite, got nan"),
+        (math.inf, {0: 0.6, 1: 6.0}, "eta of node 0 must be finite, got inf"),
+        (-math.inf, {0: 0.6, 1: 6.0}, "eta of node 0 must be finite, got -inf"),
+        (1.0, {0: 0.6, 1: math.inf}, "logit weight of link 1 must be finite, got inf"),
+        (1.0, {0: 0.6, 1: math.nan}, "logit weight of link 1 must be positive"),
+        (1.0, {0: 0.0, 1: 6.0}, "logit weight of link 0 must be positive"),
+    ])
+    def test_non_finite_parameters_refused(self, eta, weights, message):
+        # a non-finite eta or weight splits into NaN
+        with pytest.raises(ValueError) as exc:
+            LogitPolicy(two_route_topology(), eta={0: eta}, weights=weights)
+        assert str(exc.value) == message
+
     def test_destination_has_no_split(self):
         policy = two_route_policy(two_route_topology())
         with pytest.raises(ValueError):
