@@ -210,8 +210,8 @@ def cmd_simulate(args, argv):
         }
 
     # checked here, integrated block by block as the encoder takes the rows
-    compiled, dt, tail_start, blocks = _ensemble_blocks([network], scenario.policy, config,
-                                                        [rho0], "stream")
+    compiled, dt, tail_start, blocks = _ensemble_blocks(network, scenario.policy, config,
+                                                        [rho0], records="stream")
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")
     topo = scenario.topology
@@ -272,10 +272,10 @@ def cmd_resilience(args, argv):
     scenario = load_scenario(args.scenario)
     config = _build_config(scenario, args)
     seed = args.seed if args.seed is not None else scenario.seed
+    given = {"alphas": args.alphas, "n_samples": args.samples}  # else the library's defaults
     report = estimate_weak_resilience(
-        scenario.network, scenario.policy, scenario.inflow,
-        config=config, alphas=args.alphas, n_samples=args.samples, seed=seed,
-    )
+        scenario.network, scenario.policy, scenario.inflow, config=config, seed=seed,
+        **{k: v for k, v in given.items() if v is not None})
     doc = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name}
     doc.update(report.to_dict())
     text = _dump_json(doc)
@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resilience", help="bracket the weak resilience against min-cut")
     p.add_argument("scenario")
-    p.add_argument("--alphas", type=_float_list, default="0.5,0.2,0.1,0.05")
-    p.add_argument("--samples", type=_nonnegative_int, default=50)
+    p.add_argument("--alphas", type=_float_list)
+    p.add_argument("--samples", type=_nonnegative_int)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)

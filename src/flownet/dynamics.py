@@ -118,6 +118,17 @@ def default_dt(network: FlowNetwork) -> float:
     return 0.01 / fastest if fastest > 0 else math.inf
 
 
+def _scalings(scalings, shape) -> np.ndarray:
+    """The capacity factors ``scalings`` (all 1.0 when None), checked to be ``shape``."""
+    eps = np.ones(shape) if scalings is None else np.asarray(scalings, dtype=float)
+    if eps.shape != shape:
+        raise ValueError(f"scalings must have shape {shape} (rows, links), got {eps.shape}")
+    outside = ~((eps > 0) & (eps <= 1))  # NaN included
+    if outside.any():
+        raise ValueError(f"scaling factor must be in (0, 1], got {eps[outside][0]}")
+    return eps
+
+
 class _Compiled:
     """Link arrays grouped by tail node, and the right-hand side built on them.
 
@@ -125,12 +136,13 @@ class _Compiled:
     contiguous; ``arr_sorted[to_topo]`` converts back to the topology's
     id order and ``arr_topo[to_sorted]`` the other way.
 
-    One instance serves an ensemble of B networks of exponential links that
-    share one topology under one logit policy, fed at the origin by
-    ``inflow``, a constant or a function of time.  ``rhs(t, rho)``
-    (``_rhs``) is d rho / dt at time t and the flat state of all B*m
-    densities, member after member, as a fresh array.  The links'
-    exponential parameters are built once, as two (1, B*m) rows
+    One instance serves B members of one network of exponential links
+    under one logit policy, fed at the origin by ``inflow``, a constant or
+    a function of time; member b's capacities are scaled by row b of the
+    checked (B, m) ``scalings`` as ``scale_perturbation`` scales them.
+    ``rhs(t, rho)`` (``_rhs``) is d rho / dt at time t and the flat state
+    of all B*m densities, member after member, as a fresh array.  The
+    links' exponential parameters are built once, as two (1, B*m) rows
     ``neg_rate`` and ``neg_f_max`` that the RHS and ``flows`` read.
 
     ``rhs`` keeps its link flows and routed inflows in buffers of its own,
@@ -138,11 +150,8 @@ class _Compiled:
     (one ``_integrate``) calls it at a time.  Every run builds its own.
     """
 
-    def __init__(self, networks, policy: LogitPolicy, inflow):
-        topo = networks[0].topology
-        if any((net.topology.num_nodes, net.topology.links) != (topo.num_nodes, topo.links)
-               for net in networks):
-            raise ValueError("ensemble members must share one topology")
+    def __init__(self, network: FlowNetwork, policy: LogitPolicy, inflow, scalings):
+        topo = network.topology
         links = topo.links
         order = sorted(range(len(links)), key=lambda i: (links[i].tail, links[i].id))
         self.to_sorted = np.array(order)
@@ -153,10 +162,10 @@ class _Compiled:
         self.destination = topo.destination
         self.n_nodes = topo.num_nodes
         self.link_ids = topo.link_ids
-        fns = [net.flow_functions[l.id] for net in networks for l in self.links]
-        f_max, self.neg_rate = _exponential_params(fns)[:, None]
-        self.neg_f_max = -f_max
-        self.rhs = self._rhs(policy, inflow, len(networks))
+        f_max, neg_rate = _exponential_params([network.flow_functions[l.id] for l in self.links])
+        self.neg_rate = np.tile(neg_rate, (1, len(scalings)))
+        self.neg_f_max = -(scalings[:, self.to_sorted] * f_max).reshape(1, -1)
+        self.rhs = self._rhs(policy, inflow, len(scalings))
 
     def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
         """Link flows of (P, B*m) densities or, with ``member``, of that member's (P, m)
@@ -421,15 +430,6 @@ def _start_state(rho0, m: int) -> np.ndarray:
     return rho0
 
 
-def _ensemble_dt(networks, config: SimulationConfig) -> float:
-    if config.dt is not None:
-        return config.dt
-    dts = {default_dt(net) for net in networks}
-    if len(dts) > 1:
-        raise ValueError("ensemble members have different default steps; set config.dt")
-    return dts.pop()
-
-
 def simulate(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig,
              rho0=None) -> Trajectory:
     """Integrate the network dynamics over [0, horizon].
@@ -438,36 +438,38 @@ def simulate(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig
     policy never changes; routers only see densities).  This is the
     one-member case of ``simulate_ensemble``, on the same flat kernel.
     """
-    return simulate_ensemble([network], policy, config, [rho0])[0]
+    return simulate_ensemble(network, policy, config, [rho0])[0]
 
 
-def simulate_ensemble(networks, policy: LogitPolicy, config: SimulationConfig,
-                      rho0s=None) -> list:
-    """Integrate networks that share one topology under one policy, in lockstep.
+def simulate_ensemble(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig,
+                      rho0s=None, scalings=None) -> list:
+    """Integrate capacity-scaled copies of one network under one policy, in lockstep.
 
-    Member b runs ``networks[b]`` from ``rho0s[b]`` (zero densities where
-    ``rho0s`` or its entry is None); all members share ``config`` and
-    hence one time grid.  Each returned ``Trajectory`` is bit-for-bit the
-    one ``simulate`` gives for that member alone.  A member that blows up
-    raises ``SimulationError`` for the whole ensemble.  Every state of
-    every member is integrated into one block, and the trajectories are
-    built from it one member at a time.
+    Member b runs ``network`` scaled by row b of ``scalings``, (B, m)
+    capacity factors as ``network_limit_flows`` takes them, from
+    ``rho0s[b]`` (zeros where ``rho0s`` or its entry is None); all members
+    share ``config`` and hence one time grid.  Each returned
+    ``Trajectory`` is bit-for-bit ``simulate`` on that member's perturbed
+    network alone.  A member that blows up raises ``SimulationError`` for
+    the whole ensemble.  Every state of every member is integrated into
+    one block, and the trajectories are built from it one member at a time.
     """
-    networks = list(networks)
-    if not networks:
+    compiled, dt, _, blocks = _ensemble_blocks(network, policy, config, rho0s, scalings)
+    if not compiled.neg_rate.size:  # no members
         return []
-    compiled, dt, _, blocks = _ensemble_blocks(networks, policy, config, rho0s)
     return list(_member_trajectories(compiled, next(blocks), config.inflow, dt))
 
 
-def _ensemble_blocks(networks, policy: LogitPolicy, config: SimulationConfig, rho0s,
-                     records: str = "all"):
+def _ensemble_blocks(network: FlowNetwork, policy: LogitPolicy, config: SimulationConfig,
+                     rho0s, scalings=None, records: str = "all"):
     """Check an ensemble run once, before any step, and return its kernel and record blocks.
 
     Every constant-inflow run is integrated here, a single run as an
-    ensemble of one.  The checks: the topology is acyclic, each member has finite,
-    nonnegative start densities (zeros where ``rho0s`` or its entry is
-    None), the time step is set or shared, and the run fits ``MAX_STEPS``.
+    ensemble of one.  The members are ``rho0s``' entries, else ``scalings``'
+    rows, else one.  The checks: the topology is acyclic, each member has
+    finite, nonnegative start densities (zeros where ``rho0s`` or its entry
+    is None), ``_scalings``, and the run fits ``MAX_STEPS``; an unset time
+    step is ``default_dt(network)``, as no scaling speeds a link up.
     ``records`` picks the records integrated and their blocks:
 
     - ``"all"``: every record, in one block;
@@ -483,21 +485,21 @@ def _ensemble_blocks(networks, policy: LogitPolicy, config: SimulationConfig, rh
     ``_integrate``'s ``(times, states, undershoot)`` blocks, ``states`` of
     shape (records, B, m) with links in the kernel's order.
     """
-    topo = networks[0].topology
+    topo = network.topology
     topological_order(topo)
-    rho0s = [None] * len(networks) if rho0s is None else list(rho0s)
-    if len(rho0s) != len(networks):
-        raise ValueError("need one initial density per ensemble member")
-    dt = _ensemble_dt(networks, config)
+    if rho0s is None:
+        rho0s = [None] * (1 if scalings is None else len(scalings))
     rho0s = [_start_state(r, len(topo.links)) for r in rho0s]
+    eps = _scalings(scalings, (len(rho0s), len(topo.links)))
+    dt = default_dt(network) if config.dt is None else config.dt
     n_steps, dt_run = _time_grid(config.horizon, dt)
     tail_start = _tail_start(n_steps, dt_run, config.record_stride)
     last = _record_count(n_steps, config.record_stride) - 1
     first, block_records = {"all": (0, None), "stream": (0, _BLOCK_RECORDS),
                             "tail": (tail_start, _BLOCK_RECORDS), "last": (last, None)}[records]
-    compiled = _Compiled(networks, policy, config.inflow)
-    blocks = _integrate(compiled.rhs, np.array(rho0s)[:, compiled.to_sorted], dt, config.horizon,
-                        config.record_stride, first, block_records)
+    compiled = _Compiled(network, policy, config.inflow, eps)
+    blocks = _integrate(compiled.rhs, np.reshape(rho0s, eps.shape)[:, compiled.to_sorted], dt,
+                        config.horizon, config.record_stride, first, block_records)
     return compiled, dt_run, tail_start, blocks
 
 
@@ -549,9 +551,8 @@ def simulate_local(network: FlowNetwork, policy: LogitPolicy, v: int, inflow_fn,
     local = LogitPolicy(topo, eta={0: policy.eta[v]},
                         weights={i: policy.weights[lid] for i, lid in enumerate(out)})
     # every link leaves node 0 in id order, so the kernel's order is the out-links'
-    compiled = _Compiled([FlowNetwork(topo, {i: network.flow_functions[lid]
-                                             for i, lid in enumerate(out)})],
-                         local, inflow_fn)
+    fns = {i: network.flow_functions[lid] for i, lid in enumerate(out)}
+    compiled = _Compiled(FlowNetwork(topo, fns), local, inflow_fn, np.ones((1, len(out))))
     times, states, undershoot = next(_integrate(compiled.rhs, rho0[None], dt, horizon))
     return LocalTrajectory(times, states[:, 0], compiled.flows(states[:, 0]), float(undershoot[0]))
 
@@ -1000,18 +1001,11 @@ def network_limit_flows(network: FlowNetwork, policy: LogitPolicy, inflows,
     plan = _CascadePlan(topo)
     lam0 = np.asarray(inflows, dtype=float).reshape(-1)
     n_points = lam0.size
-    shape = (n_points, len(topo.link_ids))
-    eps = np.ones(shape) if scalings is None else np.asarray(scalings, dtype=float)
-    if eps.shape != shape:
-        raise ValueError(f"scalings must have shape {shape}, a row per inflow and a column "
-                         f"per link, got {eps.shape}")
-    outside = ~((eps > 0) & (eps <= 1))  # NaN included
-    if outside.any():
-        raise ValueError(f"scaling factor must be in (0, 1], got {eps[outside][0]}")
+    eps = _scalings(scalings, (n_points, len(topo.link_ids)))
     node_in = np.zeros((n_points, topo.num_nodes))
     node_in[:, topo.origin] = lam0
-    flows = np.full(shape, np.nan)
-    flags = np.zeros(shape, dtype=bool)
+    flows = np.full(eps.shape, np.nan)
+    flags = np.zeros(eps.shape, dtype=bool)
     errors = [None] * n_points
     failed_at = np.full(n_points, topo.num_nodes)  # position of each point's first failure
     every = np.arange(n_points)
@@ -1077,8 +1071,7 @@ def convergence_check(network: FlowNetwork, policy: LogitPolicy, inflow: float,
         raise reference.errors[0]
     ref_vec = reference.flows[0]
     rho0s = [medians * 10.0 ** rng.uniform(-3, 2, size=len(medians)) for _ in range(n_initial)]
-    compiled, dt, _, blocks = _ensemble_blocks([network] * n_initial, policy, config, rho0s,
-                                               "last")
+    compiled, dt, _, blocks = _ensemble_blocks(network, policy, config, rho0s, records="last")
     terminals = np.array([limit_flow_estimate(traj, network)[0] for traj in
                           _member_trajectories(compiled, next(blocks), config.inflow, dt)])
     pairwise = 0.0

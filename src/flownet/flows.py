@@ -133,7 +133,8 @@ class PerturbationSpec:
     """Per-link capacity scalings ``{link_id: eps}``, each eps in (0, 1].
 
     ``replacements`` maps each named link to its scaled flow function, each
-    certified at build time; ``magnitude`` is the summed capacity reduction.
+    certified at build time; ``scalings`` is the factors in link-id order,
+    1.0 off the named links; ``magnitude`` is the summed capacity reduction.
     """
 
     def __init__(self, network: FlowNetwork, factors: dict):
@@ -146,4 +147,5 @@ class PerturbationSpec:
             bad = pert.certify()
             if bad:
                 raise InadmissiblePerturbation(f"link {lid}: replacement fails certification: {bad}")
+        self.scalings = np.array([factors.get(lid, 1.0) for lid in network.topology.link_ids])
         self.magnitude = math.fsum(fns[lid].f_max - pert.f_max for lid, pert in self.replacements.items())

@@ -197,8 +197,8 @@ def _simulate_attacks(network: FlowNetwork, policy: LogitPolicy, config: Simulat
             raise ValueError("alpha must be in (0, 1]")
         _require_positive_threshold(alpha, config.inflow, transfer_tol)
     compiled, _, _, blocks = _ensemble_blocks(
-        [network.perturbed(spec) for spec, _, _ in attacks], policy, config,
-        [rho0] * len(attacks), "tail")
+        network, policy, config, [rho0] * len(attacks),
+        np.array([spec.scalings for spec, _, _ in attacks]), "tail")
     lo, hi = np.inf, -np.inf  # every member's running outflow extremes
     for _, states, undershoot in blocks:
         outflow = compiled.outflow(states)
@@ -239,11 +239,15 @@ def sample_scaling_perturbations(network: FlowNetwork, budget: float, n_samples:
 def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: int,
                      capacity: float, cut_links):
     """``sample_scaling_perturbations`` around a min cut the caller already has."""
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
+    if not budget >= 0:  # NaN included
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    if budget >= capacity:
+        raise ValueError("budget must stay below the min-cut capacity")
     rng = np.random.default_rng(seed)
     all_ids = list(network.topology.link_ids)
     caps = network.capacities()
-    if budget >= capacity:
-        raise ValueError("budget must stay below the min-cut capacity")
     specs = []
     for i in range(n_samples):
         if i == 0:

@@ -80,22 +80,26 @@ def _link_densities(u, log_ratio, rate, f_max, eta):
 def node_flows(lams, rate, f_max, weights, eta):
     """Stationary flows (P, k) and saturation flags (P,) of one node at inflows ``lams`` (P,).
 
-    ``rate``, ``f_max`` and ``weights`` are the node's per-link arrays (k,).
+    ``rate`` and ``weights`` are the node's per-link arrays (k,), and
+    ``f_max`` its links' capacities at every point (k,) or at each (P, k).
     """
     if not eta > 0:
         raise ValueError(f"the bisection reference needs eta > 0, got {eta!r}")
     lams = np.asarray(lams, dtype=float)
-    saturated = lams >= f_max.sum()
+    f_max = np.broadcast_to(f_max, (lams.size, len(rate)))
+    saturated = lams >= f_max.sum(axis=1)
     flows = np.where(saturated[:, None], f_max, 0.0)
     inner = np.flatnonzero((lams > 0) & ~saturated)
     if not inner.size:
         return flows, saturated
     lam = lams[inner][:, None]
-    log_ratio = np.log(f_max / weights)
+    cap = f_max[inner]
+    log_ratio = np.log(cap / weights)
 
-    def mu(u):
-        rho = _link_densities(u, log_ratio, rate, f_max, eta)
-        return -f_max * np.expm1(-rate * rho)
+    def mu(u, rows=slice(None)):
+        """The flows at ``u`` of the inner points ``rows``."""
+        rho = _link_densities(u, log_ratio[rows], rate, cap[rows], eta)
+        return -cap[rows] * np.expm1(-rate * rho)
 
     # each f_e = a_e s exp(-eta rho_e) is at most a_e s, so s = lam / sum(a) leaves
     # the total flow at most lam
@@ -110,7 +114,7 @@ def node_flows(lams, rate, f_max, weights, eta):
         u_lo[short], f_lo[short] = u_hi[short], f_hi[short]
         step[short] *= 2.0
         u_hi[short] += step[short]
-        f_hi[short] = mu(u_hi[short])
+        f_hi[short] = mu(u_hi[short], short)
     else:
         raise RuntimeError("no upper bracket for a node's flow")
     for _ in range(_MAX_OUTER):
@@ -118,7 +122,7 @@ def node_flows(lams, rate, f_max, weights, eta):
         if not open_.size:
             break
         u_mid = 0.5 * (u_lo[open_] + u_hi[open_])
-        f_mid = mu(u_mid)
+        f_mid = mu(u_mid, open_)
         below = f_mid.sum(axis=1) < lam[open_, 0]
         lo, hi = open_[below], open_[~below]
         u_lo[lo], f_lo[lo] = u_mid[below], f_mid[below]
@@ -129,15 +133,19 @@ def node_flows(lams, rate, f_max, weights, eta):
     return flows, saturated
 
 
-def reference_limit_flows(network, policy, inflows):
+def reference_limit_flows(network, policy, inflows, scalings=None):
     """The node cascade at every inflow: ``(flows, saturated, node_inflows)``.
 
     ``flows`` and ``saturated`` map link ids to (P,) arrays, and
     ``node_inflows`` is (nodes, P), each node's inflow summed over its
-    in-links as the cascade reaches them.
+    in-links as the cascade reaches them.  ``scalings``, when given, is a
+    (P, m) array of capacity factors, columns in link-id order: point p's
+    capacities are ``scalings[p] * f_max``.
     """
     topo = network.topology
     lams = np.asarray(inflows, dtype=float).reshape(-1)
+    eps = np.ones((lams.size, len(topo.link_ids))) if scalings is None else np.asarray(scalings)
+    col = {lid: j for j, lid in enumerate(topo.link_ids)}
     node_in = np.zeros((topo.num_nodes, lams.size))
     node_in[topo.origin] = lams
     flows, saturated = {}, {}
@@ -147,7 +155,7 @@ def reference_limit_flows(network, policy, inflows):
             continue
         fns = [network.flow_functions[lid] for lid in out]
         f, sat = node_flows(node_in[v], np.array([ff.rate for ff in fns]),
-                            np.array([ff.f_max for ff in fns]),
+                            eps[:, [col[lid] for lid in out]] * [ff.f_max for ff in fns],
                             np.array([policy.weights[lid] for lid in out]), policy.eta[v])
         for j, lid in enumerate(out):
             flows[lid], saturated[lid] = f[:, j], sat

@@ -7,7 +7,8 @@ Not collected by pytest.  Prints one JSON object with the minimum over
   (``random8``) and 6 (``diamond5``) members, the members of the RK4 rows;
 - one RK4 step of an ensemble integrated through ``dynamics._ensemble_blocks``
   (only the last state kept), at B = 1 (``random8``), 6 (``diamond5``) and
-  58 (``random8``) members, each member's links scaled by its own factors;
+  58 (``random8``) members, each member's links scaled by its own row of
+  capacity factors;
 - one ``network_limit_flow`` call at the scenario inflow (P = 1) on
   ``diamond5`` and ``random8``;
 - one 41-point ``network_limit_flows`` sweep from 0 to twice the min-cut
@@ -37,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from flownet import (PerturbationSpec, SimulationConfig, load_scenario, min_cut_capacity,
-                     network_limit_flow, network_limit_flows)
+from flownet import (SimulationConfig, load_scenario, min_cut_capacity, network_limit_flow,
+                     network_limit_flows)
 from flownet import cli, dynamics, resilience
 from flownet.scenario import parse_scenario
 
@@ -55,16 +56,14 @@ SWEEP_CLI_POINTS = (SWEEP_POINTS, 401)
 
 
 def members(network, size, seed=1):
-    """``size`` copies of ``network``, each link scaled by a factor in [0.4, 1)."""
+    """(size, m) capacity factors in [0.4, 1), a row per member, columns in link-id order."""
     rng = np.random.default_rng(seed)
-    ids = network.topology.link_ids
-    return [network.perturbed(PerturbationSpec(
-        network, {lid: float(rng.uniform(0.4, 1.0)) for lid in ids})) for _ in range(size)]
+    return rng.uniform(0.4, 1.0, size=(size, len(network.topology.link_ids)))
 
 
 def rhs_us(name, size, calls, repeats):
     sc = load_scenario(DATA / f"{name}.json")
-    compiled = dynamics._Compiled(members(sc.network, size), sc.policy, sc.inflow)
+    compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, members(sc.network, size))
     rho = np.random.default_rng(2).uniform(0.0, 2.0, size * len(compiled.links))
     rhs = compiled.rhs
     best = float("inf")
@@ -78,14 +77,15 @@ def rhs_us(name, size, calls, repeats):
 
 def rk4_us_per_step(name, size, steps, repeats):
     sc = load_scenario(DATA / f"{name}.json")
-    nets = members(sc.network, size)
+    scalings = members(sc.network, size)
     dt = dynamics.default_dt(sc.network)
     config = SimulationConfig(inflow=sc.inflow, dt=dt, horizon=steps * dt)
     n_steps = dynamics._step_count(config.horizon, dt)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        *_, blocks = dynamics._ensemble_blocks(nets, sc.policy, config, None, "last")
+        *_, blocks = dynamics._ensemble_blocks(sc.network, sc.policy, config, None, scalings,
+                                               "last")
         for _ in blocks:
             pass
         best = min(best, time.perf_counter() - start)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def two_route_fixed_point_oracle(lam: float) -> np.ndarray:
 
 def compiled_rhs(network, policy, inflow, rho):
     """``_Compiled.rhs`` at one state given and returned in ``topology.links`` order."""
-    compiled = dynamics._Compiled([network], policy, inflow)
+    compiled = dynamics._Compiled(network, policy, inflow,
+                                  np.ones((1, len(network.topology.links))))
     rho = np.asarray(rho, dtype=float)
     return compiled.rhs(0.0, rho[compiled.to_sorted])[compiled.to_topo]
 
@@ -156,12 +158,37 @@ class TestSimulate:
         config = SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1)
         runs = [
             lambda: simulate(net, policy, config, rho0),
-            lambda: simulate_ensemble([net, net], policy, config, [None, rho0]),
+            lambda: simulate_ensemble(net, policy, config, [None, rho0]),
             lambda: simulate_local(net, policy, 0, lambda t: 1.0, rho0, dt=0.1, horizon=1.0),
         ]
         for run in runs:
             with pytest.raises(ValueError, match=message):
                 run()
+
+    @pytest.mark.parametrize("factor, shape", [
+        (0.0, (2, 2)), (1.5, (2, 2)), (np.nan, (2, 2)), (0.5, (2, 3)), (0.5, (3, 2)),
+    ])
+    def test_bad_scalings_refused_before_any_step(self, two_route, monkeypatch, factor, shape):
+        # the second link's factor in the last column; refused as the cascade refuses it
+        topo, net, policy = two_route
+        scalings = np.ones(shape)
+        scalings[:, -1] = factor
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a run with bad scalings reached the integrator")
+
+        monkeypatch.setattr(dynamics, "_integrate", no_step)
+        config = SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1)
+        with pytest.raises(ValueError) as cascade:
+            dynamics.network_limit_flows(net, policy, [1.0, 1.0], scalings)
+        message = str(cascade.value)
+        assert message.startswith(("scaling factor must be in (0, 1], got ",
+                                   "scalings must have shape (2, 2)"))
+        # two members, counted from their starts, or from the rows where those are two
+        for rho0s in ([None, None], None) if shape[0] == 2 else ([None, None],):
+            with pytest.raises(ValueError) as ensemble:
+                simulate_ensemble(net, policy, config, rho0s, scalings)
+            assert str(ensemble.value) == message
 
     def test_record_stride_keeps_endpoints(self, two_route):
         topo, net, policy = two_route
@@ -471,6 +498,12 @@ class TestSaturationDetection:
         assert flags == {0: False, 1: False}
 
 
+def perturbed(network, row):
+    """``network`` with its capacities scaled by one row of factors in link-id order."""
+    return network.perturbed(PerturbationSpec(network, dict(zip(network.topology.link_ids,
+                                                                row.tolist()))))
+
+
 def _assert_same_trajectory(traj, ref):
     for field in ("times", "rho", "flows", "node_inflows"):
         assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
@@ -483,14 +516,16 @@ class TestEnsemble:
 
     @staticmethod
     def perturbed_members(net, size, seed):
+        """(size, m) capacity factors, about half of each row's 1.0, and start densities."""
         rng = np.random.default_rng(seed)
         ids = net.topology.link_ids
-        nets, rho0s = [], []
-        for _ in range(size):
-            factors = {lid: float(rng.uniform(0.4, 1.0)) for lid in ids if rng.random() < 0.5}
-            nets.append(net.perturbed(PerturbationSpec(net, factors)))
+        rows, rho0s = np.ones((size, len(ids))), []
+        for b in range(size):
+            for j in range(len(ids)):
+                if rng.random() < 0.5:
+                    rows[b, j] = float(rng.uniform(0.4, 1.0))
             rho0s.append(rng.uniform(0.0, 2.0, size=len(ids)))
-        return nets, rho0s
+        return rows, rho0s
 
     # random8 has nodes where a matrix-matrix product sums the head-node
     # inflows in a different order than the single-run matrix-vector product
@@ -498,12 +533,13 @@ class TestEnsemble:
     @pytest.mark.parametrize("size", [1, 5])
     def test_matches_serial_runs(self, name, size):
         sc = load_scenario(DATA / f"{name}.json")
-        nets, rho0s = self.perturbed_members(sc.network, size, seed=size)
+        rows, rho0s = self.perturbed_members(sc.network, size, seed=size)
         config = SimulationConfig(inflow=sc.inflow, horizon=5.0, dt=default_dt(sc.network))
-        ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+        ensemble = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
         assert len(ensemble) == size
-        for net, rho0, traj in zip(nets, rho0s, ensemble):
-            _assert_same_trajectory(traj, simulate(net, sc.policy, config, rho0))
+        for row, rho0, traj in zip(rows, rho0s, ensemble):
+            _assert_same_trajectory(traj, simulate(perturbed(sc.network, row), sc.policy, config,
+                                                   rho0))
 
     def test_undershoot_recorded_per_member(self):
         # a coarse step that drives the unperturbed member below zero density
@@ -512,9 +548,10 @@ class TestEnsemble:
                                  1: ExponentialFlow(10.942, 0.5013)})
         policy = LogitPolicy(topo, eta={0: 13.73}, weights={0: 1.0, 1: 0.1306})
         config = SimulationConfig(inflow=0.2561, horizon=27.67, dt=2.767)
+        rows = np.array([[eps, 1.0] for eps in (1.0, 0.9, 0.7)])
         nets = [net.perturbed(PerturbationSpec(net, {0: eps})) for eps in (1.0, 0.9, 0.7)]
         rho0s = [[3.2586, 2.207]] * 3
-        ensemble = simulate_ensemble(nets, policy, config, rho0s)
+        ensemble = simulate_ensemble(net, policy, config, rho0s, rows)
         serial = [simulate(n, policy, config, r) for n, r in zip(nets, rho0s)]
         assert serial[0].max_undershoot > 0.0
         assert serial[1].max_undershoot == 0.0
@@ -524,33 +561,51 @@ class TestEnsemble:
     def test_member_blow_up_raises(self, monkeypatch):
         net = two_route_network()
         policy = two_route_policy(net.topology)
-        strangled = net.perturbed(PerturbationSpec(net, {0: 0.3, 1: 0.3}))
+        strangled = [0.3, 0.3]
         monkeypatch.setattr(dynamics, "DENSITY_CEILING", 50.0)
         config = SimulationConfig(inflow=1.0, horizon=200.0, dt=0.05)
         simulate(net, policy, config)  # the healthy member alone is fine
         with pytest.raises(SimulationError):
-            simulate_ensemble([net, strangled, net], policy, config)
+            simulate_ensemble(net, policy, config, scalings=[[1.0, 1.0], strangled, [1.0, 1.0]])
 
-    def test_members_must_share_topology(self):
-        with pytest.raises(ValueError):
-            simulate_ensemble([two_route_network(), diamond_network()],
-                              two_route_policy(two_route_network().topology),
-                              SimulationConfig(inflow=1.0, horizon=1.0, dt=0.1))
+    def test_members_counted_from_starts_or_scalings(self, two_route):
+        topo, net, policy = two_route
+        config = SimulationConfig(inflow=1.0, horizon=2.0, dt=0.1)
+        alone = simulate(net, policy, config)
+        rows = np.array([[1.0, 1.0], [0.5, 1.0]])
+        for rho0s, scalings, size in ((None, None, 1), ([None] * 2, None, 2), (None, rows, 2)):
+            ensemble = simulate_ensemble(net, policy, config, rho0s, scalings)
+            assert len(ensemble) == size
+            _assert_same_trajectory(ensemble[0], alone)
+        assert simulate_ensemble(net, policy, config, []) == []
+        assert simulate_ensemble(net, policy, config, scalings=np.ones((0, 2))) == []
+
+    def test_unset_step_is_the_unscaled_networks(self):
+        # a scaling only lowers rate * capacity, so no member steps faster than the network
+        sc = load_scenario(DATA / "diamond5.json")
+        rows, rho0s = self.perturbed_members(sc.network, 3, seed=2)
+        config = SimulationConfig(inflow=sc.inflow, horizon=0.5)
+        fixed = replace(config, dt=default_dt(sc.network))
+        assert all(default_dt(perturbed(sc.network, row)) >= fixed.dt for row in rows)
+        ensemble = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
+        for row, rho0, traj in zip(rows, rho0s, ensemble):
+            _assert_same_trajectory(traj, simulate(perturbed(sc.network, row), sc.policy, fixed,
+                                                   rho0))
 
     def test_flows_built_member_by_member(self):
         sc = load_scenario(DATA / "diamond5.json")
-        nets, rho0s = self.perturbed_members(sc.network, 8, seed=3)
+        rows, rho0s = self.perturbed_members(sc.network, 8, seed=3)
         config = SimulationConfig(inflow=sc.inflow, horizon=20.0, dt=0.01)
         tracemalloc.start()
         try:
-            ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+            ensemble = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # beyond the trajectories it returns, a run holds the ensemble's states
         # and a few (records, m) blocks of one member, never every member's flows
         block = 8 * len(ensemble[0].times) * len(sc.topology.links)
-        assert peak - kept <= (len(nets) + 3) * block
+        assert peak - kept <= (len(rows) + 3) * block
 
 
 class TestFlatKernel:
@@ -564,33 +619,34 @@ class TestFlatKernel:
 
     @staticmethod
     def distinct_members(net, size, seed):
-        """Members that each scale every link by their own factors, with some empty links at start."""
+        """Members that each scale every link by their own factors, with some empty links at
+        start: (size, m) factors and start densities."""
         rng = np.random.default_rng(seed)
         ids = net.topology.link_ids
-        nets, rho0s = [], []
-        for _ in range(size):
-            factors = {lid: float(rng.uniform(0.3, 1.0)) for lid in ids}
-            nets.append(net.perturbed(PerturbationSpec(net, factors)))
+        rows, rho0s = np.empty((size, len(ids))), []
+        for b in range(size):
+            rows[b] = [float(rng.uniform(0.3, 1.0)) for _ in ids]
             rho0 = rng.uniform(0.0, 3.0, size=len(ids))
             rho0[rng.random(len(ids)) < 0.3] = 0.0
             rho0s.append(rho0)
-        return nets, rho0s
+        return rows, rho0s
 
     def coarse_run(self, name, size, coarse=True):
         sc = load_scenario(DATA / f"{name}.json")
-        nets, rho0s = self.distinct_members(sc.network, size, self.SEED)
+        rows, rho0s = self.distinct_members(sc.network, size, self.SEED)
         dt = default_dt(sc.network) * (self.COARSE[name] if coarse else 1)
-        return sc, nets, rho0s, SimulationConfig(inflow=sc.inflow, horizon=40 * dt, dt=dt)
+        return sc, rows, rho0s, SimulationConfig(inflow=sc.inflow, horizon=40 * dt, dt=dt)
 
     # random8 has out-degrees up to 4 and in-degrees up to 5
     @pytest.mark.parametrize("name", ["random8", "diamond5"])
     @pytest.mark.parametrize("size", [1, 3, 58])
     @pytest.mark.parametrize("coarse", [False, True])
     def test_matches_serial_runs(self, name, size, coarse):
-        sc, nets, rho0s, config = self.coarse_run(name, size, coarse)
+        sc, rows, rho0s, config = self.coarse_run(name, size, coarse)
+        nets = [perturbed(sc.network, row) for row in rows]
         capacities = {tuple(sorted(net.capacities().items())) for net in nets}
         assert len(capacities) == size
-        ensemble = simulate_ensemble(nets, sc.policy, config, rho0s)
+        ensemble = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
         serial = [simulate(net, sc.policy, config, rho0) for net, rho0 in zip(nets, rho0s)]
         for traj, ref in zip(ensemble, serial):
             _assert_same_trajectory(traj, ref)
@@ -603,8 +659,8 @@ class TestFlatKernel:
 
     @pytest.mark.parametrize("name", ["random8", "diamond5"])
     def test_yielded_states_are_never_written_again(self, name):
-        sc, nets, rho0s, config = self.coarse_run(name, 3)
-        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
+        sc, rows, rho0s, config = self.coarse_run(name, 3)
+        compiled = dynamics._Compiled(sc.network, sc.policy, config.inflow, rows)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
         (_, whole, undershoot), = dynamics._integrate(compiled.rhs, rho0, config.dt,
                                                       config.horizon)
@@ -678,7 +734,7 @@ class TestFloatingPointFaults:
         assert all((e["over"], e["invalid"]) == ("ignore", "ignore") for e in inside)
 
 
-def per_node_rhs(compiled, networks, policy, inflow, rho):
+def per_node_rhs(compiled, n_members, policy, inflow, rho):
     """d rho / dt at the flat state ``rho`` with node inflows built per node.
 
     Each member's node inflows are one matrix-vector product with the
@@ -687,7 +743,7 @@ def per_node_rhs(compiled, networks, policy, inflow, rho):
     ``_Compiled.rhs``.  The reference its per-link tail gather must match
     bit for bit.
     """
-    links, n_members, n_nodes = compiled.links, len(networks), compiled.n_nodes
+    links, n_nodes = compiled.links, compiled.n_nodes
     m = len(links)
     tails = np.array([link.tail for link in links])
     head_mat = np.zeros((n_nodes, m))
@@ -727,35 +783,37 @@ class TestTailGather:
 
     @classmethod
     def kernel(cls, name, size):
-        """``(compiled, nets, policy, inflow)`` of ``size`` perturbed members of ``name``."""
+        """``(compiled, size, policy, inflow)`` of ``size`` perturbed members of ``name``."""
         sc = cls.scenario(name)
-        nets, _ = TestEnsemble.perturbed_members(sc.network, size, seed=size)
-        return dynamics._Compiled(nets, sc.policy, sc.inflow), nets, sc.policy, sc.inflow
+        rows, _ = TestEnsemble.perturbed_members(sc.network, size, seed=size)
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
+        return compiled, size, sc.policy, sc.inflow
 
     @staticmethod
     def timed_kernel():
         """simulate_local's kernel: a node as the origin of a two-node network, fed by a
-        function of time.  ``(compiled, nets, policy, inflow_fn)``."""
+        function of time.  ``(compiled, 1, policy, inflow_fn)``."""
         fns = [ExponentialFlow(1.3, 0.9), ExponentialFlow(0.5, 2.0), ExponentialFlow(2.0, 0.4)]
         topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(fns))])
         policy = LogitPolicy(topo, eta={0: 1.2}, weights={0: 1.0, 1: 0.5, 2: 2.0})
-        nets = [FlowNetwork(topo, dict(enumerate(fns)))]
+        net = FlowNetwork(topo, dict(enumerate(fns)))
         inflow_fn = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)
-        return dynamics._Compiled(nets, policy, inflow_fn), nets, policy, inflow_fn
+        compiled = dynamics._Compiled(net, policy, inflow_fn, np.ones((1, len(fns))))
+        return compiled, 1, policy, inflow_fn
 
     @pytest.mark.parametrize("name", ["random8", "diamond5", "dag20-seed6"])
     @pytest.mark.parametrize("size", [1, 3, 58])
     def test_matches_per_node_inflows(self, name, size):
-        compiled, nets, policy, inflow = self.kernel(name, size)
+        compiled, n_members, policy, inflow = self.kernel(name, size)
         for rho in self.states(np.random.default_rng(size), size * len(compiled.links)):
-            want = per_node_rhs(compiled, nets, policy, inflow, rho)
+            want = per_node_rhs(compiled, n_members, policy, inflow, rho)
             assert np.array_equal(compiled.rhs(0.0, rho), want)
 
     def test_time_varying_inflow(self):
-        compiled, nets, policy, inflow_fn = self.timed_kernel()
+        compiled, n_members, policy, inflow_fn = self.timed_kernel()
         rng = np.random.default_rng(3)
         for t, rho in zip(rng.uniform(0.0, 10.0, 40), self.states(rng, len(compiled.links))):
-            want = per_node_rhs(compiled, nets, policy, inflow_fn(t), rho)
+            want = per_node_rhs(compiled, n_members, policy, inflow_fn(t), rho)
             assert np.array_equal(compiled.rhs(t, rho), want)
 
     # The RHS overwrites its flow and inflow buffers on every call: a derivative it
@@ -764,19 +822,19 @@ class TestTailGather:
     # last call has been made.
     @pytest.mark.parametrize("size", [1, 3, 58])
     def test_results_outlive_later_calls(self, size):
-        compiled, nets, policy, inflow = self.kernel("random8", size)
+        compiled, n_members, policy, inflow = self.kernel("random8", size)
         states = self.states(np.random.default_rng(size + 1), size * len(compiled.links))
         got = [compiled.rhs(0.0, rho) for rho in states]
         for rho, g in zip(states, got):
-            assert np.array_equal(g, per_node_rhs(compiled, nets, policy, inflow, rho))
+            assert np.array_equal(g, per_node_rhs(compiled, n_members, policy, inflow, rho))
 
     def test_time_varying_results_outlive_later_calls(self):
-        compiled, nets, policy, inflow_fn = self.timed_kernel()
+        compiled, n_members, policy, inflow_fn = self.timed_kernel()
         rng = np.random.default_rng(4)
         times, states = rng.uniform(0.0, 10.0, 40), self.states(rng, len(compiled.links))
         got = [compiled.rhs(t, rho) for t, rho in zip(times, states)]
         for t, rho, g in zip(times, states, got):
-            assert np.array_equal(g, per_node_rhs(compiled, nets, policy, inflow_fn(t), rho))
+            assert np.array_equal(g, per_node_rhs(compiled, n_members, policy, inflow_fn(t), rho))
 
     def test_consecutive_calls_return_distinct_arrays(self):
         compiled, *_ = self.kernel("diamond5", 3)
@@ -792,8 +850,8 @@ class TestFlowMap:
         # numpy's iterator buffers (8 192 floats per operand) stay small beside the
         # result at this many records
         sc = load_scenario(DATA / "diamond5.json")
-        nets, _ = TestEnsemble.perturbed_members(sc.network, 2, seed=1)
-        compiled = dynamics._Compiled(nets, sc.policy, sc.inflow)
+        rows, _ = TestEnsemble.perturbed_members(sc.network, 2, seed=1)
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
         states = np.random.default_rng(2).uniform(0.0, 5.0,
                                                   size=(10_000, 2, len(sc.topology.links)))
         member = states[:, 1]
@@ -822,8 +880,9 @@ class TestFlowMap:
     def test_member_columns_equal_stacked_map_and_flow_calls(self):
         # each member's flows read its columns of the kernel's one pair of parameter rows
         sc = load_scenario(DATA / "diamond5.json")
-        nets, _ = TestEnsemble.perturbed_members(sc.network, 3, seed=3)
-        compiled = dynamics._Compiled(nets, sc.policy, sc.inflow)
+        rows, _ = TestEnsemble.perturbed_members(sc.network, 3, seed=3)
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
+        nets = [perturbed(sc.network, row) for row in rows]
         m = len(compiled.links)
         rho = np.random.default_rng(3).uniform(-0.5, 5.0, size=(50, 3 * m))
         stacked = compiled.flows(rho)
@@ -925,10 +984,10 @@ class TestRecordWindow:
     def test_every_first_record(self, name):
         # the node inflows of a tail block are the full run's rows at every offset
         sc = load_scenario(DATA / f"{name}.json")
-        nets, rho0s = TestEnsemble.perturbed_members(sc.network, 5, seed=4)
+        rows, rho0s = TestEnsemble.perturbed_members(sc.network, 5, seed=4)
         config = SimulationConfig(inflow=sc.inflow, horizon=0.5, dt=default_dt(sc.network))
-        full = simulate_ensemble(nets, sc.policy, config, rho0s)
-        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
+        full = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
+        compiled = dynamics._Compiled(sc.network, sc.policy, config.inflow, rows)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
         for first in range(len(full[0].times)):
             (block,) = dynamics._integrate(compiled.rhs, rho0, config.dt, config.horizon,
@@ -941,8 +1000,8 @@ class TestRecordWindow:
         # members that clamp, a stride that misses the final step, and every
         # block size up to past the record count, from the start, the tail
         # start and the last record
-        sc, nets, rho0s, config = TestFlatKernel().coarse_run("random8", 3)
-        compiled = dynamics._Compiled(nets, sc.policy, config.inflow)
+        sc, rows, rho0s, config = TestFlatKernel().coarse_run("random8", 3)
+        compiled = dynamics._Compiled(sc.network, sc.policy, config.inflow, rows)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
         n_steps, dt = dynamics._time_grid(config.horizon, config.dt)
         stride = 3
@@ -964,15 +1023,15 @@ class TestRecordWindow:
     @pytest.mark.parametrize("stride", [1, 3, 7])
     def test_window_is_the_tail_slice(self, name, stride):
         sc = load_scenario(DATA / f"{name}.json")
-        nets, rho0s = TestEnsemble.perturbed_members(sc.network, 3, seed=stride)
+        rows, rho0s = TestEnsemble.perturbed_members(sc.network, 3, seed=stride)
         config = SimulationConfig(inflow=sc.inflow, horizon=5.0, dt=default_dt(sc.network),
                                   record_stride=stride)
         n_steps = dynamics._step_count(config.horizon, config.dt)
         assert n_steps % 7 and n_steps % 3  # the final step lies off the stride grid
-        full = simulate_ensemble(nets, sc.policy, config, rho0s)
+        full = simulate_ensemble(sc.network, sc.policy, config, rho0s, rows)
         for keep in ("all", "tail", "last"):
             compiled, dt, tail_start, blocks = dynamics._ensemble_blocks(
-                nets, sc.policy, config, rho0s, keep)
+                sc.network, sc.policy, config, rho0s, rows, keep)
             tails = list(dynamics._member_trajectories(compiled, next(blocks), config.inflow,
                                                        dt))
             assert next(blocks, None) is None
@@ -993,9 +1052,9 @@ class TestRecordWindow:
         keeps = []
         real = dynamics._ensemble_blocks
 
-        def full_record(networks, policy, config, rho0s, records="all"):
+        def full_record(network, policy, config, rho0s, scalings=None, records="all"):
             keeps.append(records)
-            compiled, dt, tail_start, blocks = real(networks, policy, config, rho0s)
+            compiled, dt, tail_start, blocks = real(network, policy, config, rho0s, scalings)
             (times, states, undershoot), = blocks
             return compiled, dt, tail_start, iter([(times[-1:], states[-1:], undershoot)])
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flownet import (LocalSolverError, PerturbationSpec, load_scenario, min_cut_capacity,
-                     network_limit_flows)
+from flownet import LocalSolverError, load_scenario, min_cut_capacity, network_limit_flows
 from flownet.dynamics import LOCAL_TOL
 from flownet.scenario import parse_scenario
 
@@ -30,24 +29,19 @@ def _scenario(name):
     return load_scenario(DATA / f"{name}.json")
 
 
-def _compare(sc, lams, factors=None):
+def _compare(sc, lams, scalings=None):
     """Check every point; return the (point, node) pairs on a saturation knife edge.
 
-    ``factors``, when given, scales every point's capacities by one row of
-    factors in link-id order: the cascade gets it as its ``scalings``, the
-    reference the network that ``PerturbationSpec`` builds from it.
+    ``scalings``, when given, scales point p's capacities by its row p of
+    factors in link-id order; both solvers get the one (P, m) array.
     """
     topo = sc.topology
     bound = cascade_bound(topo, LOCAL_TOL)
-    network = sc.network
-    scalings = None
-    if factors is not None:
-        network = network.perturbed(PerturbationSpec(network, dict(zip(topo.link_ids, factors))))
-        scalings = np.tile(factors, (len(lams), 1))
-    flows, saturated, node_in = reference_limit_flows(network, sc.policy, lams)
+    flows, saturated, node_in = reference_limit_flows(sc.network, sc.policy, lams, scalings)
     knife_edges = []
     limits = network_limit_flows(sc.network, sc.policy, lams, scalings)
     col = {lid: j for j, lid in enumerate(limits.link_ids)}
+    eps = np.ones(limits.flows.shape) if scalings is None else scalings
     for p, error in enumerate(limits.errors):
         assert not isinstance(error, LocalSolverError), (lams[p], error)
         gap = max(abs(limits.flows[p, col[lid]] - flows[lid][p]) for lid in topo.link_ids)
@@ -55,7 +49,8 @@ def _compare(sc, lams, factors=None):
         for v, out in topo.outgoing.items():
             if not out:
                 continue
-            capacity = sum(network.flow_functions[lid].f_max for lid in out)
+            capacity = sum(eps[p, col[lid]] * sc.network.flow_functions[lid].f_max
+                           for lid in out)
             if abs(limits.node_inflows[p, v] - capacity) <= bound:
                 knife_edges.append((p, v))
             else:
@@ -79,17 +74,18 @@ def test_sweep_to_twice_the_min_cut_matches_the_reference(name, points):
        fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
 def test_generated_dags_with_scaled_capacities_match_the_reference(seed, nodes, extra,
                                                                    scale_seed, fractions):
-    # DAGs drawn as the level-cascade property draws them (every eta > 0), their
-    # capacities scaled (some links by 1.0), at inflows below and above the
-    # scaled min cut C: the rows the cascade builds already scaled
+    # DAGs drawn as the level-cascade property draws them (every eta > 0), each
+    # inflow with its own capacity scalings (some links by 1.0), below and above
+    # its scaled min cut C: the rows the cascade builds already scaled
     sc = parse_scenario(generate_dag(seed, nodes, 2 * (nodes - 2) + extra))
     rng = np.random.default_rng(scale_seed)
-    m = len(sc.topology.link_ids)
-    factors = np.where(rng.random(m) < 0.3, 1.0, rng.uniform(0.05, 1.0, m))
-    capacities = {lid: eps * sc.network.flow_functions[lid].f_max
-                  for lid, eps in zip(sc.topology.link_ids, factors)}
-    cap, _ = min_cut_capacity(sc.topology, capacities)
-    _compare(sc, cap * np.array([0.5, 1.5] + fractions), factors)
+    ids = sc.topology.link_ids
+    fractions = [0.5, 1.5] + fractions
+    shape = (len(fractions), len(ids))
+    scalings = np.where(rng.random(shape) < 0.3, 1.0, rng.uniform(0.05, 1.0, shape))
+    f_max = np.array([sc.network.flow_functions[lid].f_max for lid in ids])
+    caps = [min_cut_capacity(sc.topology, dict(zip(ids, row * f_max)))[0] for row in scalings]
+    _compare(sc, np.array(caps) * fractions, scalings)
 
 
 def test_chain21_at_its_min_cut_is_a_knife_edge():

@@ -223,6 +223,25 @@ def test_scaled_points_equal_their_perturbed_cascades(name):
     assert (scalings == 1.0).any() and (scalings < 1.0).any()
 
 
+@pytest.mark.parametrize("name", ["diamond5", "random8"])
+def test_a_specs_row_is_its_perturbed_network(name):
+    # one row per spec, 1.0 off its named links: the cascade on the row is the
+    # cascade on the network the spec builds, bit for bit
+    sc = load_scenario(DATA / f"{name}.json")
+    ids = sc.topology.link_ids
+    rng = np.random.default_rng(len(name))
+    for _ in range(5):
+        named = [lid for lid in ids if rng.random() < 0.5]
+        spec = PerturbationSpec(sc.network, {lid: float(rng.uniform(0.05, 1.0)) for lid in named})
+        assert spec.scalings.shape == (len(ids),)
+        assert all(spec.scalings[j] == 1.0 for j, lid in enumerate(ids) if lid not in named)
+        assert all(spec.scalings[ids.index(lid)] * sc.network.flow_functions[lid].f_max
+                   == spec.replacements[lid].f_max for lid in named)
+        lam = float(rng.uniform(0.0, 1.5)) * sc.inflow
+        batch = network_limit_flows(sc.network, sc.policy, [lam], spec.scalings[None])
+        _assert_same(batch, 0, network_limit_flow(sc.network.perturbed(spec), sc.policy, lam))
+
+
 def test_failed_scaled_points_keep_their_first_error():
     sc = load_scenario(DATA / "anti_cooperative.json")
     lams, scalings = _scaled_points(sc, 40, seed=3)

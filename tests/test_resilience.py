@@ -354,6 +354,22 @@ class TestBatchedVerdicts:
         sample_scaling_perturbations(net, 1.0, 2, seed=1)  # the public sampler finds its own
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("budget, n_samples, message", [
+        (1.0, -1, r"^n_samples must be nonnegative, got -1$"),
+        (-0.5, 3, r"^budget must be nonnegative, got -0.5$"),
+        (float("nan"), 3, r"^budget must be nonnegative, got nan$"),
+        (1.6, 3, r"^budget must stay below the min-cut capacity$"),
+        (float("inf"), 3, r"^budget must stay below the min-cut capacity$"),
+    ])
+    def test_sampler_refuses_bad_arguments_up_front(self, monkeypatch, budget, n_samples,
+                                                    message):
+        sc = load_scenario(DATA / "diamond5.json")
+        capacity, _ = min_cut_capacity(sc.topology, sc.network.capacities())
+        assert capacity == 1.6
+        monkeypatch.setattr(resilience, "PerturbationSpec", None)  # no sample may be drawn
+        with pytest.raises(ValueError, match=message):
+            sample_scaling_perturbations(sc.network, budget, n_samples)
+
     def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()
         sizes = []

@@ -823,6 +823,26 @@ class TestCmdResilience:
         assert lo <= hi + 1e-12
         assert doc["alpha_sweep"][0]["defeating_delta"] <= 1.5 - 0.05 + 0.015 + 1e-9
 
+    @pytest.mark.parametrize("flags, given", [
+        ((), {}), (("--alphas", "0.5,0.1"), {"alphas": (0.5, 0.1)}),
+        (("--samples", "0"), {"n_samples": 0}),
+    ])
+    def test_unset_flags_leave_the_library_defaults(self, monkeypatch, capsys, flags, given):
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def record(network, policy, inflow, **kwargs):
+            calls.append(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(cli, "estimate_weak_resilience", record)
+        with pytest.raises(Stop):
+            main(["resilience", str(DATA / "diamond5.json"), *flags])
+        (kwargs,) = calls
+        assert {k: v for k, v in kwargs.items() if k not in ("config", "seed")} == given
+
     def test_jobs_flag_writes_identical_report(self, tmp_path, capsys):
         # verdicts run as in-process ensembles; --jobs is accepted and ignored
         reports = []
