@@ -196,12 +196,12 @@ def cmd_simulate(args, argv):
         "seed": scenario.seed,
         "inflow": scenario.inflow,
     }
-    network, rho0 = scenario.network, scenario.initial_density
+    network, rho0, scalings = scenario.network, scenario.initial_density, None
     if spec is not None:
-        # attack run: start from the unperturbed limit flow's densities and
-        # integrate the perturbed functions with the unchanged policy
+        # attack run: the spec's scalings row from the unperturbed limit flow's
+        # densities; the summary reads the perturbed network's capacities
         config, rho0 = _attack_setup(scenario.network, scenario.policy, scenario.inflow, config)
-        network = scenario.network.perturbed(spec)
+        network, scalings = scenario.network.perturbed(spec), spec.scalings[None]
         summary["attack"] = {
             "alpha": scenario.attack_alpha,
             "magnitude": spec.magnitude,
@@ -210,8 +210,8 @@ def cmd_simulate(args, argv):
         }
 
     # checked here, integrated block by block as the encoder takes the rows
-    compiled, dt, tail_start, blocks = _ensemble_blocks(network, scenario.policy, config,
-                                                        [rho0], records="stream")
+    compiled, dt, tail_start, blocks = _ensemble_blocks(scenario.network, scenario.policy, config,
+                                                        [rho0], scalings, "stream")
     out = _resolve_out(args.out)
     csv_path = out.parent / (out.name + ".csv")
     topo = scenario.topology

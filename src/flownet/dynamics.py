@@ -1060,10 +1060,7 @@ def convergence_check(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     if n_initial < 2:
         raise ValueError("need at least two initial conditions to compare")
     topo = network.topology
-    if config is None:
-        config = SimulationConfig(inflow=inflow)
-    elif config.inflow != inflow:
-        config = replace(config, inflow=inflow)
+    config = SimulationConfig(inflow=inflow) if config is None else replace(config, inflow=inflow)
     rng = np.random.default_rng(seed)
     medians = np.array([network.flow_functions[lid].median_density() for lid in topo.link_ids])
     reference = network_limit_flows(network, policy, [inflow])

@@ -24,7 +24,6 @@ from .dynamics import (
     _ensemble_blocks,
     _transfer_estimate,
     _transfer_threshold,
-    default_dt,
     network_limit_flows,
 )
 from .flows import FlowNetwork, PerturbationSpec
@@ -100,7 +99,7 @@ def cut_attack(network: FlowNetwork, alpha: float, inflow: float) -> Perturbatio
     eps = alpha * inflow / (2.0 * capacity)
     if eps >= 1:
         raise ValueError("alpha * inflow >= 2 * min-cut: scaling attack degenerates")
-    return PerturbationSpec(network, {lid: eps for lid in sorted(cut.cut_links)})
+    return _cut_spec(network, sorted(cut.cut_links), eps)
 
 
 def _require_positive_threshold(alpha: float, inflow: float, tol: float | None = None):
@@ -112,19 +111,6 @@ def _require_positive_threshold(alpha: float, inflow: float, tol: float | None =
         slack = "the 1e-3 transfer slack" if tol is None else f"the transfer slack {tol!r}"
         raise ValueError(f"alpha {alpha!r} is at or below {slack}: the outflow alpha-transfer "
                          f"needs is not positive, so no attack can defeat it")
-
-
-def _attack_config(network: FlowNetwork, inflow: float,
-                   config: SimulationConfig | None) -> SimulationConfig:
-    """The config every attack on ``network`` shares: ``config`` at ``inflow``,
-    with the time step of the unperturbed rates unless it sets one."""
-    if config is None:
-        config = SimulationConfig(inflow=inflow)
-    elif config.inflow != inflow:
-        config = replace(config, inflow=inflow)
-    if config.dt is None:
-        config = replace(config, dt=default_dt(network))
-    return config
 
 
 def _start_densities(network: FlowNetwork, limits: LimitFlows) -> np.ndarray:
@@ -154,9 +140,10 @@ def _start_densities(network: FlowNetwork, limits: LimitFlows) -> np.ndarray:
 
 def _attack_setup(network: FlowNetwork, policy: LogitPolicy, inflow: float,
                   config: SimulationConfig | None):
-    """The run settings every attack on ``network`` shares: ``_attack_config``
-    and the ``_start_densities`` of the unperturbed limit flow."""
-    config = _attack_config(network, inflow, config)
+    """The run settings every attack on ``network`` shares: ``config`` at
+    ``inflow`` and the ``_start_densities`` of the unperturbed limit flow.
+    An unset step is left to ``_ensemble_blocks``: ``default_dt(network)``."""
+    config = SimulationConfig(inflow=inflow) if config is None else replace(config, inflow=inflow)
     return config, _start_densities(network, network_limit_flows(network, policy, [inflow]))
 
 
@@ -169,8 +156,9 @@ def evaluate_attacks(network: FlowNetwork, policy: LogitPolicy, inflow: float, a
     ``TransferEstimate`` per attack comes back, in order (an attack defeats
     alpha where it is not ``transferring``); a threshold that is not
     positive raises ``ValueError`` before any simulation.  Every run starts
-    from the unperturbed network's limit flow and keeps the time step
-    implied by the unperturbed rates, which dominate the perturbed ones.
+    from the unperturbed network's limit flow, and runs ``network`` with its
+    spec's ``scalings`` row; an unset step is ``_ensemble_blocks``' rule,
+    the unperturbed network's ``default_dt``, as no scaling speeds a link up.
     The attacks run as one ensemble, and each verdict is the one
     ``alpha_transfer_estimate`` gives the attack's own ``simulate`` run.
     """
@@ -239,8 +227,7 @@ def sample_scaling_perturbations(network: FlowNetwork, budget: float, n_samples:
 def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: int,
                      capacity: float, cut_links):
     """``sample_scaling_perturbations`` around a min cut the caller already has."""
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
+    _require_sample_count(n_samples)
     if not budget >= 0:  # NaN included
         raise ValueError(f"budget must be nonnegative, got {budget!r}")
     if budget >= capacity:
@@ -248,20 +235,25 @@ def _sample_scalings(network: FlowNetwork, budget: float, n_samples: int, seed: 
     rng = np.random.default_rng(seed)
     all_ids = list(network.topology.link_ids)
     caps = network.capacities()
-    specs = []
-    for i in range(n_samples):
-        if i == 0:
-            factors = {lid: 1.0 - budget / capacity for lid in cut_links}
-        else:
-            target = budget * rng.uniform(0.3, 1.0)
-            chosen = [lid for lid in all_ids if rng.random() < 0.5] \
-                or [all_ids[int(rng.integers(len(all_ids)))]]
-            weights = rng.uniform(0.2, 1.0, size=len(chosen))
-            weights *= target / weights.sum()
-            factors = {lid: max(1.0 - reduction / caps[lid], 1e-3)
-                       for lid, reduction in zip(chosen, weights)}
-        specs.append(PerturbationSpec(network, factors))
+    specs = [_cut_spec(network, cut_links, 1.0 - budget / capacity)] if n_samples else []
+    for _ in range(1, n_samples):
+        target = budget * rng.uniform(0.3, 1.0)
+        chosen = [lid for lid in all_ids if rng.random() < 0.5] \
+            or [all_ids[int(rng.integers(len(all_ids)))]]
+        weights = rng.uniform(0.2, 1.0, size=len(chosen))
+        weights *= target / weights.sum()
+        specs.append(PerturbationSpec(network, {lid: max(1.0 - reduction / caps[lid], 1e-3)
+                                                for lid, reduction in zip(chosen, weights)}))
     return specs
+
+
+def _require_sample_count(n_samples):
+    """Raise ``ValueError`` unless ``n_samples`` is a nonnegative integer, a
+    Python or numpy one (a bool is refused)."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
 
 
 def _halved(eps_lo: float):
@@ -453,15 +445,14 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
     require_locally_responsive(policy, seed=seed)
     if inflow <= 0:
         raise ValueError("resilience estimation needs a positive inflow")
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
+    _require_sample_count(n_samples)
     for alpha in alphas:
         if not 0 < alpha <= 1:  # NaN included
             raise ValueError(f"alpha {alpha!r} must be in (0, 1]")
         _require_positive_threshold(alpha, inflow)
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
     cut_links = sorted(cut.cut_links)
-    config = _attack_config(network, inflow, config)
+    config = SimulationConfig(inflow=inflow) if config is None else replace(config, inflow=inflow)
     rho0, brackets, oracle_outflow = _oracle_bisections(network, policy, inflow, alphas,
                                                         capacity, cut_links)
 

@@ -45,6 +45,13 @@ RUNS = {
         {"csv": "2dcf760e8268ce5044989c7ff591dd4b7d88bfd0729f69f14a643235b8dfabbc",
          "summary.json": "a44870ede2df937c86385fabde4ce69b71a6ec9204cfbba9f36ec159b9e64053"},
         90),
+    # an attack run at the document's horizon of 250; digests and peak RSS (35.7 MB)
+    # recorded when the run still integrated a perturbed copy of the network
+    "example3_cutattack-simulate": (
+        ["simulate", "tests/data/example3_cutattack.json", "--out", "{out}"],
+        {"csv": "0544357b569bbf708e7e11e4a364348c744f3f2f87c7f670f37cc134a90822ed",
+         "summary.json": "50edf6c5fb18b412d9855aae5ef563fb95ad0a84f4d75d3f0fa4b001a38bcab4"},
+        60),
     # 20 001 points in 20 cascades of cli._SWEEP_CHUNK points; digest and peak
     # RSS (45.6 MB, 7.3 MB of it the returned text) recorded when each row was
     # built from its point's LimitFlow

@@ -149,6 +149,22 @@ class TestEvaluateAttack:
             evaluate_attacks(net, policy, inflow, [(spec, alpha, tol)], FAST)
         assert str(exc.value).startswith(message)
 
+    def test_unset_step_is_the_unperturbed_networks(self):
+        sc = load_scenario(DATA / "diamond5.json")
+        net, policy, inflow = sc.network, sc.policy, sc.inflow
+        spec = PerturbationSpec(net, {5: 0.5})  # the fastest link, slowed
+        step = dynamics.default_dt(net)
+        assert (step, dynamics.default_dt(net.perturbed(spec))) == \
+            (pytest.approx(0.00625), pytest.approx(0.01 / 1.2))
+        config = SimulationConfig(inflow=inflow, horizon=20.0)
+        _, rho0 = resilience._attack_setup(net, policy, inflow, config)
+        (out,) = evaluate_attacks(net, policy, inflow, [(spec, 0.5, None)], config)
+        assert out == alpha_transfer_estimate(
+            simulate(net.perturbed(spec), policy, replace(config, dt=step), rho0), 0.5)
+        # the perturbed network's own, longer step gives other bits
+        assert out != alpha_transfer_estimate(simulate(net.perturbed(spec), policy, config, rho0),
+                                              0.5)
+
     def test_no_attacks_no_outcomes(self):
         net = two_route_network()
         assert evaluate_attacks(net, two_route_policy(net.topology), 1.0, []) == []
@@ -197,6 +213,13 @@ class TestWeakResilience:
         with pytest.raises(ValueError, match=r"^n_samples must be nonnegative, got -3$"):
             estimate_weak_resilience(net, two_route_policy(net.topology), 1.0, config=FAST,
                                      alphas=(0.5,), n_samples=-3)
+
+    def test_non_integer_sample_count_rejected(self, monkeypatch):
+        net = two_route_network()
+        monkeypatch.setattr(resilience, "min_cut_capacity", None)  # no work may start
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 2.5$"):
+            estimate_weak_resilience(net, two_route_policy(net.topology), 1.0, config=FAST,
+                                     alphas=(0.5,), n_samples=2.5)
 
     def test_empty_alphas_rejected(self, monkeypatch):
         net = two_route_network()
@@ -356,6 +379,9 @@ class TestBatchedVerdicts:
 
     @pytest.mark.parametrize("budget, n_samples, message", [
         (1.0, -1, r"^n_samples must be nonnegative, got -1$"),
+        (0.5, 2.5, r"^n_samples must be an integer, got 2.5$"),
+        (0.5, 2.0, r"^n_samples must be an integer, got 2.0$"),
+        (0.5, True, r"^n_samples must be an integer, got True$"),
         (-0.5, 3, r"^budget must be nonnegative, got -0.5$"),
         (float("nan"), 3, r"^budget must be nonnegative, got nan$"),
         (1.6, 3, r"^budget must stay below the min-cut capacity$"),
@@ -369,6 +395,14 @@ class TestBatchedVerdicts:
         monkeypatch.setattr(resilience, "PerturbationSpec", None)  # no sample may be drawn
         with pytest.raises(ValueError, match=message):
             sample_scaling_perturbations(sc.network, budget, n_samples)
+
+    def test_sampler_takes_numpy_integers(self):
+        net = diamond_network()
+
+        def rows(n):
+            return [spec.scalings.tolist() for spec in sample_scaling_perturbations(net, 0.5, n)]
+
+        assert rows(np.int64(3)) == rows(3)
 
     def test_one_ensemble_holds_samples_and_audits(self, monkeypatch):
         net = diamond_network()

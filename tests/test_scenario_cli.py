@@ -499,6 +499,26 @@ class TestCmdSimulate:
         assert summary["tail_min_outflow"] < 0.25 * 1.0
         assert summary["attack"]["magnitude"] == pytest.approx(1.375, abs=1e-12)
 
+    def test_attack_is_a_scalings_row_of_the_scenarios_network(self, tmp_path, capsys,
+                                                               monkeypatch):
+        seen = []
+        real = cli._ensemble_blocks
+
+        def recording(network, policy, config, rho0s, scalings=None, records="all"):
+            seen.append((network, config, scalings))
+            return real(network, policy, config, rho0s, scalings, records)
+
+        monkeypatch.setattr(cli, "_ensemble_blocks", recording)
+        code, _ = run_cli("simulate", str(DATA / "example3_cutattack.json"), "--horizon", "20",
+                          "--out", str(tmp_path / "atk"), capsys=capsys)
+        assert code == 0
+        sc = load_scenario(DATA / "example3_cutattack.json")
+        ((network, config, scalings),) = seen
+        # the unperturbed flow functions, so an unset step is the unperturbed one
+        assert network.flow_functions == sc.network.flow_functions
+        assert config.dt is None
+        np.testing.assert_array_equal(scalings, sc.perturbation_spec().scalings[None])
+
     def test_cut_attack_within_transfer_slack_exits_two(self, tmp_path, capsys):
         # the threshold alpha*inflow - 1e-3*inflow is 0: no outflow could defeat it
         doc = write_mutated(tmp_path, ("perturbation", "cut_attack", "alpha"), 0.001,
