@@ -118,22 +118,18 @@ def _start_densities(network: FlowNetwork, limits: LimitFlows) -> np.ndarray:
     the unperturbed limit flow (its ``LocalSolverError`` is raised).
 
     The attack changes flow functions, not the mass already on the links,
-    so the perturbed run starts from the unperturbed preimage of that flow.
-    """
+    so the perturbed run starts from the unperturbed preimage of that flow,
+    finite only below capacity: a link at capacity raises ``ValueError``
+    (a saturated node's out-links sit there, as can a node that local
+    routing overloads below C)."""
     if limits.errors[0] is not None:
         raise limits.errors[0]
-    if limits.saturated[0].any():
-        raise ValueError(
-            "inflow saturates the unperturbed network; an attack run needs an "
-            "interior start flow (inflow < C)"
-        )
     rho0 = []
     for lid, f in zip(limits.link_ids, limits.flows[0].tolist()):
         ff = network.flow_functions[lid]
         if f >= ff.f_max:
-            raise ValueError(
-                f"initial flow on link {lid} sits at capacity; no finite initial density"
-            )
+            raise ValueError(f"the unperturbed limit flow on link {lid} sits at its capacity "
+                             f"{ff.f_max!r}; an attack run needs a finite start density")
         rho0.append(ff.inverse(f))
     return np.array(rho0)
 
@@ -358,9 +354,8 @@ def _oracle_bisections(network: FlowNetwork, policy: LogitPolicy, inflow: float,
     def judge(points) -> LimitFlows | None:
         """Add the outflows of the cut scaled by each new one of ``points`` to
         ``judged`` in one cascade, and return it, its rows those points in
-        order (None when no point is new); a scaling outside (0, 1] is left
-        to ``_cut_spec`` to refuse."""
-        points = [eps for eps in dict.fromkeys(points) if 0 < eps <= 1 and eps not in judged]
+        order (None when no point is new)."""
+        points = [eps for eps in dict.fromkeys(points) if eps not in judged]
         if not points:
             return None
         eps = np.ones((len(points), len(network.topology.link_ids)))
@@ -416,7 +411,8 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
 
     Upper side: for each alpha (swept downward), bisect the uniform scaling
     factor on a minimal cut for the smallest magnitude that defeats
-    alpha-transfer, to within ``BISECT_TOL_FRAC`` of C.  Lower side: random
+    alpha-transfer, to within ``BISECT_TOL_FRAC`` of C; an inflow at or
+    above C raises ``ValueError`` before any cascade.  Lower side: random
     scaling perturbations of magnitude up to (1 - ``MARGIN``) C, each of which
     must keep the tail outflow at or above ``ALPHA_FLOOR * inflow``
     (checked without slack) over a tail that has settled: a sample whose
@@ -451,6 +447,9 @@ def estimate_weak_resilience(network: FlowNetwork, policy: LogitPolicy, inflow: 
             raise ValueError(f"alpha {alpha!r} must be in (0, 1]")
         _require_positive_threshold(alpha, inflow)
     capacity, cut = min_cut_capacity(network.topology, network.capacities())
+    if inflow >= capacity:
+        raise ValueError(f"inflow {inflow!r} is at or above the min-cut capacity {capacity!r}: "
+                         "no attack run starts from a finite density")
     cut_links = sorted(cut.cut_links)
     config = SimulationConfig(inflow=inflow) if config is None else replace(config, inflow=inflow)
     rho0, brackets, oracle_outflow = _oracle_bisections(network, policy, inflow, alphas,

@@ -99,9 +99,43 @@ def write_mutated(tmp_path, path, value, source="example3.json"):
     for key in path[:-1]:
         target = target.setdefault(key, {})
     target[path[-1]] = value
-    out = tmp_path / "mutated.json"
+    return write_document(tmp_path, doc, "mutated.json")
+
+
+def write_document(tmp_path, doc, name="doc.json"):
+    """``doc`` written as JSON under tmp_path."""
+    out = tmp_path / name
     out.write_text(json.dumps(doc), encoding="utf-8")
     return out
+
+
+# cut attacks refused before any run: the transfer threshold alpha*inflow - 1e-3*inflow
+# is 0, so no outflow could defeat it; alpha * inflow = 2.5 C leaves no scaling below 1
+REFUSED_CUT_ATTACKS = pytest.mark.parametrize("source, fields, message", [
+    ("example3_cutattack.json", {"perturbation": {"cut_attack": {"alpha": 0.001}}},
+     "alpha 0.001 is at or below the 1e-3 transfer slack"),
+    ("diamond5.json", {"inflow": 4.0, "perturbation": {"cut_attack": {"alpha": 1.0}}},
+     "alpha * inflow >= 2 * min-cut: scaling attack degenerates"),
+], ids=["transfer-slack", "degenerate"])
+
+
+def locality_network(tmp_path, **extra):
+    """Node 0 splits its inflow 1.0 evenly onto links 0 (to node 1) and 1 (to node 2),
+    each of capacity 10; node 1's only link 2 holds 0.1, so node 1 saturates although
+    the min-cut capacity is 10.1: a router sees only its own links' densities."""
+    links = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 2, 3)]
+    return write_document(tmp_path, {
+        "name": "locality", "nodes": 4,
+        "links": [{"id": lid, "tail": tail, "head": head} for lid, tail, head in links],
+        "flow_functions": {str(lid): {"family": "exp", "a": 1.0, "f_max": 0.1 if lid == 2 else 10.0}
+                           for lid, _, _ in links},
+        "policies": {str(v): {"eta": 1.0, "weights": {str(lid): 1.0 for lid, tail, _ in links
+                                                       if tail == v}} for v in (0, 1, 2)},
+        "inflow": 1.0, "seed": 0, **extra}, name="locality.json")
+
+
+LINK_AT_CAPACITY = ("error: the unperturbed limit flow on link 2 sits at its capacity 0.1; "
+                    "an attack run needs a finite start density\n")
 
 
 class TestMalformedNumbers:
@@ -410,15 +444,15 @@ class TestCmdValidate:
         (finding,) = json.loads(out)["findings"]
         assert finding["component"] == "document" and finding["message"].startswith("seed: ")
 
-    def test_cut_attack_within_transfer_slack_is_a_perturbation_finding(self, tmp_path,
-                                                                        capsys):
-        doc = write_mutated(tmp_path, ("perturbation", "cut_attack", "alpha"), 0.001,
-                            source="example3_cutattack.json")
+    @REFUSED_CUT_ATTACKS
+    def test_refused_cut_attack_is_a_perturbation_finding(self, tmp_path, capsys, source,
+                                                          fields, message):
+        doc = write_document(tmp_path, json.loads((DATA / source).read_text()) | fields)
         code, out = run_cli("validate", str(doc), capsys=capsys)
         assert code == 1
         (finding,) = json.loads(out)["findings"]
         assert finding["component"] == "perturbation"
-        assert finding["message"].startswith("alpha 0.001 is at or below the 1e-3 transfer slack")
+        assert finding["message"].startswith(message)
 
     def test_stray_policy_entries_are_a_document_finding(self, tmp_path, capsys):
         # a weight for a link that does not exist, entries for the destination and for
@@ -519,14 +553,21 @@ class TestCmdSimulate:
         assert config.dt is None
         np.testing.assert_array_equal(scalings, sc.perturbation_spec().scalings[None])
 
-    def test_cut_attack_within_transfer_slack_exits_two(self, tmp_path, capsys):
-        # the threshold alpha*inflow - 1e-3*inflow is 0: no outflow could defeat it
-        doc = write_mutated(tmp_path, ("perturbation", "cut_attack", "alpha"), 0.001,
-                            source="example3_cutattack.json")
+    @REFUSED_CUT_ATTACKS
+    def test_refused_cut_attack_exits_two(self, tmp_path, capsys, source, fields, message):
+        doc = write_document(tmp_path, json.loads((DATA / source).read_text()) | fields)
         code = main(["simulate", str(doc), "--out", str(tmp_path / "atk")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: alpha 0.001 is at or below the 1e-3 transfer slack")
+        assert err.startswith("error: " + message)
+        assert not (tmp_path / "atk.summary.json").exists()
+
+    def test_attack_from_a_link_at_capacity_names_the_link(self, tmp_path, capsys):
+        # inflow 1.0 is below C = 10.1, but local routing saturates node 1
+        doc = locality_network(tmp_path, perturbation={"links": {"3": {"eps": 0.5}}})
+        code = main(["simulate", str(doc), "--out", str(tmp_path / "atk")])
+        assert code == 2
+        assert capsys.readouterr().err == LINK_AT_CAPACITY
         assert not (tmp_path / "atk.summary.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -951,6 +992,30 @@ class TestCmdResilience:
         assert code == 2
         assert capsys.readouterr().err == \
             f"error: alpha {alphas.split(',')[-1]} must be in (0, 1]\n"
+
+    @pytest.mark.parametrize("name, inflow, capacity", [
+        ("diamond5", 1.6, 1.6), ("diamond5", 1.6000000000000003, 1.6), ("random8", 1.6, 1.53)])
+    def test_inflow_at_or_above_min_cut_rejected_before_any_cascade(
+            self, monkeypatch, tmp_path, capsys, name, inflow, capacity):
+        def no_oracle(*args):
+            raise AssertionError("no limit flow may be computed")
+
+        monkeypatch.setattr(resilience, "network_limit_flows", no_oracle)
+        doc = write_mutated(tmp_path, ("inflow",), inflow, source=f"{name}.json")
+        code = main(["resilience", str(doc), "--alphas", "0.5,0.05", "--samples", "2",
+                     "--horizon", "20"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: inflow {inflow!r} is at or above the min-cut capacity {capacity!r}: "
+            "no attack run starts from a finite density\n")
+
+    def test_link_at_capacity_below_min_cut_names_the_link(self, tmp_path, capsys):
+        code, out = run_cli("mincut", str(locality_network(tmp_path)), capsys=capsys)
+        assert code == 0 and json.loads(out)["capacity"] == 10.1
+        code = main(["resilience", str(locality_network(tmp_path))])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == LINK_AT_CAPACITY and "inflow < C" not in captured.err
 
     def test_anti_cooperative_policy_is_runtime_failure(self, capsys):
         code, _ = run_cli("resilience", str(DATA / "anti_cooperative.json"),
