@@ -7,8 +7,8 @@ outflow: for a link e out of node v,
 
 where lambda_v is the constant network inflow at the origin and the sum of
 incoming link flows elsewhere.  Trajectories are integrated with a
-fixed-step classical Runge-Kutta scheme, which keeps runs reproducible
-bit-for-bit for a given (scenario, dt).
+fixed-step classical Runge-Kutta scheme in a compiled kernel (``_rk4.c``),
+which keeps runs reproducible bit-for-bit for a given (scenario, dt).
 
 The asymptotic flow is also computed directly: each node's stationary
 split solves ``lambda * G(mu^-1(f)) = f`` (or pins every outgoing link at
@@ -21,11 +21,13 @@ checked against.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _rk4
 from .flows import FlowNetwork
 from .routing import LogitPolicy, _logit_jacobian, _logit_split
 from .topology import NetworkTopology, topological_order
@@ -130,7 +132,7 @@ def _scalings(scalings, shape) -> np.ndarray:
 
 
 class _Compiled:
-    """Link arrays grouped by tail node, and the right-hand side built on them.
+    """Link arrays grouped by tail node, and the compiled RK4 kernel built on them.
 
     Internally links are ordered by (tail, id) so per-node reductions are
     contiguous; ``arr_sorted[to_topo]`` converts back to the topology's
@@ -140,14 +142,13 @@ class _Compiled:
     under one logit policy, fed at the origin by ``inflow``, a constant or
     a function of time; member b's capacities are scaled by row b of the
     checked (B, m) ``scalings`` as ``scale_perturbation`` scales them.
-    ``rhs(t, rho)`` (``_rhs``) is d rho / dt at time t and the flat state
-    of all B*m densities, member after member, as a fresh array.  The
-    links' exponential parameters are built once, as two (1, B*m) rows
-    ``neg_rate`` and ``neg_f_max`` that the RHS and ``flows`` read.
+    The links' exponential parameters are built once, as two (1, B*m) rows
+    ``neg_rate`` and ``neg_f_max`` that the kernel and ``flows`` read.
 
-    ``rhs`` keeps its link flows and routed inflows in buffers of its own,
-    overwritten by every call, so an instance is not reentrant: one run
-    (one ``_integrate``) calls it at a time.  Every run builds its own.
+    The kernel (``_rk4.c``, loaded by the first instance of a process)
+    keeps its link flows, routed inflows and RK4 stages in buffers of this
+    instance, overwritten by every call, so an instance is not reentrant:
+    one run (one ``_integrate``) uses it at a time.  Every run builds its own.
     """
 
     def __init__(self, network: FlowNetwork, policy: LogitPolicy, inflow, scalings):
@@ -165,7 +166,43 @@ class _Compiled:
         f_max, neg_rate = _exponential_params([network.flow_functions[l.id] for l in self.links])
         self.neg_rate = np.tile(neg_rate, (1, len(scalings)))
         self.neg_f_max = -(scalings[:, self.to_sorted] * f_max).reshape(1, -1)
-        self.rhs = self._rhs(policy, inflow, len(scalings))
+        self.inflow = inflow
+        self._build_kernel(policy, len(scalings))
+
+    def _build_kernel(self, policy, n_members):
+        """Fill ``self._kernel``, the ``_rk4.Kernel`` of this instance, and keep every
+        array it points to alive as an attribute; ``shape`` is (B, m).
+
+        Each link's routed inflow is its tail node's, gathered by one BLAS
+        matrix-vector product per member: row e of ``tail_head`` is node
+        tail(e)'s row of the head incidence, so link e sums that node's
+        in-links in a per-node product's order, which the pinned outputs
+        depend on.  The origin's links, one contiguous range, take the
+        network inflow.  The logit split's groups are each member's nodes'
+        out-links, offset per member over the flat state.
+        """
+        lib, numpy_code = _rk4.library()
+        m = len(self.links)
+        tails = np.array([l.tail for l in self.links])
+        incidence = np.zeros((self.n_nodes, m))  # [v, j]: link j enters node v
+        incidence[self.heads, np.arange(m)] = 1.0
+        starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
+        origin = next((lo, hi) for lo, hi in zip(starts, starts[1:] + [m])
+                      if tails[lo] == self.origin)
+        offsets = np.arange(n_members)[:, None]  # per member, over the flat state
+        self._arrays = arrays = dict(
+            group_start=np.append((np.array(starts) + m * offsets).ravel(), n_members * m),
+            neg_rate=self.neg_rate[0], neg_f_max=self.neg_f_max[0],
+            neg_eta=-np.tile([policy.eta[l.tail] for l in self.links], n_members),
+            weight=np.tile([policy.weights[l.id] for l in self.links], n_members),
+            tail_head=np.ascontiguousarray(incidence[tails]),
+            **{name: np.zeros(n_members * m)
+               for name in ("flow", "inflow", "k1", "k2", "k3", "k4", "stage")})
+        self._lib, self.shape = lib, (n_members, m)
+        self._kernel = _rk4.Kernel(members=n_members, links=m, groups=n_members * len(starts),
+                                  origin_lo=origin[0], origin_hi=origin[1],
+                                  **{name: a.ctypes.data for name, a in arrays.items()},
+                                  **numpy_code)
 
     def flows(self, rho: np.ndarray, member: int | None = None) -> np.ndarray:
         """Link flows of (P, B*m) densities or, with ``member``, of that member's (P, m)
@@ -175,64 +212,45 @@ class _Compiled:
         cols = slice(None) if member is None else slice(member * m, (member + 1) * m)
         return _exponential_flows(self.neg_rate[:, cols], self.neg_f_max[:, cols], rho)
 
-    def _rhs(self, policy, inflow, n_members):
-        """``rhs(t, rho)``, built once with every array it reads bound as a local.
+    def rhs(self, t, rho) -> np.ndarray:
+        """d rho / dt at time t and the flat state of all B*m densities, member
+        after member, as a fresh array: one evaluation of the kernel's right-hand side."""
+        rho = np.ascontiguousarray(rho, dtype=float)
+        if rho.shape != (self.shape[0] * self.shape[1],):
+            raise ValueError(f"rho must be a flat state of {self.shape} densities, got {rho.shape}")
+        out = np.empty(rho.size)
+        inflow = self.inflow(t) if callable(self.inflow) else self.inflow
+        self._lib.flownet_rk4_rhs(ctypes.byref(self._kernel), float(inflow), rho.ctypes.data,
+                                  out.ctypes.data)
+        return out
 
-        Each link's routed inflow is its tail node's, gathered by one
-        matrix-vector product per member: row e of ``tail_head`` is node
-        tail(e)'s row of the head incidence, so link e sums that node's
-        in-links in a per-node product's order, which the pinned outputs
-        depend on.  The origin's links, one contiguous range, take the
-        network inflow.  The logit softmax is one segmented reduction over
-        all B*m densities (group starts offset per member).  It takes the
-        densities below zero that an RK4 stage may reach before the step
-        clamps them, as the exponential flows do.
+    def steps(self, rho, undershoot, times, states, first, n_steps, stride, dt, step):
+        """Integrate records ``first`` to ``first + len(times) - 1`` into ``times`` and
+        the rows of ``states`` in one kernel call, from ``step`` steps taken with
+        state ``rho``; a time-varying inflow is tabled first at each step's
+        three stage times.
 
-        Only the returned derivative is fresh.  Every call overwrites two
-        buffers bound here: the links' flows and the routed inflows, (B, m,
-        1), written through a flat view and a view of the origin's range
-        that are bound here too.  The IEEE operations are those of the
-        same steps on fresh arrays, in the same order.
+        ``rho`` and ``undershoot`` are updated in place.  Returns the steps
+        taken, or raises ``SimulationError`` at a step past ``DENSITY_CEILING``.
         """
-        m = len(self.links)
-        tails = np.array([l.tail for l in self.links])
-        incidence = np.zeros((self.n_nodes, m))  # [v, j]: link j enters node v
-        incidence[self.heads, np.arange(m)] = 1.0
-        tail_head = incidence[tails]
-        starts = [0] + [i for i in range(1, m) if tails[i] != tails[i - 1]]
-        origin = next(slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])
-                      if tails[lo] == self.origin)
-        columns, timed = (n_members, m, 1), callable(inflow)
-        neg_rate, neg_f_max = self.neg_rate[0], self.neg_f_max[0]
-        flow_buf = np.empty(n_members * m)
-        flow_col = flow_buf.reshape(columns)
-        lam = np.empty(columns)
-        lam_flat, lam_origin = lam.reshape(-1), lam[:, origin]
-        offsets = np.arange(n_members)[:, None]  # per member, over the flat state
-        group_starts = (np.array(starts) + m * offsets).ravel()
-        group_of_link = (np.repeat(np.arange(len(starts)), np.diff(starts + [m]))
-                         + len(starts) * offsets).ravel()
-        a_pol = np.tile([policy.weights[l.id] for l in self.links], n_members)
-        neg_eta = -np.tile([policy.eta[l.tail] for l in self.links], n_members)
-        multiply, expm1, matmul, exp = np.multiply, np.expm1, np.matmul, np.exp
-        max_at, add_at = np.maximum.reduceat, np.add.reduceat
-
-        def rhs(t, rho):
-            f = multiply(neg_rate, rho, flow_buf)
-            expm1(f, f)
-            f *= neg_f_max
-            matmul(tail_head, flow_col, lam)
-            lam_origin.fill(inflow(t) if timed else inflow)
-            g = multiply(neg_eta, rho)
-            g -= max_at(g, group_starts).take(group_of_link)
-            exp(g, g)
-            g *= a_pol
-            g /= add_at(g, group_starts).take(group_of_link)
-            g *= lam_flat
-            g -= f
-            return g
-
-        return rhs
+        at, table = np.array([step], dtype=np.int64), None
+        if callable(self.inflow):
+            half, last = 0.5 * dt, _record_step(first + len(times) - 1, n_steps, stride)
+            table = np.array([[self.inflow(t), self.inflow(t + half), self.inflow(t + dt)]
+                              for t in (s * dt for s in range(step, last))], dtype=float)
+        failed = self._lib.flownet_rk4_block(
+            ctypes.byref(self._kernel), rho.ctypes.data, undershoot.ctypes.data,
+            times.ctypes.data, states.ctypes.data, first, len(times), n_steps, stride, dt,
+            at.ctypes.data, None if table is None else table.ctypes.data,
+            0.0 if table is not None else float(self.inflow), DENSITY_CEILING)
+        if failed:
+            t = int(at[0]) * dt
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = rho.reshape(len(undershoot), -1)
+                bad = state[np.argmin(state.max(axis=-1) <= DENSITY_CEILING)]
+                raise SimulationError(f"integration unstable at t={t:.6g} (state={bad}); "
+                                      "reduce dt or the horizon")
+        return int(at[0])
 
     def outflow(self, states: np.ndarray) -> np.ndarray:
         """Destination inflow of (records, B, m) densities, of shape (records, B).
@@ -336,39 +354,32 @@ def _tail_start(n_steps: int, dt: float, record_stride: int) -> int:
     return bisect.bisect_left(range(n_records), t0, key=time)
 
 
-def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride: int = 1,
-               first_record: int = 0, block_records: int | None = None):
-    """Classical fixed-step RK4 on the (B, m) densities of B members.
+def _integrate(kernel: _Compiled, rho0: np.ndarray, dt: float, horizon: float,
+               record_stride: int = 1, first_record: int = 0, block_records: int | None = None):
+    """Classical fixed-step RK4 on the (B, m) densities of B members, in ``kernel``.
 
-    ``deriv(t, rho)`` (a run's ``_Compiled.rhs``) maps the flat state to d
-    rho / dt as a fresh array.  A step takes the IEEE operations of ``rho +
-    sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and of its stages ``rho +
-    half * k`` in their order, only commutative operands swapped, in the
-    buffers ``deriv`` returned (the new state in k2's) and one stage buffer
-    that the run allocates once and every stage overwrites, then clamps
-    densities at zero and checks ``DENSITY_CEILING``.  The step is shrunk
-    to land on the horizon (``_time_grid``).  Yields the records (step 0,
-    every ``record_stride``-th and the last) from index ``first_record`` on
-    as ``(times, states, undershoot)`` blocks of at most ``block_records``
+    A step takes the IEEE operations of ``rho + sixth * (k1 + 2.0 * k2 +
+    2.0 * k3 + k4)`` and of its stages ``rho + half * k`` in their order,
+    only commutative operands swapped, then clamps densities at zero and
+    checks ``DENSITY_CEILING``; a density past it, or NaN, raises
+    ``SimulationError``.  The step is shrunk to land on the horizon
+    (``_time_grid``).  Yields the records (step 0, every
+    ``record_stride``-th and the last) from index ``first_record`` on as
+    ``(times, states, undershoot)`` blocks of at most ``block_records``
     records (default: one block), ``states`` of shape (records, B, m) and
-    ``undershoot`` each member's worst clamp so far.  A block's buffers are
-    allocated before the steps that fill them, which write into them.  An
-    unstable step overflows before its ``SimulationError``: a block's steps
-    run with numpy's overflow and invalid warnings off, left before its yield.
+    ``undershoot`` each member's worst clamp so far.  A block's buffers
+    are allocated before the one kernel call (``_Compiled.steps``) that
+    fills them.
     """
     n_steps, dt = _time_grid(horizon, dt)
     shape = np.shape(rho0)
-    members = shape[:1] + (-1,)
+    if shape != kernel.shape:
+        raise ValueError(f"rho0 must have the kernel's shape {kernel.shape}, got {shape}")
     rho = np.array(rho0, dtype=float).reshape(-1)
     undershoot = np.zeros(shape[0])
     end = _record_count(n_steps, record_stride)
     size = end - first_record if block_records is None else min(block_records, end - first_record)
-    half, sixth = 0.5 * dt, dt / 6.0
-    # 0-d arrays: an array times a Python float pays for converting the float on every call
-    half_, dt_, sixth_, two = (np.array(x) for x in (half, dt, sixth, 2.0))
-    lowest, highest, ceiling = np.minimum.reduce, np.maximum.reduce, DENSITY_CEILING
-    multiply, s = np.multiply, np.empty_like(rho)  # s: the stage state, rewritten by every stage
-    t, step = 0.0, 0
+    step = 0
     for lo in range(first_record, end, size):
         rows = min(size, end - lo)
         try:
@@ -377,42 +388,7 @@ def _integrate(deriv, rho0: np.ndarray, dt: float, horizon: float, record_stride
         except (MemoryError, ValueError) as exc:
             raise SimulationError(f"{rows} recorded states do not fit in memory; raise dt "
                                   "or record_stride, or shorten the horizon") from exc
-        with np.errstate(over="ignore", invalid="ignore"):  # left before the yield
-            for i in range(rows):
-                target = _record_step(lo + i, n_steps, record_stride)
-                while step < target:
-                    step += 1
-                    k1 = deriv(t, rho)
-                    multiply(k1, half_, s)
-                    s += rho
-                    k2 = deriv(t + half, s)
-                    multiply(k2, half_, s)
-                    s += rho
-                    k3 = deriv(t + half, s)
-                    multiply(k3, dt_, s)
-                    s += rho
-                    k4 = deriv(t + dt, s)
-                    k2 *= two
-                    k2 += k1
-                    k3 *= two
-                    k2 += k3
-                    k2 += k4
-                    k2 *= sixth_
-                    k2 += rho
-                    rho = k2
-                    # a NaN anywhere makes the minimum NaN: clamp every member then too
-                    if not lowest(rho) >= 0.0:
-                        np.maximum(undershoot, -lowest(rho.reshape(members), axis=-1),
-                                   out=undershoot)
-                        np.maximum(rho, 0.0, out=rho)
-                    t = step * dt
-                    if not highest(rho) <= ceiling:  # also catches NaN
-                        state = rho.reshape(members)
-                        bad = state[np.argmin(state.max(axis=-1) <= ceiling)]
-                        raise SimulationError(f"integration unstable at t={t:.6g} (state={bad}); "
-                                              "reduce dt or the horizon")
-                times[i] = t
-                states[i] = rho
+        step = kernel.steps(rho, undershoot, times, states, lo, n_steps, record_stride, dt, step)
         yield times, states.reshape((rows,) + shape), undershoot.copy()
 
 
@@ -498,7 +474,7 @@ def _ensemble_blocks(network: FlowNetwork, policy: LogitPolicy, config: Simulati
     first, block_records = {"all": (0, None), "stream": (0, _BLOCK_RECORDS),
                             "tail": (tail_start, _BLOCK_RECORDS), "last": (last, None)}[records]
     compiled = _Compiled(network, policy, config.inflow, eps)
-    blocks = _integrate(compiled.rhs, np.reshape(rho0s, eps.shape)[:, compiled.to_sorted], dt,
+    blocks = _integrate(compiled, np.reshape(rho0s, eps.shape)[:, compiled.to_sorted], dt,
                         config.horizon, config.record_stride, first, block_records)
     return compiled, dt_run, tail_start, blocks
 
@@ -543,7 +519,8 @@ def simulate_local(network: FlowNetwork, policy: LogitPolicy, v: int, inflow_fn,
     ``rho0`` and the returned densities and flows follow the out-links'
     order.  The start densities are checked as every run's are
     (``_start_state``), before any step.  ``inflow_fn`` is evaluated at the
-    Runge-Kutta stage times, so it should be continuous.
+    Runge-Kutta stage times (each step's start, midpoint and end, tabled
+    before the kernel takes the run's steps), so it should be continuous.
     """
     out = policy.outgoing_links(v)
     topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(out))])
@@ -553,7 +530,7 @@ def simulate_local(network: FlowNetwork, policy: LogitPolicy, v: int, inflow_fn,
     # every link leaves node 0 in id order, so the kernel's order is the out-links'
     fns = {i: network.flow_functions[lid] for i, lid in enumerate(out)}
     compiled = _Compiled(FlowNetwork(topo, fns), local, inflow_fn, np.ones((1, len(out))))
-    times, states, undershoot = next(_integrate(compiled.rhs, rho0[None], dt, horizon))
+    times, states, undershoot = next(_integrate(compiled, rho0[None], dt, horizon))
     return LocalTrajectory(times, states[:, 0], compiled.flows(states[:, 0]), float(undershoot[0]))
 
 

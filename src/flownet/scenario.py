@@ -33,9 +33,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import DENSITY_CEILING, SimulationConfig
+from .dynamics import DENSITY_CEILING, LocalSolverError, SimulationConfig
 from .flows import ExponentialFlow, FlowNetwork, PerturbationSpec
-from .resilience import _require_positive_threshold, cut_attack
+from .resilience import _attack_setup, _require_positive_threshold, cut_attack
 from .routing import LogitPolicy, responsiveness_findings
 from .topology import Link, NetworkTopology, TopologyError, validate_topology
 
@@ -353,8 +353,10 @@ def validate_scenario(scenario: Scenario) -> dict:
         for v, msg in responsiveness_findings(scenario.policy, scenario.seed):
             findings.append({"component": f"policy[{v}]", "message": msg})
         try:
-            scenario.perturbation_spec()
-        except ValueError as exc:  # an inadmissible perturbation among them
+            if scenario.perturbation_spec() is not None:
+                # the attack run's start, refused as ``simulate`` refuses it
+                _attack_setup(scenario.network, scenario.policy, scenario.inflow, None)
+        except (ValueError, LocalSolverError) as exc:  # an inadmissible perturbation among them
             findings.append({"component": "perturbation", "message": str(exc)})
 
     return {"ok": not findings, "scenario": scenario.name, "findings": findings}

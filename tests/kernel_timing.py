@@ -1,12 +1,14 @@
-"""Per-layer kernel timings: microseconds per RK4 step, per limit flow, per sweep and per bisection.
+"""Per-layer kernel timings: microseconds per compiled RK4 step, per limit flow, per sweep and per bisection.
 
 Not collected by pytest.  Prints one JSON object with the minimum over
 ``--repeats`` runs of
 
-- one right-hand-side evaluation, ``dynamics._Compiled.rhs``, at B = 1
-  (``random8``) and 6 (``diamond5``) members, the members of the RK4 rows;
-- one RK4 step of an ensemble integrated through ``dynamics._ensemble_blocks``
-  (only the last state kept), at B = 1 (``random8``), 6 (``diamond5``) and
+- one right-hand-side evaluation of the compiled C kernel (``_rk4.c``),
+  ``dynamics._Compiled.rhs``, one ctypes call each, at B = 1 (``random8``)
+  and 6 (``diamond5``) members, the members of the RK4 rows;
+- one RK4 step of the compiled C kernel, an ensemble integrated through
+  ``dynamics._ensemble_blocks`` (only the last state kept, so the steps
+  run in one kernel call), at B = 1 (``random8``), 6 (``diamond5``) and
   58 (``random8``) members, each member's links scaled by its own row of
   capacity factors;
 - one ``network_limit_flow`` call at the scenario inflow (P = 1) on

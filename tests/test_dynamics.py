@@ -32,6 +32,8 @@ from flownet import dynamics
 from flownet.dynamics import default_dt, limit_flow_estimate
 
 from cli_digests import _generate_dag
+import numpy_rk4
+from numpy_rk4 import numpy_integrate, numpy_rhs
 from conftest import (
     DATA,
     diamond_network,
@@ -662,12 +664,12 @@ class TestFlatKernel:
         sc, rows, rho0s, config = self.coarse_run(name, 3)
         compiled = dynamics._Compiled(sc.network, sc.policy, config.inflow, rows)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
-        (_, whole, undershoot), = dynamics._integrate(compiled.rhs, rho0, config.dt,
+        (_, whole, undershoot), = dynamics._integrate(compiled, rho0, config.dt,
                                                       config.horizon)
         assert len(whole) == 41 and undershoot.max() > 0.0  # clamps ran
 
         blocks, block_seen = [], []
-        for times, states, under in dynamics._integrate(compiled.rhs, rho0, config.dt,
+        for times, states, under in dynamics._integrate(compiled, rho0, config.dt,
                                                         config.horizon, block_records=6):
             blocks.append((times, states, under))
             block_seen.append((times.copy(), states.copy(), under.copy()))
@@ -680,19 +682,35 @@ class TestFlatKernel:
         assert np.array_equal(blocks[-1][2], undershoot)
 
     def test_a_nan_member_leaves_the_clamp_to_the_others(self):
-        # two members of two links; member 0's first density turns NaN in the
-        # step that drives its second and member 1's first below zero
-        slope = np.array([np.nan, -100.0, -100.0, 0.0])
-        blocks = dynamics._integrate(lambda t, rho: slope.copy(), np.ones((2, 2)), 0.1, 0.1,
-                                     block_records=1)
+        # two members of the diamond and a step of 14: in the first step member 0's
+        # densities turn NaN and -inf, and member 1's fall below zero
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        rows = np.array([[0.2, 0.9, 0.9, 0.6, 1.0, 0.8], [0.3, 0.9, 0.9, 0.8, 0.3, 0.9]])
+        compiled = dynamics._Compiled(net, policy, 1.0, rows)
+        rho0 = np.array([[4.1, 0.3, 2.0, 1.3, 1.3, 0.2],
+                         [1.8, 2.2, 4.2, 2.1, 3.0, 1.2]])[:, compiled.to_sorted]
+        deriv, dt = numpy_rhs(compiled, policy, 1.0, 2), 14.0
+        with np.errstate(over="ignore", invalid="ignore"):  # the step before its clamp
+            rho = rho0.reshape(-1)
+            k1 = deriv(0.0, rho)
+            k2 = deriv(0.5 * dt, k1 * (0.5 * dt) + rho)
+            k3 = deriv(0.5 * dt, k2 * (0.5 * dt) + rho)
+            k4 = deriv(dt, k3 * dt + rho)
+            step = ((((k2 * 2.0 + k1) + k3 * 2.0) + k4) * (dt / 6.0) + rho).reshape(2, -1)
+        assert np.isnan(step[0]).any() and np.isneginf(step[0]).any()
+        assert (step[1] < 0).any() and (np.abs(step[1]) <= dynamics.DENSITY_CEILING).all()
+
+        blocks = dynamics._integrate(compiled, rho0, dt, 3 * dt, block_records=1)
         times, states, undershoot = next(blocks)  # the start
-        assert times.tolist() == [0.0] and np.array_equal(states, np.ones((1, 2, 2)))
+        assert times.tolist() == [0.0] and np.array_equal(states, rho0[None])
         assert undershoot.tolist() == [0.0, 0.0]
         with pytest.raises(SimulationError) as exc:
             next(blocks)
-        # the NaN member is the one shown, with its clamped second density
-        assert str(exc.value).startswith("integration unstable at t=0.1 (state=[nan  0.]);")
-        assert "-" not in str(exc.value)  # no negative density is shown
+        # the NaN member is the one shown, with its -inf density clamped
+        assert str(exc.value) == (f"integration unstable at t=14 (state={np.maximum(step[0], 0.0)}); "
+                                  "reduce dt or the horizon")
+        assert "nan" in str(exc.value) and "-" not in str(exc.value)
 
 
 class TestFloatingPointFaults:
@@ -718,20 +736,22 @@ class TestFloatingPointFaults:
                 calls[run]()
             assert np.geterr() == caller
 
-    def test_steps_are_guarded_and_blocks_yielded_under_the_callers_settings(self):
-        inside = []
-
-        def deriv(t, rho):
-            inside.append(np.geterr())
-            return -rho
-
-        with np.errstate(over="raise", invalid="raise"):
+    def test_kernel_faults_stay_in_the_kernel(self):
+        # an evaluation whose expm1 overflows, then a run: no floating-point flag the
+        # kernel raised reaches the caller's numpy calls, whose settings hold throughout
+        net = diamond_network()
+        compiled = dynamics._Compiled(net, diamond_policy(net.topology), 1.0, np.ones((1, 6)))
+        with np.errstate(all="raise"):
             caller = np.geterr()
-            blocks = dynamics._integrate(deriv, np.ones((1, 2)), 0.1, 0.5, block_records=2)
-            for _ in blocks:
+            assert np.isinf(compiled.rhs(0.0, np.full(6, -1e6))).any()
+            x = np.ones(3)
+            assert (x * x).sum() == np.exp(x - x).sum() == 3.0
+            sizes = []
+            for times, _, _ in dynamics._integrate(compiled, np.ones((1, 6)), 0.1, 0.5,
+                                                   block_records=2):
                 assert np.geterr() == caller
-        assert len(inside) == 5 * 4  # every stage of every step
-        assert all((e["over"], e["invalid"]) == ("ignore", "ignore") for e in inside)
+                sizes.append(len(times))
+        assert sizes == [2, 2, 2]
 
 
 def per_node_rhs(compiled, n_members, policy, inflow, rho):
@@ -842,6 +862,201 @@ class TestTailGather:
         first, second = compiled.rhs(0.0, rho), compiled.rhs(0.0, rho)
         assert first is not second and not np.shares_memory(first, second)
         assert np.array_equal(first, second)
+
+
+def _assert_bits(got, want):
+    """Equal arrays down to the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestCompiledKernel:
+    """The compiled kernel's records, undershoot and error text are the numpy kernel's
+    (``tests/numpy_rk4.py``) bit for bit: the records a run keeps, over every fixture,
+    member count, record stride and window, with clamps and blow-ups."""
+
+    # every tests/data fixture that simulates (bad_cycle is refused), and a generated
+    # DAG with in-degrees up to 8
+    FIXTURES = ["anti_cooperative", "chain21", "diamond5", "example3", "example3_cutattack",
+                "random8", "dag20-seed6"]
+    STEPS = 60
+    # times the default step: no clamp, clamps in most fixtures, a blow-up in every one
+    FACTORS = (1, 600, 3000)
+
+    @staticmethod
+    def members(net, size, seed=1):
+        """(size, m) capacity factors and start densities, about 30 % of them zero."""
+        rng = np.random.default_rng(seed)
+        m = len(net.topology.links)
+        rows, rho0s = rng.uniform(0.4, 1.0, (size, m)), rng.uniform(0.0, 3.0, (size, m))
+        rho0s[rng.random((size, m)) < 0.3] = 0.0
+        return rows, rho0s
+
+    @staticmethod
+    def runs(compiled, policy, inflow, rho0, dt, horizon, *args):
+        """``(kernel, numpy)``: each run's blocks, copied as they come, then the text of
+        the ``SimulationError`` that ended it, if one did."""
+        def blocks(run):
+            out = []
+            try:
+                out.extend(tuple(np.array(a) for a in block) for block in run)
+            except SimulationError as exc:
+                out.append(str(exc))
+            return out
+
+        deriv = numpy_rhs(compiled, policy, inflow, len(rho0))
+        return (blocks(dynamics._integrate(compiled, rho0, dt, horizon, *args)),
+                blocks(numpy_integrate(deriv, rho0, dt, horizon, *args)))
+
+    @classmethod
+    def assert_same_runs(cls, compiled, policy, inflow, rho0, dt, horizon, *args):
+        """The kernel's run is the numpy kernel's; returns the kernel's blocks."""
+        got, want = cls.runs(compiled, policy, inflow, rho0, dt, horizon, *args)
+        assert len(got) == len(want)
+        for block, ref in zip(got, want):
+            if isinstance(ref, str):
+                assert block == ref
+            else:
+                for array, ref_array in zip(block, ref, strict=True):
+                    _assert_bits(array, ref_array)
+        return got
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("size", [1, 6, 58])
+    def test_fixtures(self, name, size):
+        sc = TestTailGather.scenario(name)
+        rows, rho0s = self.members(sc.network, size)
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
+        rho0 = rho0s[:, compiled.to_sorted]
+        ends = []
+        for factor in self.FACTORS:
+            dt = default_dt(sc.network) * factor
+            run = self.assert_same_runs(compiled, sc.policy, sc.inflow, rho0, dt,
+                                        self.STEPS * dt)
+            ends.append(run[-1] if isinstance(run[-1], str) else run[-1][2].max() > 0.0)
+        assert ends[0] is np.False_  # no clamp at the default step
+        assert ends[-1].startswith("integration unstable at t=")
+
+    @pytest.mark.parametrize("name", ["random8", "diamond5"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("records", ["all", "stream", "tail", "last"])
+    def test_strides_and_windows(self, monkeypatch, name, stride, records):
+        # blocks of 4 records; a clamping step, and a final step off the stride grid
+        monkeypatch.setattr(dynamics, "_BLOCK_RECORDS", 4)
+        sc = load_scenario(DATA / f"{name}.json")
+        rows, rho0s = self.members(sc.network, 6, seed=stride)
+        dt = default_dt(sc.network) * 600
+        config = SimulationConfig(inflow=sc.inflow, dt=dt, horizon=self.STEPS * dt,
+                                  record_stride=stride)
+        compiled, _, tail_start, blocks = dynamics._ensemble_blocks(
+            sc.network, sc.policy, config, rho0s, rows, records)
+        n_steps = dynamics._step_count(config.horizon, dt)
+        first = {"all": 0, "stream": 0, "tail": tail_start,
+                 "last": dynamics._record_count(n_steps, stride) - 1}[records]
+        size = {"all": None, "stream": 4, "tail": 4, "last": None}[records]
+        rho0 = rho0s[:, compiled.to_sorted]
+        runs = self.assert_same_runs(compiled, sc.policy, sc.inflow, rho0, dt, config.horizon,
+                                     stride, first, size)
+        for block, run in zip(blocks, runs, strict=True):
+            for array, ref in zip(block, run, strict=True):
+                _assert_bits(array, ref)
+        assert runs[-1][2].max() > 0.0  # members clamped
+
+    def test_negative_zero_start_with_clamps(self):
+        # -0.0 densities at start: the start record keeps them, and every later state and
+        # undershoot has numpy's signs of zero through the clamps.  A step's arithmetic
+        # turns each -0.0 into 0.0 (a link at -0.0 has k1 >= +0.0), so no clamp meets one
+        sc = load_scenario(DATA / "diamond5.json")
+        rows, rho0s = self.members(sc.network, 6, seed=3)
+        rho0s[rho0s == 0.0] = -0.0
+        rho0s[:, ::2] = -0.0
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
+        rho0 = rho0s[:, compiled.to_sorted]
+        dt = default_dt(sc.network) * 600
+        (times, states, undershoot), = self.assert_same_runs(
+            compiled, sc.policy, sc.inflow, rho0, dt, self.STEPS * dt)
+        assert np.signbit(states[0]).sum() >= 18 and undershoot.max() > 0.0
+        assert not np.signbit(states[1:]).any()
+
+    def test_a_member_clamped_from_zero_keeps_numpys_sign(self):
+        # an 8-link chain from zero, members 0 and 1 at full and half capacity: in one step
+        # of 2.0 member 0 falls below zero, member 1 does not, and its last four links are
+        # still 0.0; numpy's undershoot update takes -(0.0), the second operand of a tie
+        topo = NetworkTopology(9, [(i, i, i + 1) for i in range(8)])
+        net = FlowNetwork(topo, {i: ExponentialFlow(1.0, 1.0) for i in range(8)})
+        policy = LogitPolicy(topo, eta={v: 1.0 for v in range(8)}, weights={i: 1.0 for i in range(8)})
+        compiled = dynamics._Compiled(net, policy, 0.5, np.array([[1.0] * 8, [0.5] * 8]))
+        (_, states, undershoot), = self.assert_same_runs(compiled, policy, 0.5, np.zeros((2, 8)),
+                                                         2.0, 2.0)
+        assert undershoot[0] > 0.0 and np.array_equal(states[-1, 1, 4:], np.zeros(4))
+        assert undershoot[1] == 0.0 and np.signbit(undershoot[1])
+
+    @pytest.mark.parametrize("factor, ceiling", [(3000, None), (1, 2.5)])
+    def test_blow_ups(self, monkeypatch, factor, ceiling):
+        # NaN and overflow at a coarse step; a density past a lowered ceiling at a fine one
+        if ceiling is not None:
+            monkeypatch.setattr(dynamics, "DENSITY_CEILING", ceiling)
+            monkeypatch.setattr(numpy_rk4, "DENSITY_CEILING", ceiling)
+        sc = load_scenario(DATA / "diamond5.json")
+        rows, rho0s = self.members(sc.network, 6, seed=4)
+        compiled = dynamics._Compiled(sc.network, sc.policy, sc.inflow, rows)
+        dt = default_dt(sc.network) * factor
+        run = self.assert_same_runs(compiled, sc.policy, sc.inflow, rho0s[:, compiled.to_sorted],
+                                    dt, self.STEPS * dt, 1, 0, 1)
+        assert len(run) >= 2 and run[-1].startswith("integration unstable at t=")
+
+    def test_out_degree_nine_and_more(self):
+        # numpy sums 9 or more out-links with eight accumulators, and more than 129 in halves
+        links = ([(i, 0, 1) for i in range(10)] + [(10 + i, 1, 2) for i in range(140)]
+                 + [(150 + i, 2, 3) for i in range(9)])
+        topo = NetworkTopology(4, links)
+        rng = np.random.default_rng(9)
+        fns = {lid: ExponentialFlow(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0)))
+               for lid, _, _ in links}
+        policy = LogitPolicy(topo, eta={0: 1.5, 1: 0.7, 2: 2.0},
+                             weights={lid: float(rng.uniform(0.2, 3.0)) for lid, _, _ in links})
+        net = FlowNetwork(topo, fns)
+        rows, rho0s = self.members(net, 6, seed=9)
+        compiled = dynamics._Compiled(net, policy, 2.0, rows)
+        for factor in (1, 600):
+            dt = default_dt(net) * factor
+            self.assert_same_runs(compiled, policy, 2.0, rho0s[:, compiled.to_sorted], dt,
+                                  self.STEPS * dt)
+
+    def test_states_of_another_shape_are_refused_before_the_kernel(self):
+        compiled, *_ = TestTailGather.kernel("diamond5", 3)
+        with pytest.raises(ValueError, match=r"flat state of \(3, 6\) densities, got \(12,\)"):
+            compiled.rhs(0.0, np.zeros(12))
+        for rho0 in (np.zeros((2, 6)), np.zeros(18)):
+            with pytest.raises(ValueError, match=r"^rho0 must have the kernel's shape \(3, 6\)"):
+                next(dynamics._integrate(compiled, rho0, 0.1, 1.0))
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_time_varying_inflow(self, stride):
+        # simulate_local's kernel, in one block and in blocks of 5 records
+        compiled, _, policy, inflow_fn = TestTailGather.timed_kernel()
+        rho0 = np.array([[0.5, 0.0, 2.0]])
+        for dt, horizon in ((0.05, 3.0), (1.5, 30.0)):  # the second clamps
+            for size in (None, 5):
+                self.assert_same_runs(compiled, policy, inflow_fn, rho0, dt, horizon, stride, 0,
+                                      size)
+
+    def test_simulate_local(self):
+        net = diamond_network()
+        policy = diamond_policy(net.topology)
+        inflow_fn = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)
+        local = simulate_local(net, policy, 1, inflow_fn, [0.2, 0.0], 0.02, 2.0)
+        out = policy.outgoing_links(1)
+        topo = NetworkTopology(2, [(i, 0, 1) for i in range(len(out))])
+        ref_policy = LogitPolicy(topo, eta={0: policy.eta[1]},
+                                 weights={i: policy.weights[lid] for i, lid in enumerate(out)})
+        ref_net = FlowNetwork(topo, {i: net.flow_functions[lid] for i, lid in enumerate(out)})
+        compiled = dynamics._Compiled(ref_net, ref_policy, inflow_fn, np.ones((1, len(out))))
+        (times, states, _), = numpy_integrate(numpy_rhs(compiled, ref_policy, inflow_fn, 1),
+                                              np.array([[0.2, 0.0]]), 0.02, 2.0)
+        _assert_bits(local.times, times)
+        _assert_bits(local.rho, states[:, 0])
 
 
 class TestFlowMap:
@@ -990,7 +1205,7 @@ class TestRecordWindow:
         compiled = dynamics._Compiled(sc.network, sc.policy, config.inflow, rows)
         rho0 = np.array(rho0s)[:, compiled.to_sorted]
         for first in range(len(full[0].times)):
-            (block,) = dynamics._integrate(compiled.rhs, rho0, config.dt, config.horizon,
+            (block,) = dynamics._integrate(compiled, rho0, config.dt, config.horizon,
                                            first_record=first)
             tails = dynamics._member_trajectories(compiled, block, config.inflow, full[0].dt)
             for traj, ref in zip(tails, full, strict=True):
@@ -1009,10 +1224,10 @@ class TestRecordWindow:
         assert n_steps % stride and n_records == 15
         for first in (0, dynamics._tail_start(n_steps, dt, stride), n_records - 1):
             (times, states, undershoot), = dynamics._integrate(
-                compiled.rhs, rho0, config.dt, config.horizon, stride, first)
+                compiled, rho0, config.dt, config.horizon, stride, first)
             assert len(times) == n_records - first and undershoot.max() > 0.0
             for size in range(1, n_records + 2):
-                blocks = list(dynamics._integrate(compiled.rhs, rho0, config.dt, config.horizon,
+                blocks = list(dynamics._integrate(compiled, rho0, config.dt, config.horizon,
                                                   stride, first, size))
                 assert len(blocks) == -(-(n_records - first) // size)
                 assert np.array_equal(np.concatenate([b[0] for b in blocks]), times)

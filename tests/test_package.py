@@ -88,6 +88,7 @@ PRIVATE_IMPORTS = {
     ("resilience", "dynamics", "_ensemble_blocks"),
     ("resilience", "dynamics", "_transfer_estimate"),
     ("resilience", "dynamics", "_transfer_threshold"),
+    ("scenario", "resilience", "_attack_setup"),
     ("scenario", "resilience", "_require_positive_threshold"),
 }
 

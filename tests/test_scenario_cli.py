@@ -454,6 +454,19 @@ class TestCmdValidate:
         assert finding["component"] == "perturbation"
         assert finding["message"].startswith(message)
 
+    def test_attack_from_a_link_at_capacity_is_a_perturbation_finding(self, tmp_path, capsys):
+        # the document ``simulate`` refuses (TestCmdSimulate), with the same message
+        doc = locality_network(tmp_path, perturbation={"links": {"3": {"eps": 0.5}}})
+        code, out = run_cli("validate", str(doc), capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["findings"] == [{"component": "perturbation",
+                                       "message": LINK_AT_CAPACITY[len("error: "):-1]}]
+        # without the attack the same network validates: a run from zero needs no start
+        code, out = run_cli("validate", str(locality_network(tmp_path)), capsys=capsys)
+        assert code == 0 and json.loads(out)["ok"] is True
+
     def test_stray_policy_entries_are_a_document_finding(self, tmp_path, capsys):
         # a weight for a link that does not exist, entries for the destination and for
         # a node that does not exist: each one alone makes the document malformed
